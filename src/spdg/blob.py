@@ -20,6 +20,7 @@ from .errors import FormatError
 
 MAGIC = b"SPDG"
 FORMAT_VERSION = 1
+_FIXED_HEADER = 10  # magic, version, dtype flag, rank
 
 _DTYPE_FLAGS = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 _FLAG_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
@@ -45,19 +46,18 @@ def read_blob(path) -> np.ndarray:
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    if len(raw) < _FIXED_HEADER:
+        raise FormatError(f"{path}: truncated header, {len(raw)} bytes")
+    version, flag, rank = struct.unpack_from("<IBB", raw, 4)
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported blob version {version}")
-    flag, rank = struct.unpack_from("<BB", raw, 8)
     if flag not in _DTYPE_FLAGS:
         raise FormatError(f"{path}: unknown dtype flag {flag}")
     dtype = _DTYPE_FLAGS[flag]
-    offset = 10
-    shape = []
-    for _ in range(rank):
-        (dim,) = struct.unpack_from("<Q", raw, offset)
-        shape.append(int(dim))
-        offset += 8
+    offset = _FIXED_HEADER + 8 * rank
+    if len(raw) < offset:
+        raise FormatError(f"{path}: truncated header, {len(raw)} bytes for rank {rank}")
+    shape = [int(dim) for dim in struct.unpack_from(f"<{rank}Q", raw, _FIXED_HEADER)]
     count = int(np.prod(shape)) if shape else 1
     expected = offset + count * dtype.itemsize
     if len(raw) != expected:

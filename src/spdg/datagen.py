@@ -154,6 +154,7 @@ def load(directory) -> MultiDomainDataset:
     dom_lookup = {name: i for i, name in enumerate(manifest.domains)}
     class_ids = np.empty(expected, dtype=np.int64)
     domain_ids = np.empty(expected, dtype=np.int64)
+    seen = np.zeros(expected, dtype=bool)
     with open(directory / "labels.csv", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -161,9 +162,17 @@ def load(directory) -> MultiDomainDataset:
             raise FormatError(f"unexpected labels.csv header: {header}")
         count = 0
         for row in reader:
-            idx = int(row[0])
+            if len(row) != 3:
+                raise FormatError(f"labels.csv row needs 3 fields, got {row}")
+            try:
+                idx = int(row[0])
+            except ValueError as exc:
+                raise FormatError(f"labels.csv index {row[0]!r} is not an integer") from exc
             if not (0 <= idx < expected):
                 raise FormatError(f"labels.csv index {idx} out of range")
+            if seen[idx]:
+                raise FormatError(f"labels.csv repeats index {idx}")
+            seen[idx] = True
             try:
                 class_ids[idx] = cls_lookup[row[1]]
                 domain_ids[idx] = dom_lookup[row[2]]

@@ -26,7 +26,7 @@ from .encoders import (
     project_image,
     tokenize,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SpdgError
 from .inference import accuracy, predict_batch, zero_shot_predict_batch
 from .losses import prompt_text_features
 from .prompter import style_for_prompt
@@ -114,7 +114,7 @@ def _lodo_task(args):
     try:
         acc = _evaluate_fold(dataset, base, method, seed, held_out)
         return held_out, seed, method, acc, None
-    except Exception as exc:  # noqa: BLE001 - per-fold failures are reported, not fatal
+    except SpdgError as exc:  # a typed fold failure is reported; anything else aborts
         return held_out, seed, method, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -142,7 +142,7 @@ def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None 
             try:
                 acc = _evaluate_fold(dataset, base, method, seed, held_out)
                 outcomes.append((held_out, seed, method, acc, None))
-            except Exception as exc:  # noqa: BLE001
+            except SpdgError as exc:
                 outcomes.append((held_out, seed, method, None, f"{type(exc).__name__}: {exc}"))
 
     outcomes.sort(key=lambda r: (r[2], r[0], r[1]))

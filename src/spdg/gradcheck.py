@@ -80,6 +80,8 @@ def _primitive_cases():
                                                  T.sum_all(T.mul(T.masked_log_sum_exp_rows(x, m), Tensor(w))))),
         ("rowwise_dot_grouped", (6, 3), lambda rng: (lambda x, a=rng.normal(size=(2, 3)), w=rng.normal(size=(2, 3)):
                                                      T.sum_all(T.mul(T.rowwise_dot_grouped(x, a, group=3), Tensor(w))))),
+        ("domain_discrimination_loss", (8, 3), lambda rng: (lambda x, dom=np.array([0, 1, 2, 0, 1, 2, 0, 1]):
+                                                            domain_discrimination_loss(T.l2_normalize(x), dom, 0.5))),
     ]
 
 

@@ -72,6 +72,11 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float) -> Tensor:
     Rows of `samples` must already be L2-normalized. Every anchor needs at
     least one other sample from its own domain; a batch violating that is an
     error, never a silent skip.
+
+    One fused primitive: E = exp(S - rowmax) over S = u u^T / tau with the
+    diagonal masked out, the denominator and the same-domain numerator both
+    summed from that one E, and the closed-form (supervised-contrastive)
+    backward (W + W^T) u with W = E * (1/den - same/num) / (N tau).
     """
     if tau <= 0:
         raise ConfigError(f"temperature must be > 0, got {tau}")
@@ -88,20 +93,56 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float) -> Tensor:
         raise NormalizationError(
             f"style samples must be unit-norm before domain discrimination (max deviation {worst:.3e})"
         )
-
-    same = dom[:, None] == dom[None, :]
-    not_self = ~np.eye(n, dtype=bool)
-    positives = same & not_self
-    lonely = np.where(~positives.any(axis=1))[0]
+    _, inverse, counts = np.unique(dom, return_inverse=True, return_counts=True)
+    lonely = np.flatnonzero(counts[inverse] < 2)
     if lonely.size:
         raise BatchCompositionError(
             f"anchors without a same-domain positive: rows {lonely.tolist()}"
         )
 
-    sims = T.mul(T.matmul(samples, T.transpose(samples)), T.constant(1.0 / tau))
-    log_den = T.masked_log_sum_exp_rows(sims, not_self)
-    log_num = T.masked_log_sum_exp_rows(sims, positives)
-    return T.mean_all(T.sub(log_den, log_num))
+    u = samples.data
+    # a copied transpose runs as GEMM; numpy sends u @ u.T to the slower SYRK
+    e = u @ u.T.copy()
+    e *= 1.0 / tau
+    np.fill_diagonal(e, -np.inf)
+    shift = e.max(axis=1)
+    e -= shift[:, None]
+    np.exp(e, out=e)
+    # the narrowest integer codes make this N x N comparison several times cheaper
+    codes = inverse.astype(np.min_scalar_type(counts.size))
+    same = codes[:, None] == codes[None, :]
+    # num is reduced exactly like den, so one domain gives num == den bit for bit
+    den = e.sum(axis=1)
+    num = np.where(same, e, 0.0).sum(axis=1)
+
+    # A row whose positives all lie far below its max underflows to num == 0;
+    # it takes its log-numerator and positive weights from its own positive max.
+    low = np.flatnonzero(num < np.finfo(e.dtype).tiny)
+    num[low] = 1.0  # placeholder: log_num and inv_num of these rows are set below
+    inv_num = 1.0 / num
+    log_num = np.log(num)
+    q_low = None
+    if low.size:
+        s_low = np.where(same[low], (u[low] @ u.T) * (1.0 / tau), -np.inf)
+        s_low[np.arange(low.size), low] = -np.inf
+        top = s_low.max(axis=1)
+        q_low = np.exp(s_low - top[:, None])
+        mass = q_low.sum(axis=1)
+        q_low /= mass[:, None]
+        log_num[low] = top - shift[low] + np.log(mass)
+        inv_num[low] = 0.0
+    out = np.asarray(np.mean(np.log(den) - log_num))
+
+    def bwd(g):
+        scale = float(g) / (n * tau)
+        inv_den = scale / den
+        w = np.where(same, (inv_den - scale * inv_num)[:, None], inv_den[:, None])
+        w *= e
+        if q_low is not None:
+            w[low] -= scale * q_low
+        return (w @ u + w.T @ u,)
+
+    return T.apply(out, (samples,), bwd)
 
 
 def build_reg_anchors(bundle: FrozenEncoderBundle, classes,

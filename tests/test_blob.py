@@ -45,6 +45,17 @@ def test_truncated_blob_rejected(tmp_path, rng):
         read_blob(path)
 
 
+def test_blob_cut_inside_header_rejected(tmp_path, rng):
+    path = tmp_path / "t.spdg"
+    write_blob(path, rng.normal(size=(2, 3, 4)))
+    raw = path.read_bytes()
+    header_end = 10 + 8 * 3
+    for length in range(4, header_end + 1):
+        path.write_bytes(raw[:length])
+        with pytest.raises(FormatError):
+            read_blob(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "t.spdg"
     path.write_bytes(b"NOPE" + b"\x00" * 32)

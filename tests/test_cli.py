@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -98,6 +99,17 @@ def test_error_json_on_stderr(capsys, tmp_path):
     payload = json.loads(err)
     assert payload["error"]
     assert payload["message"]
+
+
+def test_blob_cut_inside_header_is_format_error(capsys, cli_dataset, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(cli_dataset, data)
+    blob = data / "samples.spdg"
+    blob.write_bytes(blob.read_bytes()[:12])
+    code, _, err = run_cli(capsys, "train", "--dataset", str(data), "--held-out", "sketch",
+                           "--out-dir", str(tmp_path / "r"))
+    assert code == 2
+    assert json.loads(err)["error"] == "format_error"
 
 
 def test_missing_out_dir_is_config_error(capsys, cli_dataset):

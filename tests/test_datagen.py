@@ -116,6 +116,37 @@ def test_unknown_version_rejected(tmp_path):
         datagen.load(tmp_path / "d")
 
 
+def _saved_with_label_lines(tmp_path, edit):
+    datagen.save(datagen.generate(n_per_cell=10, seed=9), tmp_path / "d")
+    labels = tmp_path / "d" / "labels.csv"
+    lines = labels.read_text().splitlines()
+    edit(lines)
+    labels.write_text("\n".join(lines) + "\n")
+    return tmp_path / "d"
+
+
+def test_labels_csv_repeated_index_rejected(tmp_path):
+    def repeat_first_row(lines):
+        # index 1 goes missing while the row count stays right
+        lines[2] = lines[1]
+    with pytest.raises(FormatError, match="repeats index 0"):
+        datagen.load(_saved_with_label_lines(tmp_path, repeat_first_row))
+
+
+def test_labels_csv_non_integer_index_rejected(tmp_path):
+    def spoil_index(lines):
+        lines[3] = "two" + lines[3][1:]
+    with pytest.raises(FormatError, match="not an integer"):
+        datagen.load(_saved_with_label_lines(tmp_path, spoil_index))
+
+
+def test_labels_csv_short_row_rejected(tmp_path):
+    def drop_domain(lines):
+        lines[4] = lines[4].rsplit(",", 1)[0]
+    with pytest.raises(FormatError, match="3 fields"):
+        datagen.load(_saved_with_label_lines(tmp_path, drop_domain))
+
+
 def test_labels_csv_header(tmp_path):
     ds = datagen.generate(n_per_cell=10, seed=9)
     datagen.save(ds, tmp_path / "d")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spdg import datagen
-from spdg.errors import ConfigError
+from spdg import datagen, evaluate
+from spdg.errors import ConfigError, TrainingDiverged
 from spdg.evaluate import (
     EvalReport,
     MethodResult,
@@ -38,6 +38,38 @@ def small_dataset_dir(tmp_path_factory):
 def lodo_report(small_dataset_dir, quick_config):
     return evaluate_leave_one_out(small_dataset_dir, ["baseline_C", "baseline_PC", "gsp"],
                                   seeds=[0], base=quick_config)
+
+
+class TestLodoFoldFailures:
+    @staticmethod
+    def _failing_fold(exc):
+        def fold(dataset, base, method, seed, held_out):
+            if held_out == "cartoon":
+                raise exc
+            return 0.5
+        return fold
+
+    def test_typed_error_is_a_partial_result(self, monkeypatch, small_dataset_dir, quick_config):
+        monkeypatch.setattr(evaluate, "_evaluate_fold",
+                            self._failing_fold(TrainingDiverged("loss went non-finite")))
+        report = evaluate_leave_one_out(small_dataset_dir, ["gsp"], seeds=[0], base=quick_config)
+        assert report.partial
+        assert [f["held_out"] for f in report.failures] == ["cartoon"]
+        assert "TrainingDiverged" in report.failures[0]["error"]
+
+    def test_broken_invariant_aborts_the_run(self, monkeypatch, small_dataset_dir, quick_config):
+        monkeypatch.setattr(evaluate, "_evaluate_fold",
+                            self._failing_fold(AssertionError("encoder weights changed")))
+        with pytest.raises(AssertionError, match="encoder weights changed"):
+            evaluate_leave_one_out(small_dataset_dir, ["gsp"], seeds=[0], base=quick_config)
+
+    def test_worker_task_lets_a_broken_invariant_through(self, monkeypatch, small_dataset_dir,
+                                                        quick_config):
+        monkeypatch.setattr(evaluate, "_evaluate_fold",
+                            self._failing_fold(AssertionError("encoder weights changed")))
+        task = (str(small_dataset_dir), quick_config.to_dict(), "gsp", 0, "cartoon")
+        with pytest.raises(AssertionError):
+            evaluate._lodo_task(task)
 
 
 class TestInfer:

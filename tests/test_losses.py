@@ -36,6 +36,27 @@ def naive_domain_loss(samples: np.ndarray, domains, tau: float) -> float:
     return total / n
 
 
+def masked_lse_domain_loss(samples: Tensor, domains, tau: float) -> Tensor:
+    """Second oracle: the loss composed from tape primitives, two masked
+    log-sum-exps over one similarity matrix, each with its own row max."""
+    dom = np.asarray(domains)
+    n = samples.data.shape[0]
+    same = dom[:, None] == dom[None, :]
+    not_self = ~np.eye(n, dtype=bool)
+    sims = T.mul(T.matmul(samples, T.transpose(samples)), T.constant(1.0 / tau))
+    log_den = T.masked_log_sum_exp_rows(sims, not_self)
+    log_num = T.masked_log_sum_exp_rows(sims, same & not_self)
+    return T.mean_all(T.sub(log_den, log_num))
+
+
+def loss_and_grad(loss_fn, samples: np.ndarray, domains, tau: float):
+    x = Tensor(samples, requires_grad=True)
+    with Tape() as tape:
+        loss = loss_fn(x, domains, tau)
+    tape.backward(loss, leaves=[x])
+    return loss.item(), x.grad
+
+
 def unit_rows(rng, n, d):
     s = rng.normal(size=(n, d))
     return s / np.linalg.norm(s, axis=1, keepdims=True)
@@ -81,6 +102,31 @@ class TestDomainDiscriminationLoss:
         dom = domains_with_pairs(rng, n, 3)
         ours = domain_discrimination_loss(Tensor(s), dom, 0.1).item()
         assert ours == pytest.approx(naive_domain_loss(s, dom, 0.1), abs=1e-10)
+
+    def test_matches_composed_oracle_at_trainer_shape(self, rng):
+        # 3 domains x 4 images x 40 Monte Carlo draws, as one training step sees them
+        s = unit_rows(rng, 480, 32)
+        dom = np.repeat(np.arange(3), 4 * 40)
+        ours, grad = loss_and_grad(domain_discrimination_loss, s, dom, 0.1)
+        ref, ref_grad = loss_and_grad(masked_lse_domain_loss, s, dom, 0.1)
+        assert ours == pytest.approx(ref, abs=1e-12)
+        assert np.abs(grad - ref_grad).max() <= 1e-15
+
+    @pytest.mark.parametrize("tau, expected", [(2e-3, 999.5), (1e-3, 1999.0)])
+    def test_small_temperature_positives_far_below_row_max(self, tau, expected):
+        # every anchor's only positive sits near -1/tau while its row max is near
+        # +1/tau, so a single shared row shift underflows the numerator to 0
+        v = np.array([1.0, 0.0])
+        near_v = np.array([0.999, np.sqrt(1.0 - 0.999 ** 2)])
+        s = np.stack([v, -v, near_v, -v])
+        val, grad = loss_and_grad(domain_discrimination_loss, s, [0, 0, 1, 1], tau)
+        assert np.isfinite(val)
+        assert np.isfinite(grad).all()
+        assert val == pytest.approx(expected, rel=1e-12)
+        # the oracle exponentiates masked-out entries too, which overflows harmlessly
+        with np.errstate(over="ignore"):
+            _, ref_grad = loss_and_grad(masked_lse_domain_loss, s, [0, 0, 1, 1], tau)
+        assert np.abs(grad - ref_grad).max() <= 1e-12
 
     def test_anchor_without_positive_rejected(self, rng):
         s = unit_rows(rng, 3, 4)
