@@ -1,4 +1,4 @@
-"""Binary tensor blob format shared by checkpoints and datasets.
+"""Binary tensor blob format and manifest reading shared by checkpoints, bundles and datasets.
 
 Layout, all little-endian:
     magic   4 bytes  b"SPDG"
@@ -11,7 +11,9 @@ Layout, all little-endian:
 
 from __future__ import annotations
 
+import json
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -66,3 +68,26 @@ def read_blob(path) -> np.ndarray:
         )
     values = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
     return values.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+
+
+def read_manifest(path, kind: str, version: int) -> dict:
+    """Parse an artifact's manifest.json: a JSON object of the given format version."""
+    path = Path(path)
+    try:
+        manifest = json.loads(path.read_bytes())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise FormatError(f"{path}: {kind} manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: {kind} manifest must be a JSON object")
+    if manifest.get("format_version") != version:
+        raise FormatError(f"unsupported {kind} format_version {manifest.get('format_version')}")
+    return manifest
+
+
+@contextmanager
+def manifest_fields(path, kind: str):
+    """Turn a missing or mistyped manifest field read inside the block into a FormatError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed {kind} manifest: {type(exc).__name__}: {exc}") from exc

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blob import read_blob, write_blob
+from .blob import manifest_fields, read_blob, read_manifest, write_blob
 from .errors import ConfigError, FormatError
 
 DATASET_FORMAT_VERSION = 1
@@ -135,16 +135,15 @@ def save(dataset: MultiDomainDataset, directory) -> None:
 
 def load(directory) -> MultiDomainDataset:
     directory = Path(directory)
-    raw = json.loads((directory / "manifest.json").read_text())
-    if raw.get("format_version") != DATASET_FORMAT_VERSION:
-        raise FormatError(f"unsupported dataset format_version {raw.get('format_version')}")
-    manifest = DatasetManifest(
-        classes=raw["classes"], domains=raw["domains"], n_per_cell=raw["n_per_cell"],
-        d_x=raw["d_x"], seed=raw["seed"], style_strength=raw["style_strength"],
-        noise_std=raw["noise_std"],
-    )
+    raw = read_manifest(directory / "manifest.json", "dataset", DATASET_FORMAT_VERSION)
+    with manifest_fields(directory, "dataset"):
+        manifest = DatasetManifest(
+            classes=raw["classes"], domains=raw["domains"], n_per_cell=raw["n_per_cell"],
+            d_x=raw["d_x"], seed=raw["seed"], style_strength=raw["style_strength"],
+            noise_std=raw["noise_std"],
+        )
+        expected = len(manifest.classes) * len(manifest.domains) * manifest.n_per_cell
     x = read_blob(directory / "samples.spdg")
-    expected = len(manifest.classes) * len(manifest.domains) * manifest.n_per_cell
     if x.shape != (expected, manifest.d_x):
         raise FormatError(
             f"samples blob shape {x.shape} does not match manifest ({expected}, {manifest.d_x})"

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .blob import read_blob, write_blob
+from .blob import manifest_fields, read_blob, read_manifest, write_blob
 from .errors import ConfigError, DegenerateVectorError, FormatError, ShapeError, TokenizeError
 from .tensor import Tensor
 
@@ -383,12 +383,9 @@ def save_bundle(bundle: FrozenEncoderBundle, directory) -> None:
 
 def load_bundle(directory) -> FrozenEncoderBundle:
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported bundle format_version {manifest.get('format_version')}"
-        )
-    dims = EncoderDims(**manifest["dims"])
+    manifest = read_manifest(directory / "manifest.json", "bundle", BUNDLE_FORMAT_VERSION)
     weights = {name: read_blob(directory / f"{name}.spdg") for name in _WEIGHT_NAMES}
-    return FrozenEncoderBundle(dims, manifest["vocab"], manifest["seed"],
-                               manifest["logit_scale"], weights)
+    with manifest_fields(directory, "bundle"):
+        dims = EncoderDims(*(manifest["dims"][k] for k in ("d_x", "d_i", "d_t", "d_f")))
+        return FrozenEncoderBundle(dims, manifest["vocab"], manifest["seed"],
+                                   manifest["logit_scale"], weights)

@@ -8,19 +8,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensor as T
 from .encoders import (
     FrozenEncoderBundle,
     bare_class_text,
-    embed_tokens,
     encode_image,
-    encode_text,
+    encode_text_batch,
     photo_caption_text,
     project_image,
-    similarity_logits,
-    style_prompt_text,
     tokenize,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateVectorError, ShapeError, TokenizeError
 from .losses import prompt_text_features
 from .prompter import style_for_prompt
 from .tensor import Tensor
@@ -31,23 +29,28 @@ ZERO_SHOT_TEMPLATES = {
 }
 
 
+def _unit_rows(v: np.ndarray, what: str) -> np.ndarray:
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    if np.any(norms <= T.EPS_NORM):
+        raise DegenerateVectorError(f"{what} has near-zero norm")
+    return v / norms
+
+
+def _one_row(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ShapeError(f"expected one image vector, got shape {x.shape}")
+    return x[None, :]
+
+
 def infer(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes):
     """Classify one image: extract its style, prompt every class, take the argmax.
 
-    Returns (predicted class name, per-class similarity scores).
+    A one-row predict_batch. Returns (predicted class name, per-class
+    similarity scores).
     """
-    if not classes:
-        raise ConfigError("class set must be non-empty")
-    z = encode_image(bundle, np.asarray(x, dtype=np.float64))
-    style = style_for_prompt(prompter, Tensor(z))
-    feats = []
-    for cls in classes:
-        ids = tokenize(style_prompt_text(cls), bundle)
-        emb = embed_tokens(bundle, ids, style=style)
-        feats.append(encode_text(bundle, emb).data)
-    logits = similarity_logits(bundle, z, Tensor(np.stack(feats))).data
-    pred = int(np.argmax(logits))
-    return classes[pred], logits
+    preds, logits = predict_batch(bundle, prompter, _one_row(x), classes)
+    return classes[int(preds[0])], logits[0]
 
 
 def predict_batch(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes):
@@ -59,42 +62,46 @@ def predict_batch(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes)
     styles = style_for_prompt(prompter, Tensor(z))
     feats = prompt_text_features(bundle, styles, classes).data
     n, n_classes = x.shape[0], len(classes)
-    feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
-    zp = project_image(bundle, z)
-    zp = zp / np.linalg.norm(zp, axis=1, keepdims=True)
+    feats = _unit_rows(feats, "prompted text feature")
+    zp = _unit_rows(project_image(bundle, z), "projected image feature")
     logits = np.einsum("bcd,bd->bc", feats.reshape(n, n_classes, -1), zp) * bundle.logit_scale
     return logits.argmax(axis=1), logits
 
 
 def zero_shot_text_features(bundle: FrozenEncoderBundle, classes, template: str) -> np.ndarray:
+    """Features of the rendered class texts, one encoder call per token length."""
     if template not in ZERO_SHOT_TEMPLATES:
         raise ConfigError(f"unknown zero-shot template {template!r}, expected one of ['C', 'PC']")
     render = ZERO_SHOT_TEMPLATES[template]
-    feats = []
-    for cls in classes:
-        ids = tokenize(render(cls), bundle)
-        emb = embed_tokens(bundle, ids)
-        feats.append(encode_text(bundle, emb).data)
-    return np.stack(feats)
+    by_length: dict[int, list[int]] = {}
+    ids_per_class = [tokenize(render(cls), bundle) for cls in classes]
+    for c, ids in enumerate(ids_per_class):
+        by_length.setdefault(len(ids), []).append(c)
+    feats = np.empty((len(classes), bundle.dims.d_f))
+    for group in by_length.values():
+        ids = np.asarray([ids_per_class[c] for c in group], dtype=np.int64)
+        if np.any(ids < 0):
+            raise TokenizeError("zero-shot text has a pseudo slot but no style embedding")
+        feats[group] = encode_text_batch(bundle, Tensor(bundle.weights["tok_emb"][ids])).data
+    return feats
 
 
 def zero_shot_baseline(bundle: FrozenEncoderBundle, x: np.ndarray, classes, template: str):
-    """Classify with a bare text template and no learned components."""
-    if not classes:
-        raise ConfigError("class set must be non-empty")
-    feats = zero_shot_text_features(bundle, classes, template)
-    logits = similarity_logits(bundle, encode_image(bundle, x), Tensor(feats)).data
-    pred = int(np.argmax(logits))
-    return classes[pred], logits
+    """Classify with a bare text template and no learned components.
+
+    A one-row zero_shot_predict_batch. Returns (predicted class name, logits).
+    """
+    preds, logits = zero_shot_predict_batch(bundle, _one_row(x), classes, template)
+    return classes[int(preds[0])], logits[0]
 
 
 def zero_shot_predict_batch(bundle: FrozenEncoderBundle, x: np.ndarray, classes,
                             template: str):
-    feats = zero_shot_text_features(bundle, classes, template)
-    feats = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+    if not classes:
+        raise ConfigError("class set must be non-empty")
+    feats = _unit_rows(zero_shot_text_features(bundle, classes, template), "zero-shot text feature")
     zp = project_image(bundle, encode_image(bundle, np.asarray(x, dtype=np.float64)))
-    zp = zp / np.linalg.norm(zp, axis=1, keepdims=True)
-    logits = zp @ feats.T * bundle.logit_scale
+    logits = _unit_rows(zp, "projected image feature") @ feats.T * bundle.logit_scale
     return logits.argmax(axis=1), logits
 
 

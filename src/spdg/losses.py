@@ -174,88 +174,51 @@ def style_regularization_loss(text_feats: Tensor, class_labels, table: RegAnchor
     return T.add(T.neg(T.mean_all(cos)), T.constant(1.0))
 
 
-def _prompt_token_rows(bundle: FrozenEncoderBundle, classes) -> list[list[int]]:
-    return [tokenize(style_prompt_text(cls), bundle) for cls in classes]
-
-
 def prompt_text_features(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> Tensor:
     """Text features for every (image, class) prompt "SP [CLASS]." pair.
 
     styles is (B, d_t); the result is (B*C, d_f), row i*C + c holding the
-    feature of class c prompted with image i's style. Prompts are batched by
-    sequence length so classes with multiword names still encode correctly.
+    feature of class c prompted with image i's style. Prompts are assembled
+    per token-length group: one table lookup broadcast over the batch, one
+    slot fill and one encoder call per group, then one gather into final
+    order when classes have names of several lengths.
     """
     if styles.data.ndim != 2:
         raise ShapeError(f"styles must be (B, d_t), got {styles.shape}")
     b = styles.data.shape[0]
-    ids_per_class = _prompt_token_rows(bundle, classes)
-    n_classes = len(ids_per_class)
+    n_classes = len(classes)
+    d_t = bundle.dims.d_t
     table = bundle.weights["tok_emb"]
-
     by_length: dict[int, list[int]] = {}
-    for c, ids in enumerate(ids_per_class):
+    tails: list[list[int]] = []
+    for c, cls in enumerate(classes):
+        ids = tokenize(style_prompt_text(cls), bundle)
+        if ids[0] != PSEUDO_TOKEN:
+            raise ShapeError("style prompt must start with the pseudo token")
+        tails.append(ids[1:])
         by_length.setdefault(len(ids), []).append(c)
 
-    rows: list[Tensor | None] = [None] * (b * n_classes)
-    for length, class_group in by_length.items():
-        base = np.zeros((b * len(class_group), length, bundle.dims.d_t))
-        owner = np.zeros(b * len(class_group), dtype=np.int64)
-        pos = 0
-        for i in range(b):
-            for c in class_group:
-                ids = ids_per_class[c]
-                if ids[0] != PSEUDO_TOKEN:
-                    raise ShapeError("style prompt must start with the pseudo token")
-                base[pos, 1:, :] = table[np.asarray(ids[1:], dtype=np.int64)]
-                owner[pos] = i
-                pos += 1
-        emb = fill_style_slot_batch(styles, base, owner)
-        feats = encode_text_batch(bundle, emb)
-        pos = 0
-        for i in range(b):
-            for c in class_group:
-                rows[i * n_classes + c] = (feats, pos)
-                pos += 1
-
-    if len(by_length) == 1:
-        feats = next(iter(rows))[0]
-        order = [entry[1] for entry in rows]
-        if order == list(range(b * n_classes)):
-            return feats
-        return T.take_rows(feats, order)
-    # mixed lengths: gather rows group by group into final order
-    pieces = []
-    for i in range(b):
-        for c in range(n_classes):
-            feats, pos = rows[i * n_classes + c]
-            pieces.append(T.reshape(T.get_row(feats, pos), (1, bundle.dims.d_f)))
-    return T.concat_rows(pieces)
-
-
-def _grouped_logits(bundle: FrozenEncoderBundle, feats: Tensor, z_batch: np.ndarray,
-                    n_classes: int) -> Tensor:
-    zp = project_image(bundle, z_batch)
-    norms = np.linalg.norm(zp, axis=1, keepdims=True)
-    unit_z = zp / norms
-    feats_n = T.l2_normalize(feats)
-    dots = T.rowwise_dot_grouped(feats_n, unit_z, group=n_classes)
-    return T.mul(dots, T.constant(bundle.logit_scale))
+    pieces, rows = [], []
+    for length, group in by_length.items():
+        g = len(group)
+        prompt = np.zeros((g, length, d_t))
+        prompt[:, 1:] = table[np.asarray([tails[c] for c in group], dtype=np.int64)]
+        base = np.broadcast_to(prompt, (b, g, length, d_t)).reshape(b * g, length, d_t)
+        emb = fill_style_slot_batch(styles, base, np.repeat(np.arange(b), g))
+        pieces.append(encode_text_batch(bundle, emb))
+        rows.append((np.arange(b)[:, None] * n_classes + np.asarray(group)).ravel())
+    if len(pieces) == 1:  # one group holds every class in order
+        return pieces[0]
+    # row k of the concatenation is final row rows[k]; gather by the inverse
+    source = np.empty(b * n_classes, dtype=np.int64)
+    source[np.concatenate(rows)] = np.arange(b * n_classes)
+    return T.take_rows(T.concat_rows(pieces), source)
 
 
 def classification_loss(bundle: FrozenEncoderBundle, z_batch: np.ndarray, styles: Tensor,
                         class_labels, classes) -> Tensor:
     """Cross-entropy over image-text similarity logits, per-image style prompts."""
-    labels = np.asarray(class_labels, dtype=np.int64)
-    z_batch = np.asarray(z_batch, dtype=np.float64)
-    b = z_batch.shape[0]
-    n_classes = len(classes)
-    if labels.shape != (b,):
-        raise ShapeError(f"expected {b} labels, got shape {labels.shape}")
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= n_classes:
-        raise ConfigError(f"class label out of range for {n_classes} classes")
-    feats = prompt_text_features(bundle, styles, classes)
-    logits = _grouped_logits(bundle, feats, z_batch, n_classes)
-    return cross_entropy_from_logits(logits, labels)
+    return prompted_ce_and_reg(bundle, z_batch, styles, class_labels, classes)[0]
 
 
 def prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch: np.ndarray, styles: Tensor,
@@ -270,10 +233,15 @@ def prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch: np.ndarray, styles
     z_batch = np.asarray(z_batch, dtype=np.float64)
     b = z_batch.shape[0]
     n_classes = len(classes)
+    if labels.shape != (b,):
+        raise ShapeError(f"expected {b} labels, got shape {labels.shape}")
     if labels.min(initial=0) < 0 or labels.max(initial=-1) >= n_classes:
         raise ConfigError(f"class label out of range for {n_classes} classes")
     feats = prompt_text_features(bundle, styles, classes)
-    logits = _grouped_logits(bundle, feats, z_batch, n_classes)
+    zp = project_image(bundle, z_batch)
+    unit_z = zp / np.linalg.norm(zp, axis=1, keepdims=True)
+    dots = T.rowwise_dot_grouped(T.l2_normalize(feats), unit_z, group=n_classes)
+    logits = T.mul(dots, T.constant(bundle.logit_scale))
     loss_ce = cross_entropy_from_logits(logits, labels)
     loss_reg = None
     if anchors is not None:

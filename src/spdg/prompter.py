@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .blob import read_blob, write_blob
+from .blob import manifest_fields, read_blob, read_manifest, write_blob
 from .errors import ConfigError, FormatError, ShapeError
 from .tensor import Tensor
 
@@ -227,12 +227,9 @@ def save_checkpoint(p, directory, run_config: dict | None = None) -> None:
 
 def load_checkpoint(directory):
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported checkpoint format_version {manifest.get('format_version')}"
-        )
-    kind = manifest["prompter_kind"]
+    manifest = read_manifest(directory / "manifest.json", "checkpoint", CHECKPOINT_FORMAT_VERSION)
+    with manifest_fields(directory, "checkpoint"):
+        kind = manifest["prompter_kind"]
     names = ["w1", "b1", "w2", "b2"]
     if kind == "basic":
         names += ["w3", "b3"]
@@ -244,5 +241,6 @@ def load_checkpoint(directory):
     if kind == "basic":
         prompter = BasicPrompter(*arrays)
     else:
-        prompter = GaussianPrompter(*arrays, sigma_floor=manifest["sigma_floor"])
+        with manifest_fields(directory, "checkpoint"):
+            prompter = GaussianPrompter(*arrays, sigma_floor=manifest["sigma_floor"])
     return prompter, manifest

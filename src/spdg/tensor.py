@@ -497,9 +497,10 @@ def masked_log_sum_exp_rows(a: Tensor, mask: np.ndarray) -> Tensor:
         raise ShapeError(f"masked_log_sum_exp_rows needs matching 2D shapes, got {a.shape}, {mask.shape}")
     if not mask.any(axis=1).all():
         raise ShapeError("masked_log_sum_exp_rows saw a row with an empty mask")
-    neg_inf = np.where(mask, a.data, -np.inf)
-    m = neg_inf.max(axis=1, keepdims=True)
-    e = np.where(mask, np.exp(a.data - m), 0.0)
+    # masked-out entries become -inf before exp, so they give exactly 0 and never overflow
+    masked = np.where(mask, a.data, -np.inf)
+    m = masked.max(axis=1, keepdims=True)
+    e = np.exp(masked - m)
     s = e.sum(axis=1)
     out = m[:, 0] + np.log(s)
 

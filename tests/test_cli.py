@@ -112,6 +112,28 @@ def test_blob_cut_inside_header_is_format_error(capsys, cli_dataset, tmp_path):
     assert json.loads(err)["error"] == "format_error"
 
 
+@pytest.mark.parametrize("artifact, key", [("data", "d_x"), ("bundle", "vocab"),
+                                           ("final", "prompter_kind")])
+@pytest.mark.parametrize("damage", ["truncated", "dropped-key"])
+def test_malformed_manifest_is_format_error(capsys, cli_dataset, cli_run, tmp_path,
+                                            artifact, key, damage):
+    shutil.copytree(cli_dataset, tmp_path / "data")
+    shutil.copytree(cli_run / "bundle", tmp_path / "bundle")
+    shutil.copytree(cli_run / "final", tmp_path / "final")
+    manifest = tmp_path / artifact / "manifest.json"
+    if damage == "truncated":
+        manifest.write_text(manifest.read_text()[:40])
+    else:
+        raw = json.loads(manifest.read_text())
+        del raw[key]
+        manifest.write_text(json.dumps(raw))
+    code, _, err = run_cli(capsys, "infer", "--checkpoint", str(tmp_path / "final"),
+                           "--bundle", str(tmp_path / "bundle"),
+                           "--dataset", str(tmp_path / "data"), "--index", "0")
+    assert code == 2
+    assert json.loads(err)["error"] == "format_error"
+
+
 def test_missing_out_dir_is_config_error(capsys, cli_dataset):
     code, _, err = run_cli(capsys, "gen-data", "--seed", "0")
     assert code == 2

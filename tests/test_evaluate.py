@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from spdg import datagen, evaluate
-from spdg.errors import ConfigError, TrainingDiverged
+from spdg.encoders import FrozenEncoderBundle
+from spdg.errors import ConfigError, DegenerateVectorError, TrainingDiverged
 from spdg.evaluate import (
     EvalReport,
     MethodResult,
@@ -16,6 +17,7 @@ from spdg.evaluate import (
 )
 from spdg.inference import infer, predict_batch, zero_shot_baseline
 from spdg.prompter import init_gaussian_prompter
+from spdg.tensor import Tensor
 from spdg.trainer import RunConfig
 
 QUICK = dict(epochs=1, batch_size=8, mc_samples=2)
@@ -80,7 +82,7 @@ class TestInfer:
         for i in range(5):
             cls, single_scores = infer(bundle, prompter, x[i], small_dataset.classes)
             assert cls == small_dataset.classes[preds[i]]
-            assert np.allclose(single_scores, scores[i], atol=1e-9)
+            assert np.abs(single_scores - scores[i]).max() <= 1e-12
 
     def test_pure_function_of_inputs(self, small_dataset, bundle, dims):
         prompter = init_gaussian_prompter(dims.d_i, dims.d_t, seed=0)
@@ -93,6 +95,20 @@ class TestInfer:
         prompter = init_gaussian_prompter(dims.d_i, dims.d_t, seed=0)
         with pytest.raises(ConfigError):
             infer(bundle, prompter, rng.normal(size=dims.d_x), [])
+
+    @pytest.mark.parametrize("zeroed", [("proj_w",), ("txt_wp", "txt_bp")],
+                             ids=["image-feature", "text-feature"])
+    def test_degenerate_feature_raises(self, small_dataset, bundle, dims, zeroed):
+        weights = dict(bundle.weights)
+        for name in zeroed:
+            weights[name] = np.zeros_like(weights[name])
+        flat = FrozenEncoderBundle(bundle.dims, bundle.vocab, bundle.seed,
+                                   bundle.logit_scale, weights)
+        prompter = init_gaussian_prompter(dims.d_i, dims.d_t, seed=0)
+        with pytest.raises(DegenerateVectorError):
+            predict_batch(flat, prompter, small_dataset.x[:3], small_dataset.classes)
+        with pytest.raises(DegenerateVectorError):
+            infer(flat, prompter, small_dataset.x[0], small_dataset.classes)
 
     def test_positive_scaling_keeps_prediction(self, small_dataset, bundle, dims):
         prompter = init_gaussian_prompter(dims.d_i, dims.d_t, seed=0)
@@ -179,6 +195,18 @@ class TestZeroShot:
         c = zero_shot_text_features(bundle, ["dog"], "C")
         pc = zero_shot_text_features(bundle, ["dog"], "PC")
         assert np.linalg.norm(c - pc) > 1e-6
+
+    @pytest.mark.parametrize("template", ["C", "PC"])
+    def test_length_groups_match_per_class_encodes(self, dims, template):
+        from spdg.encoders import build_bundle, default_vocab, encode_text, tokenize
+        from spdg.inference import ZERO_SHOT_TEMPLATES, zero_shot_text_features
+        classes = ["dog", "hot air balloon", "ice cream", "horse"]
+        mixed = build_bundle(dims, default_vocab(classes), seed=0)
+        got = zero_shot_text_features(mixed, classes, template)
+        for c, cls in enumerate(classes):
+            ids = tokenize(ZERO_SHOT_TEMPLATES[template](cls), mixed)
+            want = encode_text(mixed, Tensor(mixed.weights["tok_emb"][ids])).data
+            assert np.abs(got[c] - want).max() <= 1e-12
 
     def test_deterministic(self, bundle, rng):
         x = rng.normal(size=bundle.dims.d_x)

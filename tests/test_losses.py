@@ -1,10 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdg import tensor as T
-from spdg.encoders import encode_image
+from spdg.encoders import (
+    EncoderDims,
+    build_bundle,
+    default_vocab,
+    encode_image,
+    encode_text_batch,
+    fill_style_slot_batch,
+    style_prompt_text,
+    tokenize,
+)
 from spdg.errors import BatchCompositionError, ConfigError, NormalizationError
 from spdg.losses import (
     LossParts,
@@ -21,6 +32,8 @@ from spdg.losses import (
 from spdg.tensor import Tape, Tensor
 
 CLASSES = ["dog", "elephant", "guitar", "horse"]
+# 1-, 3-, 2- and 1-word names, interleaved so no length group is contiguous
+MIXED_CLASSES = ["dog", "hot air balloon", "ice cream", "horse"]
 
 
 def naive_domain_loss(samples: np.ndarray, domains, tau: float) -> float:
@@ -351,3 +364,69 @@ class TestSharedTextPass:
         for name, w in fx.bundle.weights.items():
             assert isinstance(w, np.ndarray) and not isinstance(w, Tensor), name
         assert bundle_checksum(fx.bundle) == before
+
+
+def per_row_prompt_features(bundle, styles: Tensor, classes) -> Tensor:
+    """Oracle: prompts encoded per length group, then one get_row and one
+    reshape node per (image, class) row, joined by concat_rows."""
+    b, n_classes = styles.data.shape[0], len(classes)
+    ids_per_class = [tokenize(style_prompt_text(cls), bundle) for cls in classes]
+    by_length: dict[int, list[int]] = {}
+    for c, ids in enumerate(ids_per_class):
+        by_length.setdefault(len(ids), []).append(c)
+    rows = [None] * (b * n_classes)
+    for length, group in by_length.items():
+        pairs = list(itertools.product(range(b), group))
+        base = np.zeros((len(pairs), length, bundle.dims.d_t))
+        for k, (_, c) in enumerate(pairs):
+            base[k, 1:] = bundle.weights["tok_emb"][np.asarray(ids_per_class[c][1:])]
+        owner = np.asarray([i for i, _ in pairs])
+        feats = encode_text_batch(bundle, fill_style_slot_batch(styles, base, owner))
+        for k, (i, c) in enumerate(pairs):
+            rows[i * n_classes + c] = (feats, k)
+    return T.concat_rows([T.reshape(T.get_row(feats, pos), (1, bundle.dims.d_f))
+                          for feats, pos in rows])
+
+
+@pytest.fixture(scope="module")
+def mixed_bundle():
+    return build_bundle(EncoderDims(), default_vocab(MIXED_CLASSES), seed=0)
+
+
+class TestPromptTextFeatures:
+    def _features_and_grad(self, fn, bundle, styles_np, weight):
+        styles = Tensor(styles_np, requires_grad=True)
+        with Tape() as tape:
+            feats = fn(bundle, styles, MIXED_CLASSES)
+            loss = T.sum_all(T.mul(feats, T.constant(weight)))
+        tape.backward(loss, [styles])
+        return feats.data, styles.grad
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_mixed_lengths_match_per_row_oracle(self, mixed_bundle, rng, b):
+        styles = rng.normal(size=(b, mixed_bundle.dims.d_t))
+        weight = rng.normal(size=(b * len(MIXED_CLASSES), mixed_bundle.dims.d_f))
+        got, got_grad = self._features_and_grad(prompt_text_features, mixed_bundle,
+                                                styles, weight)
+        want, want_grad = self._features_and_grad(per_row_prompt_features, mixed_bundle,
+                                                  styles, weight)
+        assert np.array_equal(got, want)
+        assert np.abs(got_grad - want_grad).max() <= 1e-15
+
+    def test_single_length_is_one_encoder_batch(self, bundle, rng):
+        styles = Tensor(rng.normal(size=(3, bundle.dims.d_t)), requires_grad=True)
+        with Tape() as tape:
+            prompt_text_features(bundle, styles, CLASSES)
+        assert len(tape) == 2  # slot fill, encoder
+
+    def test_tape_size_does_not_grow_with_batch(self, mixed_bundle, rng):
+        anchors = build_reg_anchors(mixed_bundle, MIXED_CLASSES)
+        nodes = []
+        for b in (2, 12):
+            z = encode_image(mixed_bundle, rng.normal(size=(b, mixed_bundle.dims.d_x)))
+            styles = Tensor(rng.normal(size=(b, mixed_bundle.dims.d_t)), requires_grad=True)
+            labels = rng.integers(0, len(MIXED_CLASSES), size=b)
+            with Tape() as tape:
+                prompted_ce_and_reg(mixed_bundle, z, styles, labels, MIXED_CLASSES, anchors)
+            nodes.append(len(tape))
+        assert nodes[0] == nodes[1]

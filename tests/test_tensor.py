@@ -204,6 +204,22 @@ def test_masked_lse_rows_matches_manual(rng):
         assert out[i] == pytest.approx(expected, abs=1e-12)
 
 
+def test_masked_log_sum_exp_skips_a_huge_excluded_entry():
+    x = np.array([[0.3, -1.2, 0.3 + 1e4, 0.7], [2.0, 1e4, -0.5, 1.0]])
+    mask = np.array([[True, True, False, True], [True, False, True, True]])
+    kept = x[mask].reshape(2, 3)
+    a, ref = Tensor(x, requires_grad=True), Tensor(kept, requires_grad=True)
+    with np.errstate(over="raise"), Tape() as tape:
+        out = T.masked_log_sum_exp_rows(a, mask)
+        tape.backward(T.sum_all(out), [a])
+    with Tape() as tape:
+        want = T.masked_log_sum_exp_rows(ref, np.ones(kept.shape, dtype=bool))
+        tape.backward(T.sum_all(want), [ref])
+    assert np.array_equal(out.data, want.data)
+    assert np.array_equal(a.grad[mask].reshape(2, 3), ref.grad)
+    assert np.all(a.grad[~mask] == 0.0)
+
+
 def test_repeat_rows_layout(rng):
     x = rng.normal(size=(2, 3))
     out = T.repeat_rows(Tensor(x), 2).data
