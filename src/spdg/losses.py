@@ -33,6 +33,9 @@ from .errors import BatchCompositionError, ConfigError, NormalizationError, Shap
 from .tensor import Tensor
 
 NORM_TOLERANCE = 1e-6
+# Smallest numerator kept under the shared shift: far above the subnormals, so
+# no term large enough to matter has underflowed.
+LOW_MASS = 1e-280
 
 
 @dataclass
@@ -69,80 +72,127 @@ class LossParts:
 def domain_discrimination_loss(samples: Tensor, domains, tau: float) -> Tensor:
     """Mean over anchors of -log(same-domain mass / all-others mass).
 
-    Rows of `samples` must already be L2-normalized. Every anchor needs at
-    least one other sample from its own domain; a batch violating that is an
-    error, never a silent skip.
+    Rows of `samples` must be finite and already L2-normalized. Every anchor
+    needs at least one other sample from its own domain; a batch violating
+    that is an error, never a silent skip.
 
-    One fused primitive: E = exp(S - rowmax) over S = u u^T / tau with the
-    diagonal masked out, the denominator and the same-domain numerator both
-    summed from that one E, and the closed-form (supervised-contrastive)
-    backward (W + W^T) u with W = E * (1/den - same/num) / (N tau).
+    One fused primitive whose only N x N buffer is E (outside the small-tau
+    fallback below):
+      * rows are stably sorted by domain, so each domain's pairs form one
+        diagonal block of E and a row's numerator is its sum over that block
+        (with one domain the block is all of E, so num == den bit for bit);
+      * one shared shift, (max row norm)^2 / tau, rides in the GEMM as an
+        extra column; by Cauchy-Schwarz it bounds every entry of
+        S = u u^T / tau, so E = exp(S - shift) cannot overflow, is symmetric
+        and needs no row max;
+      * the closed-form (supervised-contrastive) backward (W + W^T) u with
+        W = E * (1/den - same/num) / (N tau) is one GEMM E @ [u, u/den] plus
+        one small GEMM per diagonal block for the numerator terms, so W is
+        never formed;
+      * a row whose numerator falls below LOW_MASS under the shared shift
+        (possible only for tau below 2/645, about 3e-3) takes its
+        log-denominator, log-numerator and weights from its own maxima
+        instead, and drops out of the E products in the backward.
+    The gradient is un-permuted back to the caller's row order.
     """
     if tau <= 0:
         raise ConfigError(f"temperature must be > 0, got {tau}")
     dom = np.asarray(domains, dtype=np.int64)
-    n = samples.data.shape[0]
-    if samples.data.ndim != 2 or dom.shape != (n,):
+    u = samples.data
+    n = u.shape[0]
+    if u.ndim != 2 or n == 0 or dom.shape != (n,):
         raise ShapeError(
             f"expected (N, d) samples with N domain labels, got {samples.shape}, {dom.shape}"
         )
-    norms = np.linalg.norm(samples.data, axis=1)
-    off = np.abs(norms - 1.0)
-    if np.any(off > NORM_TOLERANCE):
-        worst = float(off.max())
+    sq = np.einsum("ij,ij->i", u, u)
+    max_sq = sq.max()
+    # a NaN row makes both reductions NaN, which fails the comparison
+    if not ((1.0 - NORM_TOLERANCE) ** 2 <= sq.min() and max_sq <= (1.0 + NORM_TOLERANCE) ** 2):
+        worst = float(np.max(np.abs(np.sqrt(sq) - 1.0)))
         raise NormalizationError(
-            f"style samples must be unit-norm before domain discrimination (max deviation {worst:.3e})"
+            "style samples must be finite and unit-norm before domain discrimination "
+            f"(max deviation {worst:.3e})"
         )
-    _, inverse, counts = np.unique(dom, return_inverse=True, return_counts=True)
-    lonely = np.flatnonzero(counts[inverse] < 2)
-    if lonely.size:
+    order = np.argsort(dom, kind="stable")
+    sorted_dom = dom[order]
+    opens = np.concatenate(([True], sorted_dom[1:] != sorted_dom[:-1]))
+    starts = np.flatnonzero(opens)
+    bounds = starts.tolist() + [n]
+    blocks = list(zip(bounds, bounds[1:]))
+    if min(t - s for s, t in blocks) < 2:
+        counts = np.diff(bounds)
+        lonely = np.sort(order[np.repeat(counts < 2, counts)])
         raise BatchCompositionError(
             f"anchors without a same-domain positive: rows {lonely.tolist()}"
         )
 
-    u = samples.data
-    # a copied transpose runs as GEMM; numpy sends u @ u.T to the slower SYRK
-    e = u @ u.T.copy()
-    e *= 1.0 / tau
-    np.fill_diagonal(e, -np.inf)
-    shift = e.max(axis=1)
-    e -= shift[:, None]
+    d = u.shape[1]
+    us = u[order]
+    # [us / tau, -shift] @ [us, 1]^T = S - shift in one GEMM, with no N x N pass
+    left = np.empty((n, d + 1))
+    np.multiply(us, 1.0 / tau, out=left[:, :d])
+    left[:, d] = -max_sq / tau
+    right = np.empty((n, d + 1))
+    right[:, :d] = us
+    right[:, d] = 1.0
+    e = left @ right.T
     np.exp(e, out=e)
-    # the narrowest integer codes make this N x N comparison several times cheaper
-    codes = inverse.astype(np.min_scalar_type(counts.size))
-    same = codes[:, None] == codes[None, :]
-    # num is reduced exactly like den, so one domain gives num == den bit for bit
-    den = e.sum(axis=1)
-    num = np.where(same, e, 0.0).sum(axis=1)
+    np.fill_diagonal(e, 0.0)
+    block_of = np.cumsum(opens) - 1
+    mass = np.add.reduceat(e, starts, axis=1)  # (N, K) row sums over each domain's columns
+    den = mass.sum(axis=1)
+    num = mass[np.arange(n), block_of]
 
-    # A row whose positives all lie far below its max underflows to num == 0;
-    # it takes its log-numerator and positive weights from its own positive max.
-    low = np.flatnonzero(num < np.finfo(e.dtype).tiny)
-    num[low] = 1.0  # placeholder: log_num and inv_num of these rows are set below
-    inv_num = 1.0 / num
-    log_num = np.log(num)
-    q_low = None
-    if low.size:
-        s_low = np.where(same[low], (u[low] @ u.T) * (1.0 / tau), -np.inf)
-        s_low[np.arange(low.size), low] = -np.inf
-        top = s_low.max(axis=1)
-        q_low = np.exp(s_low - top[:, None])
-        mass = q_low.sum(axis=1)
-        q_low /= mass[:, None]
-        log_num[low] = top - shift[low] + np.log(mass)
-        inv_num[low] = 0.0
-    out = np.asarray(np.mean(np.log(den) - log_num))
+    low = w_low = None
+    if num.min() < LOW_MASS:
+        # rows whose positives sit far below the shared shift: exact values
+        # from each row's own maxima, as (weights, log-sum-exp) pairs
+        low = np.flatnonzero(num < LOW_MASS)
+        sims = (us[low] @ us.T) * (1.0 / tau)
+        sims[np.arange(low.size), low] = -np.inf
+        p_low, log_den_low = _softmax_rows(sims)
+        q_low, log_num_low = _softmax_rows(
+            np.where(block_of[low, None] == block_of, sims, -np.inf))
+        w_low = p_low - q_low
+        den[low] = num[low] = 1.0  # placeholders, so no log or division sees a zero
+    gap = np.log(den / num)
+    if low is not None:
+        gap[low] = log_den_low - log_num_low
+    out = np.asarray(gap.sum() / n)
 
     def bwd(g):
         scale = float(g) / (n * tau)
-        inv_den = scale / den
-        w = np.where(same, (inv_den - scale * inv_num)[:, None], inv_den[:, None])
-        w *= e
-        if q_low is not None:
-            w[low] -= scale * q_low
-        return (w @ u + w.T @ u,)
+        p = scale / den
+        q = scale / num
+        if low is not None:
+            p[low] = q[low] = 0.0
+        x = np.empty((n, 2 * d))
+        x[:, :d] = us
+        np.multiply(us, p[:, None], out=x[:, d:])
+        y = e @ x  # E = E^T, so this one product carries both W u and W^T u of the denominator
+        grad = y[:, :d] * p[:, None] + y[:, d:]
+        np.multiply(us, q[:, None], out=x[:, d:])
+        for s, t in blocks:  # the numerator part: E restricted to each domain's block
+            np.matmul(e[s:t, s:t], x[s:t], out=y[s:t])
+        grad -= y[:, :d] * q[:, None] + y[:, d:]
+        if low is not None:
+            w = scale * w_low
+            grad[low] += w @ us
+            grad += w.T @ us[low]
+        unsorted = np.empty_like(grad)
+        unsorted[order] = grad
+        return (unsorted,)
 
     return T.apply(out, (samples,), bwd)
+
+
+def _softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax and row log-sum-exp, each row shifted by its own max."""
+    top = a.max(axis=1)
+    w = np.exp(a - top[:, None])
+    mass = w.sum(axis=1)
+    w /= mass[:, None]
+    return w, top + np.log(mass)
 
 
 def build_reg_anchors(bundle: FrozenEncoderBundle, classes,

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from spdg.losses import (
     total_loss,
 )
 from spdg.tensor import Tape, Tensor
+from spdg.trainer import stratified_batches
 
 CLASSES = ["dog", "elephant", "guitar", "horse"]
 # 1-, 3-, 2- and 1-word names, interleaved so no length group is contiguous
@@ -125,6 +127,18 @@ class TestDomainDiscriminationLoss:
         assert ours == pytest.approx(ref, abs=1e-12)
         assert np.abs(grad - ref_grad).max() <= 1e-15
 
+    def test_matches_composed_oracle_with_interleaved_trainer_domains(self, rng):
+        # a real step's domains: 12 images as stratified_batches orders them, 40 draws each
+        train = {d: np.arange(60 * d, 60 * (d + 1)) for d in range(3)}
+        image_domains = stratified_batches(train, 12, seed=0)[0] // 60
+        dom = np.repeat(image_domains, 40)
+        assert (np.diff(dom) < 0).any()  # not already sorted by domain
+        s = unit_rows(rng, 480, 32)
+        ours, grad = loss_and_grad(domain_discrimination_loss, s, dom, 0.1)
+        ref, ref_grad = loss_and_grad(masked_lse_domain_loss, s, dom, 0.1)
+        assert ours == pytest.approx(ref, abs=1e-12)
+        assert np.abs(grad - ref_grad).max() <= 1e-15
+
     @pytest.mark.parametrize("tau, expected", [(2e-3, 999.5), (1e-3, 1999.0)])
     def test_small_temperature_positives_far_below_row_max(self, tau, expected):
         # every anchor's only positive sits near -1/tau while its row max is near
@@ -132,14 +146,76 @@ class TestDomainDiscriminationLoss:
         v = np.array([1.0, 0.0])
         near_v = np.array([0.999, np.sqrt(1.0 - 0.999 ** 2)])
         s = np.stack([v, -v, near_v, -v])
-        val, grad = loss_and_grad(domain_discrimination_loss, s, [0, 0, 1, 1], tau)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            val, grad = loss_and_grad(domain_discrimination_loss, s, [0, 0, 1, 1], tau)
+            _, ref_grad = loss_and_grad(masked_lse_domain_loss, s, [0, 0, 1, 1], tau)
         assert np.isfinite(val)
         assert np.isfinite(grad).all()
         assert val == pytest.approx(expected, rel=1e-12)
-        # the oracle exponentiates masked-out entries too, which overflows harmlessly
-        with np.errstate(over="ignore"):
-            _, ref_grad = loss_and_grad(masked_lse_domain_loss, s, [0, 0, 1, 1], tau)
         assert np.abs(grad - ref_grad).max() <= 1e-12
+
+    def test_only_some_rows_take_the_exact_fallback(self, rng):
+        # twelve rows near e1 keep a positive within reach of the shared shift
+        # 1/tau; the pairs (+-e2) and (+-e3) hold each other as their only
+        # positive at similarity -1/tau, whose numerators underflow under it
+        tau = 2e-3
+        near_e1 = np.array([1.0, 0.0, 0.0]) + 0.1 * rng.normal(size=(12, 3))
+        far = np.array([[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
+        far += 0.01 * rng.normal(size=far.shape)
+        s = np.concatenate([near_e1, far])
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        dom = np.array([0] * 12 + [1, 1, 2, 2])
+        order = rng.permutation(16)
+        s, dom = s[order], dom[order]
+        sims = s @ s.T / tau - 1.0 / tau
+        np.fill_diagonal(sims, -np.inf)
+        best_positive = np.where(dom[:, None] == dom, sims, -np.inf).max(axis=1)
+        assert (best_positive < -700).sum() == 4 and (best_positive[dom == 0] > -600).all()
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            val, grad = loss_and_grad(domain_discrimination_loss, s, dom, tau)
+            ref, ref_grad = loss_and_grad(masked_lse_domain_loss, s, dom, tau)
+            naive = naive_domain_loss(s, dom, tau)
+        assert val == pytest.approx(ref, rel=1e-12)
+        assert val == pytest.approx(naive, rel=1e-12)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    def test_norm_slack_at_tiny_temperature_cannot_overflow(self, rng):
+        # rows of norm 1 + 5e-7 pass the unit-norm check, yet at tau = 1e-9 their
+        # similarities exceed 1/tau by about 1000; two equal rows sit at the top
+        tau = 1e-9
+        s = unit_rows(rng, 16, 4)
+        s[1] = s[0]
+        s *= 1.0 + 5e-7
+        dom = np.array([0, 0] + [1, 2, 3] * 4 + [1, 2])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            val, grad = loss_and_grad(domain_discrimination_loss, s, dom, tau)
+            ref, ref_grad = loss_and_grad(masked_lse_domain_loss, s, dom, tau)
+        assert np.isfinite(val) and val > 0.0
+        assert val == pytest.approx(ref, rel=1e-12)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    def test_one_buffer_of_n_by_n(self, rng):
+        # E is the only N x N array; three of them plus a bool mask peak near 2.3 N^2 doubles
+        n = 480
+        x = Tensor(unit_rows(rng, n, 32), requires_grad=True)
+        dom = np.repeat(np.arange(3), n // 3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = domain_discrimination_loss(x, dom, 0.1)
+            tape.backward(loss, leaves=[x])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * n * n * 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, rng, bad):
+        s = unit_rows(rng, 480, 32)
+        s[7, 3] = bad
+        with pytest.raises(NormalizationError, match="finite"):
+            domain_discrimination_loss(Tensor(s), np.repeat(np.arange(3), 160), tau=0.1)
 
     def test_anchor_without_positive_rejected(self, rng):
         s = unit_rows(rng, 3, 4)
