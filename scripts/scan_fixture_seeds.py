@@ -21,11 +21,9 @@ from spdg.encoders import (
     default_vocab,
     domain_style_text,
     encode_image,
-    encode_text,
+    encode_texts,
     project_image,
-    tokenize,
 )
-from spdg.tensor import Tensor
 
 
 def probe_gaps(ds, seed=0):
@@ -51,9 +49,8 @@ def matched_margins(ds, encoder_seed):
     bundle = build_bundle(dims, default_vocab(ds.classes), seed=encoder_seed)
     feats = {}
     for word in STYLE_WORDS:
-        for ci, cls in enumerate(ds.classes):
-            ids = tokenize(domain_style_text(word, cls), bundle)
-            f = encode_text(bundle, Tensor(bundle.weights["tok_emb"][np.asarray(ids)])).data
+        texts = [domain_style_text(word, cls) for cls in ds.classes]
+        for ci, f in enumerate(encode_texts(bundle, texts)):
             feats[(word, ci)] = f / np.linalg.norm(f)
     margins = {}
     for held_id, held in enumerate(ds.domains):

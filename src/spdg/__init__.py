@@ -15,17 +15,15 @@ from .encoders import (
     bundle_checksum,
     default_vocab,
     encode_image,
-    encode_text,
+    encode_texts,
     load_bundle,
     save_bundle,
-    similarity_logits,
     tokenize,
 )
 from .errors import SpdgError
 from .losses import (
     LossWeights,
     build_reg_anchors,
-    classification_loss,
     domain_discrimination_loss,
     style_regularization_loss,
     total_loss,
@@ -59,11 +57,10 @@ __all__ = [
     "build_bundle",
     "build_reg_anchors",
     "bundle_checksum",
-    "classification_loss",
     "default_vocab",
     "domain_discrimination_loss",
     "encode_image",
-    "encode_text",
+    "encode_texts",
     "finite_diff_grad_check",
     "init_basic_prompter",
     "init_gaussian_prompter",
@@ -72,7 +69,6 @@ __all__ = [
     "sample_styles",
     "save_bundle",
     "save_checkpoint",
-    "similarity_logits",
     "style_for_prompt",
     "style_regularization_loss",
     "tokenize",

@@ -129,9 +129,19 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _read_json_object(path, what: str) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} {path} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 def _load_run_config(args) -> RunConfig:
     if args.config:
-        cfg = RunConfig.from_dict(json.loads(Path(args.config).read_text()))
+        cfg = RunConfig.from_dict(_read_json_object(args.config, "config"))
     else:
         cfg = RunConfig()
     updates = {}
@@ -177,7 +187,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval_lodo(args) -> int:
     out = _need_out_dir(args)
     if args.matrix:
-        matrix = json.loads(Path(args.matrix).read_text())
+        matrix = _read_json_object(args.matrix, "matrix")
+        if "dataset" not in matrix:
+            raise ConfigError(f"matrix {args.matrix} has no dataset")
         dataset = matrix["dataset"]
         methods = matrix.get("methods", ["baseline_C", "gsp_sr"])
         seeds = matrix.get("seeds", [0])
@@ -200,7 +212,7 @@ def _cmd_eval_lodo(args) -> int:
 
 def _cmd_eval_crosscat(args) -> int:
     out = _need_out_dir(args)
-    cfg = RunConfig.from_dict(json.loads(Path(args.train_config).read_text()))
+    cfg = RunConfig.from_dict(_read_json_object(args.train_config, "train config"))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     report = evaluate_cross_category(cfg, cfg.dataset, args.test_data)

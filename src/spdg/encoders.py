@@ -6,8 +6,9 @@ projection from image space into the shared image-text feature space. All
 weights are drawn once from a seeded generator and never receive gradients;
 they are plain numpy arrays, invisible to the tape.
 
-The text encoder is exposed as a single differentiable primitive: its forward
-and vector-Jacobian product are written out by hand so a whole batch of
+Constant texts are encoded by a tape-free forward. The style prompts are one
+differentiable primitive whose forward and vector-Jacobian product are
+written out by hand for the one row the style changes, so a whole batch of
 prompts costs one tape node. The finite-difference checker keeps it honest.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .blob import manifest_fields, read_blob, read_manifest, write_blob
-from .errors import ConfigError, DegenerateVectorError, FormatError, ShapeError, TokenizeError
+from .errors import ConfigError, FormatError, ShapeError, TokenizeError
 from .tensor import Tensor
 
 PSEUDO_TOKEN = -1
@@ -101,7 +102,11 @@ def _sinusoidal_positions(length: int, dim: int, scale: float = POSITION_SCALE) 
 
 
 class FrozenEncoderBundle:
-    """Immutable encoder weights plus vocabulary and logit scale."""
+    """Immutable encoder weights plus vocabulary and logit scale.
+
+    The bundle takes ownership of the weight arrays and makes them read-only,
+    because it caches one StylePromptPlan per class list built from them.
+    """
 
     def __init__(self, dims: EncoderDims, vocab: list[str], seed: int,
                  logit_scale: float, weights: dict[str, np.ndarray]):
@@ -115,8 +120,12 @@ class FrozenEncoderBundle:
         self.word_to_id = {w: i for i, w in enumerate(self.vocab)}
         self.seed = int(seed)
         self.logit_scale = float(logit_scale)
+        # read-only: an in-place edit would silently stale the prompt plans
         self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
         self.positions = _sinusoidal_positions(MAX_TEXT_LEN, dims.d_t)
+        for arr in (*self.weights.values(), self.positions):
+            arr.setflags(write=False)
+        self.prompt_plans: dict[tuple, StylePromptPlan] = {}  # see style_prompt_plan
 
     @property
     def vocab_size(self) -> int:
@@ -206,129 +215,192 @@ def tokenize(text: str, vocab) -> list[int]:
     return ids
 
 
-@dataclass
-class PromptSequence:
-    """Token ids for one text, with the pseudo slot filled by a style vector."""
-
-    token_ids: list[int]
-    embeddings: Tensor | None
-    source_text: str
-
-    def validate(self, vocab_size: int) -> None:
-        if not self.token_ids:
-            raise TokenizeError("prompt must have at least one token")
-        pseudo_at = [i for i, t in enumerate(self.token_ids) if t == PSEUDO_TOKEN]
-        if len(pseudo_at) > 1:
-            raise TokenizeError("prompt has more than one pseudo slot")
-        if pseudo_at and pseudo_at[0] != 0:
-            raise TokenizeError("pseudo slot must be the first token")
-        for t in self.token_ids:
-            if t != PSEUDO_TOKEN and not (0 <= t < vocab_size):
-                raise TokenizeError(f"token id {t} outside vocabulary of size {vocab_size}")
-
-
-def embed_tokens(bundle: FrozenEncoderBundle, ids: list[int],
-                 style: Tensor | None = None) -> Tensor:
-    """Look up token embeddings, substituting the style vector in the pseudo slot.
-
-    Gradient flows only through `style`; table rows are frozen constants.
-    """
-    seq = PromptSequence(list(ids), None, "")
-    seq.validate(bundle.vocab_size)
-    has_pseudo = ids and ids[0] == PSEUDO_TOKEN
-    if has_pseudo and style is None:
-        raise TokenizeError("prompt has a pseudo slot but no style embedding was given")
-    if not has_pseudo and style is not None:
-        raise TokenizeError("style embedding given but prompt has no pseudo slot")
-
-    if not has_pseudo:
-        return Tensor(bundle.weights["tok_emb"][np.asarray(ids, dtype=np.int64)])
-
-    if style.data.shape != (bundle.dims.d_t,):
-        raise ShapeError(f"style embedding must have shape ({bundle.dims.d_t},), got {style.shape}")
-    rest = Tensor(bundle.weights["tok_emb"][np.asarray(ids[1:], dtype=np.int64)])
-    if len(ids) == 1:
-        return T.reshape(style, (1, bundle.dims.d_t))
-    return T.concat_rows([T.reshape(style, (1, bundle.dims.d_t)), rest])
-
-
-def _text_forward(bundle: FrozenEncoderBundle, emb: np.ndarray):
-    # emb: (m, length, d_t)
-    wgt = bundle.weights
+def encode_embeddings(bundle: FrozenEncoderBundle, emb: np.ndarray) -> np.ndarray:
+    """Encode equal-length constant token embeddings, (m, L, d_t) -> (m, d_f). No tape."""
+    emb = np.asarray(emb, dtype=np.float64)
+    if emb.ndim != 3 or emb.shape[2] != bundle.dims.d_t:
+        raise ShapeError(f"encode_embeddings expects (m, L, {bundle.dims.d_t}), got {emb.shape}")
     length = emb.shape[1]
+    if length < 1 or length > MAX_TEXT_LEN:
+        raise ShapeError(f"sequence length must be in [1, {MAX_TEXT_LEN}], got {length}")
+    wgt = bundle.weights
     alpha = 1.0 / np.sqrt(bundle.dims.d_t)
     x = emb + bundle.positions[:length]
     q = x @ wgt["txt_wq"]
     k = x @ wgt["txt_wk"]
     v = x @ wgt["txt_wv"]
     scores = np.matmul(q, np.swapaxes(k, 1, 2)) * alpha
-    m = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - m)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
-    h = np.matmul(attn, v) + x
-    pooled = h.mean(axis=1)
-    out = pooled @ wgt["txt_wp"] + wgt["txt_bp"]
-    return out, (q, k, v, attn, alpha, length)
+    pooled = (np.matmul(attn, v) + x).mean(axis=1)
+    return pooled @ wgt["txt_wp"] + wgt["txt_bp"]
 
 
-def _text_backward(bundle: FrozenEncoderBundle, cache, g: np.ndarray) -> np.ndarray:
-    q, k, v, attn, alpha, length = cache
-    wgt = bundle.weights
-    gp = g @ wgt["txt_wp"].T
-    gh = np.broadcast_to(gp[:, None, :] / length, q.shape).copy()
-    ga = np.matmul(gh, np.swapaxes(v, 1, 2))
-    gv = np.matmul(np.swapaxes(attn, 1, 2), gh)
-    gs = (ga - (ga * attn).sum(axis=-1, keepdims=True)) * attn
-    gq = np.matmul(gs, k) * alpha
-    gk = np.matmul(np.swapaxes(gs, 1, 2), q) * alpha
-    gx = gh + gq @ wgt["txt_wq"].T + gk @ wgt["txt_wk"].T + gv @ wgt["txt_wv"].T
-    return gx
+def encode_texts(bundle: FrozenEncoderBundle, texts) -> np.ndarray:
+    """Features of constant texts (no pseudo slot), one encoder call per token length."""
+    ids_per_text = [tokenize(text, bundle) for text in texts]
+    by_length: dict[int, list[int]] = {}
+    for t, ids in enumerate(ids_per_text):
+        if PSEUDO_TOKEN in ids:
+            raise TokenizeError(f"text {texts[t]!r} has a pseudo slot but no style embedding")
+        by_length.setdefault(len(ids), []).append(t)
+    feats = np.empty((len(ids_per_text), bundle.dims.d_f))
+    for group in by_length.values():
+        ids = np.asarray([ids_per_text[t] for t in group], dtype=np.int64)
+        feats[group] = encode_embeddings(bundle, bundle.weights["tok_emb"][ids])
+    return feats
 
 
-def encode_text_batch(bundle: FrozenEncoderBundle, emb: Tensor) -> Tensor:
-    """Encode a batch of equal-length prompt embeddings, (m, L, d_t) -> (m, d_f)."""
-    if emb.data.ndim != 3 or emb.data.shape[2] != bundle.dims.d_t:
-        raise ShapeError(
-            f"encode_text_batch expects (m, L, {bundle.dims.d_t}), got {emb.shape}"
-        )
-    if emb.data.shape[1] < 1 or emb.data.shape[1] > MAX_TEXT_LEN:
-        raise ShapeError(f"sequence length must be in [1, {MAX_TEXT_LEN}], got {emb.data.shape[1]}")
-    out, cache = _text_forward(bundle, emb.data)
+@dataclass(frozen=True)
+class StylePromptPlan:
+    """Everything in the prompts "SP [CLASS]." that the style row does not change.
 
-    def bwd(g):
-        return (_text_backward(bundle, cache, g),)
-
-    return T.apply(out, (emb,), bwd)
-
-
-def encode_text(bundle: FrozenEncoderBundle, embeddings: Tensor) -> Tensor:
-    """Encode one prompt, (L, d_t) -> (d_f,). Differentiable in the embeddings."""
-    if embeddings.data.ndim != 2:
-        raise ShapeError(f"encode_text expects a (L, d_t) matrix, got {embeddings.shape}")
-    batched = T.reshape(embeddings, (1,) + embeddings.data.shape)
-    return T.reshape(encode_text_batch(bundle, batched), (bundle.dims.d_f,))
-
-
-def fill_style_slot_batch(styles: Tensor, base: np.ndarray, owner: np.ndarray) -> Tensor:
-    """Place style row owner[m] into slot 0 of each prompt in a constant batch.
-
-    `base` is (m, L, d_t) with slot 0 unused; `styles` is (B, d_t). One tape
-    node regardless of batch size.
+    Class c has n_c tokens after the pseudo slot, so L_c = n_c + 1. Token
+    arrays are padded to N = max n_c and laid out token-major (row j*C + c
+    for token j of class c), so per-prompt reductions over tokens run over
+    the outer axis. Padding never carries weight: its keys score -inf, its
+    query rows have log-sum-exp +inf, and its values are zero.
     """
-    owner = np.asarray(owner, dtype=np.int64)
-    if styles.data.ndim != 2 or base.ndim != 3 or owner.shape != (base.shape[0],):
-        raise ShapeError(
-            f"fill_style_slot_batch shapes disagree: styles {styles.shape}, base {base.shape}, owner {owner.shape}"
-        )
-    out = np.array(base, dtype=np.float64, copy=True)
-    out[:, 0, :] = styles.data[owner]
+
+    w_style: np.ndarray   # (d_t, 2 d_t + 2 d_f): [W_q | W_k | W_v W_p | W_p]
+    slot_pos: np.ndarray  # (d_t,) positional row of the pseudo slot
+    keys: np.ndarray      # (N C, d_t) alpha K_c
+    queries: np.ndarray   # (N C, d_t) alpha Q_c
+    pad: np.ndarray       # (N C, 1) 0 on class tokens, -inf on padding
+    lse: np.ndarray       # (N, C, 1) log-sum-exp of each class-class score row
+    values: np.ndarray    # (C, 2N, d_f) [V_c W_p ; P_c V_c W_p] / L_c, P_c the class-class softmax
+    inv_len: np.ndarray   # (C,) 1 / L_c
+    const: np.ndarray     # (C, d_f) (sum of X_c) W_p / L_c + b_p
+
+
+def _build_style_prompt_plan(bundle: FrozenEncoderBundle, classes: tuple) -> StylePromptPlan:
+    tails = []
+    for cls in classes:
+        ids = tokenize(style_prompt_text(cls), bundle)
+        if PSEUDO_TOKEN in ids[1:]:
+            raise TokenizeError(f"style prompt for {cls!r} has more than one pseudo slot")
+        tails.append(ids[1:])
+    wgt = bundle.weights
+    d_t, d_f = bundle.dims.d_t, bundle.dims.d_f
+    alpha = 1.0 / np.sqrt(d_t)
+    n_classes, width = len(tails), max(map(len, tails))
+    keys = np.zeros((width, n_classes, d_t))
+    queries = np.zeros((width, n_classes, d_t))
+    pad = np.full((width, n_classes), -np.inf)
+    lse = np.full((width, n_classes), np.inf)
+    values = np.zeros((n_classes, 2 * width, d_f))
+    inv_len = np.empty(n_classes)
+    const = np.empty((n_classes, d_f))
+    for c, tail in enumerate(tails):
+        n = len(tail)
+        inv_len[c] = 1.0 / (n + 1)
+        x = wgt["tok_emb"][np.asarray(tail, dtype=np.int64)] + bundle.positions[1:n + 1]
+        q, k = x @ wgt["txt_wq"], x @ wgt["txt_wk"]
+        scores = (q @ k.T) * alpha
+        top = scores.max(axis=1, keepdims=True)
+        e = np.exp(scores - top)
+        mass = e.sum(axis=1, keepdims=True)
+        v_p = x @ wgt["txt_wv"] @ wgt["txt_wp"]
+        keys[:n, c] = k * alpha
+        queries[:n, c] = q * alpha
+        pad[:n, c] = 0.0
+        lse[:n, c] = (top + np.log(mass))[:, 0]
+        values[c, :n] = v_p * inv_len[c]
+        values[c, width:width + n] = (e / mass) @ v_p * inv_len[c]
+        const[c] = x.sum(axis=0) @ wgt["txt_wp"] * inv_len[c] + wgt["txt_bp"]
+    w_style = np.concatenate(
+        [wgt["txt_wq"], wgt["txt_wk"], wgt["txt_wv"] @ wgt["txt_wp"], wgt["txt_wp"]], axis=1)
+    return StylePromptPlan(w_style=w_style, slot_pos=bundle.positions[0],
+                           keys=keys.reshape(-1, d_t), queries=queries.reshape(-1, d_t),
+                           pad=pad.reshape(-1, 1), lse=lse[:, :, None], values=values,
+                           inv_len=inv_len, const=const)
+
+
+def style_prompt_plan(bundle: FrozenEncoderBundle, classes) -> StylePromptPlan:
+    """The plan for this class list, built on first use and kept on the bundle."""
+    key = tuple(classes)
+    plan = bundle.prompt_plans.get(key)
+    if plan is None:
+        if not key:
+            raise ConfigError("class set must be non-empty")
+        plan = bundle.prompt_plans[key] = _build_style_prompt_plan(bundle, key)
+    return plan
+
+
+def encode_text_batch(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> Tensor:
+    """Encode the prompt "SP [CLASS]." for every (style, class) pair, one tape node.
+
+    styles is (B, d_t); row i*C + c of the (B*C, d_f) result is class c
+    prompted with style i. Only the pseudo-slot row depends on the style, so
+    a call projects the B style rows once through [W_q | W_k | W_v W_p | W_p]
+    and takes each prompt's style-dependent scores from two GEMMs: the slot's
+    query against every class key, and every class query against the slot's
+    key. The slot row's softmax is over n + 1 scores; a class row's softmax
+    is its constant class-class part, whose log-sum-exp the plan holds, plus
+    one slot score, so the slot's share is a logistic p and the class columns
+    keep the plan's proportions scaled by q = 1 - p. The pooled output is
+    the attention column sums times the value rows plus the residual rows:
+    per style, [col_0 / L, 1 / L] times [v_0 W_p ; x_0 W_p]; per class, the
+    slot row's class weights and the q's times the plan's values; plus the
+    plan's constant. The backward returns only the (B, d_t) gradient.
+    """
+    s = styles.data
+    d_t = bundle.dims.d_t
+    if s.ndim != 2 or s.shape[1] != d_t:
+        raise ShapeError(f"styles must be (B, {d_t}), got {styles.shape}")
+    plan = style_prompt_plan(bundle, classes)
+    b = s.shape[0]
+    width, n_classes = plan.lse.shape[:2]
+    d_f = bundle.dims.d_f
+    alpha = 1.0 / np.sqrt(d_t)
+
+    proj = (s + plan.slot_pos) @ plan.w_style
+    q0, k0 = proj[:, :d_t], proj[:, d_t:2 * d_t]
+    basis = proj[:, 2 * d_t:].reshape(b, 2, d_f)  # [v_0 W_p ; x_0 W_p] per style
+    # per-prompt arrays are (token, class, style)
+    s00 = np.einsum("bd,bd->b", q0, k0) * alpha
+    s0 = (plan.keys @ q0.T + plan.pad).reshape(width, n_classes, b)
+    top = np.maximum(s0.max(axis=0), s00)
+    a00 = np.exp(s00 - top)
+    mix = np.empty((2 * width, n_classes, b))  # slot-row class weights, then q
+    a0 = mix[:width]
+    np.exp(s0 - top, out=a0)
+    den = a00 + a0.sum(axis=0)
+    a00 /= den
+    a0 /= den
+    # class rows: p = logistic(slot score - plan log-sum-exp), q = 1 - p
+    t = (plan.queries @ k0.T).reshape(width, n_classes, b) - plan.lse
+    e = np.exp(-np.abs(t))
+    r = 1.0 / (1.0 + e)
+    er = e * r
+    up = t >= 0
+    p = np.where(up, r, er)
+    q = mix[width:]
+    np.copyto(q, np.where(up, er, r))
+    col0 = a00 + p.sum(axis=0)
+    ext = np.empty((b, n_classes, 2))
+    ext[:, :, 0] = (col0 * plan.inv_len[:, None]).T
+    ext[:, :, 1] = plan.inv_len
+    out = np.matmul(ext, basis)
+    out += np.matmul(mix.transpose(1, 2, 0), plan.values).transpose(1, 0, 2)
+    out += plan.const
 
     def bwd(g):
-        gs = np.zeros_like(styles.data)
-        np.add.at(gs, owner, g[:, 0, :])
-        return (gs,)
+        g = g.reshape(b, n_classes, d_f)
+        d_col0 = np.matmul(g, basis[:, 0, :, None])[:, :, 0].T * plan.inv_len[:, None]
+        d_mix = np.matmul(plan.values, g.transpose(1, 2, 0)).transpose(1, 0, 2)
+        d_a0 = d_mix[:width]
+        d_t_rows = (d_col0 - d_mix[width:]) * p * q
+        dot = a00 * d_col0 + (a0 * d_a0).sum(axis=0)
+        d_s00 = (a00 * (d_col0 - dot)).sum(axis=0) * alpha
+        d_s0 = a0 * (d_a0 - dot)
+        d_proj = np.empty_like(proj)
+        d_proj[:, :d_t] = d_s0.reshape(-1, b).T @ plan.keys + d_s00[:, None] * k0
+        d_proj[:, d_t:2 * d_t] = d_t_rows.reshape(-1, b).T @ plan.queries + d_s00[:, None] * q0
+        d_proj[:, 2 * d_t:] = np.matmul(ext.transpose(0, 2, 1), g).reshape(b, 2 * d_f)
+        return (d_proj @ plan.w_style.T,)
 
-    return T.apply(out, (styles,), bwd)
+    return T.apply(out.reshape(b * n_classes, d_f), (styles,), bwd)
 
 
 def project_image(bundle: FrozenEncoderBundle, z: np.ndarray) -> np.ndarray:
@@ -338,22 +410,6 @@ def project_image(bundle: FrozenEncoderBundle, z: np.ndarray) -> np.ndarray:
         raise ShapeError(f"project_image expected last dim {bundle.dims.d_i}, got {z.shape}")
     # bias-free so the projection is homogeneous: rescaling z cannot move logits
     return z @ bundle.weights["proj_w"]
-
-
-def similarity_logits(bundle: FrozenEncoderBundle, z: np.ndarray, text_feats: Tensor) -> Tensor:
-    """Scaled cosine similarities between one image and candidate text features."""
-    if isinstance(z, Tensor):
-        z = z.data
-    feats = text_feats if isinstance(text_feats, Tensor) else Tensor(text_feats)
-    if feats.data.ndim != 2 or feats.data.shape[0] < 1:
-        raise ShapeError(f"text_feats must be (C, d_f) with C >= 1, got {feats.shape}")
-    zp = project_image(bundle, z)
-    norm = np.linalg.norm(zp)
-    if norm <= T.EPS_NORM:
-        raise DegenerateVectorError("projected image feature has near-zero norm")
-    unit = Tensor(zp / norm)
-    feats_n = T.l2_normalize(feats)
-    return T.mul(T.matmul(feats_n, unit), T.constant(bundle.logit_scale))
 
 
 def bundle_checksum(bundle: FrozenEncoderBundle) -> str:

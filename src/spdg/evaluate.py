@@ -22,9 +22,8 @@ from .encoders import (
     default_vocab,
     domain_style_text,
     encode_image,
-    encode_text,
+    encode_texts,
     project_image,
-    tokenize,
 )
 from .errors import ConfigError, SpdgError
 from .inference import accuracy, predict_batch, zero_shot_predict_batch
@@ -266,13 +265,11 @@ def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_nam
     zp = project_image(bundle, z)
     zp = zp / np.linalg.norm(zp, axis=1, keepdims=True)
 
-    word_feats = {}
-    for word in style_words:
-        for ci, cls in enumerate(classes):
-            ids = tokenize(domain_style_text(word, cls), bundle)
-            emb = bundle.weights["tok_emb"][np.asarray(ids, dtype=np.int64)]
-            feat = encode_text(bundle, Tensor(emb)).data
-            word_feats[(word, ci)] = feat / np.linalg.norm(feat)
+    # row ci * W + j: style word j with class ci
+    word_feats = encode_texts(bundle, [domain_style_text(word, cls)
+                                       for cls in classes for word in style_words])
+    word_feats /= np.linalg.norm(word_feats, axis=1, keepdims=True)
+    word_feats = word_feats.reshape(len(classes), len(style_words), -1)
 
     styles = style_for_prompt(prompter, Tensor(z))
     learned = prompt_text_features(bundle, styles, classes).data
@@ -283,8 +280,7 @@ def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_nam
     values = np.zeros((n, len(columns)))
     for i in range(n):
         ci = int(true_class_ids[i])
-        for j, word in enumerate(style_words):
-            values[i, j] = zp[i] @ word_feats[(word, ci)]
+        values[i, :-1] = word_feats[ci] @ zp[i]
         values[i, -1] = zp[i] @ learned[i * n_classes + ci]
     return SimilarityMatrix(image_ids=list(image_ids),
                             true_domains=list(true_domain_names),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoders import EncoderDims, build_bundle, default_vocab, encode_image
+from .encoders import EncoderDims, build_bundle, default_vocab, encode_image, encode_text_batch
 from .losses import (
     LossParts,
     LossWeights,
@@ -32,6 +32,11 @@ def _primitive_cases():
     Each builder closes over a seeded rng for its constants and returns a
     scalar-valued function of one Tensor.
     """
+
+    # class names of one, two and three words: three prompt lengths
+    prompt_classes = ["dog", "hot dog", "big red bus"]
+    prompt_bundle = build_bundle(EncoderDims(), default_vocab(prompt_classes), seed=5)
+    d_t, d_f = prompt_bundle.dims.d_t, prompt_bundle.dims.d_f
 
     # constants are bound as lambda defaults so each f is a fixed function of
     # x; drawing inside the body would change the function between the base
@@ -82,6 +87,9 @@ def _primitive_cases():
                                                      T.sum_all(T.mul(T.rowwise_dot_grouped(x, a, group=3), Tensor(w))))),
         ("domain_discrimination_loss", (8, 3), lambda rng: (lambda x, dom=np.array([0, 1, 2, 0, 1, 2, 0, 1]):
                                                             domain_discrimination_loss(T.l2_normalize(x), dom, 0.5))),
+        ("encode_text_batch", (3, d_t), lambda rng: (lambda x, w=rng.normal(size=(9, d_f)):
+                                                     T.sum_all(T.mul(encode_text_batch(prompt_bundle, x, prompt_classes),
+                                                                     Tensor(w))))),
     ]
 
 

@@ -13,12 +13,11 @@ from .encoders import (
     FrozenEncoderBundle,
     bare_class_text,
     encode_image,
-    encode_text_batch,
+    encode_texts,
     photo_caption_text,
     project_image,
-    tokenize,
 )
-from .errors import ConfigError, DegenerateVectorError, ShapeError, TokenizeError
+from .errors import ConfigError, DegenerateVectorError, ShapeError
 from .losses import prompt_text_features
 from .prompter import style_for_prompt
 from .tensor import Tensor
@@ -31,8 +30,8 @@ ZERO_SHOT_TEMPLATES = {
 
 def _unit_rows(v: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(norms <= T.EPS_NORM):
-        raise DegenerateVectorError(f"{what} has near-zero norm")
+    if not np.all(np.isfinite(norms) & (norms > T.EPS_NORM)):
+        raise DegenerateVectorError(f"{what} has a near-zero or non-finite norm")
     return v / norms
 
 
@@ -73,17 +72,7 @@ def zero_shot_text_features(bundle: FrozenEncoderBundle, classes, template: str)
     if template not in ZERO_SHOT_TEMPLATES:
         raise ConfigError(f"unknown zero-shot template {template!r}, expected one of ['C', 'PC']")
     render = ZERO_SHOT_TEMPLATES[template]
-    by_length: dict[int, list[int]] = {}
-    ids_per_class = [tokenize(render(cls), bundle) for cls in classes]
-    for c, ids in enumerate(ids_per_class):
-        by_length.setdefault(len(ids), []).append(c)
-    feats = np.empty((len(classes), bundle.dims.d_f))
-    for group in by_length.values():
-        ids = np.asarray([ids_per_class[c] for c in group], dtype=np.int64)
-        if np.any(ids < 0):
-            raise TokenizeError("zero-shot text has a pseudo slot but no style embedding")
-        feats[group] = encode_text_batch(bundle, Tensor(bundle.weights["tok_emb"][ids])).data
-    return feats
+    return encode_texts(bundle, [render(cls) for cls in classes])
 
 
 def zero_shot_baseline(bundle: FrozenEncoderBundle, x: np.ndarray, classes, template: str):

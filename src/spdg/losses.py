@@ -18,16 +18,12 @@ import numpy as np
 
 from . import tensor as T
 from .encoders import (
-    PSEUDO_TOKEN,
     STYLE_WORDS,
     FrozenEncoderBundle,
     domain_style_text,
-    encode_text,
     encode_text_batch,
-    fill_style_slot_batch,
+    encode_texts,
     project_image,
-    style_prompt_text,
-    tokenize,
 )
 from .errors import BatchCompositionError, ConfigError, NormalizationError, ShapeError
 from .tensor import Tensor
@@ -198,17 +194,12 @@ def _softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_reg_anchors(bundle: FrozenEncoderBundle, classes,
                       style_words=STYLE_WORDS) -> RegAnchorTable:
     """Per class: encode every domain-style text, unit-normalize, average, renormalize."""
-    anchors = np.zeros((len(classes), bundle.dims.d_f))
-    for ci, cls in enumerate(classes):
-        feats = []
-        for word in style_words:
-            ids = tokenize(domain_style_text(word, cls), bundle)
-            emb = bundle.weights["tok_emb"][np.asarray(ids, dtype=np.int64)]
-            feat = encode_text(bundle, Tensor(emb)).data
-            feats.append(feat / np.linalg.norm(feat))
-        mean = np.mean(feats, axis=0)
-        anchors[ci] = mean / np.linalg.norm(mean)
-    return RegAnchorTable(classes=list(classes), anchors=anchors)
+    texts = [domain_style_text(word, cls) for cls in classes for word in style_words]
+    feats = encode_texts(bundle, texts)
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    mean = feats.reshape(len(classes), len(style_words), bundle.dims.d_f).mean(axis=1)
+    return RegAnchorTable(classes=list(classes),
+                          anchors=mean / np.linalg.norm(mean, axis=1, keepdims=True))
 
 
 def style_regularization_loss(text_feats: Tensor, class_labels, table: RegAnchorTable) -> Tensor:
@@ -228,47 +219,10 @@ def prompt_text_features(bundle: FrozenEncoderBundle, styles: Tensor, classes) -
     """Text features for every (image, class) prompt "SP [CLASS]." pair.
 
     styles is (B, d_t); the result is (B*C, d_f), row i*C + c holding the
-    feature of class c prompted with image i's style. Prompts are assembled
-    per token-length group: one table lookup broadcast over the batch, one
-    slot fill and one encoder call per group, then one gather into final
-    order when classes have names of several lengths.
+    feature of class c prompted with image i's style, from one
+    `encode_text_batch` node.
     """
-    if styles.data.ndim != 2:
-        raise ShapeError(f"styles must be (B, d_t), got {styles.shape}")
-    b = styles.data.shape[0]
-    n_classes = len(classes)
-    d_t = bundle.dims.d_t
-    table = bundle.weights["tok_emb"]
-    by_length: dict[int, list[int]] = {}
-    tails: list[list[int]] = []
-    for c, cls in enumerate(classes):
-        ids = tokenize(style_prompt_text(cls), bundle)
-        if ids[0] != PSEUDO_TOKEN:
-            raise ShapeError("style prompt must start with the pseudo token")
-        tails.append(ids[1:])
-        by_length.setdefault(len(ids), []).append(c)
-
-    pieces, rows = [], []
-    for length, group in by_length.items():
-        g = len(group)
-        prompt = np.zeros((g, length, d_t))
-        prompt[:, 1:] = table[np.asarray([tails[c] for c in group], dtype=np.int64)]
-        base = np.broadcast_to(prompt, (b, g, length, d_t)).reshape(b * g, length, d_t)
-        emb = fill_style_slot_batch(styles, base, np.repeat(np.arange(b), g))
-        pieces.append(encode_text_batch(bundle, emb))
-        rows.append((np.arange(b)[:, None] * n_classes + np.asarray(group)).ravel())
-    if len(pieces) == 1:  # one group holds every class in order
-        return pieces[0]
-    # row k of the concatenation is final row rows[k]; gather by the inverse
-    source = np.empty(b * n_classes, dtype=np.int64)
-    source[np.concatenate(rows)] = np.arange(b * n_classes)
-    return T.take_rows(T.concat_rows(pieces), source)
-
-
-def classification_loss(bundle: FrozenEncoderBundle, z_batch: np.ndarray, styles: Tensor,
-                        class_labels, classes) -> Tensor:
-    """Cross-entropy over image-text similarity logits, per-image style prompts."""
-    return prompted_ce_and_reg(bundle, z_batch, styles, class_labels, classes)[0]
+    return encode_text_batch(bundle, styles, classes)
 
 
 def prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch: np.ndarray, styles: Tensor,

@@ -436,13 +436,14 @@ def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def l2_normalize(a: Tensor) -> Tensor:
     """Scale each last-axis slice to unit Euclidean norm.
 
-    Norms at or below EPS_NORM are treated as degenerate and raise instead of
-    being clamped; silent clamping would hide a collapsed style embedding.
+    Norms at or below EPS_NORM, and NaN or infinite norms, are treated as
+    degenerate and raise instead of being clamped; silent clamping would hide
+    a collapsed style embedding.
     """
     norms = np.linalg.norm(a.data, axis=-1, keepdims=True)
-    if np.any(norms <= EPS_NORM):
+    if not np.all(np.isfinite(norms) & (norms > EPS_NORM)):
         raise DegenerateVectorError(
-            f"l2_normalize saw a vector with norm <= {EPS_NORM}"
+            f"l2_normalize saw a vector with norm <= {EPS_NORM} or a non-finite norm"
         )
     out = a.data / norms
 

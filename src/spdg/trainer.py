@@ -9,7 +9,7 @@ encoder bundle is checksummed before and after to witness the freeze contract.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from hashlib import sha256
 from pathlib import Path
 
@@ -78,15 +78,24 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """Build from a to_dict()-shaped mapping; an unknown key is a ConfigError."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a run config must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
-        if "weights" in raw and isinstance(raw["weights"], dict):
-            raw["weights"] = LossWeights(**raw["weights"])
-        if "dims" in raw and isinstance(raw["dims"], dict):
-            raw["dims"] = EncoderDims(**raw["dims"])
-        return cls(**raw)
+        for key, kind in (("weights", LossWeights), ("dims", EncoderDims)):
+            if isinstance(raw.get(key), dict):
+                raw[key] = _from_fields(kind, raw[key], f"{key}.")
+        return _from_fields(cls, raw, "")
 
     def config_hash(self) -> str:
         return sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:12]
+
+
+def _from_fields(kind, raw: dict, prefix: str):
+    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
+    if unknown:
+        raise ConfigError(f"unknown run config keys: {[prefix + k for k in unknown]}")
+    return kind(**raw)
 
 
 @dataclass

@@ -161,3 +161,24 @@ def test_train_determinism_across_cli_runs(capsys, cli_dataset, tmp_path):
     assert (paths[0] / "metrics.ndjson").read_bytes() == (paths[1] / "metrics.ndjson").read_bytes()
     for blob in sorted((paths[0] / "final").glob("*.spdg")):
         assert blob.read_bytes() == (paths[1] / "final" / blob.name).read_bytes()
+
+
+@pytest.mark.parametrize("reader, damage", [
+    *((r, d) for r in ("train", "eval-crosscat", "eval-lodo")
+      for d in ("not-json", "not-object", "unknown-key")),
+    ("eval-lodo", "no-dataset"),
+])
+def test_malformed_config_file_is_config_error(capsys, cli_dataset, tmp_path, reader, damage):
+    config = {"not-json": "{\"epochs\": 1", "not-object": [1, 2],
+              "unknown-key": {"epochs": 1, "bogus": 1}, "no-dataset": {}}[damage]
+    path = tmp_path / "config.json"
+    if reader == "eval-lodo" and damage in ("not-object", "unknown-key"):
+        config = {"dataset": str(cli_dataset), "config": config}
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    argv = {"train": ["train", "--config", str(path), "--dataset", str(cli_dataset)],
+            "eval-crosscat": ["eval-crosscat", "--train-config", str(path),
+                              "--test-data", str(cli_dataset)],
+            "eval-lodo": ["eval-lodo", "--matrix", str(path)]}[reader]
+    code, _, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err)["error"] == "config_error"

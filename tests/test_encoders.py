@@ -1,24 +1,22 @@
 import numpy as np
 import pytest
 
+from oracles import PromptSequence, embed_tokens, fill_style_slot_batch, similarity_logits
 from spdg import tensor as T
 from spdg.encoders import (
     MAX_TEXT_LEN,
     PSEUDO_TOKEN,
     STYLE_WORDS,
     EncoderDims,
-    PromptSequence,
     build_bundle,
     bundle_checksum,
     default_vocab,
-    embed_tokens,
+    encode_embeddings,
     encode_image,
-    encode_text,
     encode_text_batch,
-    fill_style_slot_batch,
     load_bundle,
     save_bundle,
-    similarity_logits,
+    style_prompt_plan,
     style_prompt_text,
     tokenize,
 )
@@ -144,54 +142,54 @@ class TestEmbedTokens:
 
 class TestEncodeText:
     def test_repeated_call_identical(self, bundle, rng):
-        emb = Tensor(rng.normal(size=(4, bundle.dims.d_t)))
-        assert np.array_equal(encode_text(bundle, emb).data, encode_text(bundle, emb).data)
+        emb = rng.normal(size=(1, 4, bundle.dims.d_t))
+        assert np.array_equal(encode_embeddings(bundle, emb), encode_embeddings(bundle, emb))
 
     def test_gradient_through_style_row(self, bundle, rng):
-        ids = tokenize("SP dog.", bundle)
-        probe = rng.normal(size=bundle.dims.d_f)
+        probe = rng.normal(size=(1, bundle.dims.d_f))
 
         def f(style):
-            feat = encode_text(bundle, embed_tokens(bundle, ids, style=style))
+            feat = encode_text_batch(bundle, style, ["dog"])
             return T.sum_all(T.mul(feat, Tensor(probe)))
 
-        err = finite_diff_grad_check(f, Tensor(rng.normal(size=bundle.dims.d_t)))
+        err = finite_diff_grad_check(f, Tensor(rng.normal(size=(1, bundle.dims.d_t))))
         assert err < 1e-5
 
     def test_order_sensitivity(self, bundle, rng):
         emb = rng.normal(size=(3, bundle.dims.d_t))
-        f_orig = encode_text(bundle, Tensor(emb)).data
-        f_moved = encode_text(bundle, Tensor(emb[[1, 2, 0]])).data
+        f_orig = encode_embeddings(bundle, emb[None])
+        f_moved = encode_embeddings(bundle, emb[None, [1, 2, 0]])
         assert np.linalg.norm(f_orig - f_moved) > 1e-6
 
     def test_style_row_local_lipschitz(self, bundle, rng):
         # measured sensitivity bound, a sanity check rather than a proof
-        ids = tokenize("SP dog.", bundle)
-        base_style = rng.normal(size=bundle.dims.d_t)
-        base = encode_text(bundle, embed_tokens(bundle, ids, style=Tensor(base_style))).data
+        base_style = rng.normal(size=(1, bundle.dims.d_t))
+
+        def encode(style):
+            return encode_text_batch(bundle, Tensor(style), ["dog"]).data
+
+        base = encode(base_style)
         probes = []
         for _ in range(8):
-            delta = rng.normal(size=bundle.dims.d_t)
+            delta = rng.normal(size=base_style.shape)
             delta *= 1e-4 / np.linalg.norm(delta)
-            moved = encode_text(bundle, embed_tokens(bundle, ids, style=Tensor(base_style + delta))).data
-            probes.append(np.linalg.norm(moved - base) / 1e-4)
+            probes.append(np.linalg.norm(encode(base_style + delta) - base) / 1e-4)
         k = 2.0 * max(probes)
         for _ in range(8):
-            delta = rng.normal(size=bundle.dims.d_t)
+            delta = rng.normal(size=base_style.shape)
             delta *= 1e-6 / np.linalg.norm(delta)
-            moved = encode_text(bundle, embed_tokens(bundle, ids, style=Tensor(base_style + delta))).data
-            assert np.linalg.norm(moved - base) < k * 1e-6
+            assert np.linalg.norm(encode(base_style + delta) - base) < k * 1e-6
 
     def test_batch_matches_single(self, bundle, rng):
         embs = rng.normal(size=(5, 4, bundle.dims.d_t))
-        batch = encode_text_batch(bundle, Tensor(embs)).data
+        batch = encode_embeddings(bundle, embs)
         for i in range(5):
-            single = encode_text(bundle, Tensor(embs[i])).data
+            single = encode_embeddings(bundle, embs[i:i + 1])[0]
             assert np.allclose(batch[i], single, atol=1e-12)
 
     def test_length_cap(self, bundle, rng):
         with pytest.raises(ShapeError):
-            encode_text(bundle, Tensor(rng.normal(size=(MAX_TEXT_LEN + 1, bundle.dims.d_t))))
+            encode_embeddings(bundle, rng.normal(size=(1, MAX_TEXT_LEN + 1, bundle.dims.d_t)))
 
 
 class TestFillStyleSlotBatch:
@@ -210,6 +208,62 @@ class TestFillStyleSlotBatch:
         assert np.array_equal(filled.data[:, 0, :], styles.data[owner])
         assert np.array_equal(filled.data[:, 1:, :], base[:, 1:, :])
         assert finite_diff_grad_check(f, styles) < 1e-7
+
+
+class TestStylePromptPlan:
+    def test_second_call_does_not_tokenize(self, dims, rng, monkeypatch):
+        import spdg.encoders
+        fresh = build_bundle(dims, default_vocab(CLASSES), seed=0)
+        calls = []
+        original = spdg.encoders.tokenize
+        monkeypatch.setattr(spdg.encoders, "tokenize",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        styles = Tensor(rng.normal(size=(2, dims.d_t)))
+        first = encode_text_batch(fresh, styles, CLASSES).data
+        assert len(calls) == len(CLASSES)
+        second = encode_text_batch(fresh, styles, list(CLASSES)).data
+        assert len(calls) == len(CLASSES)
+        assert np.array_equal(first, second)
+
+    def test_class_order_gets_its_own_plan(self, bundle, rng):
+        styles = Tensor(rng.normal(size=(3, bundle.dims.d_t)))
+        order = [2, 0, 3, 1]
+        feats = encode_text_batch(bundle, styles, CLASSES).data.reshape(3, len(CLASSES), -1)
+        moved = encode_text_batch(bundle, styles, [CLASSES[c] for c in order]).data
+        assert style_prompt_plan(bundle, CLASSES) is not \
+            style_prompt_plan(bundle, [CLASSES[c] for c in order])
+        assert np.array_equal(moved.reshape(3, len(CLASSES), -1), feats[:, order])
+
+    def test_other_weights_never_reuse_a_plan(self, dims, rng):
+        vocab = default_vocab(CLASSES)
+        first, other = build_bundle(dims, vocab, seed=1), build_bundle(dims, vocab, seed=2)
+        styles = Tensor(rng.normal(size=(2, dims.d_t)))
+        a = encode_text_batch(first, styles, CLASSES).data
+        b = encode_text_batch(other, styles, CLASSES).data
+        assert style_prompt_plan(first, CLASSES) is not style_prompt_plan(other, CLASSES)
+        assert np.abs(a - b).max() > 1e-3
+        assert np.array_equal(b, encode_text_batch(build_bundle(dims, vocab, seed=2),
+                                                   styles, CLASSES).data)
+
+    @pytest.mark.parametrize("name", ["tok_emb", "txt_wq", "txt_bp"])
+    def test_bundle_weights_are_read_only(self, bundle, name):
+        with pytest.raises(ValueError, match="read-only"):
+            bundle.weights[name][0] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            bundle.positions[0] = 0.0
+
+    def test_second_pseudo_slot_rejected(self, dims, rng):
+        odd = build_bundle(dims, default_vocab(["dog"]), seed=0)
+        with pytest.raises(TokenizeError, match="more than one pseudo slot"):
+            encode_text_batch(odd, Tensor(rng.normal(size=(1, dims.d_t))), ["dog sp"])
+
+    def test_wrong_style_width_rejected(self, bundle, rng):
+        with pytest.raises(ShapeError):
+            encode_text_batch(bundle, Tensor(rng.normal(size=(2, bundle.dims.d_t + 1))), CLASSES)
+
+    def test_empty_class_list_rejected(self, bundle, rng):
+        with pytest.raises(ConfigError):
+            encode_text_batch(bundle, Tensor(rng.normal(size=(2, bundle.dims.d_t))), [])
 
 
 class TestSimilarityLogits:
@@ -247,7 +301,8 @@ class TestBundleIO:
         before = bundle_checksum(bundle)
         for _ in range(3):
             encode_image(bundle, rng.normal(size=bundle.dims.d_x))
-            encode_text(bundle, Tensor(rng.normal(size=(3, bundle.dims.d_t))))
+            encode_embeddings(bundle, rng.normal(size=(1, 3, bundle.dims.d_t)))
+            encode_text_batch(bundle, Tensor(rng.normal(size=(2, bundle.dims.d_t))), CLASSES)
         assert bundle_checksum(bundle) == before
 
 

@@ -110,6 +110,12 @@ class TestInfer:
         with pytest.raises(DegenerateVectorError):
             infer(flat, prompter, small_dataset.x[0], small_dataset.classes)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_norm_raises(self, bad):
+        from spdg.inference import _unit_rows
+        with pytest.raises(DegenerateVectorError):
+            _unit_rows(np.array([[1.0, 2.0], [bad, 1.0]]), "feature")
+
     def test_positive_scaling_keeps_prediction(self, small_dataset, bundle, dims):
         prompter = init_gaussian_prompter(dims.d_i, dims.d_t, seed=0)
         cls, scores = infer(bundle, prompter, small_dataset.x[3], small_dataset.classes)
@@ -198,7 +204,8 @@ class TestZeroShot:
 
     @pytest.mark.parametrize("template", ["C", "PC"])
     def test_length_groups_match_per_class_encodes(self, dims, template):
-        from spdg.encoders import build_bundle, default_vocab, encode_text, tokenize
+        from oracles import encode_text
+        from spdg.encoders import build_bundle, default_vocab, tokenize
         from spdg.inference import ZERO_SHOT_TEMPLATES, zero_shot_text_features
         classes = ["dog", "hot air balloon", "ice cream", "horse"]
         mixed = build_bundle(dims, default_vocab(classes), seed=0)
@@ -303,6 +310,18 @@ class TestSimilarityReport:
         assert matrix.columns[-1] == "learned"
         assert len(matrix.columns) == 8 + 1
         assert (matrix.values >= -1 - 1e-12).all() and (matrix.values <= 1 + 1e-12).all()
+
+        # the style-word columns against one encode per text
+        from oracles import encode_text
+        from spdg.encoders import STYLE_WORDS, domain_style_text, encode_image, project_image, tokenize
+        zp = project_image(bundle, encode_image(bundle, small_dataset.x[idx]))
+        zp /= np.linalg.norm(zp, axis=1, keepdims=True)
+        for row, i in enumerate(idx):
+            cls = small_dataset.classes[small_dataset.class_ids[i]]
+            for j, word in enumerate(STYLE_WORDS):
+                ids = tokenize(domain_style_text(word, cls), bundle)
+                feat = encode_text(bundle, Tensor(bundle.weights["tok_emb"][ids])).data
+                assert abs(matrix.values[row, j] - zp[row] @ feat / np.linalg.norm(feat)) <= 1e-12
 
         write_similarity_csv(matrix, tmp_path / "sim.csv")
         lines = (tmp_path / "sim.csv").read_text().splitlines()

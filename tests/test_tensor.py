@@ -50,6 +50,11 @@ class TestL2Normalize:
         with pytest.raises(DegenerateVectorError):
             T.l2_normalize(Tensor([0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_norm_errors(self, bad):
+        with pytest.raises(DegenerateVectorError):
+            T.l2_normalize(Tensor([[1.0, 2.0], [bad, 1.0]]))
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=8))
     def test_unit_norm_property(self, vals):
