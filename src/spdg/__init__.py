@@ -25,7 +25,6 @@ from .losses import (
     LossWeights,
     build_reg_anchors,
     domain_discrimination_loss,
-    style_regularization_loss,
     total_loss,
 )
 from .prompter import (
@@ -34,7 +33,6 @@ from .prompter import (
     init_basic_prompter,
     init_gaussian_prompter,
     load_checkpoint,
-    sample_styles,
     save_checkpoint,
     style_for_prompt,
 )
@@ -66,11 +64,9 @@ __all__ = [
     "init_gaussian_prompter",
     "load_bundle",
     "load_checkpoint",
-    "sample_styles",
     "save_bundle",
     "save_checkpoint",
     "style_for_prompt",
-    "style_regularization_loss",
     "tokenize",
     "total_loss",
     "train_style_prompter",

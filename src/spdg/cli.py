@@ -265,13 +265,13 @@ def _cmd_similarity_report(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     failures = []
-    prim = run_primitive_checks(n_inputs=args.primitive_inputs, tol=args.primitive_tol)
+    prim = run_primitive_checks(n_inputs=args.primitive_inputs)
     for name, err in sorted(prim.items()):
         status = "ok" if err < args.primitive_tol else "FAIL"
         if status == "FAIL":
             failures.append(name)
         print(f"primitive {name}: max_rel_err={err:.3e} [{status}]")
-    obj, elapsed = run_objective_check(tol=args.objective_tol)
+    obj, elapsed = run_objective_check()
     for name, err in obj.items():
         status = "ok" if err < args.objective_tol else "FAIL"
         if status == "FAIL":

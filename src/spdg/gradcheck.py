@@ -1,5 +1,6 @@
-"""Gradient verification suite: every differentiable primitive against central
-finite differences, plus the full training objective on a small fixture.
+"""Gradient verification suite: every differentiable primitive, the fused
+training-step nodes among them, against central finite differences, plus the
+full training objective on a small fixture.
 
 The fixture freezes one Monte Carlo draw so the objective is a deterministic
 function of the prompter parameters, which is what finite differencing needs.
@@ -18,12 +19,76 @@ from .losses import (
     LossParts,
     LossWeights,
     build_reg_anchors,
+    classification_head,
     domain_discrimination_loss,
     prompted_ce_and_reg,
     total_loss,
 )
-from .prompter import GaussianPrompter, gaussian_forward, init_gaussian_prompter, reparameterize
+from .prompter import (
+    BasicPrompter,
+    GaussianPrompter,
+    basic_forward,
+    gaussian_forward,
+    init_basic_prompter,
+    init_gaussian_prompter,
+    sample_styles_batch,
+)
 from .tensor import Tensor, finite_diff_grad_check
+
+
+def _split(x: Tensor, shapes) -> tuple[Tensor, ...]:
+    """Consecutive pieces of a flat x, one per shape, as one multi-output node."""
+    bounds = np.cumsum([0] + [int(np.prod(s)) for s in shapes]).tolist()
+    pieces = tuple(x.data[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes))
+    return T.apply(pieces, (x,), lambda g: (np.concatenate([gi.reshape(-1) for gi in g]),))
+
+
+def _weighted(outs, weights) -> Tensor:
+    """sum_k sum(outs[k] * weights[k]), a scalar probe of several outputs."""
+    total = None
+    for out, w in zip(outs, weights):
+        term = T.sum_all(T.mul(out, Tensor(w)))
+        total = term if total is None else T.add(total, term)
+    return total
+
+
+def _prompter_case(kind: str, z_shape):
+    """x holds z (shape z_shape), then every prompter parameter, flattened."""
+    init = init_basic_prompter if kind == "basic" else init_gaussian_prompter
+    shapes = tuple(t.shape for _, t in init(4, 3, seed=0).parameters())
+    n_out = 1 if kind == "basic" else 2
+    out_shape = z_shape[:-1] + (3,)
+
+    def make(rng):
+        w = [rng.normal(size=out_shape) for _ in range(n_out)]
+
+        def f(x):
+            z, *params = _split(x, (z_shape,) + shapes)
+            if kind == "basic":
+                return _weighted([basic_forward(BasicPrompter(*params), z)], w)
+            return _weighted(gaussian_forward(GaussianPrompter(*params), z), w)
+        return f
+
+    return (f"{kind}_forward", (int(np.prod(z_shape)) + sum(int(np.prod(s)) for s in shapes),), make)
+
+
+def _head_case(with_reg: bool):
+    """x is (B*C, d) prompted features: B = 2 images, C = 3 classes, d = 4."""
+    def make(rng):
+        unit_z = rng.normal(size=(2, 4))
+        unit_z /= np.linalg.norm(unit_z, axis=1, keepdims=True)
+        labels = rng.integers(0, 3, size=2)
+        anchors = rng.normal(size=(3, 4)) if with_reg else None
+        w = rng.normal(size=2)
+
+        def f(x):
+            # a feature row of norm about 3: far from the degenerate check
+            feats = T.add(x, Tensor(np.full((6, 4), 1.5)))
+            out = classification_head(feats, unit_z, labels, 3.0, anchors)
+            return _weighted(out if with_reg else (out,), w)
+        return f
+
+    return ("classification_head" + ("" if with_reg else "_ce_only"), (6, 4), make)
 
 
 def _primitive_cases():
@@ -51,60 +116,35 @@ def _primitive_cases():
         ("matmul", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(4, 2)): T.sum_all(T.matmul(x, Tensor(c))))),
         ("matmul_left", (4, 2), lambda rng: (lambda x, a=rng.normal(size=(3, 4)): T.sum_all(T.matmul(Tensor(a), x)))),
         ("matvec", (3, 4), lambda rng: (lambda x, c=rng.normal(size=4): T.sum_all(T.matmul(x, Tensor(c))))),
-        ("transpose", (3, 4), lambda rng: (lambda x, w=rng.normal(size=(4, 3)): T.sum_all(T.mul(T.transpose(x), Tensor(w))))),
         ("reshape", (3, 4), lambda rng: (lambda x, w=rng.normal(size=12): T.sum_all(T.mul(T.reshape(x, (12,)), Tensor(w))))),
-        ("concat_rows", (2, 3), lambda rng: (lambda x, c=rng.normal(size=(2, 3)), w=rng.normal(size=(4, 3)):
-                                             T.sum_all(T.mul(T.concat_rows([x, Tensor(c)]), Tensor(w))))),
-        ("stack_rows", (3,), lambda rng: (lambda x, c=rng.normal(size=3), w=rng.normal(size=(2, 3)):
-                                          T.sum_all(T.mul(T.stack_rows([x, Tensor(c)]), Tensor(w))))),
-        ("get_row", (4, 3), lambda rng: (lambda x, w=rng.normal(size=3): T.sum_all(T.mul(T.get_row(x, 2), Tensor(w))))),
-        ("take_rows", (4, 3), lambda rng: (lambda x, w=rng.normal(size=(3, 3)):
-                                           T.sum_all(T.mul(T.take_rows(x, [0, 2, 0]), Tensor(w))))),
-        ("repeat_rows", (3, 2), lambda rng: (lambda x, w=rng.normal(size=(6, 2)):
-                                             T.sum_all(T.mul(T.repeat_rows(x, 2), Tensor(w))))),
         ("sum_all", (3, 4), lambda rng: (lambda x: T.sum_all(x))),
         ("mean_all", (3, 4), lambda rng: (lambda x: T.mean_all(x))),
-        ("sum_axis0", (3, 4), lambda rng: (lambda x, w=rng.normal(size=4): T.sum_all(T.mul(T.sum_axis(x, 0), Tensor(w))))),
-        ("sum_axis1", (3, 4), lambda rng: (lambda x, w=rng.normal(size=3): T.sum_all(T.mul(T.sum_axis(x, 1), Tensor(w))))),
-        ("exp", (3, 3), lambda rng: (lambda x: T.sum_all(T.exp(x)))),
-        ("log", (3, 3), lambda rng: (lambda x: T.sum_all(T.log(T.add(T.mul(x, x), T.constant(0.5)))))),
-        ("elu", (3, 4), lambda rng: (lambda x: T.sum_all(T.elu(x)))),
-        ("softplus", (3, 4), lambda rng: (lambda x: T.sum_all(T.softplus(x)))),
-        ("linear_forward_x", (3, 4), lambda rng: (lambda x, w=rng.normal(size=(4, 2)), b=rng.normal(size=2):
-                                                  T.sum_all(T.linear_forward(x, Tensor(w), Tensor(b))))),
-        ("linear_forward_w", (4, 2), lambda rng: (lambda x, a=rng.normal(size=(3, 4)), b=rng.normal(size=2):
-                                                  T.sum_all(T.linear_forward(Tensor(a), x, Tensor(b))))),
-        ("linear_forward_b", (2,), lambda rng: (lambda x, a=rng.normal(size=(3, 4)), w=rng.normal(size=(4, 2)):
-                                                T.sum_all(T.linear_forward(Tensor(a), Tensor(w), x)))),
         ("l2_normalize", (3, 4), lambda rng: (lambda x, s=np.sign(rng.normal(size=(3, 4))) * 2.0, w=rng.normal(size=(3, 4)):
                                               T.sum_all(T.mul(T.l2_normalize(T.add(x, Tensor(s))), Tensor(w))))),
-        ("cosine_similarity", (5,), lambda rng: (lambda x, c=rng.normal(size=5) + 2.0:
-                                                 T.cosine_similarity(T.add(x, T.constant(3.0)), Tensor(c)))),
-        ("log_sum_exp", (6,), lambda rng: (lambda x: T.log_sum_exp(x))),
-        ("masked_lse_rows", (3, 5), lambda rng: (lambda x, m=_random_mask(rng, 3, 5), w=rng.normal(size=3):
-                                                 T.sum_all(T.mul(T.masked_log_sum_exp_rows(x, m), Tensor(w))))),
-        ("rowwise_dot_grouped", (6, 3), lambda rng: (lambda x, a=rng.normal(size=(2, 3)), w=rng.normal(size=(2, 3)):
-                                                     T.sum_all(T.mul(T.rowwise_dot_grouped(x, a, group=3), Tensor(w))))),
         ("domain_discrimination_loss", (8, 3), lambda rng: (lambda x, dom=np.array([0, 1, 2, 0, 1, 2, 0, 1]):
                                                             domain_discrimination_loss(T.l2_normalize(x), dom, 0.5))),
         ("encode_text_batch", (3, d_t), lambda rng: (lambda x, w=rng.normal(size=(9, d_f)):
                                                      T.sum_all(T.mul(encode_text_batch(prompt_bundle, x, prompt_classes),
                                                                      Tensor(w))))),
+        _prompter_case("basic", (2, 4)),
+        _prompter_case("gaussian", (4,)),
+        ("sample_styles_batch", (2 * 2 * 3,), lambda rng: (
+            lambda x, eps=Tensor(rng.normal(size=(6, 3))), w=rng.normal(size=(6, 3)):
+            _weighted([sample_styles_batch(*_split(x, ((2, 3), (2, 3))), 3, None, eps=eps)], [w]))),
+        _head_case(with_reg=True),
+        _head_case(with_reg=False),
+        ("total_loss", (3,), lambda rng: (lambda x: total_loss(
+            LossParts(*_split(x, ((), (), ()))), LossWeights(w_d=0.3, w_reg=2.0, ce_scale=1.5)))),
     ]
 
 
-def _random_mask(rng, rows, cols):
-    mask = rng.random((rows, cols)) < 0.5
-    for i in range(rows):
-        if not mask[i].any():
-            mask[i, rng.integers(cols)] = True
-    return mask
+def run_primitive_checks(n_inputs: int = 100, cases=None) -> dict[str, float]:
+    """Worst finite-difference relative error per primitive over seeded inputs.
 
-
-def run_primitive_checks(n_inputs: int = 100, tol: float = 1e-6) -> dict[str, float]:
-    """Worst finite-difference relative error per primitive over seeded inputs."""
+    `cases` defaults to the primitives and fused nodes that ship here.
+    """
     results: dict[str, float] = {}
-    for name, shape, make in _primitive_cases():
+    for name, shape, make in _primitive_cases() if cases is None else cases:
         worst = 0.0
         for seed in range(n_inputs):
             rng = np.random.default_rng([911, seed])
@@ -151,8 +191,7 @@ def build_objective_fixture(batch: int = 8, n_classes: int = 4, n_domains: int =
 
 def objective_value(fx: ObjectiveFixture, prompter: GaussianPrompter) -> Tensor:
     mu, sigma = gaussian_forward(prompter, Tensor(fx.z))
-    samples = reparameterize(T.repeat_rows(mu, fx.mc_samples),
-                             T.repeat_rows(sigma, fx.mc_samples), fx.eps)
+    samples = sample_styles_batch(mu, sigma, fx.mc_samples, None, eps=fx.eps)
     normed = T.l2_normalize(samples)
     loss_d = domain_discrimination_loss(normed, np.repeat(fx.domains, fx.mc_samples),
                                         fx.weights.tau_d)
@@ -162,7 +201,7 @@ def objective_value(fx: ObjectiveFixture, prompter: GaussianPrompter) -> Tensor:
                       fx.weights)
 
 
-def run_objective_check(tol: float = 1e-4, fixture: ObjectiveFixture | None = None,
+def run_objective_check(fixture: ObjectiveFixture | None = None,
                         h: float = 1e-5) -> tuple[dict[str, float], float]:
     """Check d(objective)/d(param) for every prompter parameter tensor.
 

@@ -17,7 +17,7 @@ from .encoders import (
     photo_caption_text,
     project_image,
 )
-from .errors import ConfigError, DegenerateVectorError, ShapeError
+from .errors import ConfigError, ShapeError
 from .losses import prompt_text_features
 from .prompter import style_for_prompt
 from .tensor import Tensor
@@ -26,13 +26,6 @@ ZERO_SHOT_TEMPLATES = {
     "C": bare_class_text,
     "PC": photo_caption_text,
 }
-
-
-def _unit_rows(v: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(norms) & (norms > T.EPS_NORM)):
-        raise DegenerateVectorError(f"{what} has a near-zero or non-finite norm")
-    return v / norms
 
 
 def _one_row(x: np.ndarray) -> np.ndarray:
@@ -61,8 +54,8 @@ def predict_batch(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes)
     styles = style_for_prompt(prompter, Tensor(z))
     feats = prompt_text_features(bundle, styles, classes).data
     n, n_classes = x.shape[0], len(classes)
-    feats = _unit_rows(feats, "prompted text feature")
-    zp = _unit_rows(project_image(bundle, z), "projected image feature")
+    feats, _ = T.unit_rows(feats, "prompted text feature")
+    zp, _ = T.unit_rows(project_image(bundle, z), "projected image feature")
     logits = np.einsum("bcd,bd->bc", feats.reshape(n, n_classes, -1), zp) * bundle.logit_scale
     return logits.argmax(axis=1), logits
 
@@ -88,9 +81,9 @@ def zero_shot_predict_batch(bundle: FrozenEncoderBundle, x: np.ndarray, classes,
                             template: str):
     if not classes:
         raise ConfigError("class set must be non-empty")
-    feats = _unit_rows(zero_shot_text_features(bundle, classes, template), "zero-shot text feature")
+    feats, _ = T.unit_rows(zero_shot_text_features(bundle, classes, template), "zero-shot text feature")
     zp = project_image(bundle, encode_image(bundle, np.asarray(x, dtype=np.float64)))
-    logits = _unit_rows(zp, "projected image feature") @ feats.T * bundle.logit_scale
+    logits = T.unit_rows(zp, "projected image feature")[0] @ feats.T * bundle.logit_scale
     return logits.argmax(axis=1), logits
 
 

@@ -8,6 +8,8 @@ Three parts, combined as a weighted sum:
     per-class mean anchors built from hand-crafted domain-style texts;
   * classification: cross-entropy over scaled image-text cosine logits, with
     per-image candidate prompts built from that image's own style.
+The regularizer and the classifier share one tape node over the prompted text
+features (`classification_head`), and the weighted sum is one more.
 """
 
 from __future__ import annotations
@@ -202,19 +204,6 @@ def build_reg_anchors(bundle: FrozenEncoderBundle, classes,
                           anchors=mean / np.linalg.norm(mean, axis=1, keepdims=True))
 
 
-def style_regularization_loss(text_feats: Tensor, class_labels, table: RegAnchorTable) -> Tensor:
-    """Mean of (1 - cosine) between each prompted text feature and its class anchor."""
-    labels = np.asarray(class_labels, dtype=np.int64)
-    b = text_feats.data.shape[0]
-    if text_feats.data.ndim != 2 or labels.shape != (b,):
-        raise ShapeError(f"expected (B, d_f) features with B labels, got {text_feats.shape}")
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= len(table.classes):
-        raise ConfigError(f"class label outside anchor table of size {len(table.classes)}")
-    unit = T.l2_normalize(text_feats)
-    cos = T.rowwise_dot_grouped(unit, table.anchors[labels], group=1)
-    return T.add(T.neg(T.mean_all(cos)), T.constant(1.0))
-
-
 def prompt_text_features(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> Tensor:
     """Text features for every (image, class) prompt "SP [CLASS]." pair.
 
@@ -225,6 +214,56 @@ def prompt_text_features(bundle: FrozenEncoderBundle, styles: Tensor, classes) -
     return encode_text_batch(bundle, styles, classes)
 
 
+def classification_head(feats: Tensor, unit_z: np.ndarray, class_labels, scale: float,
+                        anchors: np.ndarray | None = None):
+    """Cross-entropy and, given anchors, the style regularizer as one tape node.
+
+    feats is (B*C, d_f) with row i*C + c for image i and class c; unit_z holds
+    the B unit image features. Each feature row is unit-normalized (a
+    degenerate norm raises), the logits are scale * cosine, and the loss is
+    the mean of row log-sum-exp minus the label's logit. The regularizer is
+    the mean of 1 - cosine between each image's own-class row and the
+    anchors[label] row. Returns loss_ce, or (loss_ce, loss_reg) with anchors;
+    the backward goes straight to the feature gradient.
+    """
+    labels = np.asarray(class_labels, dtype=np.int64)
+    b = unit_z.shape[0]
+    n = feats.data.shape[0]
+    if feats.data.ndim != 2 or unit_z.ndim != 2 or b == 0 or n % b:
+        raise ShapeError(f"expected (B*C, d) features for {unit_z.shape} image rows, got {feats.shape}")
+    n_classes = n // b
+    if labels.shape != (b,):
+        raise ShapeError(f"expected {b} labels, got shape {labels.shape}")
+    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= n_classes:
+        raise ConfigError(f"class label out of range for {n_classes} classes")
+    if anchors is not None and labels.max(initial=-1) >= anchors.shape[0]:
+        raise ConfigError(f"class label outside anchor table of size {anchors.shape[0]}")
+    u, norms = T.unit_rows(feats.data, "prompted text feature")
+    u3 = u.reshape(b, n_classes, -1)
+    rows = np.arange(b)
+    logits = np.einsum("bcd,bd->bc", u3, unit_z) * scale
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    mass = e.sum(axis=1)
+    loss_ce = np.asarray((top[:, 0] + np.log(mass) - logits[rows, labels]).mean())
+    if anchors is not None:
+        own = anchors[labels]
+        loss_reg = np.asarray(1.0 - np.einsum("bd,bd->b", u3[rows, labels], own).mean())
+
+    def bwd(g):
+        g_ce, g_reg = g if anchors is not None else (g, None)
+        g_logits = e * (float(g_ce) / b / mass)[:, None]
+        g_logits[rows, labels] -= float(g_ce) / b
+        g_u = (g_logits * scale)[:, :, None] * unit_z[:, None, :]
+        if g_reg is not None:
+            g_u[rows, labels] -= (float(g_reg) / b) * own
+        g_u = g_u.reshape(n, -1)
+        dot = (g_u * u).sum(axis=1, keepdims=True)
+        return ((g_u - u * dot) / norms,)
+
+    return T.apply(loss_ce if anchors is None else (loss_ce, loss_reg), (feats,), bwd)
+
+
 def prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch: np.ndarray, styles: Tensor,
                         class_labels, classes,
                         anchors: RegAnchorTable | None = None) -> tuple[Tensor, Tensor | None]:
@@ -232,43 +271,24 @@ def prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch: np.ndarray, styles
 
     The regularizer consumes the text features of each image's ground-truth
     prompt, which are a subset of the candidate features the classifier builds.
+    A zero or non-finite projected image feature raises DegenerateVectorError.
     """
-    labels = np.asarray(class_labels, dtype=np.int64)
+    feats = encode_text_batch(bundle, styles, classes)
     z_batch = np.asarray(z_batch, dtype=np.float64)
-    b = z_batch.shape[0]
-    n_classes = len(classes)
-    if labels.shape != (b,):
-        raise ShapeError(f"expected {b} labels, got shape {labels.shape}")
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= n_classes:
-        raise ConfigError(f"class label out of range for {n_classes} classes")
-    feats = prompt_text_features(bundle, styles, classes)
-    zp = project_image(bundle, z_batch)
-    unit_z = zp / np.linalg.norm(zp, axis=1, keepdims=True)
-    dots = T.rowwise_dot_grouped(T.l2_normalize(feats), unit_z, group=n_classes)
-    logits = T.mul(dots, T.constant(bundle.logit_scale))
-    loss_ce = cross_entropy_from_logits(logits, labels)
-    loss_reg = None
-    if anchors is not None:
-        own = T.take_rows(feats, np.arange(b) * n_classes + labels)
-        loss_reg = style_regularization_loss(own, labels, anchors)
-    return loss_ce, loss_reg
-
-
-def cross_entropy_from_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean of -log softmax(logits)[label], stabilized through log-sum-exp."""
-    b, n_classes = logits.data.shape
-    onehot = np.zeros((b, n_classes))
-    onehot[np.arange(b), labels] = 1.0
-    lse = T.masked_log_sum_exp_rows(logits, np.ones((b, n_classes), dtype=bool))
-    picked = T.sum_axis(T.mul(logits, T.constant(onehot)), axis=1)
-    return T.mean_all(T.sub(lse, picked))
+    unit_z, _ = T.unit_rows(project_image(bundle, z_batch), "projected image feature")
+    if anchors is None:
+        return classification_head(feats, unit_z, class_labels, bundle.logit_scale), None
+    return classification_head(feats, unit_z, class_labels, bundle.logit_scale, anchors.anchors)
 
 
 def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
-    """Weighted sum: w_d * discrimination + w_reg * regularization + ce."""
-    total = T.mul(parts.loss_ce, T.constant(weights.ce_scale))
-    if parts.loss_d is not None:
-        total = T.add(total, T.mul(parts.loss_d, T.constant(weights.w_d)))
-    if parts.loss_reg is not None:
-        total = T.add(total, T.mul(parts.loss_reg, T.constant(weights.w_reg)))
-    return total
+    """Weighted sum: ce_scale * ce + w_d * discrimination + w_reg * regularization.
+
+    One tape node over the parts that are present.
+    """
+    terms = [(t, w) for t, w in ((parts.loss_ce, weights.ce_scale), (parts.loss_d, weights.w_d),
+                                 (parts.loss_reg, weights.w_reg)) if t is not None]
+    out = terms[0][0].data * terms[0][1]
+    for t, w in terms[1:]:
+        out = out + t.data * w
+    return T.apply(np.asarray(out), [t for t, _ in terms], lambda g: [g * w for _, w in terms])

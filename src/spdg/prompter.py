@@ -3,13 +3,16 @@
 The basic prompter emits a point in token-embedding space; the Gaussian
 prompter emits a diagonal Gaussian (mu, sigma) and draws reparameterized
 Monte Carlo samples from it. Only these parameters ever receive gradients.
+
+Each forward is one tape node with a hand-written backward: the two ELU
+layers and the head(s) of a prompter, and the row repeat plus
+reparameterization of a batch of samples.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +27,6 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 # softplus(x) = 0.1 at this raw value, so sigma starts near 0.1
 _SIGMA_RAW_INIT = math.log(math.expm1(0.1))
-
-
-@dataclass
-class StyleDistribution:
-    """Diagonal Gaussian over token-embedding space for one image."""
-
-    mu: Tensor
-    sigma: Tensor
 
 
 class BasicPrompter:
@@ -131,75 +126,102 @@ def gaussian_parameter_count(d_i: int, d_t: int) -> int:
     return d_i * h + h + h * h + h + 2 * (h * d_t + d_t)
 
 
-def _as_batch(z) -> tuple[Tensor, bool]:
+def _as_rows(z) -> tuple[Tensor, np.ndarray]:
+    """The input as a Tensor and its values as (B, d_i) rows."""
     t = z if isinstance(z, Tensor) else Tensor(z)
-    if t.data.ndim == 1:
-        return T.reshape(t, (1, t.data.shape[0])), True
-    if t.data.ndim == 2:
-        return t, False
-    raise ShapeError(f"expected image features of rank 1 or 2, got shape {t.shape}")
+    if t.data.ndim not in (1, 2):
+        raise ShapeError(f"expected image features of rank 1 or 2, got shape {t.shape}")
+    return t, t.data.reshape(-1, t.data.shape[-1])
 
 
-def _trunk(p, z: Tensor) -> Tensor:
-    h1 = T.elu(T.linear_forward(z, p.w1, p.b1))
-    return T.elu(T.linear_forward(h1, p.w2, p.b2))
+def _trunk(p, zt: Tensor, x: np.ndarray):
+    """Linear -> ELU -> Linear -> ELU over rows x, and the trunk's VJP.
+
+    The VJP maps the gradient of the trunk output to the gradients of
+    (z, w1, b1, w2, b2), z's only when it requires one.
+    """
+    if x.shape[1] != p.w1.data.shape[0]:
+        raise ShapeError(f"prompter expects {p.w1.data.shape[0]}-wide features, got {zt.shape}")
+    w1, w2 = p.w1.data, p.w2.data
+    h1, slope1 = T.elu_and_slope(x @ w1 + p.b1.data)
+    h2, slope2 = T.elu_and_slope(h1 @ w2 + p.b2.data)
+
+    def vjp(g_h2):
+        g_a2 = g_h2 * slope2
+        g_a1 = (g_a2 @ w2.T) * slope1
+        g_z = (g_a1 @ w1.T).reshape(zt.shape) if zt.requires_grad else None
+        return g_z, x.T @ g_a1, g_a1.sum(axis=0), h1.T @ g_a2, g_a2.sum(axis=0)
+
+    return h2, vjp
 
 
 def basic_forward(p: BasicPrompter, z) -> Tensor:
-    """Style embeddings for a batch of image features, (B, d_i) -> (B, d_t)."""
-    zb, squeeze = _as_batch(z)
-    out = T.linear_forward(_trunk(p, zb), p.w3, p.b3)
-    return T.reshape(out, (p.d_t,)) if squeeze else out
+    """Style embeddings for a batch of image features, (B, d_i) -> (B, d_t).
+
+    A 1D input gives a 1D output. One tape node.
+    """
+    zt, x = _as_rows(z)
+    h, trunk_vjp = _trunk(p, zt, x)
+    w3 = p.w3.data
+    out = h @ w3 + p.b3.data
+
+    def bwd(g):
+        g = g.reshape(out.shape)
+        return (*trunk_vjp(g @ w3.T), h.T @ g, g.sum(axis=0))
+
+    return T.apply(out.reshape(zt.shape[:-1] + (p.d_t,)),
+                   (zt, p.w1, p.b1, p.w2, p.b2, p.w3, p.b3), bwd)
 
 
 def gaussian_forward(p: GaussianPrompter, z) -> tuple[Tensor, Tensor]:
-    """Per-row (mu, sigma) in token-embedding space; sigma strictly positive."""
-    zb, squeeze = _as_batch(z)
-    h = _trunk(p, zb)
-    mu = T.linear_forward(h, p.w_mu, p.b_mu)
-    sigma = T.add(T.softplus(T.linear_forward(h, p.w_sigma, p.b_sigma)),
-                  T.constant(p.sigma_floor))
-    if squeeze:
-        return T.reshape(mu, (p.d_t,)), T.reshape(sigma, (p.d_t,))
-    return mu, sigma
+    """Per-row (mu, sigma) in token-embedding space; sigma strictly positive.
 
+    sigma = softplus(raw) + sigma_floor. A 1D input gives 1D outputs. One tape
+    node with two outputs.
+    """
+    zt, x = _as_rows(z)
+    h, trunk_vjp = _trunk(p, zt, x)
+    w_mu, w_sigma = p.w_mu.data, p.w_sigma.data
+    mu = h @ w_mu + p.b_mu.data
+    raw = h @ w_sigma + p.b_sigma.data
+    sigma = np.logaddexp(0.0, raw) + p.sigma_floor
 
-def gaussian_distribution(p: GaussianPrompter, z) -> StyleDistribution:
-    mu, sigma = gaussian_forward(p, z)
-    if mu.data.ndim != 1:
-        raise ShapeError("gaussian_distribution expects a single feature vector")
-    return StyleDistribution(mu=mu, sigma=sigma)
+    def bwd(g):
+        g_mu, g_sigma = (part.reshape(mu.shape) for part in g)
+        g_raw = g_sigma * T.sigmoid(raw)
+        return (*trunk_vjp(g_raw @ w_sigma.T + g_mu @ w_mu.T),
+                h.T @ g_mu, g_mu.sum(axis=0), h.T @ g_raw, g_raw.sum(axis=0))
 
-
-def reparameterize(mu: Tensor, sigma: Tensor, eps: Tensor) -> Tensor:
-    """s = mu + sigma * eps with eps held constant; grads flow to mu and sigma."""
-    return T.add(T.mul(eps, sigma), mu)
-
-
-def sample_styles(dist: StyleDistribution, n: int, rng: np.random.Generator) -> Tensor:
-    """Reparameterized draws s = mu + sigma * eps, (n, d_t); grads flow to mu, sigma."""
-    if n < 1:
-        raise ConfigError(f"sample count must be >= 1, got {n}")
-    d = dist.mu.data.shape[0]
-    eps = Tensor(rng.standard_normal((n, d)))
-    return reparameterize(dist.mu, dist.sigma, eps)
+    shape = zt.shape[:-1] + (p.d_t,)
+    return T.apply((mu.reshape(shape), sigma.reshape(shape)),
+                   (zt, p.w1, p.b1, p.w2, p.b2, p.w_mu, p.b_mu, p.w_sigma, p.b_sigma), bwd)
 
 
 def sample_styles_batch(mu: Tensor, sigma: Tensor, n: int,
                         rng: np.random.Generator, eps: Tensor | None = None) -> Tensor:
-    """Row-major samples for a whole batch: (B, d_t) -> (B*n, d_t).
+    """Row-major reparameterized samples s = mu + sigma * eps, (B, d_t) -> (B*n, d_t).
 
-    Rows i*n..(i+1)*n-1 belong to batch element i. A fixed eps may be passed
-    for deterministic re-evaluation of the same draw.
+    Rows i*n..(i+1)*n-1 belong to batch element i; eps is one
+    rng.standard_normal((B*n, d_t)) draw, or a fixed eps may be passed for
+    deterministic re-evaluation of the same draw. Gradients flow to mu and
+    sigma through one tape node.
     """
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
+    if mu.data.ndim != 2 or sigma.data.shape != mu.data.shape:
+        raise ShapeError(f"mu and sigma must be matching (B, d) arrays, got {mu.shape}, {sigma.shape}")
     b, d = mu.data.shape
-    if eps is None:
-        eps = Tensor(rng.standard_normal((b * n, d)))
-    elif eps.data.shape != (b * n, d):
+    eps = rng.standard_normal((b * n, d)) if eps is None else eps.data
+    if eps.shape != (b * n, d):
         raise ShapeError(f"eps must have shape {(b * n, d)}, got {eps.shape}")
-    return reparameterize(T.repeat_rows(mu, n), T.repeat_rows(sigma, n), eps)
+    eps3 = eps.reshape(b, n, d)
+    out = eps3 * sigma.data[:, None, :] + mu.data[:, None, :]
+
+    def bwd(g):
+        g3 = g.reshape(b, n, d)
+        return g3.sum(axis=1), (g3 * eps3).sum(axis=1)
+
+    return T.apply(out.reshape(b * n, d), (mu, sigma), bwd)
 
 
 def style_for_prompt(p, z) -> Tensor:

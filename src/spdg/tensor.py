@@ -4,7 +4,9 @@ float64 is the working precision everywhere; float32 exists as a storage
 option and is excluded from tolerance-critical paths. A Tape records primitive
 operations in creation order (already topological), and `Tape.backward` walks
 that list in reverse, accumulating vector-Jacobian products into the
-requires_grad leaves. A single backward pass per scalar loss is the only
+requires_grad leaves. A node may have several outputs (a fused primitive that
+yields, say, mu and sigma together), in which case its backward receives one
+gradient per output. A single backward pass per scalar loss is the only
 supported mode; there are no higher-order derivatives.
 
 Evaluation is single-threaded and row-major, so results are bit-reproducible
@@ -32,7 +34,7 @@ class Tensor:
     """A dense array plus an optional gradient slot.
 
     Values are immutable by convention once produced; training code mutates
-    parameter data only through the optimizer, between tapes.
+    parameter data only through the optimizer, in place and between tapes.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -122,7 +124,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self._nodes: list[tuple[Tensor | tuple[Tensor, ...], tuple[Tensor, ...], object]] = []
         self._produced: set[int] = set()
         self._prev = None
 
@@ -138,9 +140,10 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn):
+    def record(self, out, inputs: tuple[Tensor, ...], backward_fn):
         self._nodes.append((out, inputs, backward_fn))
-        self._produced.add(id(out))
+        for t in out if type(out) is tuple else (out,):
+            self._produced.add(id(t))
 
     def backward(self, loss: Tensor, leaves: "list[Tensor] | None" = None):
         """Populate .grad on every requires_grad leaf reachable from `loss`.
@@ -158,10 +161,17 @@ class Tape:
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         holders: dict[int, Tensor] = {id(loss): loss}
         for out, inputs, backward_fn in reversed(self._nodes):
-            g_out = grads.pop(id(out), None)
-            holders.pop(id(out), None)
-            if g_out is None:
-                continue
+            if type(out) is tuple:
+                parts = [grads.pop(id(t), None) for t in out]
+                if all(g is None for g in parts):
+                    continue
+                # an output the loss does not reach contributes a zero gradient
+                g_out = tuple(np.zeros_like(t.data) if g is None else g
+                              for t, g in zip(out, parts))
+            else:
+                g_out = grads.pop(id(out), None)
+                if g_out is None:
+                    continue
             for t, g in zip(inputs, backward_fn(g_out)):
                 if g is None or not t.requires_grad:
                     continue
@@ -189,21 +199,21 @@ class Tape:
                     p.grad = np.zeros_like(p.data)
 
 
-def backward(loss: Tensor, tape: Tape, leaves: "list[Tensor] | None" = None):
-    """Run reverse-mode accumulation for `loss` over `tape`."""
-    tape.backward(loss, leaves)
-
-
 def apply(out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     """Wrap a primitive's forward result, recording it on the active tape.
 
     `backward_fn(g)` must return one gradient array (or None) per input.
-    Other modules use this hook to define fused primitives.
+    A tuple of arrays makes one node with a Tensor per array; `g` is then a
+    tuple holding one gradient per output. Other modules use this hook to
+    define fused primitives.
     """
     tape = _active_tape()
     inputs = tuple(inputs)
     track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=track)
+    if type(out_data) is tuple:
+        out = tuple(Tensor(d, requires_grad=track) for d in out_data)
+    else:
+        out = Tensor(out_data, requires_grad=track)
     if track:
         tape.record(out, inputs, backward_fn)
     return out
@@ -274,81 +284,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return apply(out, (a, b), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2D tensor, got shape {a.shape}")
-    return apply(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     return apply(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
-
-
-def concat_rows(tensors) -> Tensor:
-    tensors = list(tensors)
-    if not tensors or any(t.data.ndim != 2 for t in tensors):
-        raise ShapeError("concat_rows needs a non-empty list of 2D tensors")
-    out = np.concatenate([t.data for t in tensors], axis=0)
-    counts = [t.data.shape[0] for t in tensors]
-
-    def bwd(g):
-        parts, start = [], 0
-        for n in counts:
-            parts.append(g[start:start + n])
-            start += n
-        return tuple(parts)
-
-    return apply(out, tensors, bwd)
-
-
-def stack_rows(tensors) -> Tensor:
-    tensors = list(tensors)
-    if not tensors or any(t.data.ndim != 1 for t in tensors):
-        raise ShapeError("stack_rows needs a non-empty list of 1D tensors")
-    out = np.stack([t.data for t in tensors], axis=0)
-
-    def bwd(g):
-        return tuple(g[i] for i in range(len(tensors)))
-
-    return apply(out, tensors, bwd)
-
-
-def get_row(a: Tensor, i: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"get_row needs a 2D tensor, got shape {a.shape}")
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[i] = g
-        return (full,)
-
-    return apply(a.data[i].copy(), (a,), bwd)
-
-
-def take_rows(a: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_rows needs a 2D tensor, got shape {a.shape}")
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return apply(a.data[idx].copy(), (a,), bwd)
-
-
-def repeat_rows(a: Tensor, n: int) -> Tensor:
-    """Repeat each row of a 2D tensor n consecutive times."""
-    if a.data.ndim != 2 or n < 1:
-        raise ShapeError(f"repeat_rows needs a 2D tensor and n >= 1, got {a.shape}, n={n}")
-    out = np.repeat(a.data, n, axis=0)
-
-    def bwd(g):
-        return (g.reshape(a.data.shape[0], n, -1).sum(axis=1),)
-
-    return apply(out, (a,), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -364,36 +302,8 @@ def mean_all(a: Tensor) -> Tensor:
     )
 
 
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    if a.data.ndim != 2 or axis not in (0, 1):
-        raise ShapeError(f"sum_axis supports 2D tensors over axis 0/1, got {a.shape}, axis={axis}")
-    out = a.data.sum(axis=axis)
-
-    def bwd(g):
-        if axis == 0:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        return (np.broadcast_to(g[:, None], a.data.shape).copy(),)
-
-    return apply(out, (a,), bwd)
-
-
-def mean_axis(a: Tensor, axis: int) -> Tensor:
-    n = a.data.shape[axis]
-    return mul(sum_axis(a, axis), constant(1.0 / n))
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return apply(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise DegenerateVectorError("log needs strictly positive input")
-    return apply(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated without overflow for large |x|."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -402,138 +312,34 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def elu(a: Tensor) -> Tensor:
-    """Exponential linear unit with alpha fixed at 1."""
-    x = a.data
-    out = np.where(x > 0, x, np.expm1(x))
-    slope = np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
-    return apply(out, (a,), lambda g: (g * slope,))
+def elu_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exponential linear unit with alpha fixed at 1, and its derivative."""
+    return np.where(x > 0, x, np.expm1(x)), np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def softplus(a: Tensor) -> Tensor:
-    out = np.logaddexp(0.0, a.data)
-    return apply(out, (a,), lambda g: (g * _sigmoid(a.data),))
-
-
-def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map out[i, j] = sum_k x[i, k] * w[k, j] + b[j]."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise ShapeError(
-            f"linear_forward needs x 2D, w 2D, b 1D; got x{x.shape}, w{w.shape}, b{b.shape}"
-        )
-    if x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"linear_forward shapes disagree: x{x.shape} @ w{w.shape} + b{b.shape}"
-        )
-    out = x.data @ w.data + b.data
-
-    def bwd(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
-
-    return apply(out, (x, w, b), bwd)
-
-
-def l2_normalize(a: Tensor) -> Tensor:
-    """Scale each last-axis slice to unit Euclidean norm.
+def unit_rows(v: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each last-axis slice of v scaled to unit norm, and the norms (keepdims).
 
     Norms at or below EPS_NORM, and NaN or infinite norms, are treated as
     degenerate and raise instead of being clamped; silent clamping would hide
-    a collapsed style embedding.
+    a collapsed style embedding or a dead feature.
     """
-    norms = np.linalg.norm(a.data, axis=-1, keepdims=True)
+    # np.linalg.norm's own arithmetic, without its per-call dispatch
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     if not np.all(np.isfinite(norms) & (norms > EPS_NORM)):
-        raise DegenerateVectorError(
-            f"l2_normalize saw a vector with norm <= {EPS_NORM} or a non-finite norm"
-        )
-    out = a.data / norms
+        raise DegenerateVectorError(f"{what} has a norm <= {EPS_NORM} or a non-finite norm")
+    return v / norms, norms
+
+
+def l2_normalize(a: Tensor) -> Tensor:
+    """Scale each last-axis slice to unit Euclidean norm; see unit_rows."""
+    out, norms = unit_rows(a.data, "l2_normalize input")
 
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
         return ((g - out * dot) / norms,)
 
     return apply(out, (a,), bwd)
-
-
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine of the angle between two 1D vectors, in [-1, 1]."""
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeError(f"cosine_similarity needs matching 1D vectors, got {a.shape}, {b.shape}")
-    na = np.linalg.norm(a.data)
-    nb = np.linalg.norm(b.data)
-    if na <= EPS_NORM or nb <= EPS_NORM:
-        raise DegenerateVectorError("cosine_similarity saw a near-zero vector")
-    c = float(a.data @ b.data / (na * nb))
-
-    def bwd(g):
-        ga = g * (b.data / (na * nb) - c * a.data / (na * na))
-        gb = g * (a.data / (na * nb) - c * b.data / (nb * nb))
-        return ga, gb
-
-    return apply(np.asarray(c), (a, b), bwd)
-
-
-def log_sum_exp(a: Tensor) -> Tensor:
-    """log(sum(exp(x))) over a 1D vector, stabilized by max subtraction."""
-    if a.data.ndim != 1 or a.data.size == 0:
-        raise ShapeError(f"log_sum_exp needs a non-empty 1D vector, got shape {a.shape}")
-    m = a.data.max()
-    e = np.exp(a.data - m)
-    s = e.sum()
-    out = np.asarray(m + np.log(s))
-
-    def bwd(g):
-        return (g * e / s,)
-
-    return apply(out, (a,), bwd)
-
-
-def masked_log_sum_exp_rows(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Row-wise log-sum-exp restricted to entries where `mask` is True.
-
-    `mask` is a constant boolean array of the same shape; every row must
-    select at least one entry.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if a.data.ndim != 2 or mask.shape != a.data.shape:
-        raise ShapeError(f"masked_log_sum_exp_rows needs matching 2D shapes, got {a.shape}, {mask.shape}")
-    if not mask.any(axis=1).all():
-        raise ShapeError("masked_log_sum_exp_rows saw a row with an empty mask")
-    # masked-out entries become -inf before exp, so they give exactly 0 and never overflow
-    masked = np.where(mask, a.data, -np.inf)
-    m = masked.max(axis=1, keepdims=True)
-    e = np.exp(masked - m)
-    s = e.sum(axis=1)
-    out = m[:, 0] + np.log(s)
-
-    def bwd(g):
-        return (g[:, None] * e / s[:, None],)
-
-    return apply(out, (a,), bwd)
-
-
-def rowwise_dot_grouped(feats: Tensor, anchors: np.ndarray, group: int) -> Tensor:
-    """Dot each row block of `feats` against its owning anchor row.
-
-    feats has shape (B*group, D) laid out block-by-block; anchors is a
-    constant (B, D) array. Returns (B, group) with
-    out[i, c] = feats[i*group + c] . anchors[i].
-    """
-    anchors = np.asarray(anchors, dtype=feats.data.dtype)
-    if feats.data.ndim != 2 or anchors.ndim != 2 or feats.data.shape[1] != anchors.shape[1]:
-        raise ShapeError(f"rowwise_dot_grouped shapes disagree: {feats.shape} vs {anchors.shape}")
-    b = anchors.shape[0]
-    if feats.data.shape[0] != b * group:
-        raise ShapeError(
-            f"rowwise_dot_grouped expected {b * group} rows, got {feats.data.shape[0]}"
-        )
-    blocks = feats.data.reshape(b, group, -1)
-    out = np.einsum("bgd,bd->bg", blocks, anchors)
-
-    def bwd(g):
-        gf = np.einsum("bg,bd->bgd", g, anchors)
-        return (gf.reshape(feats.data.shape),)
-
-    return apply(out, (feats,), bwd)
 
 
 def finite_diff_grad_check(f, x: Tensor, h: float = 1e-5) -> float:

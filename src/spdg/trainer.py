@@ -54,7 +54,7 @@ class RunConfig:
     seed: int = 0
     dims: EncoderDims = field(default_factory=EncoderDims)
     dataset: str = ""
-    held_out_domain: str | None = None
+    held_out_domain: str | int | None = None
     out_dir: str | None = None
     logit_scale: float = 100.0
     val_ratio: float = 0.9
@@ -78,12 +78,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        """Build from a to_dict()-shaped mapping; an unknown key is a ConfigError."""
+        """Build from a to_dict()-shaped mapping; an unknown key or a value of
+        the wrong JSON type is a ConfigError."""
         if not isinstance(raw, dict):
             raise ConfigError(f"a run config must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
         for key, kind in (("weights", LossWeights), ("dims", EncoderDims)):
-            if isinstance(raw.get(key), dict):
+            if key in raw:
+                if not isinstance(raw[key], dict):
+                    raise ConfigError(f"run config key {key} must be an object, "
+                                      f"got {type(raw[key]).__name__}")
                 raw[key] = _from_fields(kind, raw[key], f"{key}.")
         return _from_fields(cls, raw, "")
 
@@ -91,21 +95,59 @@ class RunConfig:
         return sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:12]
 
 
+# the values each field annotation admits; bool is an int to isinstance, so it
+# is accepted only where listed
+_VALUE_TYPES = {
+    "int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+    "str | int | None": (str, int, type(None)), "str | None": (str, type(None)),
+    "list": (list,), "LossWeights": (LossWeights,), "EncoderDims": (EncoderDims,),
+}
+
+
 def _from_fields(kind, raw: dict, prefix: str):
-    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
+    types = {f.name: f.type for f in fields(kind)}
+    unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ConfigError(f"unknown run config keys: {[prefix + k for k in unknown]}")
+    for key, value in raw.items():
+        allowed = _VALUE_TYPES[types[key]]
+        if (not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed)
+                or (isinstance(value, list) and not all(isinstance(v, str) for v in value))):
+            raise ConfigError(f"run config key {prefix}{key} must be {types[key]}, "
+                              f"got {type(value).__name__} {value!r}")
     return kind(**raw)
 
 
 @dataclass
 class OptimizerState:
+    """Momentum state over one flat f64 buffer that holds every parameter.
+
+    `for_params` copies the parameters into `flat` and rebinds each one's
+    .data to a reshaped view of it, so a step is a few whole-buffer array
+    operations; `velocities` are the matching views of `velocity`.
+    """
+
+    flat: np.ndarray
+    velocity: np.ndarray
+    grad: np.ndarray
+    views: list[np.ndarray]
     velocities: list[np.ndarray]
     step: int = 0
 
     @classmethod
     def for_params(cls, params) -> "OptimizerState":
-        return cls(velocities=[np.zeros_like(p.data) for p in params])
+        bounds = np.cumsum([0] + [p.data.size for p in params]).tolist()
+        flat = np.empty(bounds[-1])
+        velocity = np.zeros_like(flat)
+        views, velocities = [], []
+        for p, start, stop in zip(params, bounds, bounds[1:]):
+            view = flat[start:stop].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            views.append(view)
+            velocities.append(velocity[start:stop].reshape(view.shape))
+        return cls(flat=flat, velocity=velocity, grad=np.empty_like(flat), views=views,
+                   velocities=velocities)
 
 
 def sgd_momentum_step(params, grads, state: OptimizerState, lr: float,
@@ -113,21 +155,25 @@ def sgd_momentum_step(params, grads, state: OptimizerState, lr: float,
     """p -= lr * v with v = momentum * v + (g + weight_decay * p).
 
     Decay is coupled: it joins the gradient before the velocity update and so
-    is carried by momentum. Applied to every parameter, biases included.
+    is carried by momentum. Applied to every parameter, biases included, in
+    place over the state's flat buffer.
     """
-    if len(params) != len(grads) or len(params) != len(state.velocities):
+    if len(params) != len(grads) or len(params) != len(state.views):
         raise ConfigError("params, grads and velocities must align")
-    for p, g, v in zip(params, grads, state.velocities):
-        if g.shape != p.data.shape:
-            raise ConfigError(f"grad shape {g.shape} does not match param shape {p.data.shape}")
-        if not np.isfinite(g).all():
-            raise TrainingDiverged(f"non-finite gradient at step {state.step}")
-        g_eff = g + weight_decay * p.data
-        v *= momentum
-        v += g_eff
-        p.data = p.data - lr * v
-        if not np.isfinite(p.data).all():
-            raise TrainingDiverged(f"non-finite parameter after step {state.step}")
+    for p, g, view in zip(params, grads, state.views):
+        if p.data is not view:
+            raise ConfigError("a parameter was rebound away from the optimizer's buffer")
+        if g.shape != view.shape:
+            raise ConfigError(f"grad shape {g.shape} does not match param shape {view.shape}")
+    flat_grad = np.concatenate([g.reshape(-1) for g in grads], out=state.grad)
+    if not np.isfinite(flat_grad).all():
+        raise TrainingDiverged(f"non-finite gradient at step {state.step}")
+    g_eff = flat_grad + weight_decay * state.flat
+    state.velocity *= momentum
+    state.velocity += g_eff
+    state.flat -= lr * state.velocity
+    if not np.isfinite(state.flat).all():
+        raise TrainingDiverged(f"non-finite parameter after step {state.step}")
     state.step += 1
 
 

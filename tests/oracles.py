@@ -4,6 +4,13 @@ The general text encoder here keeps its whole (m, L, d_t) forward cache and
 its hand-derived VJP, so any prompt, style slot included, can be encoded
 differentiably and row by row; the production code only differentiates the
 style-slot row (`spdg.encoders.encode_text_batch`).
+
+The second part composes the training step from tape primitives, node by
+node: the prompters, the sample reparameterization, the classification head
+with its regularizer, the weighted loss sum and the per-tensor optimizer;
+production fuses each into one node. The last part holds the composable
+primitives that only the oracles and tests build with, and their
+finite-difference cases.
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ import numpy as np
 
 from spdg import tensor as T
 from spdg.encoders import PSEUDO_TOKEN, FrozenEncoderBundle, MAX_TEXT_LEN, project_image
-from spdg.errors import DegenerateVectorError, ShapeError, TokenizeError
+from spdg.encoders import encode_text_batch as production_encode_text_batch
+from spdg.errors import ConfigError, DegenerateVectorError, ShapeError, TokenizeError
+from spdg.losses import LossParts, LossWeights, RegAnchorTable
 from spdg.tensor import Tensor
 
 
@@ -61,7 +70,7 @@ def embed_tokens(bundle: FrozenEncoderBundle, ids: list[int],
     rest = Tensor(bundle.weights["tok_emb"][np.asarray(ids[1:], dtype=np.int64)])
     if len(ids) == 1:
         return T.reshape(style, (1, bundle.dims.d_t))
-    return T.concat_rows([T.reshape(style, (1, bundle.dims.d_t)), rest])
+    return concat_rows([T.reshape(style, (1, bundle.dims.d_t)), rest])
 
 
 def _text_forward(bundle: FrozenEncoderBundle, emb: np.ndarray):
@@ -156,3 +165,323 @@ def similarity_logits(bundle: FrozenEncoderBundle, z: np.ndarray, text_feats: Te
     unit = Tensor(zp / norm)
     feats_n = T.l2_normalize(feats)
     return T.mul(T.matmul(feats_n, unit), T.constant(bundle.logit_scale))
+
+
+# ---------------------------------------------------------------------------
+# the training step, composed from tape primitives
+
+
+def masked_log_sum_exp_rows(a: Tensor, mask: np.ndarray) -> Tensor:
+    """Row-wise log-sum-exp restricted to entries where `mask` is True.
+
+    `mask` is a constant boolean array of the same shape; every row must
+    select at least one entry.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if a.data.ndim != 2 or mask.shape != a.data.shape:
+        raise ShapeError(f"masked_log_sum_exp_rows needs matching 2D shapes, got {a.shape}, {mask.shape}")
+    if not mask.any(axis=1).all():
+        raise ShapeError("masked_log_sum_exp_rows saw a row with an empty mask")
+    # masked-out entries become -inf before exp, so they give exactly 0 and never overflow
+    masked = np.where(mask, a.data, -np.inf)
+    m = masked.max(axis=1, keepdims=True)
+    e = np.exp(masked - m)
+    s = e.sum(axis=1)
+    out = m[:, 0] + np.log(s)
+
+    def bwd(g):
+        return (g[:, None] * e / s[:, None],)
+
+    return T.apply(out, (a,), bwd)
+
+
+def cross_entropy_from_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean of -log softmax(logits)[label], stabilized through log-sum-exp."""
+    b, n_classes = logits.data.shape
+    onehot = np.zeros((b, n_classes))
+    onehot[np.arange(b), labels] = 1.0
+    lse = masked_log_sum_exp_rows(logits, np.ones((b, n_classes), dtype=bool))
+    picked = sum_axis(T.mul(logits, T.constant(onehot)), axis=1)
+    return T.mean_all(T.sub(lse, picked))
+
+
+def style_regularization_loss(text_feats: Tensor, class_labels, table: RegAnchorTable) -> Tensor:
+    """Mean of (1 - cosine) between each prompted text feature and its class anchor."""
+    labels = np.asarray(class_labels, dtype=np.int64)
+    b = text_feats.data.shape[0]
+    if text_feats.data.ndim != 2 or labels.shape != (b,):
+        raise ShapeError(f"expected (B, d_f) features with B labels, got {text_feats.shape}")
+    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= len(table.classes):
+        raise ConfigError(f"class label outside anchor table of size {len(table.classes)}")
+    unit = T.l2_normalize(text_feats)
+    cos = rowwise_dot_grouped(unit, table.anchors[labels], group=1)
+    return T.add(T.neg(T.mean_all(cos)), T.constant(1.0))
+
+
+def composed_head(feats: Tensor, unit_z: np.ndarray, labels, scale: float,
+                  table: RegAnchorTable | None = None):
+    """classification_head from primitives: normalize, grouped dots, CE, and
+    the regularizer over a take_rows gather of each image's own-class row."""
+    labels = np.asarray(labels, dtype=np.int64)
+    b = unit_z.shape[0]
+    n_classes = feats.data.shape[0] // b
+    dots = rowwise_dot_grouped(T.l2_normalize(feats), unit_z, group=n_classes)
+    loss_ce = cross_entropy_from_logits(T.mul(dots, T.constant(scale)), labels)
+    if table is None:
+        return loss_ce, None
+    own = take_rows(feats, np.arange(b) * n_classes + labels)
+    return loss_ce, style_regularization_loss(own, labels, table)
+
+
+def composed_prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch, styles: Tensor,
+                                 labels, classes, table: RegAnchorTable | None = None):
+    """prompted_ce_and_reg with the head composed from primitives."""
+    zp = project_image(bundle, np.asarray(z_batch, dtype=np.float64))
+    unit_z = zp / np.linalg.norm(zp, axis=1, keepdims=True)
+    feats = production_encode_text_batch(bundle, styles, classes)
+    return composed_head(feats, unit_z, labels, bundle.logit_scale, table)
+
+
+def _as_batch(z) -> tuple[Tensor, bool]:
+    t = z if isinstance(z, Tensor) else Tensor(z)
+    if t.data.ndim == 1:
+        return T.reshape(t, (1, t.data.shape[0])), True
+    return t, False
+
+
+def _trunk(p, z: Tensor) -> Tensor:
+    h1 = elu(linear_forward(z, p.w1, p.b1))
+    return elu(linear_forward(h1, p.w2, p.b2))
+
+
+def composed_basic_forward(p, z) -> Tensor:
+    zb, squeeze = _as_batch(z)
+    out = linear_forward(_trunk(p, zb), p.w3, p.b3)
+    return T.reshape(out, (p.d_t,)) if squeeze else out
+
+
+def composed_gaussian_forward(p, z) -> tuple[Tensor, Tensor]:
+    zb, squeeze = _as_batch(z)
+    h = _trunk(p, zb)
+    mu = linear_forward(h, p.w_mu, p.b_mu)
+    sigma = T.add(softplus(linear_forward(h, p.w_sigma, p.b_sigma)),
+                  T.constant(p.sigma_floor))
+    if squeeze:
+        return T.reshape(mu, (p.d_t,)), T.reshape(sigma, (p.d_t,))
+    return mu, sigma
+
+
+def composed_sample_styles_batch(mu: Tensor, sigma: Tensor, n: int, eps: np.ndarray) -> Tensor:
+    """s = eps * repeat(sigma) + repeat(mu), three primitive nodes."""
+    return T.add(T.mul(Tensor(eps), repeat_rows(sigma, n)), repeat_rows(mu, n))
+
+
+def composed_total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
+    total = T.mul(parts.loss_ce, T.constant(weights.ce_scale))
+    if parts.loss_d is not None:
+        total = T.add(total, T.mul(parts.loss_d, T.constant(weights.w_d)))
+    if parts.loss_reg is not None:
+        total = T.add(total, T.mul(parts.loss_reg, T.constant(weights.w_reg)))
+    return total
+
+
+def per_tensor_sgd_step(params, grads, velocities, lr, momentum, weight_decay) -> None:
+    """The optimizer one parameter tensor at a time, rebinding each .data."""
+    for p, g, v in zip(params, grads, velocities):
+        g_eff = g + weight_decay * p.data
+        v *= momentum
+        v += g_eff
+        p.data = p.data - lr * v
+
+
+# ---------------------------------------------------------------------------
+# composable tape primitives that only the oracles and the tests build with
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose needs a 2D tensor, got shape {a.shape}")
+    return T.apply(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
+def concat_rows(tensors) -> Tensor:
+    tensors = list(tensors)
+    if not tensors or any(t.data.ndim != 2 for t in tensors):
+        raise ShapeError("concat_rows needs a non-empty list of 2D tensors")
+    out = np.concatenate([t.data for t in tensors], axis=0)
+    counts = [t.data.shape[0] for t in tensors]
+
+    def bwd(g):
+        parts, start = [], 0
+        for n in counts:
+            parts.append(g[start:start + n])
+            start += n
+        return tuple(parts)
+
+    return T.apply(out, tensors, bwd)
+
+
+def get_row(a: Tensor, i: int) -> Tensor:
+    if a.data.ndim != 2:
+        raise ShapeError(f"get_row needs a 2D tensor, got shape {a.shape}")
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[i] = g
+        return (full,)
+
+    return T.apply(a.data[i].copy(), (a,), bwd)
+
+
+def take_rows(a: Tensor, indices) -> Tensor:
+    idx = np.asarray(indices, dtype=np.int64)
+    if a.data.ndim != 2:
+        raise ShapeError(f"take_rows needs a 2D tensor, got shape {a.shape}")
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        return (full,)
+
+    return T.apply(a.data[idx].copy(), (a,), bwd)
+
+
+def repeat_rows(a: Tensor, n: int) -> Tensor:
+    """Repeat each row of a 2D tensor n consecutive times."""
+    if a.data.ndim != 2 or n < 1:
+        raise ShapeError(f"repeat_rows needs a 2D tensor and n >= 1, got {a.shape}, n={n}")
+    out = np.repeat(a.data, n, axis=0)
+
+    def bwd(g):
+        return (g.reshape(a.data.shape[0], n, -1).sum(axis=1),)
+
+    return T.apply(out, (a,), bwd)
+
+
+def sum_axis(a: Tensor, axis: int) -> Tensor:
+    if a.data.ndim != 2 or axis not in (0, 1):
+        raise ShapeError(f"sum_axis supports 2D tensors over axis 0/1, got {a.shape}, axis={axis}")
+    out = a.data.sum(axis=axis)
+
+    def bwd(g):
+        if axis == 0:
+            return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g[:, None], a.data.shape).copy(),)
+
+    return T.apply(out, (a,), bwd)
+
+
+def elu(a: Tensor) -> Tensor:
+    out, slope = T.elu_and_slope(a.data)
+    return T.apply(out, (a,), lambda g: (g * slope,))
+
+
+def softplus(a: Tensor) -> Tensor:
+    out = np.logaddexp(0.0, a.data)
+    return T.apply(out, (a,), lambda g: (g * T.sigmoid(a.data),))
+
+
+def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map out[i, j] = sum_k x[i, k] * w[k, j] + b[j]."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeError(
+            f"linear_forward needs x 2D, w 2D, b 1D; got x{x.shape}, w{w.shape}, b{b.shape}"
+        )
+    if x.data.shape[1] != w.data.shape[0] or w.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(
+            f"linear_forward shapes disagree: x{x.shape} @ w{w.shape} + b{b.shape}"
+        )
+    out = x.data @ w.data + b.data
+
+    def bwd(g):
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+
+    return T.apply(out, (x, w, b), bwd)
+
+
+def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
+    """Cosine of the angle between two 1D vectors, in [-1, 1]."""
+    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
+        raise ShapeError(f"cosine_similarity needs matching 1D vectors, got {a.shape}, {b.shape}")
+    na = np.linalg.norm(a.data)
+    nb = np.linalg.norm(b.data)
+    if na <= T.EPS_NORM or nb <= T.EPS_NORM:
+        raise DegenerateVectorError("cosine_similarity saw a near-zero vector")
+    c = float(a.data @ b.data / (na * nb))
+
+    def bwd(g):
+        ga = g * (b.data / (na * nb) - c * a.data / (na * na))
+        gb = g * (a.data / (na * nb) - c * b.data / (nb * nb))
+        return ga, gb
+
+    return T.apply(np.asarray(c), (a, b), bwd)
+
+
+def log_sum_exp(a: Tensor) -> Tensor:
+    """log(sum(exp(x))) over a 1D vector, stabilized by max subtraction."""
+    if a.data.ndim != 1 or a.data.size == 0:
+        raise ShapeError(f"log_sum_exp needs a non-empty 1D vector, got shape {a.shape}")
+    m = a.data.max()
+    e = np.exp(a.data - m)
+    s = e.sum()
+    out = np.asarray(m + np.log(s))
+
+    def bwd(g):
+        return (g * e / s,)
+
+    return T.apply(out, (a,), bwd)
+
+
+def rowwise_dot_grouped(feats: Tensor, anchors: np.ndarray, group: int) -> Tensor:
+    """Dot each row block of `feats` against its owning anchor row.
+
+    feats has shape (B*group, D) laid out block-by-block; anchors is a
+    constant (B, D) array. Returns (B, group) with
+    out[i, c] = feats[i*group + c] . anchors[i].
+    """
+    anchors = np.asarray(anchors, dtype=feats.data.dtype)
+    if feats.data.ndim != 2 or anchors.ndim != 2 or feats.data.shape[1] != anchors.shape[1]:
+        raise ShapeError(f"rowwise_dot_grouped shapes disagree: {feats.shape} vs {anchors.shape}")
+    b = anchors.shape[0]
+    if feats.data.shape[0] != b * group:
+        raise ShapeError(
+            f"rowwise_dot_grouped expected {b * group} rows, got {feats.data.shape[0]}"
+        )
+    blocks = feats.data.reshape(b, group, -1)
+    out = np.einsum("bgd,bd->bg", blocks, anchors)
+
+    def bwd(g):
+        gf = np.einsum("bg,bd->bgd", g, anchors)
+        return (gf.reshape(feats.data.shape),)
+
+    return T.apply(out, (feats,), bwd)
+
+
+def primitive_cases():
+    """(name, input shape, builder) per primitive above, in the form of
+    `spdg.gradcheck._primitive_cases`, for `run_primitive_checks`."""
+    return [
+    ("transpose", (3, 4), lambda rng: (lambda x, w=rng.normal(size=(4, 3)): T.sum_all(T.mul(transpose(x), Tensor(w))))),
+    ("concat_rows", (2, 3), lambda rng: (lambda x, c=rng.normal(size=(2, 3)), w=rng.normal(size=(4, 3)):
+                                         T.sum_all(T.mul(concat_rows([x, Tensor(c)]), Tensor(w))))),
+    ("get_row", (4, 3), lambda rng: (lambda x, w=rng.normal(size=3): T.sum_all(T.mul(get_row(x, 2), Tensor(w))))),
+    ("take_rows", (4, 3), lambda rng: (lambda x, w=rng.normal(size=(3, 3)):
+                                       T.sum_all(T.mul(take_rows(x, [0, 2, 0]), Tensor(w))))),
+    ("repeat_rows", (3, 2), lambda rng: (lambda x, w=rng.normal(size=(6, 2)):
+                                         T.sum_all(T.mul(repeat_rows(x, 2), Tensor(w))))),
+    ("sum_axis0", (3, 4), lambda rng: (lambda x, w=rng.normal(size=4): T.sum_all(T.mul(sum_axis(x, 0), Tensor(w))))),
+    ("sum_axis1", (3, 4), lambda rng: (lambda x, w=rng.normal(size=3): T.sum_all(T.mul(sum_axis(x, 1), Tensor(w))))),
+    ("elu", (3, 4), lambda rng: (lambda x: T.sum_all(elu(x)))),
+    ("softplus", (3, 4), lambda rng: (lambda x: T.sum_all(softplus(x)))),
+    ("linear_forward_x", (3, 4), lambda rng: (lambda x, w=rng.normal(size=(4, 2)), b=rng.normal(size=2):
+                                              T.sum_all(linear_forward(x, Tensor(w), Tensor(b))))),
+    ("linear_forward_w", (4, 2), lambda rng: (lambda x, a=rng.normal(size=(3, 4)), b=rng.normal(size=2):
+                                              T.sum_all(linear_forward(Tensor(a), x, Tensor(b))))),
+    ("linear_forward_b", (2,), lambda rng: (lambda x, a=rng.normal(size=(3, 4)), w=rng.normal(size=(4, 2)):
+                                            T.sum_all(linear_forward(Tensor(a), Tensor(w), x)))),
+    ("cosine_similarity", (5,), lambda rng: (lambda x, c=rng.normal(size=5) + 2.0:
+                                             cosine_similarity(T.add(x, T.constant(3.0)), Tensor(c)))),
+    ("log_sum_exp", (6,), lambda rng: (lambda x: log_sum_exp(x))),
+    ("rowwise_dot_grouped", (6, 3), lambda rng: (lambda x, a=rng.normal(size=(2, 3)), w=rng.normal(size=(2, 3)):
+                                                 T.sum_all(T.mul(rowwise_dot_grouped(x, a, group=3), Tensor(w))))),
+    ]

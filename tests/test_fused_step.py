@@ -1,0 +1,240 @@
+"""Each fused training-step node against its primitive-by-primitive oracle,
+the tape size of a whole step, and the flat-buffer optimizer."""
+
+import numpy as np
+import pytest
+
+import spdg.trainer
+from oracles import (
+    composed_basic_forward,
+    composed_gaussian_forward,
+    composed_prompted_ce_and_reg,
+    composed_sample_styles_batch,
+    composed_total_loss,
+    per_tensor_sgd_step,
+)
+from spdg import tensor as T
+from spdg.encoders import EncoderDims, build_bundle, default_vocab, encode_image
+from spdg.errors import ConfigError, TrainingDiverged
+from spdg.losses import LossParts, LossWeights, build_reg_anchors, prompted_ce_and_reg, total_loss
+from spdg.prompter import (
+    basic_forward,
+    gaussian_forward,
+    init_basic_prompter,
+    init_gaussian_prompter,
+    sample_styles_batch,
+)
+from spdg.tensor import Tape, Tensor
+from spdg.trainer import OptimizerState, RunConfig, sgd_momentum_step, train_style_prompter
+
+# the benchmark's wide class list: 1- to 3-word names, interleaved lengths
+WIDE_CLASSES = ["dog", "elephant", "guitar", "horse", "apple", "bicycle", "camera", "castle",
+                "lighthouse", "penguin", "umbrella", "zebra",
+                "hot air balloon", "ice cream", "sea turtle", "alarm clock"]
+
+
+def taped(fn, arrays, probes):
+    """Outputs, input gradients and tape length of sum_k <fn(*inputs)[k], probes[k]>."""
+    leaves = [Tensor(np.array(a, copy=True), requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        outs = [o for o in fn(*leaves) if o is not None]
+        loss = T.sum_all(T.mul(outs[0], Tensor(probes[0])))
+        for out, w in zip(outs[1:], probes[1:]):
+            loss = T.add(loss, T.sum_all(T.mul(out, Tensor(w))))
+    n_nodes = len(tape)
+    tape.backward(loss, leaves)
+    return [o.data for o in outs], [t.grad for t in leaves], n_nodes
+
+
+def assert_close(got, want, tol):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= tol * max(1.0, np.abs(w).max())
+
+
+@pytest.fixture(scope="module")
+def wide_bundle():
+    return build_bundle(EncoderDims(), default_vocab(WIDE_CLASSES), seed=0)
+
+
+class TestClassificationHead:
+    @pytest.mark.parametrize("b, n_classes, with_reg", [
+        (3, 4, True), (3, 4, False), (1, 4, True), (1, 16, False), (5, 1, True), (12, 16, True),
+    ])
+    def test_matches_composed_oracle(self, wide_bundle, b, n_classes, with_reg):
+        rng = np.random.default_rng([b, n_classes, with_reg])
+        classes = WIDE_CLASSES[-n_classes:] if n_classes > 1 else ["ice cream"]
+        z = encode_image(wide_bundle, rng.normal(size=(b, wide_bundle.dims.d_x)))
+        styles = rng.normal(size=(b, wide_bundle.dims.d_t))
+        labels = rng.integers(0, n_classes, size=b)
+        table = build_reg_anchors(wide_bundle, classes) if with_reg else None
+        probes = [np.asarray(0.7), np.asarray(-1.3)]
+
+        def fused(s):
+            return prompted_ce_and_reg(wide_bundle, z, s, labels, classes, table)
+
+        def composed(s):
+            return composed_prompted_ce_and_reg(wide_bundle, z, s, labels, classes, table)
+
+        got, got_grad, _ = taped(fused, [styles], probes)
+        want, want_grad, _ = taped(composed, [styles], probes)
+        assert len(got) == len(want) == (2 if with_reg else 1)
+        # the fused backward sums the CE and regularizer terms in another order
+        assert_close(got, want, 1e-15)
+        assert_close(got_grad, want_grad, 1e-14)
+
+    def test_single_class_has_zero_loss_and_gradient(self, wide_bundle, rng):
+        z = encode_image(wide_bundle, rng.normal(size=(2, wide_bundle.dims.d_x)))
+        (ce,), (grad,), _ = taped(lambda s: prompted_ce_and_reg(wide_bundle, z, s, [0, 0], ["dog"]),
+                                  [rng.normal(size=(2, wide_bundle.dims.d_t))], [np.asarray(1.0)])
+        assert ce == 0.0
+        assert not grad.any()
+
+    def test_one_node_over_the_text_features(self, wide_bundle, rng):
+        z = encode_image(wide_bundle, rng.normal(size=(12, wide_bundle.dims.d_x)))
+        table = build_reg_anchors(wide_bundle, WIDE_CLASSES)
+        styles = Tensor(rng.normal(size=(12, wide_bundle.dims.d_t)), requires_grad=True)
+        with Tape() as tape:
+            prompted_ce_and_reg(wide_bundle, z, styles, rng.integers(0, 16, size=12),
+                                WIDE_CLASSES, table)
+        assert len(tape) == 2   # the text encoder and the head
+
+
+class TestFusedPrompters:
+    D_I, D_T = 16, 8
+
+    @pytest.mark.parametrize("z_shape", [(5, 16), (16,)], ids=["batch", "one-vector"])
+    def test_basic_matches_composed_oracle(self, z_shape, rng):
+        p = init_basic_prompter(self.D_I, self.D_T, seed=3)
+        names = [n for n, _ in p.parameters()]
+        arrays = [rng.normal(size=z_shape)] + [t.data for _, t in p.parameters()]
+        probes = [rng.normal(size=z_shape[:-1] + (self.D_T,))]
+
+        def run(forward):
+            def fn(z, *params):
+                return [forward(type(p)(**dict(zip(names, params))), z)]
+            return fn
+
+        got, got_grad, n_nodes = taped(run(basic_forward), arrays, probes)
+        want, want_grad, _ = taped(run(composed_basic_forward), arrays, probes)
+        assert n_nodes == 3   # the prompter node, then the probe's mul and sum
+        assert_close(got, want, 0.0)   # the same array operations in the same order
+        assert_close(got_grad, want_grad, 0.0)
+
+    @pytest.mark.parametrize("z_shape", [(5, 16), (16,)], ids=["batch", "one-vector"])
+    def test_gaussian_matches_composed_oracle(self, z_shape, rng):
+        p = init_gaussian_prompter(self.D_I, self.D_T, seed=3)
+        p.w_sigma.data = rng.normal(size=p.w_sigma.shape)   # sigma away from its init plateau
+        names = [n for n, _ in p.parameters()]
+        arrays = [rng.normal(size=z_shape)] + [t.data for _, t in p.parameters()]
+        probes = [rng.normal(size=z_shape[:-1] + (self.D_T,)) for _ in range(2)]
+
+        def run(forward):
+            def fn(z, *params):
+                return forward(type(p)(**dict(zip(names, params)), sigma_floor=p.sigma_floor), z)
+            return fn
+
+        got, got_grad, _ = taped(run(gaussian_forward), arrays, probes)
+        want, want_grad, _ = taped(run(composed_gaussian_forward), arrays, probes)
+        assert_close(got, want, 0.0)
+        assert_close(got_grad, want_grad, 0.0)
+
+    def test_gaussian_mu_alone_gets_gradients(self, rng):
+        p = init_gaussian_prompter(self.D_I, self.D_T, seed=3)
+        params = [t for _, t in p.parameters()]
+        with Tape() as tape:
+            mu, _ = gaussian_forward(p, Tensor(rng.normal(size=(3, self.D_I))))
+            loss = T.sum_all(mu)
+        tape.backward(loss, params)
+        assert not p.w_sigma.grad.any() and not p.b_sigma.grad.any()
+        assert p.w_mu.grad.any() and p.w1.grad.any()
+
+    def test_sample_styles_batch_matches_composed_oracle(self, rng):
+        mu, sigma = rng.normal(size=(4, self.D_T)), np.abs(rng.normal(size=(4, self.D_T)))
+        eps = np.random.default_rng(8).standard_normal((4 * 5, self.D_T))
+        probes = [rng.normal(size=(20, self.D_T))]
+        got, got_grad, n_nodes = taped(
+            lambda m, s: [sample_styles_batch(m, s, 5, np.random.default_rng(8))],
+            [mu, sigma], probes)
+        want, want_grad, _ = taped(lambda m, s: [composed_sample_styles_batch(m, s, 5, eps)],
+                                   [mu, sigma], probes)
+        assert n_nodes == 3
+        assert np.array_equal(got[0], want[0])   # same draw order, same arithmetic
+        assert_close(got_grad, want_grad, 0.0)
+
+    def test_total_loss_matches_composed_oracle(self, rng):
+        weights = LossWeights(w_d=0.3, w_reg=2.5, ce_scale=1.5)
+        values = [np.asarray(v) for v in rng.normal(size=3)]
+        for present in ([0], [0, 1], [0, 2], [0, 1, 2]):
+            def run(fn):
+                def parts(*ts):
+                    slots = [None, None, None]
+                    for k, t in zip(present, ts):
+                        slots[k] = t
+                    return [fn(LossParts(*slots), weights)]
+                return parts
+            arrays = [values[k] for k in present]
+            got, got_grad, n_nodes = taped(run(total_loss), arrays, [np.asarray(1.0)])
+            want, want_grad, _ = taped(run(composed_total_loss), arrays, [np.asarray(1.0)])
+            assert n_nodes == 3
+            assert np.array_equal(got[0], want[0])
+            assert all(np.array_equal(g, w) for g, w in zip(got_grad, want_grad))
+
+
+class TestStepTapeSize:
+    @pytest.mark.parametrize("kind, limit", [("basic", 8), ("gaussian", 12)])
+    def test_nodes_per_step(self, small_dataset, monkeypatch, kind, limit):
+        counts = []
+
+        class CountingTape(Tape):
+            def backward(self, loss, leaves=None):
+                counts.append(len(self))
+                return super().backward(loss, leaves)
+
+        monkeypatch.setattr(spdg.trainer, "Tape", CountingTape)
+        cfg = RunConfig(seed=0, prompter_kind=kind, held_out_domain="sketch", epochs=1,
+                        batch_size=8, mc_samples=2)
+        train_style_prompter(cfg, dataset=small_dataset)
+        assert counts and max(counts) <= limit   # 27 (basic) and 34 (gaussian) when composed
+
+
+class TestFlatBufferOptimizer:
+    SHAPES = [(6, 3), (3,), (3, 3), (3,), (3, 2), (2,)]
+
+    def test_bit_identical_to_per_tensor_update(self, rng):
+        init = [rng.normal(size=s) for s in self.SHAPES]
+        flat_params = [Tensor(a.copy(), requires_grad=True) for a in init]
+        ref_params = [Tensor(a.copy(), requires_grad=True) for a in init]
+        state = OptimizerState.for_params(flat_params)
+        ref_velocities = [np.zeros(s) for s in self.SHAPES]
+        for step, lr in enumerate([1e-5, 0.002, 0.0015, 0.001, 3e-4, 0.0]):
+            grads = [rng.normal(size=s) * 10.0 ** (step - 2) for s in self.SHAPES]
+            sgd_momentum_step(flat_params, grads, state, lr, 0.9, 5e-4)
+            per_tensor_sgd_step(ref_params, grads, ref_velocities, lr, 0.9, 5e-4)
+            for p, q, v, w in zip(flat_params, ref_params, state.velocities, ref_velocities):
+                assert np.array_equal(p.data, q.data) and np.array_equal(v, w)
+        assert state.step == 6
+        for p, view in zip(flat_params, state.views):
+            assert p.data is view and np.shares_memory(view, state.flat)
+
+    def test_non_finite_parameter_aborts(self):
+        p = Tensor(np.array([1e308]), requires_grad=True)
+        state = OptimizerState.for_params([p])
+        with pytest.raises(TrainingDiverged, match="non-finite parameter after step 0"):
+            with np.errstate(over="ignore"):
+                sgd_momentum_step([p], [np.array([1e308])], state, -1e10, 0.9, 0.0)
+
+    def test_non_finite_gradient_leaves_every_parameter_unchanged(self):
+        params = [Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)]
+        state = OptimizerState.for_params(params)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient at step 0"):
+            sgd_momentum_step(params, [np.ones(2), np.array([1.0, np.inf, 1.0])], state,
+                              0.1, 0.9, 0.0)
+        assert all((p.data == 1.0).all() for p in params)
+
+    def test_rebound_parameter_rejected(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        state = OptimizerState.for_params([p])
+        p.data = np.zeros(2)
+        with pytest.raises(ConfigError, match="rebound"):
+            sgd_momentum_step([p], [np.ones(2)], state, 0.1, 0.9, 0.0)

@@ -7,7 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdg import tensor as T
-from oracles import embed_tokens, encode_text, encode_text_batch, fill_style_slot_batch, similarity_logits
+from oracles import (
+    concat_rows,
+    cross_entropy_from_logits,
+    embed_tokens,
+    encode_text,
+    encode_text_batch,
+    fill_style_slot_batch,
+    get_row,
+    masked_log_sum_exp_rows,
+    similarity_logits,
+    style_regularization_loss,
+    transpose,
+)
 from spdg.encoders import (
     EncoderDims,
     build_bundle,
@@ -16,16 +28,14 @@ from spdg.encoders import (
     style_prompt_text,
     tokenize,
 )
-from spdg.errors import BatchCompositionError, ConfigError, NormalizationError
+from spdg.errors import BatchCompositionError, ConfigError, DegenerateVectorError, NormalizationError
 from spdg.losses import (
     LossParts,
     LossWeights,
     build_reg_anchors,
-    cross_entropy_from_logits,
     domain_discrimination_loss,
     prompt_text_features,
     prompted_ce_and_reg,
-    style_regularization_loss,
     total_loss,
 )
 from spdg.tensor import Tape, Tensor
@@ -56,9 +66,9 @@ def masked_lse_domain_loss(samples: Tensor, domains, tau: float) -> Tensor:
     n = samples.data.shape[0]
     same = dom[:, None] == dom[None, :]
     not_self = ~np.eye(n, dtype=bool)
-    sims = T.mul(T.matmul(samples, T.transpose(samples)), T.constant(1.0 / tau))
-    log_den = T.masked_log_sum_exp_rows(sims, not_self)
-    log_num = T.masked_log_sum_exp_rows(sims, same & not_self)
+    sims = T.mul(T.matmul(samples, transpose(samples)), T.constant(1.0 / tau))
+    log_den = masked_log_sum_exp_rows(sims, not_self)
+    log_num = masked_log_sum_exp_rows(sims, same & not_self)
     return T.mean_all(T.sub(log_den, log_num))
 
 
@@ -351,6 +361,14 @@ class TestClassificationLoss:
         with pytest.raises(ConfigError):
             prompted_ce_and_reg(bundle, z, styles, [0, 9], CLASSES)
 
+    @pytest.mark.parametrize("bad", ["zero", "nan"])
+    def test_degenerate_image_feature_raises(self, bundle, rng, bad):
+        z = encode_image(bundle, rng.normal(size=(3, bundle.dims.d_x)))
+        z[1] = 0.0 if bad == "zero" else np.nan   # the projection is bias-free
+        styles = Tensor(rng.normal(size=(3, bundle.dims.d_t)))
+        with pytest.raises(DegenerateVectorError, match="projected image feature"):
+            prompted_ce_and_reg(bundle, z, styles, [0, 1, 2], CLASSES)
+
     def test_end_to_end_matches_manual(self, bundle, rng):
         """The CE loss equals a from-scratch softmax over per-prompt encodes."""
         z = encode_image(bundle, rng.normal(size=(2, bundle.dims.d_x)))
@@ -467,7 +485,7 @@ def per_row_prompt_features(bundle, styles: Tensor, classes) -> Tensor:
         feats = encode_text_batch(bundle, fill_style_slot_batch(styles, base, owner))
         for k, (i, c) in enumerate(pairs):
             rows[i * n_classes + c] = (feats, k)
-    return T.concat_rows([T.reshape(T.get_row(feats, pos), (1, bundle.dims.d_f))
+    return concat_rows([T.reshape(get_row(feats, pos), (1, bundle.dims.d_f))
                           for feats, pos in rows])
 
 

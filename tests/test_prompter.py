@@ -6,16 +6,14 @@ from spdg.errors import ConfigError
 from spdg.prompter import (
     SIGMA_FLOOR,
     BasicPrompter,
-    StyleDistribution,
     basic_forward,
     basic_parameter_count,
-    gaussian_distribution,
     gaussian_forward,
     gaussian_parameter_count,
     init_basic_prompter,
     init_gaussian_prompter,
     load_checkpoint,
-    sample_styles,
+    sample_styles_batch,
     save_checkpoint,
     style_for_prompt,
 )
@@ -103,42 +101,45 @@ class TestGaussianForward:
             gaussian_parameter_count(D_I, D_T)
 
 
+def sample_one(mu: Tensor, sigma: Tensor, n: int, rng) -> Tensor:
+    """n draws for a single (mu, sigma) pair: a one-row sample_styles_batch."""
+    return sample_styles_batch(T.reshape(mu, (1, D_T)), T.reshape(sigma, (1, D_T)), n, rng)
+
+
 class TestSampleStyles:
     def _dist(self, rng):
-        return StyleDistribution(mu=Tensor(rng.normal(size=D_T)),
-                                 sigma=Tensor(np.abs(rng.normal(size=D_T)) + 0.05))
+        return Tensor(rng.normal(size=D_T)), Tensor(np.abs(rng.normal(size=D_T)) + 0.05)
 
     def test_zero_eps_returns_mu(self, rng):
         class ZeroRng:
             def standard_normal(self, shape):
                 return np.zeros(shape)
 
-        dist = self._dist(rng)
-        out = sample_styles(dist, 5, ZeroRng())
-        assert np.allclose(out.data, dist.mu.data[None, :], atol=1e-15)
+        mu, sigma = self._dist(rng)
+        out = sample_one(mu, sigma, 5, ZeroRng())
+        assert np.allclose(out.data, mu.data[None, :], atol=1e-15)
 
     def test_sigma_floor_collapse(self, rng):
-        dist = StyleDistribution(mu=Tensor(rng.normal(size=D_T)),
-                                 sigma=Tensor(np.full(D_T, SIGMA_FLOOR)))
-        out = sample_styles(dist, 50, np.random.default_rng(0))
-        assert np.abs(out.data - dist.mu.data).max() < 1e-4
+        mu = Tensor(rng.normal(size=D_T))
+        out = sample_one(mu, Tensor(np.full(D_T, SIGMA_FLOOR)), 50, np.random.default_rng(0))
+        assert np.abs(out.data - mu.data).max() < 1e-4
 
     def test_law_of_large_numbers(self, rng):
-        dist = self._dist(rng)
+        mu, sigma = self._dist(rng)
         n = 100_000
-        out = sample_styles(dist, n, np.random.default_rng(42)).data
-        mu, sigma = dist.mu.data, dist.sigma.data
+        out = sample_one(mu, sigma, n, np.random.default_rng(42)).data
+        mu, sigma = mu.data, sigma.data
         assert (np.abs(out.mean(axis=0) - mu) <= 4 * sigma / np.sqrt(n)).all()
         assert (np.abs(out.std(axis=0) - sigma) <= 0.05 * sigma).all()
 
     def test_zero_count_rejected(self, rng):
         with pytest.raises(ConfigError):
-            sample_styles(self._dist(rng), 0, np.random.default_rng(0))
+            sample_one(*self._dist(rng), 0, np.random.default_rng(0))
 
     def test_fixed_seed_bit_reproducible(self, rng):
-        dist = self._dist(rng)
-        a = sample_styles(dist, 16, np.random.default_rng(9)).data
-        b = sample_styles(dist, 16, np.random.default_rng(9)).data
+        mu, sigma = self._dist(rng)
+        a = sample_one(mu, sigma, 16, np.random.default_rng(9)).data
+        b = sample_one(mu, sigma, 16, np.random.default_rng(9)).data
         assert np.array_equal(a, b)
 
     def test_gradient_flows_through_mu_and_sigma(self, rng):
@@ -150,12 +151,11 @@ class TestSampleStyles:
                 return eps
 
         def f_mu(x):
-            dist = StyleDistribution(mu=x, sigma=Tensor(np.full(D_T, 0.3)))
-            return T.sum_all(T.mul(sample_styles(dist, 6, FixedRng()), Tensor(probe)))
+            out = sample_one(x, Tensor(np.full(D_T, 0.3)), 6, FixedRng())
+            return T.sum_all(T.mul(out, Tensor(probe)))
 
         def f_sigma(x):
-            dist = StyleDistribution(mu=Tensor(np.zeros(D_T)), sigma=x)
-            return T.sum_all(T.mul(sample_styles(dist, 6, FixedRng()), Tensor(probe)))
+            return T.sum_all(T.mul(sample_one(Tensor(np.zeros(D_T)), x, 6, FixedRng()), Tensor(probe)))
 
         assert finite_diff_grad_check(f_mu, Tensor(rng.normal(size=D_T))) < 1e-7
         assert finite_diff_grad_check(f_sigma, Tensor(np.abs(rng.normal(size=D_T)) + 0.5)) < 1e-7
@@ -188,7 +188,7 @@ class TestCheckpointIO:
         for (name, a), (_, b) in zip(p.parameters(), loaded.parameters()):
             assert np.array_equal(a.data, b.data), name
 
-    def test_gaussian_distribution_requires_vector(self, gaussian, rng):
-        dist = gaussian_distribution(gaussian, Tensor(rng.normal(size=D_I)))
-        assert dist.mu.data.shape == (D_T,)
-        assert (dist.sigma.data > 0).all()
+    def test_gaussian_forward_single_vector(self, gaussian, rng):
+        mu, sigma = gaussian_forward(gaussian, Tensor(rng.normal(size=D_I)))
+        assert mu.data.shape == sigma.data.shape == (D_T,)
+        assert (sigma.data > 0).all()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -184,6 +185,18 @@ class TestRunConfig:
         assert cfg.weight_decay == 5e-4
         assert cfg.weights.w_d == 0.1
 
+    def test_every_field_type_is_checked(self):
+        from spdg.trainer import _VALUE_TYPES
+        from spdg.encoders import EncoderDims
+        for kind in (RunConfig, LossWeights, EncoderDims):
+            for f in fields(kind):
+                assert f.type in _VALUE_TYPES, (kind.__name__, f.name)
+
+    def test_numbers_and_ids_accepted(self):
+        cfg = RunConfig.from_dict({"lr_max": 1, "held_out_domain": 2, "extra_classes": ["kite"],
+                                   "weights": {"w_d": 0}, "dims": {"d_f": 32}})
+        assert cfg.lr_max == 1 and cfg.held_out_domain == 2 and cfg.dims.d_f == 32
+
     def test_invalid_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(epochs=0)
@@ -241,6 +254,22 @@ class TestTrainStylePrompter:
         with pytest.raises(TrainingDiverged):
             train_style_prompter(cfg, dataset=small_dataset)
         assert list((tmp_path / "boom").glob("diagnostics_step_*.json"))
+
+    def test_degenerate_image_projection_diverges(self, small_dataset, tmp_path, monkeypatch):
+        import spdg.trainer
+        from spdg.encoders import FrozenEncoderBundle, build_bundle
+
+        def dead_projection(dims, vocab, seed, logit_scale):
+            b = build_bundle(dims, vocab, seed, logit_scale)
+            return FrozenEncoderBundle(b.dims, b.vocab, b.seed, b.logit_scale,
+                                       {**b.weights, "proj_w": np.zeros_like(b.weights["proj_w"])})
+
+        monkeypatch.setattr(spdg.trainer, "build_bundle", dead_projection)
+        cfg = RunConfig(seed=0, held_out_domain="sketch", epochs=1, batch_size=8, mc_samples=2,
+                        out_dir=str(tmp_path / "run"))
+        with pytest.raises(TrainingDiverged, match="step 0.*projected image feature"):
+            train_style_prompter(cfg, dataset=small_dataset)
+        assert (tmp_path / "run" / "diagnostics_step_0.json").exists()
 
     def test_batch_size_contract(self, small_dataset):
         cfg = RunConfig(seed=0, held_out_domain=None, batch_size=4)
