@@ -9,7 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,19 +33,16 @@ from .prompter import load_checkpoint
 from .trainer import RunConfig, train_style_prompter
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out-dir", type=str, default=None)
-    parser.add_argument("--precision", choices=["f64", "f32"], default="f64")
-    parser.add_argument("--threads", type=int, default=1)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spdg", description="Style-prompted domain generalization harness")
     sub = parser.add_subparsers(dest="command", required=True)
+    # only the flags a command reads, and no prefix matching (--seed is no --seeds)
+    command = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic multi-domain dataset")
-    _common_flags(p)
+    p = command("gen-data", help="generate a synthetic multi-domain dataset")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out-dir", type=str, default=None)
+    p.add_argument("--precision", choices=["f64", "f32"], default="f64", help="storage dtype")
     p.add_argument("--n-per-cell", type=int, default=60)
     p.add_argument("--dx", type=int, default=32)
     p.add_argument("--style-strength", type=float, default=0.8)
@@ -52,52 +50,54 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=str, default=None, help="comma-separated class names")
     p.add_argument("--domains", type=str, default=None, help="comma-separated domain names")
 
-    p = sub.add_parser("train", help="train a style prompter")
-    _common_flags(p)
+    p = command("train", help="train a style prompter")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out-dir", type=str, default=None)
     p.add_argument("--config", type=str, default=None, help="RunConfig JSON path")
     p.add_argument("--dataset", type=str, default=None)
-    p.add_argument("--held-out", type=str, default=None)
-    p.add_argument("--prompter", choices=["basic", "gaussian"], default=None)
+    p.add_argument("--held-out", dest="held_out_domain", type=str, default=None)
+    p.add_argument("--prompter", dest="prompter_kind", choices=["basic", "gaussian"], default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--mc-samples", type=int, default=None)
-    p.add_argument("--no-style-reg", action="store_true")
-    p.add_argument("--select-best", action="store_true")
+    p.add_argument("--no-style-reg", dest="use_style_reg", action="store_const", const=False)
+    p.add_argument("--select-best", action="store_const", const=True)
 
-    p = sub.add_parser("eval-lodo", help="leave-one-domain-out evaluation matrix")
-    _common_flags(p)
+    p = command("eval-lodo", help="leave-one-domain-out evaluation matrix")
+    p.add_argument("--out-dir", type=str, default=None)
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument("--matrix", type=str, default=None, help="JSON: dataset, methods, seeds, config")
     p.add_argument("--dataset", type=str, default=None)
     p.add_argument("--methods", type=str, default="baseline_C,gsp_sr")
     p.add_argument("--seeds", type=str, default="0")
 
-    p = sub.add_parser("eval-crosscat", help="disjoint-category, disjoint-domain evaluation")
-    _common_flags(p)
+    p = command("eval-crosscat", help="disjoint-category, disjoint-domain evaluation")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out-dir", type=str, default=None)
     p.add_argument("--train-config", type=str, required=True)
     p.add_argument("--test-data", type=str, required=True)
 
-    p = sub.add_parser("infer", help="classify one sample from a dataset")
-    _common_flags(p)
+    p = command("infer", help="classify one sample from a dataset")
     p.add_argument("--checkpoint", type=str, required=True)
     p.add_argument("--bundle", type=str, required=True)
     p.add_argument("--dataset", type=str, required=True)
     p.add_argument("--index", type=int, required=True)
 
-    p = sub.add_parser("similarity-report", help="image vs domain-style text similarities")
-    _common_flags(p)
+    p = command("similarity-report", help="image vs domain-style text similarities")
+    p.add_argument("--out-dir", type=str, default=None)
     p.add_argument("--checkpoint", type=str, required=True)
     p.add_argument("--bundle", type=str, required=True)
     p.add_argument("--dataset", type=str, required=True)
     p.add_argument("--domain", type=str, default=None, help="restrict to one domain's samples")
 
-    p = sub.add_parser("grad-check", help="run the gradient verification suite")
-    _common_flags(p)
+    p = command("grad-check", help="run the gradient verification suite")
     p.add_argument("--primitive-inputs", type=int, default=20)
     p.add_argument("--primitive-tol", type=float, default=1e-6)
     p.add_argument("--objective-tol", type=float, default=1e-4)
 
-    p = sub.add_parser("ablation", help="emit the four-row component table")
-    _common_flags(p)
+    p = command("ablation", help="emit the four-row component table")
+    p.add_argument("--out-dir", type=str, default=None)
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument("--dataset", type=str, required=True)
     p.add_argument("--seeds", type=str, default="0")
 
@@ -140,33 +140,10 @@ def _read_json_object(path, what: str) -> dict:
 
 
 def _load_run_config(args) -> RunConfig:
-    if args.config:
-        cfg = RunConfig.from_dict(_read_json_object(args.config, "config"))
-    else:
-        cfg = RunConfig()
-    updates = {}
-    if args.dataset is not None:
-        updates["dataset"] = args.dataset
-    if args.held_out is not None:
-        updates["held_out_domain"] = args.held_out
-    if args.prompter is not None:
-        updates["prompter_kind"] = args.prompter
-    if args.epochs is not None:
-        updates["epochs"] = args.epochs
-    if args.batch_size is not None:
-        updates["batch_size"] = args.batch_size
-    if args.mc_samples is not None:
-        updates["mc_samples"] = args.mc_samples
-    if args.no_style_reg:
-        updates["use_style_reg"] = False
-    if args.select_best:
-        updates["select_best"] = True
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out_dir is not None:
-        updates["out_dir"] = args.out_dir
-    updates["precision"] = args.precision
-    return replace(cfg, **updates)
+    cfg = RunConfig.from_dict(_read_json_object(args.config, "config")) if args.config else RunConfig()
+    # every train flag but --config is named after the RunConfig field it overrides
+    names = {f.name for f in fields(RunConfig)}
+    return replace(cfg, **{k: v for k, v in vars(args).items() if k in names and v is not None})
 
 
 def _cmd_train(args) -> int:
@@ -184,22 +161,36 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _parse_seeds(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from exc
+
+
+def _matrix_list(matrix: dict, key: str, kind: type, default: list) -> list:
+    value = matrix.get(key, default)
+    if isinstance(value, list) and all(type(v) is kind for v in value):  # a bool is no int here
+        return value
+    raise ConfigError(f"matrix {key} must be a list of {kind.__name__}, got {value!r}")
+
+
 def _cmd_eval_lodo(args) -> int:
     out = _need_out_dir(args)
     if args.matrix:
         matrix = _read_json_object(args.matrix, "matrix")
-        if "dataset" not in matrix:
-            raise ConfigError(f"matrix {args.matrix} has no dataset")
+        if not isinstance(matrix.get("dataset"), str):
+            raise ConfigError(f"matrix {args.matrix} needs a dataset path")
         dataset = matrix["dataset"]
-        methods = matrix.get("methods", ["baseline_C", "gsp_sr"])
-        seeds = matrix.get("seeds", [0])
+        methods = _matrix_list(matrix, "methods", str, ["baseline_C", "gsp_sr"])
+        seeds = _matrix_list(matrix, "seeds", int, [0])
         base = RunConfig.from_dict(matrix.get("config", {}))
     else:
         if not args.dataset:
             raise ConfigError("eval-lodo needs --matrix or --dataset")
         dataset = args.dataset
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        seeds = _parse_seeds(args.seeds)
         base = RunConfig()
     report = evaluate_leave_one_out(dataset, methods, seeds, base=base, threads=args.threads)
     write_report_json(report.to_dict(), out / "lodo_report.json")
@@ -285,8 +276,7 @@ def _cmd_grad_check(args) -> int:
 
 def _cmd_ablation(args) -> int:
     out = _need_out_dir(args)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    table = run_ablation(args.dataset, seeds, threads=args.threads)
+    table = run_ablation(args.dataset, _parse_seeds(args.seeds), threads=args.threads)
     write_report_json(table, out / "ablation.json")
     with open(out / "ablation.csv", "w") as fh:
         fh.write("row,method,average_accuracy,config_hash\n")

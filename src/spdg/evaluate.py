@@ -8,9 +8,12 @@ is a sum over samples, so parallel and serial fold execution agree exactly.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,22 +64,10 @@ class EvalReport:
     failures: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "domains": self.domains,
-            "methods": {
-                name: {
-                    "per_domain": m.per_domain,
-                    "per_domain_std": m.per_domain_std,
-                    "average": m.average,
-                    "runs": m.runs,
-                    "config_hash": m.config_hash,
-                }
-                for name, m in self.methods.items()
-            },
-            "metadata": self.metadata,
-            "partial": self.partial,
-            "failures": self.failures,
-        }
+        d = asdict(self)
+        for m in d["methods"].values():
+            del m["name"]  # already the key
+        return d
 
 
 def method_config(base: RunConfig, method: str, seed: int,
@@ -106,43 +97,67 @@ def _evaluate_fold(dataset, base: RunConfig, method: str, seed: int,
     return accuracy(preds, y_test)
 
 
-def _lodo_task(args):
-    dataset_path, base_dict, method, seed, held_out = args
-    dataset = datagen.load(dataset_path)
-    base = RunConfig.from_dict(base_dict)
+def _fold_outcome(dataset, base: RunConfig, task):
+    """(held_out, seed, method, accuracy, error) of one fold."""
+    held_out, seed, method = task
     try:
-        acc = _evaluate_fold(dataset, base, method, seed, held_out)
-        return held_out, seed, method, acc, None
+        return (*task, _evaluate_fold(dataset, base, method, seed, held_out), None)
     except SpdgError as exc:  # a typed fold failure is reported; anything else aborts
-        return held_out, seed, method, None, f"{type(exc).__name__}: {exc}"
+        return (*task, None, f"{type(exc).__name__}: {exc}")
+
+
+_worker_fold = None  # a pool worker's _fold_outcome, bound once by _init_worker
+
+
+def _init_worker(dataset, base: RunConfig) -> None:
+    """Set up a pool worker: bind the run's dataset and config once, and pin the
+    loaded OpenBLAS to one thread. The workers already fill the cores; BLAS threads
+    of their own spin against each other's (2 workers on 2 cores ran a fixture
+    matrix 2.4x slower than one process did)."""
+    global _worker_fold
+    _worker_fold = partial(_fold_outcome, dataset, base)
+    with open("/proc/self/maps") as fh:  # Linux only, as os.sched_getaffinity is
+        libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    for lib in map(ctypes.CDLL, libs):
+        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+def _run_worker_fold(task):
+    return _worker_fold(task)
 
 
 def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None = None,
                            dataset=None, threads: int = 1) -> EvalReport:
-    """Rotate the held-out domain; per fold and seed, score each method."""
+    """Rotate the held-out domain; per fold and seed, score each method. Folds run
+    in-process or on min(threads, usable CPUs, folds) workers, with one report."""
     if dataset is None:
         dataset = datagen.load(dataset_path)
     base = base if base is not None else RunConfig()
+    if not methods:
+        raise ConfigError("need at least one method")
     for m in methods:
         if m not in BASELINE_METHODS and m not in TRAINED_METHODS:
             raise ConfigError(f"unknown method {m!r}")
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
 
-    tasks = [(str(dataset_path), base.to_dict(), method, seed, held_out)
+    tasks = [(held_out, seed, method)
              for held_out in dataset.domains for seed in seeds for method in methods]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_lodo_task, tasks))
+    workers = min(threads, len(os.sched_getaffinity(0)), len(tasks))
+    if workers == 1:
+        outcomes = list(map(partial(_fold_outcome, dataset, base), tasks))
     else:
-        outcomes = []
-        for _, _, method, seed, held_out in tasks:
-            try:
-                acc = _evaluate_fold(dataset, base, method, seed, held_out)
-                outcomes.append((held_out, seed, method, acc, None))
-            except SpdgError as exc:
-                outcomes.append((held_out, seed, method, None, f"{type(exc).__name__}: {exc}"))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(dataset, base)) as pool:
+            outcomes = list(pool.map(_run_worker_fold, tasks))
 
     outcomes.sort(key=lambda r: (r[2], r[0], r[1]))
     failures = [

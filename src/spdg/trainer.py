@@ -59,7 +59,6 @@ class RunConfig:
     logit_scale: float = 100.0
     val_ratio: float = 0.9
     select_best: bool = False
-    precision: str = "f64"
     extra_classes: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -73,8 +72,7 @@ class RunConfig:
             raise ConfigError(f"val_ratio must be in (0, 1), got {self.val_ratio}")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

@@ -1,10 +1,11 @@
+import argparse
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from spdg.cli import main
+from spdg.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -154,8 +155,7 @@ def test_train_determinism_across_cli_runs(capsys, cli_dataset, tmp_path):
         code, *_ = run_cli(capsys, "train", "--dataset", str(cli_dataset),
                            "--held-out", "photo", "--epochs", "1",
                            "--batch-size", "8", "--mc-samples", "2",
-                           "--seed", "11", "--threads", "1",
-                           "--out-dir", str(tmp_path / name))
+                           "--seed", "11", "--out-dir", str(tmp_path / name))
         assert code == 0
         paths.append(tmp_path / name)
     assert (paths[0] / "metrics.ndjson").read_bytes() == (paths[1] / "metrics.ndjson").read_bytes()
@@ -188,7 +188,7 @@ def test_malformed_config_file_is_config_error(capsys, cli_dataset, tmp_path, re
     {"epochs": "three"}, {"epochs": True}, {"epochs": 2.0}, {"lr_max": None},
     {"use_style_reg": 1}, {"held_out_domain": 1.5}, {"extra_classes": "kite"},
     {"extra_classes": [1]}, {"weights": {"w_d": "x"}}, {"weights": [0.1]},
-    {"dims": 5}, {"dims": {"d_i": 64.0}},
+    {"dims": 5}, {"dims": {"d_i": 64.0}}, {"precision": "f64"},
 ], ids=lambda c: json.dumps(c))
 def test_wrong_config_value_type_is_config_error(capsys, cli_dataset, tmp_path, config):
     path = tmp_path / "config.json"
@@ -198,3 +198,73 @@ def test_wrong_config_value_type_is_config_error(capsys, cli_dataset, tmp_path, 
     assert code == 2
     assert json.loads(err)["error"] == "config_error"
     assert not (tmp_path / "out").exists()
+
+
+_REQUIRED = {
+    "eval-crosscat": ["--train-config", "c.json", "--test-data", "d"],
+    "infer": ["--checkpoint", "c", "--bundle", "b", "--dataset", "d", "--index", "0"],
+    "similarity-report": ["--checkpoint", "c", "--bundle", "b", "--dataset", "d"],
+    "ablation": ["--dataset", "d"],
+}
+_FLAG_VALUES = {"--seed": "1", "--out-dir": "o", "--precision": "f64", "--threads": "1"}
+_REMOVED_FLAGS = [
+    ("gen-data", "--threads"), ("train", "--precision"), ("train", "--threads"),
+    ("eval-lodo", "--seed"), ("eval-lodo", "--precision"),
+    ("eval-crosscat", "--precision"), ("eval-crosscat", "--threads"),
+    *(("infer", f) for f in _FLAG_VALUES), *(("grad-check", f) for f in _FLAG_VALUES),
+    ("similarity-report", "--seed"), ("similarity-report", "--precision"),
+    ("similarity-report", "--threads"), ("ablation", "--seed"), ("ablation", "--precision"),
+]
+
+
+@pytest.mark.parametrize("command, flag", _REMOVED_FLAGS, ids=lambda v: v)
+def test_flag_a_command_does_not_read_is_rejected(capsys, command, flag):
+    # eval-lodo has --seeds: without prefix matching, --seed is still no flag of it
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_REQUIRED.get(command, []), flag, _FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_each_command_declares_only_the_shared_flags_it_reads():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {name: sorted(set(_FLAG_VALUES) & set(p._option_string_actions))
+                for name, p in sub.choices.items()}
+    assert declared == {
+        "gen-data": ["--out-dir", "--precision", "--seed"], "train": ["--out-dir", "--seed"],
+        "eval-lodo": ["--out-dir", "--threads"], "eval-crosscat": ["--out-dir", "--seed"],
+        "infer": [], "similarity-report": ["--out-dir"], "grad-check": [],
+        "ablation": ["--out-dir", "--threads"],
+    }
+    assert sum(map(len, declared.values())) + len(set(_REMOVED_FLAGS)) == 4 * len(declared)
+
+
+@pytest.mark.parametrize("command", ["eval-lodo", "ablation"])
+def test_non_integer_seeds_are_config_error(capsys, cli_dataset, tmp_path, command):
+    code, _, err = run_cli(capsys, command, "--dataset", str(cli_dataset), "--seeds", "0,a",
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err)["error"] == "config_error"
+
+
+@pytest.mark.parametrize("matrix", [
+    {"methods": "baseline_C"}, {"methods": [1]}, {"methods": []}, {"seeds": "0"},
+    {"seeds": ["0"]}, {"seeds": [0.5]}, {"seeds": [True]}, {"seeds": []}, {"dataset": 5},
+], ids=lambda m: json.dumps(m))
+def test_malformed_matrix_list_is_config_error(capsys, cli_dataset, tmp_path, matrix):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"dataset": str(cli_dataset), "methods": ["baseline_C"], **matrix}))
+    code, _, err = run_cli(capsys, "eval-lodo", "--matrix", str(path),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err)["error"] == "config_error"
+    assert not (tmp_path / "out" / "lodo_report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["--methods", ","], ["--threads", "-3"]])
+def test_empty_methods_or_no_workers_is_config_error(capsys, cli_dataset, tmp_path, argv):
+    code, _, err = run_cli(capsys, "eval-lodo", "--dataset", str(cli_dataset), *argv,
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err)["error"] == "config_error"
+    assert not (tmp_path / "out" / "lodo_report.json").exists()

@@ -1,3 +1,6 @@
+import ctypes
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -69,9 +72,70 @@ class TestLodoFoldFailures:
                                                         quick_config):
         monkeypatch.setattr(evaluate, "_evaluate_fold",
                             self._failing_fold(AssertionError("encoder weights changed")))
-        task = (str(small_dataset_dir), quick_config.to_dict(), "gsp", 0, "cartoon")
+        dataset = datagen.load(small_dataset_dir)
         with pytest.raises(AssertionError):
-            evaluate._lodo_task(task)
+            evaluate._fold_outcome(dataset, quick_config, ("cartoon", 0, "gsp"))
+
+
+def _blas_thread_counts() -> list[int]:
+    with open("/proc/self/maps") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    return [getattr(lib, name)() for lib in map(ctypes.CDLL, libs)
+            for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_")
+            if hasattr(lib, name)]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("threads, cpus, workers", [(4096, 8, 3), (4096, 2, 2), (2, 64, 2)])
+    def test_bounded_by_usable_cpus_and_folds(self, monkeypatch, small_dataset_dir, quick_config,
+                                              threads, cpus, workers):
+        monkeypatch.setattr(_RecordingPool, "max_workers", [])
+        monkeypatch.setattr(evaluate, "_worker_fold", None)  # the fake pool binds it in-process
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        report = evaluate_leave_one_out(small_dataset_dir, ["baseline_C"], seeds=[0],
+                                        base=quick_config, threads=threads)
+        assert _RecordingPool.max_workers == [workers]  # 3 folds: one per domain
+        assert len(report.methods["baseline_C"].runs) == 3
+
+    def test_one_worker_runs_in_process(self, monkeypatch, small_dataset_dir, quick_config):
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0})
+        report = evaluate_leave_one_out(small_dataset_dir, ["baseline_C"], seeds=[0],
+                                        base=quick_config, threads=8)
+        assert not report.partial
+
+    def test_pool_workers_use_one_blas_thread(self, small_dataset, quick_config):
+        with ProcessPoolExecutor(max_workers=1, initializer=evaluate._init_worker,
+                                 initargs=(small_dataset, quick_config)) as pool:
+            assert pool.submit(_blas_thread_counts).result() == [1]
+        assert _blas_thread_counts() != []  # numpy here runs on OpenBLAS
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_fewer_than_one_is_config_error(self, small_dataset_dir, quick_config, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            evaluate_leave_one_out(small_dataset_dir, ["baseline_C"], seeds=[0],
+                                   base=quick_config, threads=threads)
 
 
 class TestInfer:
@@ -251,6 +315,17 @@ class TestLeaveOneOut:
                                           base=quick_config, threads=2)
         for method in ("baseline_C", "gsp"):
             assert serial.methods[method].per_domain == parallel.methods[method].per_domain
+
+    def test_parallel_report_is_identical(self, small_dataset_dir, quick_config):
+        runs = [evaluate_leave_one_out(small_dataset_dir, ["baseline_PC", "bsp"], seeds=[0, 1],
+                                       base=quick_config, threads=threads).to_dict()
+                for threads in (1, 2)]
+        assert runs[0] == runs[1]
+        assert len(runs[0]["methods"]["bsp"]["runs"]) == 6
+
+    def test_no_methods_rejected(self, small_dataset_dir, quick_config):
+        with pytest.raises(ConfigError, match="method"):
+            evaluate_leave_one_out(small_dataset_dir, [], seeds=[0], base=quick_config)
 
     def test_unknown_method_rejected(self, small_dataset_dir, quick_config):
         with pytest.raises(ConfigError):
