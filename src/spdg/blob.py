@@ -43,9 +43,15 @@ def write_blob(path, array: np.ndarray) -> None:
         fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
+def _read_bytes(path, what: str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read {what}: {exc.strerror or exc}") from exc
+
+
 def read_blob(path) -> np.ndarray:
-    path = Path(path)
-    raw = path.read_bytes()
+    raw = _read_bytes(path, "blob")
     if raw[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < _FIXED_HEADER:
@@ -72,9 +78,9 @@ def read_blob(path) -> np.ndarray:
 
 def read_manifest(path, kind: str, version: int) -> dict:
     """Parse an artifact's manifest.json: a JSON object of the given format version."""
-    path = Path(path)
+    raw = _read_bytes(path, f"{kind} manifest")
     try:
-        manifest = json.loads(path.read_bytes())
+        manifest = json.loads(raw)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise FormatError(f"{path}: {kind} manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):

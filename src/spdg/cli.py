@@ -105,11 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _need_out_dir(args) -> Path:
+    """The --out-dir path; the writers create it, so a rejected run leaves nothing behind."""
     if not args.out_dir:
         raise ConfigError("--out-dir is required for this command")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out_dir)
 
 
 def _cmd_gen_data(args) -> int:

@@ -32,7 +32,7 @@ from .errors import ConfigError, SpdgError
 from .inference import accuracy, predict_batch, zero_shot_predict_batch
 from .losses import prompt_text_features
 from .prompter import style_for_prompt
-from .tensor import Tensor
+from .tensor import Tensor, unit_rows
 from .trainer import RunConfig, train_style_prompter
 
 BASELINE_METHODS = ("baseline_C", "baseline_PC")
@@ -277,18 +277,17 @@ def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_nam
         image_ids = list(range(n))
 
     z = encode_image(bundle, x)
-    zp = project_image(bundle, z)
-    zp = zp / np.linalg.norm(zp, axis=1, keepdims=True)
+    zp, _ = unit_rows(project_image(bundle, z), "projected image feature")
 
     # row ci * W + j: style word j with class ci
     word_feats = encode_texts(bundle, [domain_style_text(word, cls)
                                        for cls in classes for word in style_words])
-    word_feats /= np.linalg.norm(word_feats, axis=1, keepdims=True)
+    word_feats, _ = unit_rows(word_feats, "style-word text feature")
     word_feats = word_feats.reshape(len(classes), len(style_words), -1)
 
     styles = style_for_prompt(prompter, Tensor(z))
     learned = prompt_text_features(bundle, styles, classes).data
-    learned = learned / np.linalg.norm(learned, axis=1, keepdims=True)
+    learned, _ = unit_rows(learned, "prompted text feature")
     n_classes = len(classes)
 
     columns = list(style_words) + ["learned"]

@@ -46,17 +46,17 @@ def infer(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes):
 
 
 def predict_batch(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes):
-    """Vectorized inference over (n, d_x) inputs. Returns (pred ids, logits)."""
+    """Forward-only inference over (n, d_x) inputs: (argmax ids, logits scale * f.z / (|f| |z|))."""
     if not classes:
         raise ConfigError("class set must be non-empty")
     x = np.asarray(x, dtype=np.float64)
     z = encode_image(bundle, x)
     styles = style_for_prompt(prompter, Tensor(z))
-    feats = prompt_text_features(bundle, styles, classes).data
-    n, n_classes = x.shape[0], len(classes)
-    feats, _ = T.unit_rows(feats, "prompted text feature")
-    zp, _ = T.unit_rows(project_image(bundle, z), "projected image feature")
-    logits = np.einsum("bcd,bd->bc", feats.reshape(n, n_classes, -1), zp) * bundle.logit_scale
+    feats = prompt_text_features(bundle, styles, classes).data.reshape(x.shape[0], len(classes), -1)
+    f_norms = T.checked_norms(feats, "prompted text feature")[..., 0]
+    zp = project_image(bundle, z)
+    z_norms = T.checked_norms(zp, "projected image feature")
+    logits = np.einsum("bcd,bd->bc", feats, zp) / (f_norms * z_norms) * bundle.logit_scale
     return logits.argmax(axis=1), logits
 
 

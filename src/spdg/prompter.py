@@ -4,9 +4,9 @@ The basic prompter emits a point in token-embedding space; the Gaussian
 prompter emits a diagonal Gaussian (mu, sigma) and draws reparameterized
 Monte Carlo samples from it. Only these parameters ever receive gradients.
 
-Each forward is one tape node with a hand-written backward: the two ELU
-layers and the head(s) of a prompter, and the row repeat plus
-reparameterization of a batch of samples.
+Each training forward is one tape node with a hand-written backward: the two
+ELU layers and the head(s) of a prompter, and the row repeat plus the
+reparameterization of a batch of samples; `style_for_prompt` records none.
 """
 
 from __future__ import annotations
@@ -137,18 +137,20 @@ def _as_rows(z) -> tuple[Tensor, np.ndarray]:
 def _trunk(p, zt: Tensor, x: np.ndarray):
     """Linear -> ELU -> Linear -> ELU over rows x, and the trunk's VJP.
 
-    The VJP maps the gradient of the trunk output to the gradients of
-    (z, w1, b1, w2, b2), z's only when it requires one.
+    The VJP maps the trunk output's gradient to those of (z, w1, b1, w2, b2),
+    z's only when it requires one; only the VJP computes the ELU slopes.
     """
     if x.shape[1] != p.w1.data.shape[0]:
         raise ShapeError(f"prompter expects {p.w1.data.shape[0]}-wide features, got {zt.shape}")
     w1, w2 = p.w1.data, p.w2.data
-    h1, slope1 = T.elu_and_slope(x @ w1 + p.b1.data)
-    h2, slope2 = T.elu_and_slope(h1 @ w2 + p.b2.data)
+    a1 = x @ w1 + p.b1.data
+    h1 = T.elu(a1)
+    a2 = h1 @ w2 + p.b2.data
+    h2 = T.elu(a2)
 
     def vjp(g_h2):
-        g_a2 = g_h2 * slope2
-        g_a1 = (g_a2 @ w2.T) * slope1
+        g_a2 = g_h2 * T.elu_slope(a2)
+        g_a1 = (g_a2 @ w2.T) * T.elu_slope(a1)
         g_z = (g_a1 @ w1.T).reshape(zt.shape) if zt.requires_grad else None
         return g_z, x.T @ g_a1, g_a1.sum(axis=0), h1.T @ g_a2, g_a2.sum(axis=0)
 
@@ -225,11 +227,11 @@ def sample_styles_batch(mu: Tensor, sigma: Tensor, n: int,
 
 
 def style_for_prompt(p, z) -> Tensor:
-    """The embedding placed in the pseudo slot: point output, or mu for Gaussian."""
-    if p.kind == "basic":
-        return basic_forward(p, z)
-    mu, _ = gaussian_forward(p, z)
-    return mu
+    """The pseudo-slot embedding, point output or Gaussian mu; forward only, no node, no sigma."""
+    zt, x = _as_rows(z)
+    h, _ = _trunk(p, zt, x)
+    w, b = (p.w3, p.b3) if p.kind == "basic" else (p.w_mu, p.b_mu)
+    return Tensor((h @ w.data + b.data).reshape(zt.shape[:-1] + (p.d_t,)))
 
 
 def save_checkpoint(p, directory, run_config: dict | None = None) -> None:

@@ -309,13 +309,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def elu_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential linear unit with alpha fixed at 1, and its derivative."""
-    return np.where(x > 0, x, np.expm1(x)), np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+def elu(x: np.ndarray) -> np.ndarray:
+    """Exponential linear unit with alpha fixed at 1."""
+    return np.where(x > 0, x, np.expm1(x))
 
 
-def unit_rows(v: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each last-axis slice of v scaled to unit norm, and the norms (keepdims).
+def elu_slope(x: np.ndarray) -> np.ndarray:
+    """Derivative of elu at x."""
+    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+
+
+def checked_norms(v: np.ndarray, what: str) -> np.ndarray:
+    """Euclidean norm of each last-axis slice of v (keepdims).
 
     Norms at or below EPS_NORM, and NaN or infinite norms, are treated as
     degenerate and raise instead of being clamped; silent clamping would hide
@@ -325,6 +330,12 @@ def unit_rows(v: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     if not np.all(np.isfinite(norms) & (norms > EPS_NORM)):
         raise DegenerateVectorError(f"{what} has a norm <= {EPS_NORM} or a non-finite norm")
+    return norms
+
+
+def unit_rows(v: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each last-axis slice of v scaled to unit norm, and the checked norms."""
+    norms = checked_norms(v, what)
     return v / norms, norms
 
 

@@ -6,6 +6,11 @@ from spdg.encoders import EncoderDims, build_bundle, default_vocab
 
 FIXTURE_CLASSES = ["dog", "elephant", "guitar", "horse"]
 
+# the benchmark's wide class list: 1- to 3-word names, interleaved lengths
+WIDE_CLASSES = ["dog", "elephant", "guitar", "horse", "apple", "bicycle", "camera", "castle",
+                "lighthouse", "penguin", "umbrella", "zebra",
+                "hot air balloon", "ice cream", "sea turtle", "alarm clock"]
+
 # canonical fixture: the default dataset seed; the report fixture pins the
 # training seed and held-out fold for which the frozen-encoder geometry puts
 # the matched style word ahead (see the acceptance module)
@@ -23,6 +28,11 @@ def dims():
 @pytest.fixture(scope="session")
 def bundle(dims):
     return build_bundle(dims, default_vocab(FIXTURE_CLASSES), seed=0)
+
+
+@pytest.fixture(scope="session")
+def wide_bundle(dims):
+    return build_bundle(dims, default_vocab(WIDE_CLASSES), seed=0)
 
 
 @pytest.fixture(scope="session")

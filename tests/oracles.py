@@ -8,9 +8,10 @@ style-slot row (`spdg.encoders.encode_text_batch`).
 The second part composes the training step from tape primitives, node by
 node: the prompters, the sample reparameterization, the classification head
 with its regularizer, the weighted loss sum and the per-tensor optimizer;
-production fuses each into one node. The last part holds the composable
-primitives that only the oracles and tests build with, and their
-finite-difference cases.
+production fuses each into one node. Beside them sits a reference prediction
+path: the taped style forward, unit-normalized feature rows, then the dots.
+The last part holds the composable primitives that only the oracles and
+tests build with, and their finite-difference cases.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from spdg import tensor as T
-from spdg.encoders import PSEUDO_TOKEN, FrozenEncoderBundle, MAX_TEXT_LEN, project_image
+from spdg.encoders import PSEUDO_TOKEN, FrozenEncoderBundle, MAX_TEXT_LEN, encode_image, project_image
 from spdg.encoders import encode_text_batch as production_encode_text_batch
 from spdg.errors import ConfigError, DegenerateVectorError, ShapeError, TokenizeError
 from spdg.losses import LossParts, LossWeights, RegAnchorTable
+from spdg.prompter import basic_forward, gaussian_forward
 from spdg.tensor import Tensor
 
 
@@ -294,6 +296,21 @@ def per_tensor_sgd_step(params, grads, velocities, lr, momentum, weight_decay) -
         p.data = p.data - lr * v
 
 
+def normalized_predict_batch(bundle: FrozenEncoderBundle, prompter, x, classes):
+    """predict_batch with the style from the taped prompter forward and every
+    feature row scaled to unit norm before the dot products."""
+    z = encode_image(bundle, np.asarray(x, dtype=np.float64))
+    if prompter.kind == "basic":
+        styles = basic_forward(prompter, Tensor(z))
+    else:
+        styles, _ = gaussian_forward(prompter, Tensor(z))
+    feats, _ = T.unit_rows(production_encode_text_batch(bundle, styles, classes).data,
+                           "prompted text feature")
+    zp, _ = T.unit_rows(project_image(bundle, z), "projected image feature")
+    logits = np.einsum("bcd,bd->bc", feats.reshape(len(z), len(classes), -1), zp) * bundle.logit_scale
+    return logits.argmax(axis=1), logits
+
+
 # ---------------------------------------------------------------------------
 # composable tape primitives that only the oracles and the tests build with
 
@@ -372,8 +389,7 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
 
 
 def elu(a: Tensor) -> Tensor:
-    out, slope = T.elu_and_slope(a.data)
-    return T.apply(out, (a,), lambda g: (g * slope,))
+    return T.apply(T.elu(a.data), (a,), lambda g: (g * T.elu_slope(a.data),))
 
 
 def softplus(a: Tensor) -> Tensor:

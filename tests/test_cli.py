@@ -135,6 +135,27 @@ def test_malformed_manifest_is_format_error(capsys, cli_dataset, cli_run, tmp_pa
     assert json.loads(err)["error"] == "format_error"
 
 
+@pytest.mark.parametrize("missing", ["dataset", "checkpoint", "blob"])
+def test_missing_artifact_is_format_error(capsys, cli_dataset, cli_run, tmp_path, missing):
+    shutil.copytree(cli_run / "final", tmp_path / "final")
+    (tmp_path / "final" / "w2.spdg").unlink()
+    infer = ["infer", "--bundle", str(cli_run / "bundle"), "--dataset", str(cli_dataset),
+             "--index", "0"]
+    nowhere = tmp_path / "nowhere"
+    argv, gone = {
+        "dataset": (["eval-lodo", "--dataset", str(nowhere), "--out-dir", str(tmp_path / "out")],
+                    nowhere),
+        "checkpoint": (infer + ["--checkpoint", str(nowhere)], nowhere),
+        "blob": (infer + ["--checkpoint", str(tmp_path / "final")], tmp_path / "final" / "w2.spdg"),
+    }[missing]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "format_error"
+    assert str(gone) in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_out_dir_is_config_error(capsys, cli_dataset):
     code, _, err = run_cli(capsys, "gen-data", "--seed", "0")
     assert code == 2
@@ -245,6 +266,7 @@ def test_non_integer_seeds_are_config_error(capsys, cli_dataset, tmp_path, comma
                            "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert json.loads(err)["error"] == "config_error"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("matrix", [
@@ -258,7 +280,7 @@ def test_malformed_matrix_list_is_config_error(capsys, cli_dataset, tmp_path, ma
                            "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert json.loads(err)["error"] == "config_error"
-    assert not (tmp_path / "out" / "lodo_report.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["--methods", ","], ["--threads", "-3"]])
@@ -267,4 +289,4 @@ def test_empty_methods_or_no_workers_is_config_error(capsys, cli_dataset, tmp_pa
                            "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert json.loads(err)["error"] == "config_error"
-    assert not (tmp_path / "out" / "lodo_report.json").exists()
+    assert not (tmp_path / "out").exists()

@@ -4,6 +4,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import WIDE_CLASSES
+from oracles import normalized_predict_batch
 from spdg import datagen, evaluate
 from spdg.encoders import FrozenEncoderBundle
 from spdg.errors import ConfigError, DegenerateVectorError, TrainingDiverged
@@ -19,7 +21,7 @@ from spdg.evaluate import (
     write_similarity_csv,
 )
 from spdg.inference import infer, predict_batch, zero_shot_baseline
-from spdg.prompter import init_gaussian_prompter
+from spdg.prompter import init_basic_prompter, init_gaussian_prompter
 from spdg.tensor import Tensor
 from spdg.trainer import RunConfig
 
@@ -173,6 +175,10 @@ class TestInfer:
             predict_batch(flat, prompter, small_dataset.x[:3], small_dataset.classes)
         with pytest.raises(DegenerateVectorError):
             infer(flat, prompter, small_dataset.x[0], small_dataset.classes)
+        with pytest.raises(DegenerateVectorError):
+            style_similarity_report(flat, prompter, small_dataset.x[:3],
+                                    small_dataset.class_ids[:3], ["photo"] * 3,
+                                    small_dataset.classes)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_norm_raises(self, bad):
@@ -235,6 +241,22 @@ class TestInferOracle:
                                                         small_dataset.classes)
             assert got_cls == want_cls
             assert np.allclose(got_scores, want_scores, atol=1e-9)
+
+
+class TestPredictBatchOracle:
+    @pytest.mark.parametrize("kind", ["basic", "gaussian"])
+    @pytest.mark.parametrize("n_rows, n_classes", [(9, 1), (9, 16), (1, 16)])
+    def test_matches_unit_row_logits(self, wide_bundle, kind, n_rows, n_classes):
+        dims = wide_bundle.dims
+        init = init_basic_prompter if kind == "basic" else init_gaussian_prompter
+        prompter = init(dims.d_i, dims.d_t, seed=n_rows + n_classes)
+        x = np.random.default_rng([n_rows, n_classes]).normal(size=(n_rows, dims.d_x))
+        classes = WIDE_CLASSES if n_classes > 1 else ["ice cream"]
+        got_pred, got = predict_batch(wide_bundle, prompter, x, classes)
+        want_pred, want = normalized_predict_batch(wide_bundle, prompter, x, classes)
+        assert got.shape == (n_rows, n_classes)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got_pred, want_pred)
 
 
 class TestOfflineContract:

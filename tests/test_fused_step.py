@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import spdg.trainer
+from conftest import WIDE_CLASSES
 from oracles import (
     composed_basic_forward,
     composed_gaussian_forward,
@@ -14,7 +15,7 @@ from oracles import (
     per_tensor_sgd_step,
 )
 from spdg import tensor as T
-from spdg.encoders import EncoderDims, build_bundle, default_vocab, encode_image
+from spdg.encoders import encode_image
 from spdg.errors import ConfigError, TrainingDiverged
 from spdg.losses import LossParts, LossWeights, build_reg_anchors, prompted_ce_and_reg, total_loss
 from spdg.prompter import (
@@ -26,11 +27,6 @@ from spdg.prompter import (
 )
 from spdg.tensor import Tape, Tensor
 from spdg.trainer import OptimizerState, RunConfig, sgd_momentum_step, train_style_prompter
-
-# the benchmark's wide class list: 1- to 3-word names, interleaved lengths
-WIDE_CLASSES = ["dog", "elephant", "guitar", "horse", "apple", "bicycle", "camera", "castle",
-                "lighthouse", "penguin", "umbrella", "zebra",
-                "hot air balloon", "ice cream", "sea turtle", "alarm clock"]
 
 
 def taped(fn, arrays, probes):
@@ -50,11 +46,6 @@ def assert_close(got, want, tol):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.abs(g - w).max() <= tol * max(1.0, np.abs(w).max())
-
-
-@pytest.fixture(scope="module")
-def wide_bundle():
-    return build_bundle(EncoderDims(), default_vocab(WIDE_CLASSES), seed=0)
 
 
 class TestClassificationHead:
