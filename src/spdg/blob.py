@@ -12,6 +12,8 @@ Layout, all little-endian:
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,52 +35,55 @@ def write_blob(path, array: np.ndarray) -> None:
     arr = np.asarray(array, order="C")
     if arr.dtype not in _FLAG_FOR:
         raise FormatError(f"blob supports float64/float32, got {arr.dtype}")
-    path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<BB", _FLAG_FOR[arr.dtype], arr.ndim))
-        for dim in arr.shape:
-            fh.write(struct.pack("<Q", dim))
-        fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        fh.write(struct.pack(f"<4sIBB{arr.ndim}Q", MAGIC, FORMAT_VERSION, _FLAG_FOR[arr.dtype],
+                             arr.ndim, *arr.shape))
+        fh.write(memoryview(arr.astype(arr.dtype.newbyteorder("<"), copy=False)))
 
 
-def _read_bytes(path, what: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read {what}: {exc.strerror or exc}") from exc
+def unreadable(path, what: str, exc: Exception) -> FormatError:
+    return FormatError(f"{path}: cannot read {what}: {getattr(exc, 'strerror', None) or exc}")
 
 
 def read_blob(path) -> np.ndarray:
-    raw = _read_bytes(path, "blob")
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < _FIXED_HEADER:
-        raise FormatError(f"{path}: truncated header, {len(raw)} bytes")
-    version, flag, rank = struct.unpack_from("<IBB", raw, 4)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported blob version {version}")
-    if flag not in _DTYPE_FLAGS:
-        raise FormatError(f"{path}: unknown dtype flag {flag}")
-    dtype = _DTYPE_FLAGS[flag]
-    offset = _FIXED_HEADER + 8 * rank
-    if len(raw) < offset:
-        raise FormatError(f"{path}: truncated header, {len(raw)} bytes for rank {rank}")
-    shape = [int(dim) for dim in struct.unpack_from(f"<{rank}Q", raw, _FIXED_HEADER)]
-    count = int(np.prod(shape)) if shape else 1
-    expected = offset + count * dtype.itemsize
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload size mismatch, expected {expected} bytes for shape {tuple(shape)}, got {len(raw)}"
-        )
-    values = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    return values.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+    """The blob's array, read straight into its buffer once the header and file size check out."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(_FIXED_HEADER)
+            if head[:4] != MAGIC:
+                raise FormatError(f"{path}: bad magic {head[:4]!r}")
+            if len(head) < _FIXED_HEADER:
+                raise FormatError(f"{path}: truncated header, {size} bytes")
+            version, flag, rank = struct.unpack_from("<IBB", head, 4)
+            if version != FORMAT_VERSION:
+                raise FormatError(f"{path}: unsupported blob version {version}")
+            if flag not in _DTYPE_FLAGS:
+                raise FormatError(f"{path}: unknown dtype flag {flag}")
+            dtype = _DTYPE_FLAGS[flag]
+            dims = fh.read(8 * rank)
+            if len(dims) < 8 * rank:
+                raise FormatError(f"{path}: truncated header, {size} bytes for rank {rank}")
+            shape = struct.unpack(f"<{rank}Q", dims)
+            expected = _FIXED_HEADER + 8 * rank + math.prod(shape) * dtype.itemsize
+            if size != expected:
+                raise FormatError(f"{path}: payload size mismatch, expected {expected} bytes "
+                                  f"for shape {shape}, got {size}")
+            values = np.empty(shape, dtype)
+            got = fh.readinto(values)
+    except (OSError, ValueError) as exc:  # ValueError: a shape numpy cannot allocate
+        raise unreadable(path, "blob", exc) from exc
+    if got != values.nbytes:
+        raise FormatError(f"{path}: short read, {got} of {values.nbytes} payload bytes")
+    return values.astype(dtype.newbyteorder("="), copy=False)
 
 
 def read_manifest(path, kind: str, version: int) -> dict:
     """Parse an artifact's manifest.json: a JSON object of the given format version."""
-    raw = _read_bytes(path, f"{kind} manifest")
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise unreadable(path, f"{kind} manifest", exc) from exc
     try:
         manifest = json.loads(raw)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError

@@ -8,19 +8,22 @@ spectral norm) to noisy prototype draws. Domain shift strength is one knob.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .blob import manifest_fields, read_blob, read_manifest, write_blob
+from .blob import manifest_fields, read_blob, read_manifest, unreadable, write_blob
 from .errors import ConfigError, FormatError
 
 DATASET_FORMAT_VERSION = 1
 
 DEFAULT_CLASSES = ["dog", "elephant", "guitar", "horse"]
 DEFAULT_DOMAINS = ["photo", "cartoon", "sketch", "clipart"]
+_LABELS_CHUNK = 512  # labels.csv rows parsed and checked at a time: bounds the row lists held
 
 
 @dataclass
@@ -33,18 +36,6 @@ class DatasetManifest:
     style_strength: float
     noise_std: float
     format_version: int = DATASET_FORMAT_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "classes": self.classes,
-            "domains": self.domains,
-            "n_per_cell": self.n_per_cell,
-            "d_x": self.d_x,
-            "seed": self.seed,
-            "style_strength": self.style_strength,
-            "noise_std": self.noise_std,
-            "format_version": self.format_version,
-        }
 
 
 @dataclass
@@ -98,87 +89,110 @@ def generate(n_per_cell: int = 60, d_x: int = 32, style_strength: float = 0.8,
         r *= np.sqrt(d_x) / np.linalg.norm(r)
         transforms.append(np.eye(d_x) + style_strength * r)
 
-    xs, cls_ids, dom_ids = [], [], []
-    for d in range(len(domains)):
-        for c in range(len(classes)):
-            eps = rng.normal(scale=noise_std, size=(n_per_cell, d_x)) if noise_std > 0 \
-                else np.zeros((n_per_cell, d_x))
-            xs.append((protos[c] + eps) @ transforms[d].T)
-            cls_ids.extend([c] * n_per_cell)
-            dom_ids.extend([d] * n_per_cell)
+    x = np.empty((len(domains), len(classes), n_per_cell, d_x))
+    for d, c in np.ndindex(len(domains), len(classes)):
+        eps = rng.normal(scale=noise_std, size=x.shape[2:]) if noise_std > 0 else np.zeros(x.shape[2:])
+        np.matmul(protos[c] + eps, transforms[d].T, out=x[d, c])
+    cells = np.arange(len(domains) * len(classes), dtype=np.int64).repeat(n_per_cell)  # d * C + c
 
     manifest = DatasetManifest(classes=classes, domains=domains, n_per_cell=n_per_cell,
                                d_x=d_x, seed=seed, style_strength=style_strength,
                                noise_std=noise_std)
-    return MultiDomainDataset(
-        x=np.concatenate(xs, axis=0),
-        class_ids=np.asarray(cls_ids, dtype=np.int64),
-        domain_ids=np.asarray(dom_ids, dtype=np.int64),
-        manifest=manifest,
-    )
+    return MultiDomainDataset(x=x.reshape(-1, d_x), class_ids=cells % len(classes),
+                              domain_ids=cells // len(classes), manifest=manifest)
 
 
 def save(dataset: MultiDomainDataset, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "manifest.json").write_text(
-        json.dumps(dataset.manifest.to_dict(), indent=2, sort_keys=True)
+        json.dumps(asdict(dataset.manifest), indent=2, sort_keys=True)
     )
     write_blob(directory / "samples.spdg", dataset.x)
-    with open(directory / "labels.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "class", "domain"])
-        for i in range(len(dataset)):
-            writer.writerow([i, dataset.classes[dataset.class_ids[i]],
-                             dataset.domains[dataset.domain_ids[i]]])
+    # labels.csv as csv.writer writes it, assembled from each name quoted once
+    line = csv.writer(SimpleNamespace(write=str)).writerow  # returns the line it would write
+    classes = [line(["", name])[:-2] for name in dataset.classes]
+    domains = [line(["", name]) for name in dataset.domains]
+    parts = [None] * (3 * len(dataset))
+    parts[0::3] = map(str, range(len(dataset)))
+    parts[1::3] = map(classes.__getitem__, dataset.class_ids.tolist())
+    parts[2::3] = map(domains.__getitem__, dataset.domain_ids.tolist())
+    with open(directory / "labels.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(line(["index", "class", "domain"]) + "".join(parts))
+
+
+def _chunk_ids(rows: list, seen: np.ndarray, cls_lookup: dict, dom_lookup: dict):
+    """Index, class and domain ids of consecutive labels.csv rows, checked column by column.
+
+    ``seen`` marks earlier rows' indices. A fault in row r is raised once rows[:r] pass
+    every check, so the first faulty row's first fault is reported, as a row-by-row scan would.
+    """
+    def fail(r: int, message: str):
+        if r:
+            _chunk_ids(rows[:r], seen, cls_lookup, dom_lookup)
+        raise FormatError(message)
+
+    def check(bad: np.ndarray, message):
+        if bad.any():
+            fail(r := int(bad.argmax()), message(r))
+
+    n = len(rows)
+    check(np.fromiter(map(len, rows), np.intp, n) != 3,
+          lambda r: f"labels.csv row needs 3 fields, got {rows[r]}")
+    idx_s, cls_s, dom_s = zip(*rows)
+    try:
+        idx = np.fromiter(map(int, idx_s), np.int64, n)
+    except (ValueError, OverflowError):  # a row int() rejects, or one int64 cannot hold
+        for r, s in enumerate(idx_s):
+            try:
+                value = int(s)
+            except ValueError:
+                fail(r, f"labels.csv index {s!r} is not an integer")
+            if not 0 <= value < len(seen):
+                fail(r, f"labels.csv index {value} out of range")
+    check((idx < 0) | (idx >= len(seen)), lambda r: f"labels.csv index {idx[r]} out of range")
+    order = np.argsort(idx, kind="stable")
+    again = np.zeros(n, dtype=bool)  # the index of an earlier row in this chunk
+    again[order[1:]] = idx[order[1:]] == idx[order[:-1]]
+    check(seen[idx] | again, lambda r: f"labels.csv repeats index {idx[r]}")
+    cls = np.fromiter(map(cls_lookup.get, cls_s, itertools.repeat(-1)), np.int64, n)
+    dom = np.fromiter(map(dom_lookup.get, dom_s, itertools.repeat(-1)), np.int64, n)
+    check((cls < 0) | (dom < 0), lambda r: f"labels.csv names unknown to manifest: {rows[r]}")
+    return idx, cls, dom
 
 
 def load(directory) -> MultiDomainDataset:
     directory = Path(directory)
     raw = read_manifest(directory / "manifest.json", "dataset", DATASET_FORMAT_VERSION)
     with manifest_fields(directory, "dataset"):
-        manifest = DatasetManifest(
-            classes=raw["classes"], domains=raw["domains"], n_per_cell=raw["n_per_cell"],
-            d_x=raw["d_x"], seed=raw["seed"], style_strength=raw["style_strength"],
-            noise_std=raw["noise_std"],
-        )
+        manifest = DatasetManifest(**{f.name: raw[f.name] for f in fields(DatasetManifest)})
         expected = len(manifest.classes) * len(manifest.domains) * manifest.n_per_cell
+        lookups = [{name: i for i, name in enumerate(names)}
+                   for names in (manifest.classes, manifest.domains)]
     x = read_blob(directory / "samples.spdg")
     if x.shape != (expected, manifest.d_x):
-        raise FormatError(
-            f"samples blob shape {x.shape} does not match manifest ({expected}, {manifest.d_x})"
-        )
+        raise FormatError(f"samples blob shape {x.shape} does not match manifest "
+                          f"({expected}, {manifest.d_x})")
 
-    cls_lookup = {name: i for i, name in enumerate(manifest.classes)}
-    dom_lookup = {name: i for i, name in enumerate(manifest.domains)}
     class_ids = np.empty(expected, dtype=np.int64)
     domain_ids = np.empty(expected, dtype=np.int64)
     seen = np.zeros(expected, dtype=bool)
-    with open(directory / "labels.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "class", "domain"]:
-            raise FormatError(f"unexpected labels.csv header: {header}")
-        count = 0
-        for row in reader:
-            if len(row) != 3:
-                raise FormatError(f"labels.csv row needs 3 fields, got {row}")
+    path = directory / "labels.csv"
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
             try:
-                idx = int(row[0])
-            except ValueError as exc:
-                raise FormatError(f"labels.csv index {row[0]!r} is not an integer") from exc
-            if not (0 <= idx < expected):
-                raise FormatError(f"labels.csv index {idx} out of range")
-            if seen[idx]:
-                raise FormatError(f"labels.csv repeats index {idx}")
-            seen[idx] = True
-            try:
-                class_ids[idx] = cls_lookup[row[1]]
-                domain_ids[idx] = dom_lookup[row[2]]
-            except KeyError as exc:
-                raise FormatError(f"labels.csv names unknown to manifest: {row}") from exc
-            count += 1
-    if count != expected:
+                reader = csv.reader(fh)
+                if (header := next(reader, None)) != ["index", "class", "domain"]:
+                    raise FormatError(f"unexpected labels.csv header: {header}")
+                while rows := list(itertools.islice(reader, _LABELS_CHUNK)):
+                    idx, cls, dom = _chunk_ids(rows, seen, *lookups)
+                    class_ids[idx], domain_ids[idx], seen[idx] = cls, dom, True
+            except (FormatError, csv.Error):  # bytes that are not UTF-8 are reported first
+                fh.read()
+                raise
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise unreadable(path, "labels", exc) from exc
+    if (count := int(seen.sum())) != expected:  # every row read holds its own index
         raise FormatError(f"labels.csv has {count} rows, manifest expects {expected}")
     return MultiDomainDataset(x=x, class_ids=class_ids, domain_ids=domain_ids,
                               manifest=manifest)

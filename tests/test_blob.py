@@ -1,3 +1,4 @@
+import io
 import struct
 import tempfile
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdg import blob
 from spdg.blob import read_blob, write_blob
 from spdg.errors import FormatError
 
@@ -42,6 +44,46 @@ def test_truncated_blob_rejected(tmp_path, rng):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(FormatError, match="size mismatch"):
+        read_blob(path)
+
+
+@pytest.mark.parametrize("arr", [
+    np.arange(6.0).reshape(2, 3) / 7,
+    np.arange(5, dtype=np.float32) / 3,
+    np.asarray(-2.5),
+    np.asarray(0.1, dtype=np.float32),
+], ids=["f64", "f32", "rank0-f64", "rank0-f32"])
+def test_exact_bytes(tmp_path, arr):
+    path = tmp_path / "t.spdg"
+    write_blob(path, arr)
+    flag = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}[arr.dtype]
+    header = b"SPDG" + struct.pack(f"<IBB{arr.ndim}Q", 1, flag, arr.ndim, *arr.shape)
+    assert path.read_bytes() == header + arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    back = read_blob(path)
+    assert (back.dtype, back.shape, back.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
+
+
+class _ShortReader(io.BufferedReader):
+    """A file that hands back 8 bytes fewer than asked for on readinto."""
+
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer).cast("B")[:-8])
+
+
+def test_short_read_rejected(tmp_path, rng, monkeypatch):
+    path = tmp_path / "t.spdg"
+    write_blob(path, rng.normal(size=(4, 4)))
+    monkeypatch.setattr(blob, "open", lambda p, mode: _ShortReader(io.FileIO(p, mode)),
+                        raising=False)
+    with pytest.raises(FormatError, match="short read, 120 of 128 payload bytes"):
+        read_blob(path)
+
+
+def test_unallocatable_empty_shape_rejected(tmp_path):
+    # a zero dimension makes the payload empty, but numpy cannot hold a 2**63 axis
+    path = tmp_path / "t.spdg"
+    path.write_bytes(b"SPDG" + struct.pack("<IBB2Q", 1, 0, 2, 0, 1 << 63))
+    with pytest.raises(FormatError, match="cannot read blob"):
         read_blob(path)
 
 

@@ -156,6 +156,32 @@ def test_missing_artifact_is_format_error(capsys, cli_dataset, cli_run, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+def _spoil_labels(labels, damage):
+    if damage == "directory":
+        labels.unlink()
+        labels.mkdir()
+    elif damage == "missing":
+        labels.unlink()
+    elif damage == "empty":
+        labels.write_bytes(b"")
+    elif damage == "not utf-8":
+        labels.write_bytes(labels.read_bytes().replace(b"photo", b"ph\xffto", 1))
+    else:  # duplicated line
+        lines = labels.read_bytes().splitlines(keepends=True)
+        labels.write_bytes(b"".join(lines[:5] + lines[4:]))
+
+
+@pytest.mark.parametrize("damage", ["missing", "directory", "empty", "not utf-8", "duplicated line"])
+def test_unreadable_labels_csv_is_format_error(capsys, cli_dataset, tmp_path, damage):
+    data = tmp_path / "data"
+    shutil.copytree(cli_dataset, data)
+    _spoil_labels(data / "labels.csv", damage)
+    code, _, err = run_cli(capsys, "eval-lodo", "--dataset", str(data), "--out-dir",
+                           str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err)["error"] == "format_error"
+
+
 def test_missing_out_dir_is_config_error(capsys, cli_dataset):
     code, _, err = run_cli(capsys, "gen-data", "--seed", "0")
     assert code == 2
