@@ -72,6 +72,8 @@ def generate(n_per_cell: int = 60, d_x: int = 32, style_strength: float = 0.8,
         raise ConfigError(f"need at least 3 domains for leave-one-out, got {len(domains)}")
     if n_per_cell < 10:
         raise ConfigError(f"need at least 10 samples per cell, got {n_per_cell}")
+    if not all(isinstance(name, str) for name in classes + domains):
+        raise ConfigError("class and domain names must be strings")
     if len(set(classes)) != len(classes) or len(set(domains)) != len(domains):
         raise ConfigError("class and domain names must be unique")
     if style_strength < 0 or noise_std < 0:
@@ -103,6 +105,10 @@ def generate(n_per_cell: int = 60, d_x: int = 32, style_strength: float = 0.8,
 
 
 def save(dataset: MultiDomainDataset, directory) -> None:
+    for what, ids, names in (("class", dataset.class_ids, dataset.classes),
+                             ("domain", dataset.domain_ids, dataset.domains)):
+        if len(ids) and not 0 <= ids.min() <= ids.max() < len(names):
+            raise FormatError(f"{what} ids must lie in [0, {len(names)})")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "manifest.json").write_text(

@@ -176,8 +176,8 @@ def encode_image(bundle: FrozenEncoderBundle, x: np.ndarray) -> np.ndarray:
             f"encode_image expected last dim {bundle.dims.d_x}, got shape {x.shape}"
         )
     wgt = bundle.weights
-    h = np.tanh(x @ wgt["img_w1"] + wgt["img_b1"])
-    return h @ wgt["img_w2"] + wgt["img_b2"]
+    h = T.affine(x, wgt["img_w1"], wgt["img_b1"])
+    return T.affine(np.tanh(h, out=h), wgt["img_w2"], wgt["img_b2"])
 
 
 def tokenize(text: str, vocab) -> list[int]:
@@ -258,16 +258,15 @@ class StylePromptPlan:
     Class c has n_c tokens after the pseudo slot, so L_c = n_c + 1. Token
     arrays are padded to N = max n_c and laid out token-major (row j*C + c
     for token j of class c), so per-prompt reductions over tokens run over
-    the outer axis. Padding never carries weight: its keys score -inf, its
-    query rows have log-sum-exp +inf, and its values are zero.
+    the outer axis. For slot rows x_0, scores @ x_0^T holds the slot query
+    against each class key, then each class query against the slot key.
+    Padding never carries weight: its score rows are zero, its bias -inf.
     """
 
-    w_style: np.ndarray   # (d_t, 2 d_t + 2 d_f): [W_q | W_k | W_v W_p | W_p]
+    w_style: np.ndarray   # (d_t, 2 d_t + 2 d_f): [alpha W_q | W_k | W_v W_p | W_p]
     slot_pos: np.ndarray  # (d_t,) positional row of the pseudo slot
-    keys: np.ndarray      # (N C, d_t) alpha K_c
-    queries: np.ndarray   # (N C, d_t) alpha Q_c
-    pad: np.ndarray       # (N C, 1) 0 on class tokens, -inf on padding
-    lse: np.ndarray       # (N, C, 1) log-sum-exp of each class-class score row
+    scores: np.ndarray    # (2N C, d_t) [alpha K_c W_q^T ; alpha Q_c W_k^T]
+    bias: np.ndarray      # (2N, C, 1) [0 ; -log-sum-exp of each class-class score row], -inf on padding
     values: np.ndarray    # (C, 2N, d_f) [V_c W_p ; P_c V_c W_p] / L_c, P_c the class-class softmax
     inv_len: np.ndarray   # (C,) 1 / L_c
     const: np.ndarray     # (C, d_f) (sum of X_c) W_p / L_c + b_p
@@ -284,10 +283,8 @@ def _build_style_prompt_plan(bundle: FrozenEncoderBundle, classes: tuple) -> Sty
     d_t, d_f = bundle.dims.d_t, bundle.dims.d_f
     alpha = 1.0 / np.sqrt(d_t)
     n_classes, width = len(tails), max(map(len, tails))
-    keys = np.zeros((width, n_classes, d_t))
-    queries = np.zeros((width, n_classes, d_t))
-    pad = np.full((width, n_classes), -np.inf)
-    lse = np.full((width, n_classes), np.inf)
+    scores = np.zeros((2, width, n_classes, d_t))
+    bias = np.full((2, width, n_classes, 1), -np.inf)
     values = np.zeros((n_classes, 2 * width, d_f))
     inv_len = np.empty(n_classes)
     const = np.empty((n_classes, d_f))
@@ -296,24 +293,23 @@ def _build_style_prompt_plan(bundle: FrozenEncoderBundle, classes: tuple) -> Sty
         inv_len[c] = 1.0 / (n + 1)
         x = wgt["tok_emb"][np.asarray(tail, dtype=np.int64)] + bundle.positions[1:n + 1]
         q, k = x @ wgt["txt_wq"], x @ wgt["txt_wk"]
-        scores = (q @ k.T) * alpha
-        top = scores.max(axis=1, keepdims=True)
-        e = np.exp(scores - top)
+        sims = (q @ k.T) * alpha
+        top = sims.max(axis=1, keepdims=True)
+        e = np.exp(sims - top)
         mass = e.sum(axis=1, keepdims=True)
         v_p = x @ wgt["txt_wv"] @ wgt["txt_wp"]
-        keys[:n, c] = k * alpha
-        queries[:n, c] = q * alpha
-        pad[:n, c] = 0.0
-        lse[:n, c] = (top + np.log(mass))[:, 0]
+        scores[0, :n, c] = (k * alpha) @ wgt["txt_wq"].T
+        scores[1, :n, c] = (q * alpha) @ wgt["txt_wk"].T
+        bias[0, :n, c] = 0.0
+        bias[1, :n, c] = -(top + np.log(mass))
         values[c, :n] = v_p * inv_len[c]
         values[c, width:width + n] = (e / mass) @ v_p * inv_len[c]
         const[c] = x.sum(axis=0) @ wgt["txt_wp"] * inv_len[c] + wgt["txt_bp"]
     w_style = np.concatenate(
-        [wgt["txt_wq"], wgt["txt_wk"], wgt["txt_wv"] @ wgt["txt_wp"], wgt["txt_wp"]], axis=1)
+        [wgt["txt_wq"] * alpha, wgt["txt_wk"], wgt["txt_wv"] @ wgt["txt_wp"], wgt["txt_wp"]], axis=1)
     return StylePromptPlan(w_style=w_style, slot_pos=bundle.positions[0],
-                           keys=keys.reshape(-1, d_t), queries=queries.reshape(-1, d_t),
-                           pad=pad.reshape(-1, 1), lse=lse[:, :, None], values=values,
-                           inv_len=inv_len, const=const)
+                           scores=scores.reshape(-1, d_t), bias=bias.reshape(-1, n_classes, 1),
+                           values=values, inv_len=inv_len, const=const)
 
 
 def style_prompt_plan(bundle: FrozenEncoderBundle, classes) -> StylePromptPlan:
@@ -331,74 +327,77 @@ def encode_text_batch(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> T
     """Encode the prompt "SP [CLASS]." for every (style, class) pair, one tape node.
 
     styles is (B, d_t); row i*C + c of the (B*C, d_f) result is class c
-    prompted with style i. Only the pseudo-slot row depends on the style, so
-    a call projects the B style rows once through [W_q | W_k | W_v W_p | W_p]
-    and takes each prompt's style-dependent scores from two GEMMs: the slot's
-    query against every class key, and every class query against the slot's
-    key. The slot row's softmax is over n + 1 scores; a class row's softmax
-    is its constant class-class part, whose log-sum-exp the plan holds, plus
-    one slot score, so the slot's share is a logistic p and the class columns
-    keep the plan's proportions scaled by q = 1 - p. The pooled output is
-    the attention column sums times the value rows plus the residual rows:
-    per style, [col_0 / L, 1 / L] times [v_0 W_p ; x_0 W_p]; per class, the
-    slot row's class weights and the q's times the plan's values; plus the
-    plan's constant. The backward returns only the (B, d_t) gradient.
+    prompted with style i. Only the pseudo-slot row x_0 depends on the style:
+    a call projects the B slot rows once through [alpha W_q | W_k | W_v W_p | W_p]
+    and takes every other style-dependent score from one GEMM with the plan's
+    score rows, into a (2N + 1, C, B) buffer: the slot-slot score, the slot
+    query against the N class keys, then the N class queries against the slot
+    key. The slot row's softmax runs over the first N + 1 rows. A class row's
+    softmax is its constant class-class part plus one slot score t (less the
+    part's log-sum-exp), so the slot's share is p = e^(t-m) / (e^(t-m) + e^-m),
+    m = max(t, 0), and the class columns keep the plan's proportions scaled by
+    q = 1 - p, which overwrites t. The pooled output is the attention column
+    sums times the value rows plus the residual rows: per style, [col_0 / L,
+    1 / L] times [v_0 W_p ; x_0 W_p]; per class, buffer rows 1.. (the slot
+    row's class weights, then the q's) times the plan's values; plus the
+    plan's constant. The backward returns only the (B, d_t) gradient and sends
+    both score blocks back through the plan's score rows in one GEMM.
     """
     s = styles.data
-    d_t = bundle.dims.d_t
+    d_t, d_f = bundle.dims.d_t, bundle.dims.d_f
     if s.ndim != 2 or s.shape[1] != d_t:
         raise ShapeError(f"styles must be (B, {d_t}), got {styles.shape}")
     plan = style_prompt_plan(bundle, classes)
     b = s.shape[0]
-    width, n_classes = plan.lse.shape[:2]
-    d_f = bundle.dims.d_f
-    alpha = 1.0 / np.sqrt(d_t)
+    n_classes, width = len(plan.inv_len), len(plan.bias) // 2
 
-    proj = (s + plan.slot_pos) @ plan.w_style
+    x0 = s + plan.slot_pos
+    proj = x0 @ plan.w_style
     q0, k0 = proj[:, :d_t], proj[:, d_t:2 * d_t]
     basis = proj[:, 2 * d_t:].reshape(b, 2, d_f)  # [v_0 W_p ; x_0 W_p] per style
-    # per-prompt arrays are (token, class, style)
-    s00 = np.einsum("bd,bd->b", q0, k0) * alpha
-    s0 = (plan.keys @ q0.T + plan.pad).reshape(width, n_classes, b)
-    top = np.maximum(s0.max(axis=0), s00)
-    a00 = np.exp(s00 - top)
-    mix = np.empty((2 * width, n_classes, b))  # slot-row class weights, then q
-    a0 = mix[:width]
-    np.exp(s0 - top, out=a0)
-    den = a00 + a0.sum(axis=0)
-    a00 /= den
-    a0 /= den
-    # class rows: p = logistic(slot score - plan log-sum-exp), q = 1 - p
-    t = (plan.queries @ k0.T).reshape(width, n_classes, b) - plan.lse
-    e = np.exp(-np.abs(t))
-    r = 1.0 / (1.0 + e)
-    er = e * r
-    up = t >= 0
-    p = np.where(up, r, er)
-    q = mix[width:]
-    np.copyto(q, np.where(up, er, r))
-    col0 = a00 + p.sum(axis=0)
+    att = np.empty((2 * width + 1, n_classes, b))
+    np.matmul(plan.scores, x0.T, out=att[1:].reshape(-1, b))
+    att[1:] += plan.bias
+    att[0] = np.einsum("bd,bd->b", q0, k0)
+    slot = att[:width + 1]
+    slot -= slot.max(axis=0)
+    np.exp(slot, out=slot)
+    slot /= slot.sum(axis=0)
+    q = att[width + 1:]  # each class row's slot score t, then its class share q
+    m = np.maximum(q, 0.0)
+    p = np.exp(q - m)
+    np.exp(np.negative(m, out=q), out=q)
+    np.add(p, q, out=m)
+    p /= m
+    q /= m
+    col0 = att[0] + p.sum(axis=0)
     ext = np.empty((b, n_classes, 2))
     ext[:, :, 0] = (col0 * plan.inv_len[:, None]).T
     ext[:, :, 1] = plan.inv_len
     out = np.matmul(ext, basis)
-    out += np.matmul(mix.transpose(1, 2, 0), plan.values).transpose(1, 0, 2)
+    out += np.matmul(att[1:].transpose(1, 2, 0), plan.values).transpose(1, 0, 2)
     out += plan.const
 
     def bwd(g):
         g = g.reshape(b, n_classes, d_f)
-        d_col0 = np.matmul(g, basis[:, 0, :, None])[:, :, 0].T * plan.inv_len[:, None]
-        d_mix = np.matmul(plan.values, g.transpose(1, 2, 0)).transpose(1, 0, 2)
-        d_a0 = d_mix[:width]
-        d_t_rows = (d_col0 - d_mix[width:]) * p * q
-        dot = a00 * d_col0 + (a0 * d_a0).sum(axis=0)
-        d_s00 = (a00 * (d_col0 - dot)).sum(axis=0) * alpha
-        d_s0 = a0 * (d_a0 - dot)
+        d = np.empty_like(att)  # d col_0, then d of the rows 1.. that weight the plan's values
+        np.multiply(np.matmul(g, basis[:, 0, :, None])[:, :, 0].T, plan.inv_len[:, None], out=d[0])
+        np.matmul(plan.values, g.transpose(1, 2, 0), out=d[1:].transpose(1, 0, 2))
+        d_t_rows = d[width + 1:]
+        np.subtract(d[0], d_t_rows, out=d_t_rows)
+        d_t_rows *= p
+        d_t_rows *= q
+        d_slot = d[:width + 1]
+        d_slot -= (slot * d_slot).sum(axis=0)
+        d_slot *= slot
+        d_s00 = d[0].sum(axis=0)[:, None]
         d_proj = np.empty_like(proj)
-        d_proj[:, :d_t] = d_s0.reshape(-1, b).T @ plan.keys + d_s00[:, None] * k0
-        d_proj[:, d_t:2 * d_t] = d_t_rows.reshape(-1, b).T @ plan.queries + d_s00[:, None] * q0
+        np.multiply(d_s00, k0, out=d_proj[:, :d_t])
+        np.multiply(d_s00, q0, out=d_proj[:, d_t:2 * d_t])
         d_proj[:, 2 * d_t:] = np.matmul(ext.transpose(0, 2, 1), g).reshape(b, 2 * d_f)
-        return (d_proj @ plan.w_style.T,)
+        d_x0 = d_proj @ plan.w_style.T
+        d_x0 += d[1:].reshape(-1, b).T @ plan.scores
+        return (d_x0,)
 
     return T.apply(out.reshape(b * n_classes, d_f), (styles,), bwd)
 

@@ -35,6 +35,13 @@ def _one_row(x: np.ndarray) -> np.ndarray:
     return x[None, :]
 
 
+def _batch(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or not len(x):
+        raise ShapeError(f"expected a non-empty (n, d_x) batch, got shape {x.shape}")
+    return x
+
+
 def infer(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes):
     """Classify one image: extract its style, prompt every class, take the argmax.
 
@@ -49,7 +56,7 @@ def predict_batch(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes)
     """Forward-only inference over (n, d_x) inputs: (argmax ids, logits scale * f.z / (|f| |z|))."""
     if not classes:
         raise ConfigError("class set must be non-empty")
-    x = np.asarray(x, dtype=np.float64)
+    x = _batch(x)
     z = encode_image(bundle, x)
     styles = style_for_prompt(prompter, Tensor(z))
     feats = prompt_text_features(bundle, styles, classes).data.reshape(x.shape[0], len(classes), -1)
@@ -82,7 +89,7 @@ def zero_shot_predict_batch(bundle: FrozenEncoderBundle, x: np.ndarray, classes,
     if not classes:
         raise ConfigError("class set must be non-empty")
     feats, _ = T.unit_rows(zero_shot_text_features(bundle, classes, template), "zero-shot text feature")
-    zp = project_image(bundle, encode_image(bundle, np.asarray(x, dtype=np.float64)))
+    zp = project_image(bundle, encode_image(bundle, _batch(x)))
     logits = T.unit_rows(zp, "projected image feature")[0] @ feats.T * bundle.logit_scale
     return logits.argmax(axis=1), logits
 

@@ -138,19 +138,17 @@ def _trunk(p, zt: Tensor, x: np.ndarray):
     """Linear -> ELU -> Linear -> ELU over rows x, and the trunk's VJP.
 
     The VJP maps the trunk output's gradient to those of (z, w1, b1, w2, b2),
-    z's only when it requires one; only the VJP computes the ELU slopes.
+    z's only when it requires one; only the VJP computes the ELU slopes, from the outputs.
     """
     if x.shape[1] != p.w1.data.shape[0]:
         raise ShapeError(f"prompter expects {p.w1.data.shape[0]}-wide features, got {zt.shape}")
     w1, w2 = p.w1.data, p.w2.data
-    a1 = x @ w1 + p.b1.data
-    h1 = T.elu(a1)
-    a2 = h1 @ w2 + p.b2.data
-    h2 = T.elu(a2)
+    h1 = T.elu(T.affine(x, w1, p.b1.data))
+    h2 = T.elu(T.affine(h1, w2, p.b2.data))
 
     def vjp(g_h2):
-        g_a2 = g_h2 * T.elu_slope(a2)
-        g_a1 = (g_a2 @ w2.T) * T.elu_slope(a1)
+        g_a2 = g_h2 * T.elu_slope(h2)
+        g_a1 = (g_a2 @ w2.T) * T.elu_slope(h1)
         g_z = (g_a1 @ w1.T).reshape(zt.shape) if zt.requires_grad else None
         return g_z, x.T @ g_a1, g_a1.sum(axis=0), h1.T @ g_a2, g_a2.sum(axis=0)
 
@@ -165,7 +163,7 @@ def basic_forward(p: BasicPrompter, z) -> Tensor:
     zt, x = _as_rows(z)
     h, trunk_vjp = _trunk(p, zt, x)
     w3 = p.w3.data
-    out = h @ w3 + p.b3.data
+    out = T.affine(h, w3, p.b3.data)
 
     def bwd(g):
         g = g.reshape(out.shape)
@@ -184,8 +182,8 @@ def gaussian_forward(p: GaussianPrompter, z) -> tuple[Tensor, Tensor]:
     zt, x = _as_rows(z)
     h, trunk_vjp = _trunk(p, zt, x)
     w_mu, w_sigma = p.w_mu.data, p.w_sigma.data
-    mu = h @ w_mu + p.b_mu.data
-    raw = h @ w_sigma + p.b_sigma.data
+    mu = T.affine(h, w_mu, p.b_mu.data)
+    raw = T.affine(h, w_sigma, p.b_sigma.data)
     sigma = np.logaddexp(0.0, raw) + p.sigma_floor
 
     def bwd(g):
@@ -231,7 +229,7 @@ def style_for_prompt(p, z) -> Tensor:
     zt, x = _as_rows(z)
     h, _ = _trunk(p, zt, x)
     w, b = (p.w3, p.b3) if p.kind == "basic" else (p.w_mu, p.b_mu)
-    return Tensor((h @ w.data + b.data).reshape(zt.shape[:-1] + (p.d_t,)))
+    return Tensor(T.affine(h, w.data, b.data).reshape(zt.shape[:-1] + (p.d_t,)))
 
 
 def save_checkpoint(p, directory, run_config: dict | None = None) -> None:

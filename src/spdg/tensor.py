@@ -309,14 +309,25 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, the bias added in place on the GEMM's output."""
+    out = x @ w
+    out += b
+    return out
+
+
 def elu(x: np.ndarray) -> np.ndarray:
-    """Exponential linear unit with alpha fixed at 1."""
-    return np.where(x > 0, x, np.expm1(x))
+    """Exponential linear unit with alpha fixed at 1, in place: x becomes and is returned as
+    expm1(min(x, 0)) + max(x, 0), which is where(x > 0, x, expm1(x)) up to the sign of a zero."""
+    pos = np.maximum(x, 0.0)
+    np.expm1(np.minimum(x, 0.0, out=x), out=x)
+    x += pos
+    return x
 
 
-def elu_slope(x: np.ndarray) -> np.ndarray:
-    """Derivative of elu at x."""
-    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+def elu_slope(h: np.ndarray) -> np.ndarray:
+    """Derivative of elu where its output is h: 1 where h > 0, else exp(x) = h + 1."""
+    return np.minimum(h, 0.0) + 1.0
 
 
 def checked_norms(v: np.ndarray, what: str) -> np.ndarray:
@@ -324,11 +335,10 @@ def checked_norms(v: np.ndarray, what: str) -> np.ndarray:
 
     Norms at or below EPS_NORM, and NaN or infinite norms, are treated as
     degenerate and raise instead of being clamped; silent clamping would hide
-    a collapsed style embedding or a dead feature.
+    a collapsed style embedding or a dead feature. A NaN fails both bounds.
     """
-    # np.linalg.norm's own arithmetic, without its per-call dispatch
-    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
-    if not np.all(np.isfinite(norms) & (norms > EPS_NORM)):
+    norms = np.sqrt(np.einsum("...d,...d->...", v, v))[..., None]
+    if norms.size and not (norms.min() > EPS_NORM and np.isfinite(norms.max())):
         raise DegenerateVectorError(f"{what} has a norm <= {EPS_NORM} or a non-finite norm")
     return norms
 

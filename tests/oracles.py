@@ -242,7 +242,7 @@ def composed_prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch, styles: T
                                  labels, classes, table: RegAnchorTable | None = None):
     """prompted_ce_and_reg with the head composed from primitives."""
     zp = project_image(bundle, np.asarray(z_batch, dtype=np.float64))
-    unit_z = zp / np.linalg.norm(zp, axis=1, keepdims=True)
+    unit_z, _ = T.unit_rows(zp, "projected image feature")
     feats = production_encode_text_batch(bundle, styles, classes)
     return composed_head(feats, unit_z, labels, bundle.logit_scale, table)
 
@@ -437,7 +437,8 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
 
 
 def elu(a: Tensor) -> Tensor:
-    return T.apply(T.elu(a.data), (a,), lambda g: (g * T.elu_slope(a.data),))
+    out = T.elu(a.data.copy())
+    return T.apply(out, (a,), lambda g: (g * T.elu_slope(out),))
 
 
 def softplus(a: Tensor) -> Tensor:

@@ -368,7 +368,22 @@ def test_labels_csv_header(tmp_path):
     {"n_per_cell": 5},
     {"style_strength": -1.0},
     {"classes": ["dog", "dog", "cat"]},
+    {"classes": [1, 2]},
+    {"classes": ["dog", None]},
+    {"domains": ["photo", "cartoon", 3]},
+    {"domains": ["photo", "cartoon", b"sketch"]},
 ])
 def test_invalid_arguments_rejected(kwargs):
     with pytest.raises(ConfigError):
         datagen.generate(**kwargs)
+
+
+@pytest.mark.parametrize("column", ["class_ids", "domain_ids"])
+@pytest.mark.parametrize("past_end", [False, True], ids=["minus-one", "len-names"])
+def test_save_rejects_id_outside_names(tmp_path, column, past_end):
+    ds = datagen.generate(n_per_cell=10, seed=1)
+    names = ds.classes if column == "class_ids" else ds.domains
+    getattr(ds, column)[0] = len(names) if past_end else -1
+    with pytest.raises(FormatError, match=f"must lie in \\[0, {len(names)}\\)"):
+        datagen.save(ds, tmp_path / "d")
+    assert not (tmp_path / "d").exists()   # rejected before any file is written

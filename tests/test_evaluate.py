@@ -8,7 +8,7 @@ from conftest import WIDE_CLASSES
 from oracles import normalized_predict_batch
 from spdg import datagen, evaluate
 from spdg.encoders import FrozenEncoderBundle
-from spdg.errors import ConfigError, DegenerateVectorError, TrainingDiverged
+from spdg.errors import ConfigError, DegenerateVectorError, ShapeError, TrainingDiverged
 from spdg.evaluate import (
     EvalReport,
     MethodResult,
@@ -20,7 +20,7 @@ from spdg.evaluate import (
     write_report_json,
     write_similarity_csv,
 )
-from spdg.inference import infer, predict_batch, zero_shot_baseline
+from spdg.inference import infer, predict_batch, zero_shot_baseline, zero_shot_predict_batch
 from spdg.prompter import init_basic_prompter, init_gaussian_prompter
 from spdg.tensor import Tensor
 from spdg.trainer import RunConfig
@@ -185,6 +185,14 @@ class TestInfer:
         from spdg.tensor import unit_rows
         with pytest.raises(DegenerateVectorError):
             unit_rows(np.array([[1.0, 2.0], [bad, 1.0]]), "feature")
+
+    @pytest.mark.parametrize("shape", [(0, 32), (32,), (1, 1, 32)], ids=["empty", "1d", "3d"])
+    def test_batch_that_is_not_rows_is_shape_error(self, small_dataset, bundle, dims, shape):
+        prompter = init_gaussian_prompter(dims.d_i, dims.d_t, seed=0)
+        with pytest.raises(ShapeError, match="non-empty"):
+            predict_batch(bundle, prompter, np.zeros(shape), small_dataset.classes)
+        with pytest.raises(ShapeError, match="non-empty"):
+            zero_shot_predict_batch(bundle, np.zeros(shape), small_dataset.classes, "C")
 
     def test_positive_scaling_keeps_prediction(self, small_dataset, bundle, dims):
         prompter = init_gaussian_prompter(dims.d_i, dims.d_t, seed=0)

@@ -515,6 +515,20 @@ class TestPromptTextFeatures:
         assert np.abs(got - want).max() <= 1e-13
         assert np.abs(got_grad - want_grad).max() <= 1e-13
 
+    @pytest.mark.parametrize("b", [1, 12])
+    def test_extreme_scores_match_per_row_oracle(self, mixed_bundle, rng, b):
+        # styles 50x their usual scale put slot scores in the hundreds, so every
+        # softmax and the class rows' slot shares saturate; padded tokens are present
+        styles = 50.0 * rng.normal(size=(b, mixed_bundle.dims.d_t))
+        weight = rng.normal(size=(b * len(MIXED_CLASSES), mixed_bundle.dims.d_f))
+        with np.errstate(over="raise", invalid="raise"):
+            got, got_grad = self._features_and_grad(prompt_text_features, mixed_bundle,
+                                                    styles, weight)
+            want, want_grad = self._features_and_grad(per_row_prompt_features, mixed_bundle,
+                                                      styles, weight)
+        for g, w in ((got, want), (got_grad, want_grad)):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
     def test_single_length_is_one_encoder_batch(self, bundle, rng):
         styles = Tensor(rng.normal(size=(3, bundle.dims.d_t)), requires_grad=True)
         with Tape() as tape:

@@ -43,6 +43,33 @@ class TestElu:
     def test_pointwise(self, x, expected):
         assert elu(Tensor([x])).data[0] == pytest.approx(expected, abs=1e-12)
 
+    def test_in_place_form_equals_where_form(self):
+        grid = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -745.0, -1e3, 1e3, 0.5, -0.5,
+                         1.0, -1.0, 36.0, -36.0, -np.inf, np.inf])
+        with np.errstate(over="ignore"):   # the where form overflows expm1(1e3) before discarding it
+            want = np.where(grid > 0, grid, np.expm1(grid))
+        buf = grid.copy()
+        with np.errstate(all="raise"):
+            got = T.elu(buf)
+        assert got is buf
+        assert np.array_equal(got, want)
+
+
+class TestCheckedNorms:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero-slice"])
+    def test_three_d_degenerate_slice_raises(self, rng, bad):
+        # (B, C, d_f) feature rows, as predict_batch checks them
+        v = rng.normal(size=(4, 3, 8))
+        if bad == 0.0:
+            v[2, 1] = 0.0
+        else:
+            v[2, 1, 5] = bad
+        with pytest.raises(DegenerateVectorError):
+            T.checked_norms(v, "prompted text feature")
+
+    def test_empty_input_passes(self):
+        assert T.checked_norms(np.zeros((0, 3, 8)), "f").shape == (0, 3, 1)
+
 
 class TestL2Normalize:
     def test_three_four_five(self):
