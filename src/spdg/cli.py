@@ -254,6 +254,9 @@ def _cmd_similarity_report(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    for flag, tol in (("--primitive-tol", args.primitive_tol), ("--objective-tol", args.objective_tol)):
+        if not (np.isfinite(tol) and tol > 0):
+            raise ConfigError(f"{flag} must be a finite number > 0, got {tol}")
     failures = []
     prim = run_primitive_checks(n_inputs=args.primitive_inputs)
     for name, err in sorted(prim.items()):

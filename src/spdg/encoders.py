@@ -127,10 +127,6 @@ class FrozenEncoderBundle:
             arr.setflags(write=False)
         self.prompt_plans: dict[tuple, StylePromptPlan] = {}  # see style_prompt_plan
 
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocab)
-
 
 def build_bundle(dims: EncoderDims, vocab: list[str], seed: int,
                  logit_scale: float = 100.0) -> FrozenEncoderBundle:
@@ -180,18 +176,13 @@ def encode_image(bundle: FrozenEncoderBundle, x: np.ndarray) -> np.ndarray:
     return T.affine(np.tanh(h, out=h), wgt["img_w2"], wgt["img_b2"])
 
 
-def tokenize(text: str, vocab) -> list[int]:
+def tokenize(text: str, bundle: FrozenEncoderBundle) -> list[int]:
     """Lowercase word-level split on whitespace and terminal period.
 
     The literal word "SP" maps to the pseudo slot (PSEUDO_TOKEN). Every other
-    word must be in the vocabulary.
+    word must be in the bundle's vocabulary.
     """
-    if isinstance(vocab, FrozenEncoderBundle):
-        word_to_id = vocab.word_to_id
-    elif isinstance(vocab, dict):
-        word_to_id = vocab
-    else:
-        word_to_id = {w: i for i, w in enumerate(vocab)}
+    word_to_id = bundle.word_to_id
     if not text or not text.strip():
         raise TokenizeError("cannot tokenize empty text")
 

@@ -1,6 +1,6 @@
-"""Gradient verification suite: every differentiable primitive, the fused
-training-step nodes among them, against central finite differences, plus the
-full training objective on a small fixture.
+"""Gradient verification suite: every fused node that ships, from
+l2_normalize to the training-step nodes, against central finite differences,
+plus the full training objective on a small fixture.
 
 The fixture freezes one Monte Carlo draw so the objective is a deterministic
 function of the prompter parameters, which is what finite differencing needs.
@@ -15,6 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoders import EncoderDims, build_bundle, default_vocab, encode_image, encode_text_batch
+from .errors import ConfigError
 from .losses import (
     LossParts,
     LossWeights,
@@ -36,26 +37,34 @@ from .prompter import (
 from .tensor import Tensor, finite_diff_grad_check
 
 
-def _split(x: Tensor, shapes) -> tuple[Tensor, ...]:
-    """Consecutive pieces of a flat x, one per shape, as one multi-output node."""
+def _layout(shapes) -> tuple[tuple[int, int, tuple], ...]:
+    """(start, stop, shape) of consecutive pieces of a flat vector, one per shape."""
     bounds = np.cumsum([0] + [int(np.prod(s)) for s in shapes]).tolist()
-    pieces = tuple(x.data[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes))
+    return tuple(zip(bounds, bounds[1:], shapes))
+
+
+def _split(x: Tensor, layout) -> tuple[Tensor, ...]:
+    """The pieces of a flat x at a precomputed _layout, as one multi-output node."""
+    pieces = tuple(x.data[a:b].reshape(s) for a, b, s in layout)
     return T.apply(pieces, (x,), lambda g: (np.concatenate([gi.reshape(-1) for gi in g]),))
 
 
+def _shift(x: Tensor, c: np.ndarray) -> Tensor:
+    """x + c for a constant c of x's shape, as one node with the identity backward."""
+    return T.apply(x.data + c, (x,), lambda g: (g,))
+
+
 def _weighted(outs, weights) -> Tensor:
-    """sum_k sum(outs[k] * weights[k]), a scalar probe of several outputs."""
-    total = None
-    for out, w in zip(outs, weights):
-        term = T.sum_all(T.mul(out, Tensor(w)))
-        total = term if total is None else T.add(total, term)
-    return total
+    """sum_k sum(outs[k] * weights[k]), a scalar probe of several outputs, as one node."""
+    value = sum(float((out.data * w).sum()) for out, w in zip(outs, weights))
+    return T.apply(np.asarray(value), tuple(outs), lambda g: tuple(g * w for w in weights))
 
 
 def _prompter_case(kind: str, z_shape):
     """x holds z (shape z_shape), then every prompter parameter, flattened."""
     init = init_basic_prompter if kind == "basic" else init_gaussian_prompter
     shapes = tuple(t.shape for _, t in init(4, 3, seed=0).parameters())
+    layout = _layout((z_shape,) + shapes)
     n_out = 1 if kind == "basic" else 2
     out_shape = z_shape[:-1] + (3,)
 
@@ -63,13 +72,13 @@ def _prompter_case(kind: str, z_shape):
         w = [rng.normal(size=out_shape) for _ in range(n_out)]
 
         def f(x):
-            z, *params = _split(x, (z_shape,) + shapes)
+            z, *params = _split(x, layout)
             if kind == "basic":
                 return _weighted([basic_forward(BasicPrompter(*params), z)], w)
             return _weighted(gaussian_forward(GaussianPrompter(*params), z), w)
         return f
 
-    return (f"{kind}_forward", (int(np.prod(z_shape)) + sum(int(np.prod(s)) for s in shapes),), make)
+    return (f"{kind}_forward", (layout[-1][1],), make)
 
 
 def _head_case(with_reg: bool):
@@ -83,8 +92,7 @@ def _head_case(with_reg: bool):
 
         def f(x):
             # a feature row of norm about 3: far from the degenerate check
-            feats = T.add(x, Tensor(np.full((6, 4), 1.5)))
-            out = classification_head(feats, unit_z, labels, 3.0, anchors)
+            out = classification_head(_shift(x, np.full((6, 4), 1.5)), unit_z, labels, 3.0, anchors)
             return _weighted(out if with_reg else (out,), w)
         return f
 
@@ -92,7 +100,7 @@ def _head_case(with_reg: bool):
 
 
 def _primitive_cases():
-    """(name, input shape, builder) per differentiable primitive.
+    """(name, input shape, builder) per fused node that ships here.
 
     Each builder closes over a seeded rng for its constants and returns a
     scalar-valued function of one Tensor.
@@ -102,47 +110,38 @@ def _primitive_cases():
     prompt_classes = ["dog", "hot dog", "big red bus"]
     prompt_bundle = build_bundle(EncoderDims(), default_vocab(prompt_classes), seed=5)
     d_t, d_f = prompt_bundle.dims.d_t, prompt_bundle.dims.d_f
+    styles_layout = _layout(((2, 3), (2, 3)))
+    parts_layout = _layout(((), (), ()))
 
     # constants are bound as lambda defaults so each f is a fixed function of
     # x; drawing inside the body would change the function between the base
     # evaluation and the perturbed ones
     return [
-        ("add", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(3, 4)): T.sum_all(T.add(x, Tensor(c))))),
-        ("add_broadcast", (3, 4), lambda rng: (lambda x, c=rng.normal(size=4): T.sum_all(T.add(x, Tensor(c))))),
-        ("sub", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(3, 4)): T.sum_all(T.sub(Tensor(c), x)))),
-        ("mul", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(3, 4)): T.sum_all(T.mul(x, Tensor(c))))),
-        ("mul_broadcast", (3, 4), lambda rng: (lambda x, c=rng.normal(size=4): T.sum_all(T.mul(x, Tensor(c))))),
-        ("neg", (5,), lambda rng: (lambda x: T.sum_all(T.neg(x)))),
-        ("matmul", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(4, 2)): T.sum_all(T.matmul(x, Tensor(c))))),
-        ("matmul_left", (4, 2), lambda rng: (lambda x, a=rng.normal(size=(3, 4)): T.sum_all(T.matmul(Tensor(a), x)))),
-        ("matvec", (3, 4), lambda rng: (lambda x, c=rng.normal(size=4): T.sum_all(T.matmul(x, Tensor(c))))),
-        ("reshape", (3, 4), lambda rng: (lambda x, w=rng.normal(size=12): T.sum_all(T.mul(T.reshape(x, (12,)), Tensor(w))))),
-        ("sum_all", (3, 4), lambda rng: (lambda x: T.sum_all(x))),
-        ("mean_all", (3, 4), lambda rng: (lambda x: T.mean_all(x))),
         ("l2_normalize", (3, 4), lambda rng: (lambda x, s=np.sign(rng.normal(size=(3, 4))) * 2.0, w=rng.normal(size=(3, 4)):
-                                              T.sum_all(T.mul(T.l2_normalize(T.add(x, Tensor(s))), Tensor(w))))),
+                                              _weighted([T.l2_normalize(_shift(x, s))], [w]))),
         ("domain_discrimination_loss", (8, 3), lambda rng: (lambda x, dom=np.array([0, 1, 2, 0, 1, 2, 0, 1]):
                                                             domain_discrimination_loss(T.l2_normalize(x), dom, 0.5))),
         ("encode_text_batch", (3, d_t), lambda rng: (lambda x, w=rng.normal(size=(9, d_f)):
-                                                     T.sum_all(T.mul(encode_text_batch(prompt_bundle, x, prompt_classes),
-                                                                     Tensor(w))))),
+                                                     _weighted([encode_text_batch(prompt_bundle, x, prompt_classes)], [w]))),
         _prompter_case("basic", (2, 4)),
         _prompter_case("gaussian", (4,)),
         ("sample_styles_batch", (2 * 2 * 3,), lambda rng: (
             lambda x, eps=Tensor(rng.normal(size=(6, 3))), w=rng.normal(size=(6, 3)):
-            _weighted([sample_styles_batch(*_split(x, ((2, 3), (2, 3))), 3, None, eps=eps)], [w]))),
+            _weighted([sample_styles_batch(*_split(x, styles_layout), 3, None, eps=eps)], [w]))),
         _head_case(with_reg=True),
         _head_case(with_reg=False),
         ("total_loss", (3,), lambda rng: (lambda x: total_loss(
-            LossParts(*_split(x, ((), (), ()))), LossWeights(w_d=0.3, w_reg=2.0, ce_scale=1.5)))),
+            LossParts(*_split(x, parts_layout)), LossWeights(w_d=0.3, w_reg=2.0, ce_scale=1.5)))),
     ]
 
 
 def run_primitive_checks(n_inputs: int = 100, cases=None) -> dict[str, float]:
-    """Worst finite-difference relative error per primitive over seeded inputs.
+    """Worst finite-difference relative error per case over n_inputs seeded inputs.
 
-    `cases` defaults to the primitives and fused nodes that ship here.
+    `cases` defaults to the fused nodes that ship here.
     """
+    if n_inputs < 1:
+        raise ConfigError(f"a gradient check needs at least one input per case, got {n_inputs}")
     results: dict[str, float] = {}
     for name, shape, make in _primitive_cases() if cases is None else cases:
         worst = 0.0

@@ -75,15 +75,6 @@ def zero_shot_text_features(bundle: FrozenEncoderBundle, classes, template: str)
     return encode_texts(bundle, [render(cls) for cls in classes])
 
 
-def zero_shot_baseline(bundle: FrozenEncoderBundle, x: np.ndarray, classes, template: str):
-    """Classify with a bare text template and no learned components.
-
-    A one-row zero_shot_predict_batch. Returns (predicted class name, logits).
-    """
-    preds, logits = zero_shot_predict_batch(bundle, _one_row(x), classes, template)
-    return classes[int(preds[0])], logits[0]
-
-
 def zero_shot_predict_batch(bundle: FrozenEncoderBundle, x: np.ndarray, classes,
                             template: str):
     if not classes:

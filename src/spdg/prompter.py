@@ -116,16 +116,6 @@ def init_gaussian_prompter(d_i: int, d_t: int, seed: int,
     )
 
 
-def basic_parameter_count(d_i: int, d_t: int) -> int:
-    h = d_i // 2
-    return d_i * h + h + h * h + h + h * d_t + d_t
-
-
-def gaussian_parameter_count(d_i: int, d_t: int) -> int:
-    h = d_i // 2
-    return d_i * h + h + h * h + h + 2 * (h * d_t + d_t)
-
-
 def _as_rows(z) -> tuple[Tensor, np.ndarray]:
     """The input as a Tensor and its values as (B, d_i) rows."""
     t = z if isinstance(z, Tensor) else Tensor(z)

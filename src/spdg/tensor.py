@@ -1,13 +1,14 @@
 """Dense tensor math with tape-based reverse-mode automatic differentiation.
 
-float64 is the working precision everywhere; float32 exists as a storage
-option and is excluded from tolerance-critical paths. A Tape records primitive
-operations in creation order (already topological), and `Tape.backward` walks
-that list in reverse, accumulating vector-Jacobian products into the
-requires_grad leaves. A node may have several outputs (a fused primitive that
-yields, say, mu and sigma together), in which case its backward receives one
-gradient per output. A single backward pass per scalar loss is the only
-supported mode; there are no higher-order derivatives.
+A Tensor always holds float64; float32 exists only as a storage format in
+blob files. `apply` is the one way to define a differentiable operation: it
+records a fused node, a forward result plus a closed-form backward, on the
+active Tape. A Tape keeps its nodes in creation order (already topological),
+and `Tape.backward` walks that list in reverse, accumulating vector-Jacobian
+products into the requires_grad leaves. A node may have several outputs (a
+fused node that yields, say, mu and sigma together), in which case its
+backward receives one gradient per output. A single backward pass per scalar
+loss is the only supported mode; there are no higher-order derivatives.
 
 Evaluation is single-threaded and row-major, so results are bit-reproducible
 for a fixed input and evaluation order.
@@ -39,11 +40,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float64, np.float32):
-            arr = arr.astype(np.float64)
-        self.data = arr
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -55,10 +53,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
@@ -68,53 +62,9 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # operator sugar; constants are wrapped on the fly
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
-    def mean(self) -> "Tensor":
-        return mean_all(self)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
-def constant(x) -> Tensor:
-    return _as_tensor(x)
-
 
 class Tape:
-    """Ordered record of primitive operations for one backward pass.
+    """Ordered record of fused nodes for one backward pass.
 
     Nodes are appended at creation time, so the list is topologically sorted
     by construction: every node's inputs were produced earlier or are leaves.
@@ -197,12 +147,12 @@ class Tape:
 
 
 def apply(out_data: np.ndarray, inputs, backward_fn) -> Tensor:
-    """Wrap a primitive's forward result, recording it on the active tape.
+    """Wrap a fused node's forward result, recording it on the active tape.
 
     `backward_fn(g)` must return one gradient array (or None) per input.
     A tuple of arrays makes one node with a Tensor per array; `g` is then a
-    tuple holding one gradient per output. Other modules use this hook to
-    define fused primitives.
+    tuple holding one gradient per output. Every differentiable operation,
+    here and in other modules, is defined through this hook.
     """
     tape = _active_tape()
     inputs = tuple(inputs)
@@ -214,89 +164,6 @@ def apply(out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     if track:
         tape.record(out, inputs, backward_fn)
     return out
-
-
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `g` down to `shape`, undoing numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# primitives
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-
-    def bwd(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)
-
-    return apply(out, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def bwd(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)
-
-    return apply(out, (a, b), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def bwd(g):
-        return _reduce_to(g * b.data, a.data.shape), _reduce_to(g * a.data, b.data.shape)
-
-    return apply(out, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    return apply(-a.data, (a,), lambda g: (-g,))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports 2D @ 1D/2D, got {a.shape} @ {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-
-    if b.data.ndim == 2:
-        def bwd(g):
-            return g @ b.data.T, a.data.T @ g
-    else:
-        def bwd(g):
-            return np.outer(g, b.data), a.data.T @ g
-
-    return apply(out, (a, b), bwd)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    return apply(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return apply(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    return apply(
-        np.asarray(a.data.mean()),
-        (a,),
-        lambda g: (np.broadcast_to(g / n, a.data.shape).copy(),),
-    )
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

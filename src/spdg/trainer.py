@@ -122,14 +122,13 @@ class OptimizerState:
 
     `for_params` copies the parameters into `flat` and rebinds each one's
     .data to a reshaped view of it, so a step is a few whole-buffer array
-    operations; `velocities` are the matching views of `velocity`.
+    operations.
     """
 
     flat: np.ndarray
     velocity: np.ndarray
     grad: np.ndarray
     views: list[np.ndarray]
-    velocities: list[np.ndarray]
     step: int = 0
 
     @classmethod
@@ -137,15 +136,13 @@ class OptimizerState:
         bounds = np.cumsum([0] + [p.data.size for p in params]).tolist()
         flat = np.empty(bounds[-1])
         velocity = np.zeros_like(flat)
-        views, velocities = [], []
+        views = []
         for p, start, stop in zip(params, bounds, bounds[1:]):
             view = flat[start:stop].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
             views.append(view)
-            velocities.append(velocity[start:stop].reshape(view.shape))
-        return cls(flat=flat, velocity=velocity, grad=np.empty_like(flat), views=views,
-                   velocities=velocities)
+        return cls(flat=flat, velocity=velocity, grad=np.empty_like(flat), views=views)
 
 
 def sgd_momentum_step(params, grads, state: OptimizerState, lr: float,

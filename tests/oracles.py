@@ -12,7 +12,8 @@ production fuses each into one node. Beside them sits a reference prediction
 path: the taped style forward, unit-normalized feature rows, then the dots,
 and labels.csv written and read one csv row at a time.
 The last part holds the composable primitives that only the oracles and
-tests build with, and their finite-difference cases.
+tests build with, the elementary add, sub, mul, neg, matmul, reshape,
+sum_all and mean_all among them, and their finite-difference cases.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def embed_tokens(bundle: FrozenEncoderBundle, ids: list[int],
     Gradient flows only through `style`; table rows are frozen constants.
     """
     seq = PromptSequence(list(ids), None, "")
-    seq.validate(bundle.vocab_size)
+    seq.validate(len(bundle.vocab))
     has_pseudo = ids and ids[0] == PSEUDO_TOKEN
     if has_pseudo and style is None:
         raise TokenizeError("prompt has a pseudo slot but no style embedding was given")
@@ -74,8 +75,8 @@ def embed_tokens(bundle: FrozenEncoderBundle, ids: list[int],
         raise ShapeError(f"style embedding must have shape ({bundle.dims.d_t},), got {style.shape}")
     rest = Tensor(bundle.weights["tok_emb"][np.asarray(ids[1:], dtype=np.int64)])
     if len(ids) == 1:
-        return T.reshape(style, (1, bundle.dims.d_t))
-    return concat_rows([T.reshape(style, (1, bundle.dims.d_t)), rest])
+        return reshape(style, (1, bundle.dims.d_t))
+    return concat_rows([reshape(style, (1, bundle.dims.d_t)), rest])
 
 
 def _text_forward(bundle: FrozenEncoderBundle, emb: np.ndarray):
@@ -131,8 +132,8 @@ def encode_text(bundle: FrozenEncoderBundle, embeddings: Tensor) -> Tensor:
     """Encode one prompt, (L, d_t) -> (d_f,). Differentiable in the embeddings."""
     if embeddings.data.ndim != 2:
         raise ShapeError(f"encode_text expects a (L, d_t) matrix, got {embeddings.shape}")
-    batched = T.reshape(embeddings, (1,) + embeddings.data.shape)
-    return T.reshape(encode_text_batch(bundle, batched), (bundle.dims.d_f,))
+    batched = reshape(embeddings, (1,) + embeddings.data.shape)
+    return reshape(encode_text_batch(bundle, batched), (bundle.dims.d_f,))
 
 
 def fill_style_slot_batch(styles: Tensor, base: np.ndarray, owner: np.ndarray) -> Tensor:
@@ -169,7 +170,7 @@ def similarity_logits(bundle: FrozenEncoderBundle, z: np.ndarray, text_feats: Te
         raise DegenerateVectorError("projected image feature has near-zero norm")
     unit = Tensor(zp / norm)
     feats_n = T.l2_normalize(feats)
-    return T.mul(T.matmul(feats_n, unit), T.constant(bundle.logit_scale))
+    return mul(matmul(feats_n, unit), constant(bundle.logit_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +207,8 @@ def cross_entropy_from_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     onehot = np.zeros((b, n_classes))
     onehot[np.arange(b), labels] = 1.0
     lse = masked_log_sum_exp_rows(logits, np.ones((b, n_classes), dtype=bool))
-    picked = sum_axis(T.mul(logits, T.constant(onehot)), axis=1)
-    return T.mean_all(T.sub(lse, picked))
+    picked = sum_axis(mul(logits, constant(onehot)), axis=1)
+    return mean_all(sub(lse, picked))
 
 
 def style_regularization_loss(text_feats: Tensor, class_labels, table: RegAnchorTable) -> Tensor:
@@ -220,7 +221,7 @@ def style_regularization_loss(text_feats: Tensor, class_labels, table: RegAnchor
         raise ConfigError(f"class label outside anchor table of size {len(table.classes)}")
     unit = T.l2_normalize(text_feats)
     cos = rowwise_dot_grouped(unit, table.anchors[labels], group=1)
-    return T.add(T.neg(T.mean_all(cos)), T.constant(1.0))
+    return add(neg(mean_all(cos)), constant(1.0))
 
 
 def composed_head(feats: Tensor, unit_z: np.ndarray, labels, scale: float,
@@ -231,7 +232,7 @@ def composed_head(feats: Tensor, unit_z: np.ndarray, labels, scale: float,
     b = unit_z.shape[0]
     n_classes = feats.data.shape[0] // b
     dots = rowwise_dot_grouped(T.l2_normalize(feats), unit_z, group=n_classes)
-    loss_ce = cross_entropy_from_logits(T.mul(dots, T.constant(scale)), labels)
+    loss_ce = cross_entropy_from_logits(mul(dots, constant(scale)), labels)
     if table is None:
         return loss_ce, None
     own = take_rows(feats, np.arange(b) * n_classes + labels)
@@ -250,7 +251,7 @@ def composed_prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch, styles: T
 def _as_batch(z) -> tuple[Tensor, bool]:
     t = z if isinstance(z, Tensor) else Tensor(z)
     if t.data.ndim == 1:
-        return T.reshape(t, (1, t.data.shape[0])), True
+        return reshape(t, (1, t.data.shape[0])), True
     return t, False
 
 
@@ -262,31 +263,31 @@ def _trunk(p, z: Tensor) -> Tensor:
 def composed_basic_forward(p, z) -> Tensor:
     zb, squeeze = _as_batch(z)
     out = linear_forward(_trunk(p, zb), p.w3, p.b3)
-    return T.reshape(out, (p.d_t,)) if squeeze else out
+    return reshape(out, (p.d_t,)) if squeeze else out
 
 
 def composed_gaussian_forward(p, z) -> tuple[Tensor, Tensor]:
     zb, squeeze = _as_batch(z)
     h = _trunk(p, zb)
     mu = linear_forward(h, p.w_mu, p.b_mu)
-    sigma = T.add(softplus(linear_forward(h, p.w_sigma, p.b_sigma)),
-                  T.constant(p.sigma_floor))
+    sigma = add(softplus(linear_forward(h, p.w_sigma, p.b_sigma)),
+                constant(p.sigma_floor))
     if squeeze:
-        return T.reshape(mu, (p.d_t,)), T.reshape(sigma, (p.d_t,))
+        return reshape(mu, (p.d_t,)), reshape(sigma, (p.d_t,))
     return mu, sigma
 
 
 def composed_sample_styles_batch(mu: Tensor, sigma: Tensor, n: int, eps: np.ndarray) -> Tensor:
     """s = eps * repeat(sigma) + repeat(mu), three primitive nodes."""
-    return T.add(T.mul(Tensor(eps), repeat_rows(sigma, n)), repeat_rows(mu, n))
+    return add(mul(Tensor(eps), repeat_rows(sigma, n)), repeat_rows(mu, n))
 
 
 def composed_total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
-    total = T.mul(parts.loss_ce, T.constant(weights.ce_scale))
+    total = mul(parts.loss_ce, constant(weights.ce_scale))
     if parts.loss_d is not None:
-        total = T.add(total, T.mul(parts.loss_d, T.constant(weights.w_d)))
+        total = add(total, mul(parts.loss_d, constant(weights.w_d)))
     if parts.loss_reg is not None:
-        total = T.add(total, T.mul(parts.loss_reg, T.constant(weights.w_reg)))
+        total = add(total, mul(parts.loss_reg, constant(weights.w_reg)))
     return total
 
 
@@ -361,6 +362,90 @@ def rowwise_read_labels(text: str, classes, domains, expected: int):
 
 # ---------------------------------------------------------------------------
 # composable tape primitives that only the oracles and the tests build with
+
+
+def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum `g` down to `shape`, undoing numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def constant(x) -> Tensor:
+    """A constant operand: a Tensor as is, anything else wrapped as float64."""
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    out = a.data + b.data
+
+    def bwd(g):
+        return _reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)
+
+    return T.apply(out, (a, b), bwd)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    out = a.data - b.data
+
+    def bwd(g):
+        return _reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)
+
+    return T.apply(out, (a, b), bwd)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    out = a.data * b.data
+
+    def bwd(g):
+        return _reduce_to(g * b.data, a.data.shape), _reduce_to(g * a.data, b.data.shape)
+
+    return T.apply(out, (a, b), bwd)
+
+
+def neg(a: Tensor) -> Tensor:
+    return T.apply(-a.data, (a,), lambda g: (-g,))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
+        raise ShapeError(f"matmul supports 2D @ 1D/2D, got {a.shape} @ {b.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
+    out = a.data @ b.data
+
+    if b.data.ndim == 2:
+        def bwd(g):
+            return g @ b.data.T, a.data.T @ g
+    else:
+        def bwd(g):
+            return np.outer(g, b.data), a.data.T @ g
+
+    return T.apply(out, (a, b), bwd)
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    shape = tuple(int(s) for s in shape)
+    return T.apply(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
+
+
+def sum_all(a: Tensor) -> Tensor:
+    return T.apply(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
+
+
+def mean_all(a: Tensor) -> Tensor:
+    n = a.data.size
+    return T.apply(
+        np.asarray(a.data.mean()),
+        (a,),
+        lambda g: (np.broadcast_to(g / n, a.data.shape).copy(),),
+    )
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -526,27 +611,39 @@ def primitive_cases():
     """(name, input shape, builder) per primitive above, in the form of
     `spdg.gradcheck._primitive_cases`, for `run_primitive_checks`."""
     return [
-    ("transpose", (3, 4), lambda rng: (lambda x, w=rng.normal(size=(4, 3)): T.sum_all(T.mul(transpose(x), Tensor(w))))),
+    ("add", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(3, 4)): sum_all(add(x, Tensor(c))))),
+    ("add_broadcast", (3, 4), lambda rng: (lambda x, c=rng.normal(size=4): sum_all(add(x, Tensor(c))))),
+    ("sub", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(3, 4)): sum_all(sub(Tensor(c), x)))),
+    ("mul", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(3, 4)): sum_all(mul(x, Tensor(c))))),
+    ("mul_broadcast", (3, 4), lambda rng: (lambda x, c=rng.normal(size=4): sum_all(mul(x, Tensor(c))))),
+    ("neg", (5,), lambda rng: (lambda x: sum_all(neg(x)))),
+    ("matmul", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(4, 2)): sum_all(matmul(x, Tensor(c))))),
+    ("matmul_left", (4, 2), lambda rng: (lambda x, a=rng.normal(size=(3, 4)): sum_all(matmul(Tensor(a), x)))),
+    ("matvec", (3, 4), lambda rng: (lambda x, c=rng.normal(size=4): sum_all(matmul(x, Tensor(c))))),
+    ("reshape", (3, 4), lambda rng: (lambda x, w=rng.normal(size=12): sum_all(mul(reshape(x, (12,)), Tensor(w))))),
+    ("sum_all", (3, 4), lambda rng: (lambda x: sum_all(x))),
+    ("mean_all", (3, 4), lambda rng: (lambda x: mean_all(x))),
+    ("transpose", (3, 4), lambda rng: (lambda x, w=rng.normal(size=(4, 3)): sum_all(mul(transpose(x), Tensor(w))))),
     ("concat_rows", (2, 3), lambda rng: (lambda x, c=rng.normal(size=(2, 3)), w=rng.normal(size=(4, 3)):
-                                         T.sum_all(T.mul(concat_rows([x, Tensor(c)]), Tensor(w))))),
-    ("get_row", (4, 3), lambda rng: (lambda x, w=rng.normal(size=3): T.sum_all(T.mul(get_row(x, 2), Tensor(w))))),
+                                         sum_all(mul(concat_rows([x, Tensor(c)]), Tensor(w))))),
+    ("get_row", (4, 3), lambda rng: (lambda x, w=rng.normal(size=3): sum_all(mul(get_row(x, 2), Tensor(w))))),
     ("take_rows", (4, 3), lambda rng: (lambda x, w=rng.normal(size=(3, 3)):
-                                       T.sum_all(T.mul(take_rows(x, [0, 2, 0]), Tensor(w))))),
+                                       sum_all(mul(take_rows(x, [0, 2, 0]), Tensor(w))))),
     ("repeat_rows", (3, 2), lambda rng: (lambda x, w=rng.normal(size=(6, 2)):
-                                         T.sum_all(T.mul(repeat_rows(x, 2), Tensor(w))))),
-    ("sum_axis0", (3, 4), lambda rng: (lambda x, w=rng.normal(size=4): T.sum_all(T.mul(sum_axis(x, 0), Tensor(w))))),
-    ("sum_axis1", (3, 4), lambda rng: (lambda x, w=rng.normal(size=3): T.sum_all(T.mul(sum_axis(x, 1), Tensor(w))))),
-    ("elu", (3, 4), lambda rng: (lambda x: T.sum_all(elu(x)))),
-    ("softplus", (3, 4), lambda rng: (lambda x: T.sum_all(softplus(x)))),
+                                         sum_all(mul(repeat_rows(x, 2), Tensor(w))))),
+    ("sum_axis0", (3, 4), lambda rng: (lambda x, w=rng.normal(size=4): sum_all(mul(sum_axis(x, 0), Tensor(w))))),
+    ("sum_axis1", (3, 4), lambda rng: (lambda x, w=rng.normal(size=3): sum_all(mul(sum_axis(x, 1), Tensor(w))))),
+    ("elu", (3, 4), lambda rng: (lambda x: sum_all(elu(x)))),
+    ("softplus", (3, 4), lambda rng: (lambda x: sum_all(softplus(x)))),
     ("linear_forward_x", (3, 4), lambda rng: (lambda x, w=rng.normal(size=(4, 2)), b=rng.normal(size=2):
-                                              T.sum_all(linear_forward(x, Tensor(w), Tensor(b))))),
+                                              sum_all(linear_forward(x, Tensor(w), Tensor(b))))),
     ("linear_forward_w", (4, 2), lambda rng: (lambda x, a=rng.normal(size=(3, 4)), b=rng.normal(size=2):
-                                              T.sum_all(linear_forward(Tensor(a), x, Tensor(b))))),
+                                              sum_all(linear_forward(Tensor(a), x, Tensor(b))))),
     ("linear_forward_b", (2,), lambda rng: (lambda x, a=rng.normal(size=(3, 4)), w=rng.normal(size=(4, 2)):
-                                            T.sum_all(linear_forward(Tensor(a), Tensor(w), x)))),
+                                            sum_all(linear_forward(Tensor(a), Tensor(w), x)))),
     ("cosine_similarity", (5,), lambda rng: (lambda x, c=rng.normal(size=5) + 2.0:
-                                             cosine_similarity(T.add(x, T.constant(3.0)), Tensor(c)))),
+                                             cosine_similarity(add(x, constant(3.0)), Tensor(c)))),
     ("log_sum_exp", (6,), lambda rng: (lambda x: log_sum_exp(x))),
     ("rowwise_dot_grouped", (6, 3), lambda rng: (lambda x, a=rng.normal(size=(2, 3)), w=rng.normal(size=(2, 3)):
-                                                 T.sum_all(T.mul(rowwise_dot_grouped(x, a, group=3), Tensor(w))))),
+                                                 sum_all(mul(rowwise_dot_grouped(x, a, group=3), Tensor(w))))),
     ]

@@ -316,3 +316,29 @@ def test_empty_methods_or_no_workers_is_config_error(capsys, cli_dataset, tmp_pa
     assert code == 2
     assert json.loads(err)["error"] == "config_error"
     assert not (tmp_path / "out").exists()
+
+
+def test_grad_check_lists_the_shipped_fused_nodes(capsys):
+    code, out, _ = run_cli(capsys, "grad-check", "--primitive-inputs", "1")
+    assert code == 0
+    lines = out.splitlines()
+    checked = sorted(line.split(":")[0].split()[1] for line in lines if line.startswith("primitive "))
+    assert checked == sorted([
+        "l2_normalize", "domain_discrimination_loss", "encode_text_batch", "basic_forward",
+        "gaussian_forward", "sample_styles_batch", "classification_head",
+        "classification_head_ce_only", "total_loss",
+    ])
+    assert sum(line.startswith("objective d/d") for line in lines) == 8
+    assert all(line.endswith("[ok]") for line in lines if "max_rel_err" in line)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--primitive-inputs", "0"], ["--primitive-inputs", "-3"],
+    ["--primitive-tol", "0"], ["--primitive-tol=-1e-6"], ["--primitive-tol", "nan"],
+    ["--objective-tol", "inf"], ["--objective-tol", "nan"],
+])
+def test_grad_check_that_checks_nothing_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, "grad-check", *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == "config_error"
+    assert out == ""

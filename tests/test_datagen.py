@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import re
+import runpy
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -387,3 +390,13 @@ def test_save_rejects_id_outside_names(tmp_path, column, past_end):
     with pytest.raises(FormatError, match=f"must lie in \\[0, {len(names)}\\)"):
         datagen.save(ds, tmp_path / "d")
     assert not (tmp_path / "d").exists()   # rejected before any file is written
+
+
+def test_fixture_seed_scan_runs(capsys, monkeypatch):
+    # the script that picked the pinned fixture seeds, on one dataset and one encoder seed
+    script = Path(__file__).resolve().parents[1] / "scripts" / "scan_fixture_seeds.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--dataset-seeds", "0", "--encoder-seeds", "0"])
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    gaps = " ".join(rf"{d}=[+-]\d\.\d{{3}}" for d in datagen.generate(seed=0).domains)
+    assert re.fullmatch(f"dataset seed 0: probe gaps {gaps}", lines[0])

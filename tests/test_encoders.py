@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import PromptSequence, embed_tokens, fill_style_slot_batch, similarity_logits
-from spdg import tensor as T
+from oracles import (
+    PromptSequence,
+    embed_tokens,
+    fill_style_slot_batch,
+    mul,
+    similarity_logits,
+    sum_all,
+)
 from spdg.encoders import (
     MAX_TEXT_LEN,
     PSEUDO_TOKEN,
@@ -150,7 +156,7 @@ class TestEncodeText:
 
         def f(style):
             feat = encode_text_batch(bundle, style, ["dog"])
-            return T.sum_all(T.mul(feat, Tensor(probe)))
+            return sum_all(mul(feat, Tensor(probe)))
 
         err = finite_diff_grad_check(f, Tensor(rng.normal(size=(1, bundle.dims.d_t))))
         assert err < 1e-5
@@ -201,7 +207,7 @@ class TestFillStyleSlotBatch:
 
         def f(styles):
             filled = fill_style_slot_batch(styles, base, owner)
-            return T.sum_all(T.mul(filled, Tensor(probe)))
+            return sum_all(mul(filled, Tensor(probe)))
 
         styles = Tensor(rng.normal(size=(b, d)))
         filled = fill_style_slot_batch(styles, base, owner)

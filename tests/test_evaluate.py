@@ -20,7 +20,7 @@ from spdg.evaluate import (
     write_report_json,
     write_similarity_csv,
 )
-from spdg.inference import infer, predict_batch, zero_shot_baseline, zero_shot_predict_batch
+from spdg.inference import infer, predict_batch, zero_shot_predict_batch
 from spdg.prompter import init_basic_prompter, init_gaussian_prompter
 from spdg.tensor import Tensor
 from spdg.trainer import RunConfig
@@ -310,18 +310,18 @@ class TestZeroShot:
             assert np.abs(got[c] - want).max() <= 1e-12
 
     def test_deterministic(self, bundle, rng):
-        x = rng.normal(size=bundle.dims.d_x)
-        a = zero_shot_baseline(bundle, x, ["dog", "horse"], "C")
-        b = zero_shot_baseline(bundle, x, ["dog", "horse"], "C")
-        assert a[0] == b[0] and np.array_equal(a[1], b[1])
+        x = rng.normal(size=(1, bundle.dims.d_x))
+        a = zero_shot_predict_batch(bundle, x, ["dog", "horse"], "C")
+        b = zero_shot_predict_batch(bundle, x, ["dog", "horse"], "C")
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_single_class_always_predicted(self, bundle, rng):
-        cls, _ = zero_shot_baseline(bundle, rng.normal(size=bundle.dims.d_x), ["dog"], "PC")
-        assert cls == "dog"
+        preds, _ = zero_shot_predict_batch(bundle, rng.normal(size=(1, bundle.dims.d_x)), ["dog"], "PC")
+        assert preds.tolist() == [0]
 
     def test_unknown_template_rejected(self, bundle, rng):
         with pytest.raises(ConfigError):
-            zero_shot_baseline(bundle, rng.normal(size=bundle.dims.d_x), ["dog"], "photo")
+            zero_shot_predict_batch(bundle, rng.normal(size=(1, bundle.dims.d_x)), ["dog"], "photo")
 
 
 class TestLeaveOneOut:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spdg import tensor as T
 from oracles import (
     concat_rows,
+    constant,
     cross_entropy_from_logits,
     embed_tokens,
     encode_text,
@@ -16,8 +17,14 @@ from oracles import (
     fill_style_slot_batch,
     get_row,
     masked_log_sum_exp_rows,
+    matmul,
+    mean_all,
+    mul,
+    reshape,
     similarity_logits,
     style_regularization_loss,
+    sub,
+    sum_all,
     transpose,
 )
 from spdg.encoders import (
@@ -66,10 +73,10 @@ def masked_lse_domain_loss(samples: Tensor, domains, tau: float) -> Tensor:
     n = samples.data.shape[0]
     same = dom[:, None] == dom[None, :]
     not_self = ~np.eye(n, dtype=bool)
-    sims = T.mul(T.matmul(samples, transpose(samples)), T.constant(1.0 / tau))
+    sims = mul(matmul(samples, transpose(samples)), constant(1.0 / tau))
     log_den = masked_log_sum_exp_rows(sims, not_self)
     log_num = masked_log_sum_exp_rows(sims, same & not_self)
-    return T.mean_all(T.sub(log_den, log_num))
+    return mean_all(sub(log_den, log_num))
 
 
 def loss_and_grad(loss_fn, samples: np.ndarray, domains, tau: float):
@@ -485,8 +492,8 @@ def per_row_prompt_features(bundle, styles: Tensor, classes) -> Tensor:
         feats = encode_text_batch(bundle, fill_style_slot_batch(styles, base, owner))
         for k, (i, c) in enumerate(pairs):
             rows[i * n_classes + c] = (feats, k)
-    return concat_rows([T.reshape(get_row(feats, pos), (1, bundle.dims.d_f))
-                          for feats, pos in rows])
+    return concat_rows([reshape(get_row(feats, pos), (1, bundle.dims.d_f))
+                        for feats, pos in rows])
 
 
 @pytest.fixture(scope="module")
@@ -499,7 +506,7 @@ class TestPromptTextFeatures:
         styles = Tensor(styles_np, requires_grad=True)
         with Tape() as tape:
             feats = fn(bundle, styles, MIXED_CLASSES)
-            loss = T.sum_all(T.mul(feats, T.constant(weight)))
+            loss = sum_all(mul(feats, constant(weight)))
         tape.backward(loss, [styles])
         return feats.data, styles.grad
 

@@ -6,13 +6,19 @@ from hypothesis import strategies as st
 from spdg import tensor as T
 from spdg.errors import DegenerateVectorError, ShapeError
 from oracles import (
+    add,
+    constant,
     cosine_similarity,
     elu,
     linear_forward,
     log_sum_exp,
     masked_log_sum_exp_rows,
+    matmul,
+    mul,
     primitive_cases,
     repeat_rows,
+    reshape,
+    sum_all,
 )
 from spdg.gradcheck import run_primitive_checks
 from spdg.tensor import Tape, Tensor, finite_diff_grad_check
@@ -147,14 +153,14 @@ class TestBackward:
     def test_linear_sum(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(x)
+            loss = sum_all(x)
         tape.backward(loss, leaves=[x])
         assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_quadratic(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.mul(x, x))
+            loss = sum_all(mul(x, x))
         tape.backward(loss, leaves=[x])
         assert np.array_equal(x.grad, [2.0, 4.0])
 
@@ -162,9 +168,9 @@ class TestBackward:
         # leaf feeds two paths: d/dy (2y + y^2) = 2 + 2y
         y = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            a = T.mul(y, T.constant(2.0))
-            b = T.mul(y, y)
-            loss = T.add(T.sum_all(a), T.sum_all(b))
+            a = mul(y, constant(2.0))
+            b = mul(y, y)
+            loss = add(sum_all(a), sum_all(b))
         tape.backward(loss, leaves=[y])
         assert np.array_equal(y.grad, [8.0])
 
@@ -172,14 +178,14 @@ class TestBackward:
         x = Tensor([1.0], requires_grad=True)
         unused = Tensor([5.0], requires_grad=True)
         with Tape() as tape:
-            loss = T.sum_all(T.mul(x, x))
+            loss = sum_all(mul(x, x))
         tape.backward(loss, leaves=[x, unused])
         assert np.array_equal(unused.grad, [0.0])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            out = T.mul(x, x)
+            out = mul(x, x)
         with pytest.raises(ShapeError):
             tape.backward(out)
 
@@ -187,7 +193,7 @@ class TestBackward:
         x = Tensor([2.0], requires_grad=True)
         for _ in range(2):
             with Tape() as tape:
-                loss = T.sum_all(T.mul(x, x))
+                loss = sum_all(mul(x, x))
             tape.backward(loss, leaves=[x])
         assert np.array_equal(x.grad, [4.0])
 
@@ -195,8 +201,8 @@ class TestBackward:
         w = Tensor(rng.normal(size=(4, 3)))
 
         def f(t):
-            h = elu(T.matmul(t, w))
-            return log_sum_exp(T.reshape(h, (6,)))
+            h = elu(matmul(t, w))
+            return log_sum_exp(reshape(h, (6,)))
 
         x = Tensor(rng.normal(size=(2, 4)))
         assert finite_diff_grad_check(f, x) < 1e-7
@@ -205,35 +211,41 @@ class TestBackward:
 class TestFiniteDiffGradCheck:
     def test_known_gradient(self, rng):
         x = Tensor(rng.normal(size=5))
-        err = finite_diff_grad_check(lambda t: T.sum_all(T.mul(t, t)), x)
+        err = finite_diff_grad_check(lambda t: sum_all(mul(t, t)), x)
         assert err < 1e-7
 
     def test_constant_function(self, rng):
         x = Tensor(rng.normal(size=4))
-        err = finite_diff_grad_check(lambda t: T.sum_all(T.mul(t, T.constant(0.0))), x)
+        err = finite_diff_grad_check(lambda t: sum_all(mul(t, constant(0.0))), x)
         assert err == 0.0
 
 
-def test_every_primitive_matches_central_differences():
-    # 100 seeded inputs per primitive, the module-wide gradient contract
+@pytest.fixture(scope="module")
+def primitive_errors():
+    # 100 seeded inputs per case, the module-wide gradient contract
     results = run_primitive_checks(n_inputs=100)
     results.update(run_primitive_checks(n_inputs=100, cases=primitive_cases()))
-    bad = {k: v for k, v in results.items() if v >= 1e-6}
+    return results
+
+
+def test_every_primitive_matches_central_differences(primitive_errors):
+    bad = {k: v for k, v in primitive_errors.items() if v >= 1e-6}
     assert not bad, f"primitives above tolerance: {bad}"
+
+
+def test_elementary_primitives_are_checked_from_the_oracles(primitive_errors):
+    elementary = ["add", "add_broadcast", "sub", "mul", "mul_broadcast", "neg", "matmul",
+                  "matmul_left", "matvec", "reshape", "sum_all", "mean_all"]
+    assert set(elementary) <= {name for name, _, _ in primitive_cases()}
+    assert all(primitive_errors[name] < 1e-6 for name in elementary)
 
 
 def test_bit_determinism_of_ops(rng):
     x = rng.normal(size=(8, 8))
     w = rng.normal(size=(8, 8))
-    a = T.matmul(elu(Tensor(x)), Tensor(w)).data
-    b = T.matmul(elu(Tensor(x)), Tensor(w)).data
+    a = matmul(elu(Tensor(x)), Tensor(w)).data
+    b = matmul(elu(Tensor(x)), Tensor(w)).data
     assert np.array_equal(a, b)
-
-
-def test_float32_storage_mode():
-    x = Tensor(np.ones(4, dtype=np.float32), dtype=np.float32)
-    assert x.dtype == np.float32
-    assert T.add(x, x).dtype == np.float32
 
 
 def test_masked_lse_rows_matches_manual(rng):
@@ -253,10 +265,10 @@ def test_masked_log_sum_exp_skips_a_huge_excluded_entry():
     a, ref = Tensor(x, requires_grad=True), Tensor(kept, requires_grad=True)
     with np.errstate(over="raise"), Tape() as tape:
         out = masked_log_sum_exp_rows(a, mask)
-        tape.backward(T.sum_all(out), [a])
+        tape.backward(sum_all(out), [a])
     with Tape() as tape:
         want = masked_log_sum_exp_rows(ref, np.ones(kept.shape, dtype=bool))
-        tape.backward(T.sum_all(want), [ref])
+        tape.backward(sum_all(want), [ref])
     assert np.array_equal(out.data, want.data)
     assert np.array_equal(a.grad[mask].reshape(2, 3), ref.grad)
     assert np.all(a.grad[~mask] == 0.0)

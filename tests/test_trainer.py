@@ -26,10 +26,10 @@ class TestSgdMomentumStep:
     def test_zero_grad_zero_decay_keeps_params(self):
         p = Tensor(np.array([1.5]), requires_grad=True)
         state = OptimizerState.for_params([p])
-        state.velocities[0][:] = 1.0
+        state.velocity[:] = 1.0
         sgd_momentum_step([p], [np.zeros(1)], state, lr=0.0, momentum=0.9, weight_decay=0.0)
         assert p.data[0] == 1.5
-        assert state.velocities[0][0] == pytest.approx(0.9)
+        assert state.velocity[0] == pytest.approx(0.9)
 
     def test_hand_recurrence_two_steps(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
@@ -37,7 +37,7 @@ class TestSgdMomentumStep:
         sgd_momentum_step([p], [np.array([0.5])], state, lr=0.1, momentum=0.9, weight_decay=0.0)
         assert p.data[0] == pytest.approx(0.95, abs=1e-15)
         sgd_momentum_step([p], [np.array([0.5])], state, lr=0.1, momentum=0.9, weight_decay=0.0)
-        assert state.velocities[0][0] == pytest.approx(0.95, abs=1e-15)
+        assert state.velocity[0] == pytest.approx(0.95, abs=1e-15)
         assert p.data[0] == pytest.approx(0.855, abs=1e-15)
 
     def test_decay_only_update(self):
