@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields, replace
 from functools import partial
@@ -33,8 +34,17 @@ from .prompter import load_checkpoint
 from .trainer import RunConfig, train_style_prompter
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in exponent form, such as
+    -1e-6, as a value; argparse's own pattern takes it for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spdg", description="Style-prompted domain generalization harness")
+    parser = _Parser(prog="spdg", description="Style-prompted domain generalization harness")
     sub = parser.add_subparsers(dest="command", required=True)
     # only the flags a command reads, and no prefix matching (--seed is no --seeds)
     command = partial(sub.add_parser, allow_abbrev=False)

@@ -269,7 +269,10 @@ def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_nam
                             classes, style_words=STYLE_WORDS,
                             image_ids=None) -> SimilarityMatrix:
     """Cosine similarity of each test image against hand-crafted domain-style
-    texts for its true class, plus its own learned-style prompt."""
+    texts for its true class, plus its own learned-style prompt.
+
+    Each image's true-class rows are gathered, then every column comes from
+    one batched dot with the image's unit feature."""
     x = np.asarray(x, dtype=np.float64)
     true_class_ids = np.asarray(true_class_ids, dtype=np.int64)
     n = x.shape[0]
@@ -288,17 +291,15 @@ def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_nam
     styles = style_for_prompt(prompter, Tensor(z))
     learned = prompt_text_features(bundle, styles, classes).data
     learned, _ = unit_rows(learned, "prompted text feature")
-    n_classes = len(classes)
+    learned = learned.reshape(n, len(classes), -1)
 
-    columns = list(style_words) + ["learned"]
-    values = np.zeros((n, len(columns)))
-    for i in range(n):
-        ci = int(true_class_ids[i])
-        values[i, :-1] = word_feats[ci] @ zp[i]
-        values[i, -1] = zp[i] @ learned[i * n_classes + ci]
+    # (n, W + 1, d_f): the image's W style-word rows, then its own learned row
+    own = np.concatenate([word_feats[true_class_ids],
+                          learned[np.arange(n), true_class_ids][:, None]], axis=1)
     return SimilarityMatrix(image_ids=list(image_ids),
                             true_domains=list(true_domain_names),
-                            columns=columns, values=values)
+                            columns=list(style_words) + ["learned"],
+                            values=np.einsum("nkd,nd->nk", own, zp))
 
 
 def write_similarity_csv(matrix: SimilarityMatrix, path) -> None:

@@ -9,7 +9,9 @@ Three parts, combined as a weighted sum:
   * classification: cross-entropy over scaled image-text cosine logits, with
     per-image candidate prompts built from that image's own style.
 The regularizer and the classifier share one tape node over the prompted text
-features (`classification_head`), and the weighted sum is one more.
+features (`classification_head`): each cosine is a raw dot over the feature
+row's norm, and the backward builds the feature gradient from the (B, C)
+logit gradient. The weighted sum is one more node.
 """
 
 from __future__ import annotations
@@ -168,11 +170,15 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float) -> Tensor:
         x[:, :d] = us
         np.multiply(us, p[:, None], out=x[:, d:])
         y = e @ x  # E = E^T, so this one product carries both W u and W^T u of the denominator
-        grad = y[:, :d] * p[:, None] + y[:, d:]
+        grad = y[:, :d] * p[:, None]
+        grad += y[:, d:]
         np.multiply(us, q[:, None], out=x[:, d:])
         for s, t in blocks:  # the numerator part: E restricted to each domain's block
             np.matmul(e[s:t, s:t], x[s:t], out=y[s:t])
-        grad -= y[:, :d] * q[:, None] + y[:, d:]
+        num_part = y[:, :d]
+        num_part *= q[:, None]
+        num_part += y[:, d:]
+        grad -= num_part
         if low is not None:
             w = scale * w_low
             grad[low] += w @ us
@@ -219,12 +225,18 @@ def classification_head(feats: Tensor, unit_z: np.ndarray, class_labels, scale: 
     """Cross-entropy and, given anchors, the style regularizer as one tape node.
 
     feats is (B*C, d_f) with row i*C + c for image i and class c; unit_z holds
-    the B unit image features. Each feature row is unit-normalized (a
-    degenerate norm raises), the logits are scale * cosine, and the loss is
+    the B unit image features. Each cosine is a raw feature-image dot divided
+    by the feature row's checked norm (a degenerate norm raises), so no unit
+    feature matrix is formed; the logits are scale * cosine, and the loss is
     the mean of row log-sum-exp minus the label's logit. The regularizer is
     the mean of 1 - cosine between each image's own-class row and the
-    anchors[label] row. Returns loss_ce, or (loss_ce, loss_reg) with anchors;
-    the backward goes straight to the feature gradient.
+    anchors[label] row. Returns loss_ce, or (loss_ce, loss_reg) with anchors.
+
+    The backward starts from the (B, C) cosine gradient s: the feature
+    gradient is (s / |f|) z - (s * cos / |f| / |f|) f, plus the regularizer's
+    own-row terms, two products and one subtraction over the features. Each
+    row is divided by its norm twice rather than by its square, so no
+    intermediate overflows or underflows.
     """
     labels = np.asarray(class_labels, dtype=np.int64)
     b = unit_z.shape[0]
@@ -238,28 +250,41 @@ def classification_head(feats: Tensor, unit_z: np.ndarray, class_labels, scale: 
         raise ConfigError(f"class label out of range for {n_classes} classes")
     if anchors is not None and labels.max(initial=-1) >= anchors.shape[0]:
         raise ConfigError(f"class label outside anchor table of size {anchors.shape[0]}")
-    u, norms = T.unit_rows(feats.data, "prompted text feature")
-    u3 = u.reshape(b, n_classes, -1)
+    f3 = feats.data.reshape(b, n_classes, -1)
+    norms = T.checked_norms(f3, "prompted text feature")[..., 0]  # (B, C)
     rows = np.arange(b)
-    logits = np.einsum("bcd,bd->bc", u3, unit_z) * scale
-    top = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - top)
-    mass = e.sum(axis=1)
-    loss_ce = np.asarray((top[:, 0] + np.log(mass) - logits[rows, labels]).mean())
+    cos = np.matmul(f3, unit_z[:, :, None])[..., 0]
+    cos /= norms
+    logits = cos * scale
+    top = logits.max(axis=1)
+    e = np.exp(logits - top[:, None])
+    mass = np.add.reduce(e, axis=1)
+    top += np.log(mass)
+    top -= logits[rows, labels]
+    loss_ce = np.asarray(np.add.reduce(top) / b)
     if anchors is not None:
         own = anchors[labels]
-        loss_reg = np.asarray(1.0 - np.einsum("bd,bd->b", u3[rows, labels], own).mean())
+        own_norms = norms[rows, labels]
+        own_cos = np.einsum("bd,bd->b", f3[rows, labels], own)
+        own_cos /= own_norms
+        loss_reg = np.asarray(1.0 - np.add.reduce(own_cos) / b)
 
     def bwd(g):
         g_ce, g_reg = g if anchors is not None else (g, None)
-        g_logits = e * (float(g_ce) / b / mass)[:, None]
-        g_logits[rows, labels] -= float(g_ce) / b
-        g_u = (g_logits * scale)[:, :, None] * unit_z[:, None, :]
+        s = e * (float(g_ce) / b / mass)[:, None]  # dL/dlogits, then dL/dcos
+        s[rows, labels] -= float(g_ce) / b
+        s *= scale
+        along = s * cos
         if g_reg is not None:
-            g_u[rows, labels] -= (float(g_reg) / b) * own
-        g_u = g_u.reshape(n, -1)
-        dot = (g_u * u).sum(axis=1, keepdims=True)
-        return ((g_u - u * dot) / norms,)
+            along[rows, labels] -= (float(g_reg) / b) * own_cos
+        s /= norms
+        along /= norms
+        along /= norms
+        g_f = np.einsum("bc,bd->bcd", s, unit_z)
+        g_f -= along[:, :, None] * f3
+        if g_reg is not None:
+            g_f[rows, labels] -= ((float(g_reg) / b) / own_norms)[:, None] * own
+        return (g_f.reshape(n, -1),)
 
     return T.apply(loss_ce if anchors is None else (loss_ce, loss_reg), (feats,), bwd)
 

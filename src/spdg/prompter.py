@@ -137,8 +137,10 @@ def _trunk(p, zt: Tensor, x: np.ndarray):
     h2 = T.elu(T.affine(h1, w2, p.b2.data))
 
     def vjp(g_h2):
-        g_a2 = g_h2 * T.elu_slope(h2)
-        g_a1 = (g_a2 @ w2.T) * T.elu_slope(h1)
+        g_a2 = T.elu_slope(h2)
+        g_a2 *= g_h2
+        g_a1 = T.elu_slope(h1)
+        g_a1 *= g_a2 @ w2.T
         g_z = (g_a1 @ w1.T).reshape(zt.shape) if zt.requires_grad else None
         return g_z, x.T @ g_a1, g_a1.sum(axis=0), h1.T @ g_a2, g_a2.sum(axis=0)
 
@@ -209,7 +211,7 @@ def sample_styles_batch(mu: Tensor, sigma: Tensor, n: int,
 
     def bwd(g):
         g3 = g.reshape(b, n, d)
-        return g3.sum(axis=1), (g3 * eps3).sum(axis=1)
+        return g3.sum(axis=1), np.einsum("bnd,bnd->bd", g3, eps3)
 
     return T.apply(out.reshape(b * n, d), (mu, sigma), bwd)
 

@@ -194,7 +194,9 @@ def elu(x: np.ndarray) -> np.ndarray:
 
 def elu_slope(h: np.ndarray) -> np.ndarray:
     """Derivative of elu where its output is h: 1 where h > 0, else exp(x) = h + 1."""
-    return np.minimum(h, 0.0) + 1.0
+    slope = np.minimum(h, 0.0)
+    slope += 1.0
+    return slope
 
 
 def checked_norms(v: np.ndarray, what: str) -> np.ndarray:
@@ -205,7 +207,8 @@ def checked_norms(v: np.ndarray, what: str) -> np.ndarray:
     a collapsed style embedding or a dead feature. A NaN fails both bounds.
     """
     norms = np.sqrt(np.einsum("...d,...d->...", v, v))[..., None]
-    if norms.size and not (norms.min() > EPS_NORM and np.isfinite(norms.max())):
+    flat = norms.reshape(-1)
+    if flat.size and not (np.minimum.reduce(flat) > EPS_NORM and np.maximum.reduce(flat) < np.inf):
         raise DegenerateVectorError(f"{what} has a norm <= {EPS_NORM} or a non-finite norm")
     return norms
 
@@ -221,8 +224,10 @@ def l2_normalize(a: Tensor) -> Tensor:
     out, norms = unit_rows(a.data, "l2_normalize input")
 
     def bwd(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - out * dot) / norms,)
+        grad = out * np.einsum("...d,...d->...", g, out)[..., None]
+        np.subtract(g, grad, out=grad)
+        grad /= norms
+        return (grad,)
 
     return apply(out, (a,), bwd)
 

@@ -163,9 +163,9 @@ def sgd_momentum_step(params, grads, state: OptimizerState, lr: float,
     flat_grad = np.concatenate([g.reshape(-1) for g in grads], out=state.grad)
     if not np.isfinite(flat_grad).all():
         raise TrainingDiverged(f"non-finite gradient at step {state.step}")
-    g_eff = flat_grad + weight_decay * state.flat
+    flat_grad += weight_decay * state.flat
     state.velocity *= momentum
-    state.velocity += g_eff
+    state.velocity += flat_grad
     state.flat -= lr * state.velocity
     if not np.isfinite(state.flat).all():
         raise TrainingDiverged(f"non-finite parameter after step {state.step}")

@@ -10,7 +10,8 @@ node: the prompters, the sample reparameterization, the classification head
 with its regularizer, the weighted loss sum and the per-tensor optimizer;
 production fuses each into one node. Beside them sits a reference prediction
 path: the taped style forward, unit-normalized feature rows, then the dots,
-and labels.csv written and read one csv row at a time.
+the similarity report filled one image at a time, and labels.csv written and
+read one csv row at a time.
 The last part holds the composable primitives that only the oracles and
 tests build with, the elementary add, sub, mul, neg, matmul, reshape,
 sum_all and mean_all among them, and their finite-difference cases.
@@ -25,11 +26,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from spdg import tensor as T
-from spdg.encoders import PSEUDO_TOKEN, FrozenEncoderBundle, MAX_TEXT_LEN, encode_image, project_image
+from spdg.encoders import (
+    MAX_TEXT_LEN,
+    PSEUDO_TOKEN,
+    STYLE_WORDS,
+    FrozenEncoderBundle,
+    domain_style_text,
+    encode_image,
+    encode_texts,
+    project_image,
+)
 from spdg.encoders import encode_text_batch as production_encode_text_batch
 from spdg.errors import ConfigError, DegenerateVectorError, FormatError, ShapeError, TokenizeError
 from spdg.losses import LossParts, LossWeights, RegAnchorTable
-from spdg.prompter import basic_forward, gaussian_forward
+from spdg.prompter import basic_forward, gaussian_forward, style_for_prompt
 from spdg.tensor import Tensor
 
 
@@ -313,6 +323,25 @@ def normalized_predict_batch(bundle: FrozenEncoderBundle, prompter, x, classes):
     zp, _ = T.unit_rows(project_image(bundle, z), "projected image feature")
     logits = np.einsum("bcd,bd->bc", feats.reshape(len(z), len(classes), -1), zp) * bundle.logit_scale
     return logits.argmax(axis=1), logits
+
+
+def looped_similarity_values(bundle: FrozenEncoderBundle, prompter, x, true_class_ids, classes,
+                             style_words=STYLE_WORDS) -> np.ndarray:
+    """style_similarity_report's values, filled one image at a time with two
+    small matvecs: the true class's style-word rows, then its learned row."""
+    z = encode_image(bundle, np.asarray(x, dtype=np.float64))
+    zp, _ = T.unit_rows(project_image(bundle, z), "projected image feature")
+    word_feats = encode_texts(bundle, [domain_style_text(word, cls)
+                                       for cls in classes for word in style_words])
+    word_feats, _ = T.unit_rows(word_feats, "style-word text feature")
+    word_feats = word_feats.reshape(len(classes), len(style_words), -1)
+    learned = production_encode_text_batch(bundle, style_for_prompt(prompter, Tensor(z)), classes).data
+    learned, _ = T.unit_rows(learned, "prompted text feature")
+    values = np.zeros((len(z), len(style_words) + 1))
+    for i, ci in enumerate(np.asarray(true_class_ids, dtype=np.int64)):
+        values[i, :-1] = word_feats[ci] @ zp[i]
+        values[i, -1] = zp[i] @ learned[i * len(classes) + ci]
+    return values
 
 
 def rowwise_labels_csv(dataset) -> str:

@@ -76,6 +76,23 @@ def test_similarity_report_command(capsys, cli_dataset, cli_run, tmp_path):
     assert header.endswith(",learned")
 
 
+def test_similarity_values_match_the_per_image_loop(cli_dataset, cli_run):
+    from oracles import looped_similarity_values
+    from spdg import datagen
+    from spdg.encoders import load_bundle
+    from spdg.evaluate import style_similarity_report
+    from spdg.prompter import load_checkpoint
+
+    prompter, _ = load_checkpoint(cli_run / "final")
+    bundle = load_bundle(cli_run / "bundle")
+    ds = datagen.load(cli_dataset)
+    names = [ds.domains[d] for d in ds.domain_ids]
+    got = style_similarity_report(bundle, prompter, ds.x, ds.class_ids, names, ds.classes).values
+    want = looped_similarity_values(bundle, prompter, ds.x, ds.class_ids, ds.classes)
+    assert got.shape == want.shape == (len(ds), 9)
+    assert np.abs(got - want).max() <= 1e-12
+
+
 def test_eval_lodo_with_matrix_file(capsys, cli_dataset, tmp_path):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps({
@@ -342,3 +359,24 @@ def test_grad_check_that_checks_nothing_is_config_error(capsys, argv):
     assert code == 2
     assert json.loads(err)["error"] == "config_error"
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["grad-check", "--primitive-tol", "-1e-6"], ["grad-check", "--objective-tol", "-1e-4"],
+    ["gen-data", "--style-strength", "-1e-1"],
+], ids=lambda a: " ".join(a))
+def test_negative_exponent_value_after_its_flag_reaches_the_range_check(capsys, tmp_path, argv):
+    if argv[0] == "gen-data":
+        argv = argv + ["--out-dir", str(tmp_path / "data")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == "config_error"
+    assert out == ""
+    assert not (tmp_path / "data").exists()
+
+
+def test_negative_exponent_value_is_read_as_the_flags_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--seed", "-1e3"])
+    assert exc.value.code == 2
+    assert "invalid int value: '-1e3'" in capsys.readouterr().err

@@ -4,12 +4,14 @@ the tape size of a whole step, and the flat-buffer optimizer."""
 import numpy as np
 import pytest
 
+import spdg.tensor
 import spdg.trainer
 from conftest import WIDE_CLASSES
 from oracles import (
     add,
     composed_basic_forward,
     composed_gaussian_forward,
+    composed_head,
     composed_prompted_ce_and_reg,
     composed_sample_styles_batch,
     composed_total_loss,
@@ -18,8 +20,16 @@ from oracles import (
     sum_all,
 )
 from spdg.encoders import encode_image
-from spdg.errors import ConfigError, TrainingDiverged
-from spdg.losses import LossParts, LossWeights, build_reg_anchors, prompted_ce_and_reg, total_loss
+from spdg.errors import ConfigError, DegenerateVectorError, TrainingDiverged
+from spdg.losses import (
+    LossParts,
+    LossWeights,
+    RegAnchorTable,
+    build_reg_anchors,
+    classification_head,
+    prompted_ce_and_reg,
+    total_loss,
+)
 from spdg.prompter import (
     basic_forward,
     gaussian_forward,
@@ -91,6 +101,63 @@ class TestClassificationHead:
             prompted_ce_and_reg(wide_bundle, z, styles, rng.integers(0, 16, size=12),
                                 WIDE_CLASSES, table)
         assert len(tape) == 2   # the text encoder and the head
+
+
+class TestClassificationHeadEdges:
+    D_F = 48
+
+    @staticmethod
+    def _inputs(b, n_classes, d, seed):
+        rng = np.random.default_rng(seed)
+        # each row scaled by a factor between 1e-6 and 1e6
+        feats = rng.normal(size=(b * n_classes, d)) * 10.0 ** rng.uniform(-6, 6, size=(b * n_classes, 1))
+        unit_z = rng.normal(size=(b, d))
+        unit_z /= np.linalg.norm(unit_z, axis=1, keepdims=True)
+        anchors = rng.normal(size=(n_classes, d))
+        anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
+        return feats, unit_z, rng.integers(0, n_classes, size=b), anchors
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    @pytest.mark.parametrize("with_reg", [True, False], ids=["anchors", "no-anchors"])
+    @pytest.mark.parametrize("n_classes", [1, 4, 16])
+    @pytest.mark.parametrize("b", [1, 12])
+    def test_row_scales_from_1e_6_to_1e6_match_composed_oracle(self, b, n_classes, with_reg, scale):
+        feats, unit_z, labels, anchors = self._inputs(b, n_classes, self.D_F,
+                                                      [b, n_classes, with_reg, int(scale)])
+        table = RegAnchorTable([str(c) for c in range(n_classes)], anchors) if with_reg else None
+        probes = [np.asarray(0.7), np.asarray(-1.3)]
+
+        def fused(f):
+            out = classification_head(f, unit_z, labels, scale, anchors if with_reg else None)
+            return out if with_reg else [out]
+
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got, got_grad, _ = taped(fused, [feats], probes)
+            want, want_grad, _ = taped(lambda f: composed_head(f, unit_z, labels, scale, table),
+                                       [feats], probes)
+        assert len(got) == len(want) == (2 if with_reg else 1)
+        # a raw dot over the row norm and a dot of the unit row round apart by
+        # a few ulps of a logit, whose size is set by the scale
+        assert_close(got, want, 1e-15 * scale)
+        assert_close(got_grad, want_grad, 1e-14 * scale)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+    @pytest.mark.parametrize("with_reg", [True, False], ids=["anchors", "no-anchors"])
+    def test_degenerate_feature_row_raises(self, bad, with_reg):
+        feats, unit_z, labels, anchors = self._inputs(3, 4, self.D_F, 5)
+        feats[7] = bad
+        with pytest.raises(DegenerateVectorError):
+            classification_head(Tensor(feats, requires_grad=True), unit_z, labels, 100.0,
+                                anchors if with_reg else None)
+
+    def test_forms_no_unit_feature_matrix(self, monkeypatch):
+        feats, unit_z, labels, anchors = self._inputs(3, 4, self.D_F, 6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("unit_rows called on the prompted features")
+
+        monkeypatch.setattr(spdg.tensor, "unit_rows", refuse)
+        classification_head(Tensor(feats, requires_grad=True), unit_z, labels, 100.0, anchors)
 
 
 class TestFusedPrompters:
