@@ -336,8 +336,8 @@ def encode_text_batch(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> T
     """
     s = styles.data
     d_t, d_f = bundle.dims.d_t, bundle.dims.d_f
-    if s.ndim != 2 or s.shape[1] != d_t:
-        raise ShapeError(f"styles must be (B, {d_t}), got {styles.shape}")
+    if s.ndim != 2 or s.shape[1] != d_t or not len(s):
+        raise ShapeError(f"styles must be a non-empty (B, {d_t}) array, got {styles.shape}")
     plan = style_prompt_plan(bundle, classes)
     b = s.shape[0]
     n_classes, width = len(plan.inv_len), len(plan.bias) // 2

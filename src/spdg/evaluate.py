@@ -30,9 +30,7 @@ from .encoders import (
 )
 from .errors import ConfigError, SpdgError
 from .inference import accuracy, predict_batch, zero_shot_predict_batch
-from .losses import prompt_text_features
-from .prompter import style_for_prompt
-from .tensor import Tensor, unit_rows
+from .tensor import unit_rows
 from .trainer import RunConfig, train_style_prompter
 
 BASELINE_METHODS = ("baseline_C", "baseline_PC")
@@ -47,7 +45,6 @@ ABLATION_ROWS = [("baseline", "baseline_C"), ("+BSP", "bsp"), ("+GSP", "gsp"),
 
 @dataclass
 class MethodResult:
-    name: str
     per_domain: dict[str, float]
     per_domain_std: dict[str, float]
     average: float
@@ -64,10 +61,20 @@ class EvalReport:
     failures: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        for m in d["methods"].values():
-            del m["name"]  # already the key
-        return d
+        return asdict(self)
+
+
+def _method_result(runs: list[dict], domains, config_hash: str | None) -> MethodResult:
+    """Per-domain mean and std of the runs' accuracies, and their average over domains."""
+    per_domain, per_std = {}, {}
+    for dom in domains:
+        vals = [r["accuracy"] for r in runs if r["held_out"] == dom]
+        if vals:
+            per_domain[dom] = float(np.mean(vals))
+            per_std[dom] = float(np.std(vals))
+    average = float(np.mean(list(per_domain.values()))) if per_domain else float("nan")
+    return MethodResult(per_domain=per_domain, per_domain_std=per_std, average=average,
+                        runs=runs, config_hash=config_hash)
 
 
 def method_config(base: RunConfig, method: str, seed: int,
@@ -172,20 +179,10 @@ def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None 
             for held_out, seed, m, acc, err in outcomes
             if m == method and err is None
         ]
-        per_domain, per_std = {}, {}
-        for dom in dataset.domains:
-            vals = [r["accuracy"] for r in runs if r["held_out"] == dom]
-            if vals:
-                per_domain[dom] = float(np.mean(vals))
-                per_std[dom] = float(np.std(vals))
-        average = float(np.mean(list(per_domain.values()))) if per_domain else float("nan")
         cfg_hash = None
         if method in TRAINED_METHODS:
             cfg_hash = method_config(base, method, seeds[0], dataset.domains[0]).config_hash()
-        methods_out[method] = MethodResult(
-            name=method, per_domain=per_domain, per_domain_std=per_std,
-            average=average, runs=runs, config_hash=cfg_hash,
-        )
+        methods_out[method] = _method_result(runs, dataset.domains, cfg_hash)
 
     return EvalReport(
         domains=list(dataset.domains),
@@ -217,32 +214,17 @@ def evaluate_cross_category(base: RunConfig, train_dataset_path, test_dataset_pa
     result = train_style_prompter(cfg, dataset=dataset)
 
     runs_ours, runs_base = [], []
-    per_ours, per_base = {}, {}
     for dom_id, dom in enumerate(test_dataset.domains):
         idx = test_dataset.domain_indices(dom_id)
         x_test, y_test = test_dataset.x[idx], test_dataset.class_ids[idx]
         preds, _ = predict_batch(result.bundle, result.prompter, x_test, test_dataset.classes)
-        acc = accuracy(preds, y_test)
-        per_ours[dom] = acc
-        runs_ours.append({"held_out": dom, "seed": cfg.seed, "accuracy": acc})
+        runs_ours.append({"held_out": dom, "seed": cfg.seed, "accuracy": accuracy(preds, y_test)})
         zs_preds, _ = zero_shot_predict_batch(result.bundle, x_test, test_dataset.classes, "C")
-        zs_acc = accuracy(zs_preds, y_test)
-        per_base[dom] = zs_acc
-        runs_base.append({"held_out": dom, "seed": cfg.seed, "accuracy": zs_acc})
+        runs_base.append({"held_out": dom, "seed": cfg.seed, "accuracy": accuracy(zs_preds, y_test)})
 
     methods = {
-        "ours": MethodResult(
-            name="ours", per_domain=per_ours,
-            per_domain_std={d: 0.0 for d in per_ours},
-            average=float(np.mean(list(per_ours.values()))),
-            runs=runs_ours, config_hash=cfg.config_hash(),
-        ),
-        "baseline_C": MethodResult(
-            name="baseline_C", per_domain=per_base,
-            per_domain_std={d: 0.0 for d in per_base},
-            average=float(np.mean(list(per_base.values()))),
-            runs=runs_base, config_hash=None,
-        ),
+        "ours": _method_result(runs_ours, test_dataset.domains, cfg.config_hash()),
+        "baseline_C": _method_result(runs_base, test_dataset.domains, None),
     }
     return EvalReport(
         domains=list(test_dataset.domains), methods=methods,
@@ -271,16 +253,17 @@ def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_nam
     """Cosine similarity of each test image against hand-crafted domain-style
     texts for its true class, plus its own learned-style prompt.
 
-    Each image's true-class rows are gathered, then every column comes from
-    one batched dot with the image's unit feature."""
+    The learned column is the cosine predict_batch scores for the true class;
+    each style-word column is one batched dot of the image's unit feature with
+    the true class's row."""
     x = np.asarray(x, dtype=np.float64)
     true_class_ids = np.asarray(true_class_ids, dtype=np.int64)
     n = x.shape[0]
     if image_ids is None:
         image_ids = list(range(n))
 
-    z = encode_image(bundle, x)
-    zp, _ = unit_rows(project_image(bundle, z), "projected image feature")
+    _, logits = predict_batch(bundle, prompter, x, classes)
+    zp, _ = unit_rows(project_image(bundle, encode_image(bundle, x)), "projected image feature")
 
     # row ci * W + j: style word j with class ci
     word_feats = encode_texts(bundle, [domain_style_text(word, cls)
@@ -288,18 +271,11 @@ def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_nam
     word_feats, _ = unit_rows(word_feats, "style-word text feature")
     word_feats = word_feats.reshape(len(classes), len(style_words), -1)
 
-    styles = style_for_prompt(prompter, Tensor(z))
-    learned = prompt_text_features(bundle, styles, classes).data
-    learned, _ = unit_rows(learned, "prompted text feature")
-    learned = learned.reshape(n, len(classes), -1)
-
-    # (n, W + 1, d_f): the image's W style-word rows, then its own learned row
-    own = np.concatenate([word_feats[true_class_ids],
-                          learned[np.arange(n), true_class_ids][:, None]], axis=1)
+    learned = logits[np.arange(n), true_class_ids] / bundle.logit_scale
+    values = np.column_stack([np.einsum("nkd,nd->nk", word_feats[true_class_ids], zp), learned])
     return SimilarityMatrix(image_ids=list(image_ids),
                             true_domains=list(true_domain_names),
-                            columns=list(style_words) + ["learned"],
-                            values=np.einsum("nkd,nd->nk", own, zp))
+                            columns=list(style_words) + ["learned"], values=values)
 
 
 def write_similarity_csv(matrix: SimilarityMatrix, path) -> None:

@@ -1,6 +1,7 @@
 """Gradient verification suite: every fused node that ships, from
 l2_normalize to the training-step nodes, against central finite differences,
-plus the full training objective on a small fixture.
+plus the full training objective, the trainer's own `step_losses`, on a
+small fixture.
 
 The fixture freezes one Monte Carlo draw so the objective is a deterministic
 function of the prompter parameters, which is what finite differencing needs.
@@ -22,7 +23,6 @@ from .losses import (
     build_reg_anchors,
     classification_head,
     domain_discrimination_loss,
-    prompted_ce_and_reg,
     total_loss,
 )
 from .prompter import (
@@ -35,6 +35,7 @@ from .prompter import (
     sample_styles_batch,
 )
 from .tensor import Tensor, finite_diff_grad_check
+from .trainer import step_losses
 
 
 def _layout(shapes) -> tuple[tuple[int, int, tuple], ...]:
@@ -189,15 +190,9 @@ def build_objective_fixture(batch: int = 8, n_classes: int = 4, n_domains: int =
 
 
 def objective_value(fx: ObjectiveFixture, prompter: GaussianPrompter) -> Tensor:
-    mu, sigma = gaussian_forward(prompter, Tensor(fx.z))
-    samples = sample_styles_batch(mu, sigma, fx.mc_samples, None, eps=fx.eps)
-    normed = T.l2_normalize(samples)
-    loss_d = domain_discrimination_loss(normed, np.repeat(fx.domains, fx.mc_samples),
-                                        fx.weights.tau_d)
-    loss_ce, loss_reg = prompted_ce_and_reg(fx.bundle, fx.z, mu, fx.labels, fx.classes,
-                                            fx.anchors)
-    return total_loss(LossParts(loss_ce=loss_ce, loss_d=loss_d, loss_reg=loss_reg),
-                      fx.weights)
+    """The trainer's step objective on the fixture, at its frozen Monte Carlo draw."""
+    return step_losses(fx.bundle, prompter, fx.z, fx.labels, fx.domains, fx.classes,
+                       fx.anchors, fx.weights, fx.mc_samples, None, eps=fx.eps)[0]
 
 
 def run_objective_check(fixture: ObjectiveFixture | None = None,

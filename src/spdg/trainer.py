@@ -32,7 +32,6 @@ from .prompter import (
     gaussian_forward,
     init_basic_prompter,
     init_gaussian_prompter,
-    load_checkpoint,
     sample_styles_batch,
     save_checkpoint,
 )
@@ -313,6 +312,30 @@ def _dump_diagnostics(out_dir, step, parts_values, params):
     return str(path)
 
 
+def step_losses(bundle, prompter, z, labels, domains, classes, anchors, weights: LossWeights,
+                mc_samples: int, rng, eps=None):
+    """The training objective on one batch of image features z: (total, ce, domain, reg).
+
+    The Gaussian prompter's domain loss runs over mc_samples reparameterized
+    draws per image, from rng or, given eps, from that fixed draw; its prompts
+    carry the mean. The basic prompter's single embedding serves both.
+    """
+    zt = Tensor(z)
+    if prompter.kind == "gaussian":
+        mu, sigma = gaussian_forward(prompter, zt)
+        style_samples = l2_normalize(sample_styles_batch(mu, sigma, mc_samples, rng, eps=eps))
+        sample_domains = np.repeat(domains, mc_samples)
+        prompt_styles = mu
+    else:
+        prompt_styles = basic_forward(prompter, zt)
+        style_samples = l2_normalize(prompt_styles)
+        sample_domains = domains
+    loss_d = domain_discrimination_loss(style_samples, sample_domains, weights.tau_d)
+    loss_ce, loss_reg = prompted_ce_and_reg(bundle, z, prompt_styles, labels, classes, anchors)
+    total = total_loss(LossParts(loss_ce=loss_ce, loss_d=loss_d, loss_reg=loss_reg), weights)
+    return total, loss_ce, loss_d, loss_reg
+
+
 def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
     """Run the full training recipe and return the trained prompter plus logs."""
     if dataset is None:
@@ -374,7 +397,7 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
 
     metrics: list[dict] = []
     val_accuracies: list[float] = []
-    best = (-1.0, -1)
+    best_acc, best_flat = -1.0, None
 
     def emit(record: dict):
         metrics.append(record)
@@ -390,52 +413,29 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
                 doms = dataset.domain_ids[batch]
                 z = encode_image(bundle, xb)
 
+                parts_values = None
                 try:
                     with Tape() as tape:
-                        zt = Tensor(z)
-                        if config.prompter_kind == "gaussian":
-                            mu, sigma = gaussian_forward(prompter, zt)
-                            samples = sample_styles_batch(mu, sigma, config.mc_samples, mc_rng)
-                            style_samples = l2_normalize(samples)
-                            sample_domains = np.repeat(doms, config.mc_samples)
-                            prompt_styles = mu
-                        else:
-                            emb = basic_forward(prompter, zt)
-                            style_samples = l2_normalize(emb)
-                            sample_domains = doms
-                            prompt_styles = emb
-                        loss_d = domain_discrimination_loss(style_samples, sample_domains,
-                                                            config.weights.tau_d)
-                        loss_ce, loss_reg = prompted_ce_and_reg(bundle, z, prompt_styles, labels,
-                                                                dataset.classes, anchors)
-                        loss = total_loss(LossParts(loss_ce=loss_ce, loss_d=loss_d,
-                                                    loss_reg=loss_reg), config.weights)
-                except (NormalizationError, DegenerateVectorError) as exc:
-                    _dump_diagnostics(out_dir, step, {"error": str(exc)}, named_params)
-                    raise TrainingDiverged(
-                        f"numeric blowup in the forward pass at step {step}: {exc}"
-                    ) from exc
-
-                parts_values = {
-                    "loss_total": float(loss.item()),
-                    "loss_d": float(loss_d.item()),
-                    "loss_reg": float(loss_reg.item()) if loss_reg is not None else 0.0,
-                    "loss_ce": float(loss_ce.item()),
-                }
-                if not np.isfinite(parts_values["loss_total"]):
-                    dump = _dump_diagnostics(out_dir, step, parts_values, named_params)
-                    raise TrainingDiverged(
-                        f"non-finite loss at step {step}" + (f", diagnostics at {dump}" if dump else "")
-                    )
-
-                tape.backward(loss, leaves=params)
-                lr = lr_at(step, sched)
-                try:
+                        loss, loss_ce, loss_d, loss_reg = step_losses(
+                            bundle, prompter, z, labels, doms, dataset.classes, anchors,
+                            config.weights, config.mc_samples, mc_rng)
+                    parts_values = {
+                        "loss_total": float(loss.item()),
+                        "loss_d": float(loss_d.item()),
+                        "loss_reg": float(loss_reg.item()) if loss_reg is not None else 0.0,
+                        "loss_ce": float(loss_ce.item()),
+                    }
+                    if not np.isfinite(parts_values["loss_total"]):
+                        raise TrainingDiverged("non-finite loss")
+                    tape.backward(loss, leaves=params)
+                    lr = lr_at(step, sched)
                     sgd_momentum_step(params, [p.grad for p in params], opt_state, lr,
                                       config.momentum, config.weight_decay)
-                except TrainingDiverged:
-                    _dump_diagnostics(out_dir, step, parts_values, named_params)
-                    raise
+                except (NormalizationError, DegenerateVectorError, TrainingDiverged) as exc:
+                    dump = _dump_diagnostics(out_dir, step, parts_values or {"error": str(exc)},
+                                             named_params)
+                    raise TrainingDiverged(f"training diverged at step {step}: {exc}"
+                                           + (f", diagnostics at {dump}" if dump else "")) from exc
                 emit({"step": step, "epoch": epoch, "lr": float(lr), **parts_values})
                 step += 1
 
@@ -443,8 +443,8 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
             val_acc = accuracy(preds, dataset.class_ids[val_all])
             val_accuracies.append(val_acc)
             emit({"epoch": epoch, "val_accuracy": val_acc})
-            if val_acc > best[0]:
-                best = (val_acc, epoch)
+            if val_acc > best_acc:
+                best_acc, best_flat = val_acc, opt_state.flat.copy()
             if out_dir is not None:
                 save_checkpoint(prompter, out_dir / "checkpoints" / f"epoch_{epoch + 1}",
                                 run_config=config_echo)
@@ -452,16 +452,12 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
         if metrics_fh is not None:
             metrics_fh.close()
 
+    if config.select_best:
+        opt_state.flat[...] = best_flat  # the parameters are views of this buffer
     final_dir = None
     if out_dir is not None:
-        final_dir = out_dir / "final"
-        if config.select_best and best[1] != config.epochs - 1:
-            chosen, _ = load_checkpoint(out_dir / "checkpoints" / f"epoch_{best[1] + 1}")
-            save_checkpoint(chosen, final_dir, run_config=config_echo)
-            prompter = chosen
-        else:
-            save_checkpoint(prompter, final_dir, run_config=config_echo)
-        final_dir = str(final_dir)
+        final_dir = str(out_dir / "final")
+        save_checkpoint(prompter, final_dir, run_config=config_echo)
 
     checksum_after = bundle_checksum(bundle)
     if checksum_after != checksum_before:

@@ -267,6 +267,10 @@ class TestStylePromptPlan:
         with pytest.raises(ShapeError):
             encode_text_batch(bundle, Tensor(rng.normal(size=(2, bundle.dims.d_t + 1))), CLASSES)
 
+    def test_zero_style_rows_rejected(self, bundle):
+        with pytest.raises(ShapeError, match="non-empty"):
+            encode_text_batch(bundle, Tensor(np.zeros((0, bundle.dims.d_t))), CLASSES)
+
     def test_empty_class_list_rejected(self, bundle, rng):
         with pytest.raises(ConfigError):
             encode_text_batch(bundle, Tensor(rng.normal(size=(2, bundle.dims.d_t))), [])

@@ -193,6 +193,9 @@ class TestInfer:
             predict_batch(bundle, prompter, np.zeros(shape), small_dataset.classes)
         with pytest.raises(ShapeError, match="non-empty"):
             zero_shot_predict_batch(bundle, np.zeros(shape), small_dataset.classes, "C")
+        with pytest.raises(ShapeError, match="non-empty"):
+            style_similarity_report(bundle, prompter, np.zeros(shape), np.zeros(shape[0], int),
+                                    ["photo"] * shape[0], small_dataset.classes)
 
     def test_positive_scaling_keeps_prediction(self, small_dataset, bundle, dims):
         prompter = init_gaussian_prompter(dims.d_i, dims.d_t, seed=0)

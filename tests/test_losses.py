@@ -473,6 +473,26 @@ class TestSharedTextPass:
             assert isinstance(w, np.ndarray) and not isinstance(w, Tensor), name
         assert bundle_checksum(fx.bundle) == before
 
+    def test_objective_check_runs_the_trainers_step(self, monkeypatch):
+        """grad-check's objective is the trainer's step, reached through its names."""
+        import spdg.trainer
+        from spdg.gradcheck import build_objective_fixture, objective_value
+        calls = {"domain_discrimination_loss": 0, "prompted_ce_and_reg": 0}
+
+        def counting(name):
+            original = getattr(spdg.trainer, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(spdg.trainer, name, counting(name))
+        fx = build_objective_fixture(batch=4, mc_samples=2, seed=13)
+        objective_value(fx, fx.prompter)
+        assert calls == {"domain_discrimination_loss": 1, "prompted_ce_and_reg": 1}
+
 
 def per_row_prompt_features(bundle, styles: Tensor, classes) -> Tensor:
     """Oracle: prompts encoded per length group, then one get_row and one

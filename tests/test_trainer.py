@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -255,7 +255,10 @@ class TestTrainStylePrompter:
             train_style_prompter(cfg, dataset=small_dataset)
         assert list((tmp_path / "boom").glob("diagnostics_step_*.json"))
 
-    def test_degenerate_image_projection_diverges(self, small_dataset, tmp_path, monkeypatch):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the triggers
+    @pytest.mark.parametrize("trigger", ["forward", "loss", "optimizer"])
+    def test_each_failure_exit_writes_diagnostics(self, small_dataset, tmp_path, monkeypatch,
+                                                  trigger):
         import spdg.trainer
         from spdg.encoders import FrozenEncoderBundle, build_bundle
 
@@ -264,12 +267,24 @@ class TestTrainStylePrompter:
             return FrozenEncoderBundle(b.dims, b.vocab, b.seed, b.logit_scale,
                                        {**b.weights, "proj_w": np.zeros_like(b.weights["proj_w"])})
 
-        monkeypatch.setattr(spdg.trainer, "build_bundle", dead_projection)
+        if trigger == "forward":
+            monkeypatch.setattr(spdg.trainer, "build_bundle", dead_projection)
+        weights = {"forward": LossWeights(), "loss": LossWeights(ce_scale=1e308),
+                   "optimizer": LossWeights(w_d=1e308)}[trigger]
         cfg = RunConfig(seed=0, held_out_domain="sketch", epochs=1, batch_size=8, mc_samples=2,
-                        out_dir=str(tmp_path / "run"))
-        with pytest.raises(TrainingDiverged, match="step 0.*projected image feature"):
+                        weights=weights, out_dir=str(tmp_path / "run"))
+        dump = tmp_path / "run" / "diagnostics_step_0.json"
+        expected = {"forward": "projected image feature", "loss": "non-finite loss",
+                    "optimizer": "non-finite gradient at step 0"}[trigger]
+        with pytest.raises(TrainingDiverged, match="step 0") as info:
             train_style_prompter(cfg, dataset=small_dataset)
-        assert (tmp_path / "run" / "diagnostics_step_0.json").exists()
+        assert expected in str(info.value)
+        assert str(dump) in str(info.value)
+        losses = json.loads(dump.read_text())["losses"]
+        if trigger == "forward":
+            assert expected in losses["error"]
+        else:
+            assert set(losses) == {"loss_total", "loss_d", "loss_reg", "loss_ce"}
 
     def test_batch_size_contract(self, small_dataset):
         cfg = RunConfig(seed=0, held_out_domain=None, batch_size=4)
@@ -281,11 +296,21 @@ class TestTrainStylePrompter:
         with pytest.raises(ConfigError, match="watercolor"):
             train_style_prompter(cfg, dataset=small_dataset)
 
-    def test_select_best_picks_best_validation_epoch(self, small_dataset, tmp_path):
+    @pytest.mark.parametrize("run_dir", [True, False], ids=["run-dir", "no-run-dir"])
+    def test_select_best_picks_best_validation_epoch(self, small_dataset, tmp_path, run_dir):
+        from spdg.prompter import load_checkpoint
         cfg = RunConfig(seed=2, held_out_domain="sketch", epochs=3, batch_size=8,
                         mc_samples=2, out_dir=str(tmp_path / "run"), select_best=True)
         result = train_style_prompter(cfg, dataset=small_dataset)
         best_epoch = int(np.argmax(result.val_accuracies)) + 1
+        assert best_epoch != cfg.epochs  # the last epoch's prompter would be wrong
         best_dir = tmp_path / "run" / "checkpoints" / f"epoch_{best_epoch}"
-        for blob in sorted(best_dir.glob("*.spdg")):
-            assert blob.read_bytes() == (tmp_path / "run" / "final" / blob.name).read_bytes()
+        if run_dir:
+            for blob in sorted(best_dir.glob("*.spdg")):
+                assert blob.read_bytes() == (tmp_path / "run" / "final" / blob.name).read_bytes()
+        else:
+            # a LODO fold trains without a run directory and must still select
+            in_memory = train_style_prompter(replace(cfg, out_dir=None), dataset=small_dataset)
+            best, _ = load_checkpoint(best_dir)
+            for (name, a), (_, b) in zip(in_memory.prompter.parameters(), best.parameters()):
+                assert np.array_equal(a.data, b.data), name
