@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("eval-lodo", help="leave-one-domain-out evaluation matrix")
     p.add_argument("--out-dir", type=str, default=None)
     p.add_argument("--threads", type=int, default=1, help="worker processes")
-    p.add_argument("--matrix", type=str, default=None, help="JSON: dataset, methods, seeds, config")
+    p.add_argument("--config", type=str, default=None, help="RunConfig JSON path")
     p.add_argument("--dataset", type=str, default=None)
     p.add_argument("--methods", type=str, default="baseline_C,gsp_sr")
     p.add_argument("--seeds", type=str, default="0")
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("eval-crosscat", help="disjoint-category, disjoint-domain evaluation")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", type=str, default=None)
-    p.add_argument("--train-config", type=str, required=True)
+    p.add_argument("--config", type=str, required=True, help="RunConfig JSON path")
     p.add_argument("--test-data", type=str, required=True)
 
     p = command("infer", help="classify one sample from a dataset")
@@ -148,15 +148,16 @@ def _read_json_object(path, what: str) -> dict:
     return raw
 
 
-def _load_run_config(args) -> RunConfig:
+def _load_run_config(args, *overrides: str) -> RunConfig:
+    """The --config RunConfig, or the defaults without one; each named flag that
+    was given overrides the RunConfig field of its name."""
     cfg = RunConfig.from_dict(_read_json_object(args.config, "config")) if args.config else RunConfig()
-    # every train flag but --config is named after the RunConfig field it overrides
-    names = {f.name for f in fields(RunConfig)}
-    return replace(cfg, **{k: v for k, v in vars(args).items() if k in names and v is not None})
+    return replace(cfg, **{k: getattr(args, k) for k in overrides if getattr(args, k) is not None})
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_run_config(args)
+    # every train flag but --config is named after the RunConfig field it overrides
+    cfg = _load_run_config(args, *(f.name for f in fields(RunConfig) if f.name in vars(args)))
     if not cfg.out_dir:
         raise ConfigError("--out-dir (or out_dir in the config) is required for train")
     result = train_style_prompter(cfg)
@@ -177,31 +178,15 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from exc
 
 
-def _matrix_list(matrix: dict, key: str, kind: type, default: list) -> list:
-    value = matrix.get(key, default)
-    if isinstance(value, list) and all(type(v) is kind for v in value):  # a bool is no int here
-        return value
-    raise ConfigError(f"matrix {key} must be a list of {kind.__name__}, got {value!r}")
-
-
 def _cmd_eval_lodo(args) -> int:
     out = _need_out_dir(args)
-    if args.matrix:
-        matrix = _read_json_object(args.matrix, "matrix")
-        if not isinstance(matrix.get("dataset"), str):
-            raise ConfigError(f"matrix {args.matrix} needs a dataset path")
-        dataset = matrix["dataset"]
-        methods = _matrix_list(matrix, "methods", str, ["baseline_C", "gsp_sr"])
-        seeds = _matrix_list(matrix, "seeds", int, [0])
-        base = RunConfig.from_dict(matrix.get("config", {}))
-    else:
-        if not args.dataset:
-            raise ConfigError("eval-lodo needs --matrix or --dataset")
-        dataset = args.dataset
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-        seeds = _parse_seeds(args.seeds)
-        base = RunConfig()
-    report = evaluate_leave_one_out(dataset, methods, seeds, base=base, threads=args.threads)
+    base = _load_run_config(args)
+    dataset = args.dataset or base.dataset
+    if not dataset:
+        raise ConfigError("eval-lodo needs --dataset (or dataset in the config)")
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    report = evaluate_leave_one_out(dataset, methods, _parse_seeds(args.seeds), base=base,
+                                    threads=args.threads)
     write_report_json(report.to_dict(), out / "lodo_report.json")
     write_report_csv(report, out / "lodo_report.csv")
     print(json.dumps({"report": str(out / "lodo_report.json"),
@@ -212,9 +197,7 @@ def _cmd_eval_lodo(args) -> int:
 
 def _cmd_eval_crosscat(args) -> int:
     out = _need_out_dir(args)
-    cfg = RunConfig.from_dict(_read_json_object(args.train_config, "train config"))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _load_run_config(args, "seed")
     report = evaluate_cross_category(cfg, cfg.dataset, args.test_data)
     write_report_json(report.to_dict(), out / "crosscat_report.json")
     write_report_csv(report, out / "crosscat_report.csv")

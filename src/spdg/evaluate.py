@@ -19,17 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen
-from .encoders import (
-    STYLE_WORDS,
-    build_bundle,
-    default_vocab,
-    domain_style_text,
-    encode_image,
-    encode_texts,
-    project_image,
-)
+from .encoders import STYLE_WORDS, build_bundle, default_vocab, domain_style_text, encode_texts
 from .errors import ConfigError, SpdgError
-from .inference import accuracy, predict_batch, zero_shot_predict_batch
+from .inference import accuracy, predict_batch, prompted_cosines, zero_shot_predict_batch
 from .tensor import unit_rows
 from .trainer import RunConfig, train_style_prompter
 
@@ -153,6 +145,9 @@ def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None 
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
+    for what, values in (("method", methods), ("seed", seeds)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"each {what} may be given once, got {values}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
 
@@ -253,17 +248,17 @@ def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_nam
     """Cosine similarity of each test image against hand-crafted domain-style
     texts for its true class, plus its own learned-style prompt.
 
-    The learned column is the cosine predict_batch scores for the true class;
-    each style-word column is one batched dot of the image's unit feature with
-    the true class's row."""
+    The learned column is the true class's prompted cosine, the one predict_batch
+    scales into its logit; each style-word column is one batched dot of the
+    image's unit feature, from the same pass, with the true class's row."""
     x = np.asarray(x, dtype=np.float64)
     true_class_ids = np.asarray(true_class_ids, dtype=np.int64)
     n = x.shape[0]
     if image_ids is None:
         image_ids = list(range(n))
 
-    _, logits = predict_batch(bundle, prompter, x, classes)
-    zp, _ = unit_rows(project_image(bundle, encode_image(bundle, x)), "projected image feature")
+    cosines, zp, z_norms = prompted_cosines(bundle, prompter, x, classes)
+    zp /= z_norms
 
     # row ci * W + j: style word j with class ci
     word_feats = encode_texts(bundle, [domain_style_text(word, cls)
@@ -271,7 +266,7 @@ def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_nam
     word_feats, _ = unit_rows(word_feats, "style-word text feature")
     word_feats = word_feats.reshape(len(classes), len(style_words), -1)
 
-    learned = logits[np.arange(n), true_class_ids] / bundle.logit_scale
+    learned = cosines[np.arange(n), true_class_ids]
     values = np.column_stack([np.einsum("nkd,nd->nk", word_feats[true_class_ids], zp), learned])
     return SimilarityMatrix(image_ids=list(image_ids),
                             true_domains=list(true_domain_names),

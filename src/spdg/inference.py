@@ -54,6 +54,14 @@ def infer(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes):
 
 def predict_batch(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes):
     """Forward-only inference over (n, d_x) inputs: (argmax ids, logits scale * f.z / (|f| |z|))."""
+    logits = prompted_cosines(bundle, prompter, x, classes)[0]
+    logits *= bundle.logit_scale
+    return logits.argmax(axis=1), logits
+
+
+def prompted_cosines(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes):
+    """The (n, C) cosines f.z / (|f| |z|) of each image's prompted class texts f with
+    its projected feature z, and the (n, d_f) projected features with their checked norms."""
     if not classes:
         raise ConfigError("class set must be non-empty")
     x = _batch(x)
@@ -63,8 +71,7 @@ def predict_batch(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes)
     f_norms = T.checked_norms(feats, "prompted text feature")[..., 0]
     zp = project_image(bundle, z)
     z_norms = T.checked_norms(zp, "projected image feature")
-    logits = np.einsum("bcd,bd->bc", feats, zp) / (f_norms * z_norms) * bundle.logit_scale
-    return logits.argmax(axis=1), logits
+    return np.einsum("bcd,bd->bc", feats, zp) / (f_norms * z_norms), zp, z_norms
 
 
 def zero_shot_text_features(bundle: FrozenEncoderBundle, classes, template: str) -> np.ndarray:

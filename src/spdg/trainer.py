@@ -294,7 +294,10 @@ def _resolve_held_out(dataset, held_out) -> int | None:
     return held_out
 
 
-def _dump_diagnostics(out_dir, step, parts_values, params):
+def _dump_diagnostics(out_dir, step, parts_values, params, backward_ran: bool):
+    """Write the failing step's losses and norms; its gradient norms are null
+    unless that step's backward ran (the .grad of a parameter still holds the
+    step before's)."""
     if out_dir is None:
         return None
     path = Path(out_dir) / f"diagnostics_step_{step}.json"
@@ -303,8 +306,7 @@ def _dump_diagnostics(out_dir, step, parts_values, params):
         "losses": parts_values,
         "param_norms": {name: float(np.linalg.norm(p.data)) for name, p in params},
         "grad_norms": {
-            name: (float(np.linalg.norm(p.grad)) if p.grad is not None else None)
-            for name, p in params
+            name: float(np.linalg.norm(p.grad)) if backward_ran else None for name, p in params
         },
     }
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -343,6 +345,9 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
             raise ConfigError("config.dataset is empty and no dataset was passed")
         dataset = datagen.load(config.dataset)
 
+    if dataset.x.shape[1] != config.dims.d_x:
+        raise ConfigError(f"dataset samples have d_x = {dataset.x.shape[1]}, "
+                          f"but the config's dims.d_x is {config.dims.d_x}")
     held_out = _resolve_held_out(dataset, config.held_out_domain)
     train_domains = [d for d in range(len(dataset.domains)) if d != held_out]
     if len(train_domains) < 2:
@@ -413,7 +418,7 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
                 doms = dataset.domain_ids[batch]
                 z = encode_image(bundle, xb)
 
-                parts_values = None
+                parts_values, backward_ran = None, False
                 try:
                     with Tape() as tape:
                         loss, loss_ce, loss_d, loss_reg = step_losses(
@@ -428,12 +433,13 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
                     if not np.isfinite(parts_values["loss_total"]):
                         raise TrainingDiverged("non-finite loss")
                     tape.backward(loss, leaves=params)
+                    backward_ran = True
                     lr = lr_at(step, sched)
                     sgd_momentum_step(params, [p.grad for p in params], opt_state, lr,
                                       config.momentum, config.weight_decay)
                 except (NormalizationError, DegenerateVectorError, TrainingDiverged) as exc:
                     dump = _dump_diagnostics(out_dir, step, parts_values or {"error": str(exc)},
-                                             named_params)
+                                             named_params, backward_ran)
                     raise TrainingDiverged(f"training diverged at step {step}: {exc}"
                                            + (f", diagnostics at {dump}" if dump else "")) from exc
                 emit({"step": step, "epoch": epoch, "lr": float(lr), **parts_values})

@@ -93,21 +93,81 @@ def test_similarity_values_match_the_per_image_loop(cli_dataset, cli_run):
     assert np.abs(got - want).max() <= 1e-12
 
 
-def test_eval_lodo_with_matrix_file(capsys, cli_dataset, tmp_path):
-    matrix = tmp_path / "matrix.json"
-    matrix.write_text(json.dumps({
-        "dataset": str(cli_dataset),
-        "methods": ["baseline_C", "baseline_PC"],
-        "seeds": [0],
-        "config": {"epochs": 1, "batch_size": 8, "mc_samples": 2},
-    }))
-    code, out, _ = run_cli(capsys, "eval-lodo", "--matrix", str(matrix),
-                           "--out-dir", str(tmp_path / "lodo"))
+@pytest.mark.parametrize("dataset_from", ["flag", "config"])
+def test_eval_lodo_reads_its_config_file_and_flags(capsys, cli_dataset, tmp_path, dataset_from):
+    from spdg.evaluate import method_config
+    from spdg.trainer import RunConfig
+
+    quick = {"epochs": 1, "batch_size": 8, "mc_samples": 2}
+    dataset = ["--dataset", str(cli_dataset)]
+    if dataset_from == "config":
+        quick["dataset"], dataset = str(cli_dataset), []
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(quick))
+    code, out, _ = run_cli(capsys, "eval-lodo", "--config", str(config),
+                           *dataset, "--methods", "baseline_PC,bsp",
+                           "--seeds", "5,6", "--out-dir", str(tmp_path / "lodo"))
     assert code == 0
-    payload = json.loads(out)
-    assert set(payload["averages"]) == {"baseline_C", "baseline_PC"}
+    assert set(json.loads(out)["averages"]) == {"baseline_PC", "bsp"}
     report = json.loads((tmp_path / "lodo" / "lodo_report.json").read_text())
     assert not report["partial"]
+    assert report["metadata"]["seeds"] == [5, 6]
+    base = RunConfig(**quick)
+    assert report["metadata"]["base_config_hash"] == base.config_hash()
+    assert report["methods"]["bsp"]["config_hash"] == \
+        method_config(base, "bsp", 5, "photo").config_hash()
+    assert {(r["held_out"], r["seed"]) for r in report["methods"]["bsp"]["runs"]} == \
+        {(d, s) for d in ("photo", "cartoon", "sketch") for s in (5, 6)}
+
+
+@pytest.mark.parametrize("command, flag", [("eval-lodo", "--matrix"),
+                                           ("eval-crosscat", "--train-config")])
+def test_second_config_file_flag_is_gone(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_REQUIRED.get(command, []), flag, "c.json"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed_flag", [None, 9])
+def test_eval_crosscat_reads_its_config_file(capsys, cli_dataset, tmp_path, seed_flag):
+    from dataclasses import replace
+
+    from spdg.trainer import RunConfig
+
+    test_data = tmp_path / "disjoint"
+    assert run_cli(capsys, "gen-data", "--out-dir", str(test_data), "--seed", "11",
+                   "--n-per-cell", "10", "--classes", "giraffe,house,person",
+                   "--domains", "infograph,quickdraw,product")[0] == 0
+    quick = {"dataset": str(cli_dataset), "seed": 4, "epochs": 1, "batch_size": 8,
+             "mc_samples": 2}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(quick))
+    seed = [] if seed_flag is None else ["--seed", str(seed_flag)]
+    code, out, _ = run_cli(capsys, "eval-crosscat", "--config", str(config), *seed,
+                           "--test-data", str(test_data), "--out-dir", str(tmp_path / "cc"))
+    assert code == 0
+    assert set(json.loads(out)["averages"]) == {"ours", "baseline_C"}
+    report = json.loads((tmp_path / "cc" / "crosscat_report.json").read_text())
+    want_seed = 4 if seed_flag is None else seed_flag
+    assert report["metadata"]["seed"] == want_seed
+    trained = replace(RunConfig(**quick), seed=want_seed,
+                      extra_classes=["giraffe", "house", "person"])
+    assert report["methods"]["ours"]["config_hash"] == trained.config_hash()
+    assert (tmp_path / "cc" / "crosscat_report.csv").exists()
+
+
+def test_dataset_narrower_than_the_config_is_config_error(capsys, tmp_path):
+    data = tmp_path / "data16"
+    assert run_cli(capsys, "gen-data", "--out-dir", str(data), "--seed", "0",
+                   "--n-per-cell", "12", "--dx", "16")[0] == 0
+    code, _, err = run_cli(capsys, "train", "--dataset", str(data), "--out-dir",
+                           str(tmp_path / "run"))
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "config_error"
+    assert "16" in payload["message"] and "32" in payload["message"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_error_json_on_stderr(capsys, tmp_path):
@@ -236,16 +296,16 @@ def test_malformed_config_file_is_config_error(capsys, cli_dataset, tmp_path, re
     config = {"not-json": "{\"epochs\": 1", "not-object": [1, 2],
               "unknown-key": {"epochs": 1, "bogus": 1}, "no-dataset": {}}[damage]
     path = tmp_path / "config.json"
-    if reader == "eval-lodo" and damage in ("not-object", "unknown-key"):
-        config = {"dataset": str(cli_dataset), "config": config}
     path.write_text(config if isinstance(config, str) else json.dumps(config))
-    argv = {"train": ["train", "--config", str(path), "--dataset", str(cli_dataset)],
-            "eval-crosscat": ["eval-crosscat", "--train-config", str(path),
+    dataset = [] if damage == "no-dataset" else ["--dataset", str(cli_dataset)]
+    argv = {"train": ["train", "--config", str(path), *dataset],
+            "eval-crosscat": ["eval-crosscat", "--config", str(path),
                               "--test-data", str(cli_dataset)],
-            "eval-lodo": ["eval-lodo", "--matrix", str(path)]}[reader]
+            "eval-lodo": ["eval-lodo", "--config", str(path), *dataset]}[reader]
     code, _, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert json.loads(err)["error"] == "config_error"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("config", [
@@ -265,7 +325,7 @@ def test_wrong_config_value_type_is_config_error(capsys, cli_dataset, tmp_path, 
 
 
 _REQUIRED = {
-    "eval-crosscat": ["--train-config", "c.json", "--test-data", "d"],
+    "eval-crosscat": ["--config", "c.json", "--test-data", "d"],
     "infer": ["--checkpoint", "c", "--bundle", "b", "--dataset", "d", "--index", "0"],
     "similarity-report": ["--checkpoint", "c", "--bundle", "b", "--dataset", "d"],
     "ablation": ["--dataset", "d"],
@@ -312,22 +372,18 @@ def test_non_integer_seeds_are_config_error(capsys, cli_dataset, tmp_path, comma
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("matrix", [
-    {"methods": "baseline_C"}, {"methods": [1]}, {"methods": []}, {"seeds": "0"},
-    {"seeds": ["0"]}, {"seeds": [0.5]}, {"seeds": [True]}, {"seeds": []}, {"dataset": 5},
-], ids=lambda m: json.dumps(m))
-def test_malformed_matrix_list_is_config_error(capsys, cli_dataset, tmp_path, matrix):
-    path = tmp_path / "matrix.json"
-    path.write_text(json.dumps({"dataset": str(cli_dataset), "methods": ["baseline_C"], **matrix}))
-    code, _, err = run_cli(capsys, "eval-lodo", "--matrix", str(path),
+@pytest.mark.parametrize("argv", [["--methods", ","], ["--threads", "-3"]])
+def test_empty_methods_or_no_workers_is_config_error(capsys, cli_dataset, tmp_path, argv):
+    code, _, err = run_cli(capsys, "eval-lodo", "--dataset", str(cli_dataset), *argv,
                            "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert json.loads(err)["error"] == "config_error"
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [["--methods", ","], ["--threads", "-3"]])
-def test_empty_methods_or_no_workers_is_config_error(capsys, cli_dataset, tmp_path, argv):
+@pytest.mark.parametrize("argv", [["--seeds", ","],
+                                  ["--methods", "baseline_C,baseline_C", "--seeds", "0,0"]])
+def test_empty_seeds_or_repeated_entries_are_config_error(capsys, cli_dataset, tmp_path, argv):
     code, _, err = run_cli(capsys, "eval-lodo", "--dataset", str(cli_dataset), *argv,
                            "--out-dir", str(tmp_path / "out"))
     assert code == 2

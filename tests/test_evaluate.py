@@ -364,6 +364,13 @@ class TestLeaveOneOut:
         with pytest.raises(ConfigError):
             evaluate_leave_one_out(small_dataset_dir, ["cocoop"], seeds=[0], base=quick_config)
 
+    @pytest.mark.parametrize("methods, seeds", [(["baseline_C", "baseline_C"], [0]),
+                                                (["baseline_C"], [0, 1, 0])])
+    def test_repeated_method_or_seed_rejected(self, small_dataset_dir, quick_config,
+                                              methods, seeds):
+        with pytest.raises(ConfigError, match="may be given once"):
+            evaluate_leave_one_out(small_dataset_dir, methods, seeds=seeds, base=quick_config)
+
     def test_report_writers(self, lodo_report, tmp_path):
         write_report_json(lodo_report.to_dict(), tmp_path / "r.json")
         write_report_csv(lodo_report, tmp_path / "r.csv")

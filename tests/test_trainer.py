@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from spdg.errors import ConfigError, TrainingDiverged
+from spdg.errors import ConfigError, NormalizationError, TrainingDiverged
 from spdg.losses import LossWeights
 from spdg.tensor import Tensor
 from spdg.trainer import (
@@ -256,35 +256,52 @@ class TestTrainStylePrompter:
         assert list((tmp_path / "boom").glob("diagnostics_step_*.json"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the triggers
-    @pytest.mark.parametrize("trigger", ["forward", "loss", "optimizer"])
+    @pytest.mark.parametrize("trigger", ["forward", "loss", "optimizer", "step-1"])
     def test_each_failure_exit_writes_diagnostics(self, small_dataset, tmp_path, monkeypatch,
                                                   trigger):
         import spdg.trainer
         from spdg.encoders import FrozenEncoderBundle, build_bundle
+        from spdg.losses import domain_discrimination_loss
 
         def dead_projection(dims, vocab, seed, logit_scale):
             b = build_bundle(dims, vocab, seed, logit_scale)
             return FrozenEncoderBundle(b.dims, b.vocab, b.seed, b.logit_scale,
                                        {**b.weights, "proj_w": np.zeros_like(b.weights["proj_w"])})
 
+        calls = []
+
+        def failing_second_step(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NormalizationError("injected style-sample failure")
+            return domain_discrimination_loss(*args)
+
         if trigger == "forward":
             monkeypatch.setattr(spdg.trainer, "build_bundle", dead_projection)
-        weights = {"forward": LossWeights(), "loss": LossWeights(ce_scale=1e308),
-                   "optimizer": LossWeights(w_d=1e308)}[trigger]
+        if trigger == "step-1":
+            monkeypatch.setattr(spdg.trainer, "domain_discrimination_loss", failing_second_step)
+        weights = {"loss": LossWeights(ce_scale=1e308),
+                   "optimizer": LossWeights(w_d=1e308)}.get(trigger, LossWeights())
         cfg = RunConfig(seed=0, held_out_domain="sketch", epochs=1, batch_size=8, mc_samples=2,
                         weights=weights, out_dir=str(tmp_path / "run"))
-        dump = tmp_path / "run" / "diagnostics_step_0.json"
+        step = 1 if trigger == "step-1" else 0
+        dump = tmp_path / "run" / f"diagnostics_step_{step}.json"
         expected = {"forward": "projected image feature", "loss": "non-finite loss",
-                    "optimizer": "non-finite gradient at step 0"}[trigger]
-        with pytest.raises(TrainingDiverged, match="step 0") as info:
+                    "optimizer": "non-finite gradient at step 0",
+                    "step-1": "injected style-sample failure"}[trigger]
+        with pytest.raises(TrainingDiverged, match=f"step {step}") as info:
             train_style_prompter(cfg, dataset=small_dataset)
         assert expected in str(info.value)
         assert str(dump) in str(info.value)
-        losses = json.loads(dump.read_text())["losses"]
-        if trigger == "forward":
-            assert expected in losses["error"]
+        payload = json.loads(dump.read_text())
+        if trigger in ("forward", "step-1"):
+            assert expected in payload["losses"]["error"]
         else:
-            assert set(losses) == {"loss_total", "loss_d", "loss_reg", "loss_ce"}
+            assert set(payload["losses"]) == {"loss_total", "loss_d", "loss_reg", "loss_ce"}
+        # only the optimizer failure comes after its own step's backward
+        grad_norms = payload["grad_norms"]
+        assert len(grad_norms) == len(payload["param_norms"]) == 8
+        assert all((v is None) == (trigger != "optimizer") for v in grad_norms.values())
 
     def test_batch_size_contract(self, small_dataset):
         cfg = RunConfig(seed=0, held_out_domain=None, batch_size=4)
