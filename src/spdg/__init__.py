@@ -28,8 +28,7 @@ from .losses import (
     total_loss,
 )
 from .prompter import (
-    BasicPrompter,
-    GaussianPrompter,
+    StylePrompter,
     init_basic_prompter,
     init_gaussian_prompter,
     load_checkpoint,
@@ -43,13 +42,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "STYLE_WORDS",
-    "BasicPrompter",
     "EncoderDims",
     "FrozenEncoderBundle",
-    "GaussianPrompter",
     "LossWeights",
     "RunConfig",
     "SpdgError",
+    "StylePrompter",
     "Tape",
     "Tensor",
     "build_bundle",

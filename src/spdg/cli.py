@@ -22,7 +22,6 @@ from .errors import ConfigError, SpdgError
 from .evaluate import (
     evaluate_cross_category,
     evaluate_leave_one_out,
-    run_ablation,
     style_similarity_report,
     write_report_csv,
     write_report_json,
@@ -104,12 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primitive-inputs", type=int, default=20)
     p.add_argument("--primitive-tol", type=float, default=1e-6)
     p.add_argument("--objective-tol", type=float, default=1e-4)
-
-    p = command("ablation", help="emit the four-row component table")
-    p.add_argument("--out-dir", type=str, default=None)
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
-    p.add_argument("--dataset", type=str, required=True)
-    p.add_argument("--seeds", type=str, default="0")
 
     return parser
 
@@ -269,19 +262,6 @@ def _cmd_grad_check(args) -> int:
     return 0
 
 
-def _cmd_ablation(args) -> int:
-    out = _need_out_dir(args)
-    table = run_ablation(args.dataset, _parse_seeds(args.seeds), threads=args.threads)
-    write_report_json(table, out / "ablation.json")
-    with open(out / "ablation.csv", "w") as fh:
-        fh.write("row,method,average_accuracy,config_hash\n")
-        for row in table["rows"]:
-            fh.write(f"{row['row']},{row['method']},{row['average_accuracy']:.6f},{row['config_hash'] or ''}\n")
-    print(json.dumps({"table": str(out / "ablation.json"),
-                      "rows": {r["row"]: r["average_accuracy"] for r in table["rows"]}}))
-    return 0 if not table["partial"] else 4
-
-
 _COMMANDS = {
     "gen-data": _cmd_gen_data,
     "train": _cmd_train,
@@ -290,7 +270,6 @@ _COMMANDS = {
     "infer": _cmd_infer,
     "similarity-report": _cmd_similarity_report,
     "grad-check": _cmd_grad_check,
-    "ablation": _cmd_ablation,
 }
 
 

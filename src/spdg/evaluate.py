@@ -1,5 +1,6 @@
-"""Leave-one-domain-out evaluation, cross-category transfer, the component
-ablation table, and the style-similarity report.
+"""Leave-one-domain-out evaluation, cross-category transfer, and the
+style-similarity report. The component ablation (baseline / +BSP / +GSP /
++GSP+SR) is the leave-one-domain-out matrix over baseline_C, bsp, gsp, gsp_sr.
 
 Reports are plain data: JSON summaries plus CSV tables. Accuracy aggregation
 is a sum over samples, so parallel and serial fold execution agree exactly.
@@ -23,7 +24,7 @@ from .encoders import STYLE_WORDS, build_bundle, default_vocab, domain_style_tex
 from .errors import ConfigError, SpdgError
 from .inference import accuracy, predict_batch, prompted_cosines, zero_shot_predict_batch
 from .tensor import unit_rows
-from .trainer import RunConfig, train_style_prompter
+from .trainer import RunConfig, check_sample_width, train_style_prompter
 
 BASELINE_METHODS = ("baseline_C", "baseline_PC")
 TRAINED_METHODS = {
@@ -31,15 +32,13 @@ TRAINED_METHODS = {
     "gsp": {"prompter_kind": "gaussian", "use_style_reg": False},
     "gsp_sr": {"prompter_kind": "gaussian", "use_style_reg": True},
 }
-ABLATION_ROWS = [("baseline", "baseline_C"), ("+BSP", "bsp"), ("+GSP", "gsp"),
-                 ("+GSP+SR", "gsp_sr")]
 
 
 @dataclass
 class MethodResult:
     per_domain: dict[str, float]
     per_domain_std: dict[str, float]
-    average: float
+    average: float | None   # None when no fold succeeded
     runs: list[dict]
     config_hash: str | None = None
 
@@ -64,7 +63,7 @@ def _method_result(runs: list[dict], domains, config_hash: str | None) -> Method
         if vals:
             per_domain[dom] = float(np.mean(vals))
             per_std[dom] = float(np.std(vals))
-    average = float(np.mean(list(per_domain.values()))) if per_domain else float("nan")
+    average = float(np.mean(list(per_domain.values()))) if per_domain else None
     return MethodResult(per_domain=per_domain, per_domain_std=per_std, average=average,
                         runs=runs, config_hash=config_hash)
 
@@ -150,6 +149,7 @@ def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None 
             raise ConfigError(f"each {what} may be given once, got {values}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    check_sample_width(dataset, base.dims)
 
     tasks = [(held_out, seed, method)
              for held_out in dataset.domains for seed in seeds for method in methods]
@@ -203,6 +203,7 @@ def evaluate_cross_category(base: RunConfig, train_dataset_path, test_dataset_pa
     domain_overlap = set(dataset.domains) & set(test_dataset.domains)
     if domain_overlap:
         raise ConfigError(f"train and test domain sets overlap: {sorted(domain_overlap)}")
+    check_sample_width(test_dataset, base.dims, "test dataset")
 
     cfg = replace(base, held_out_domain=None, out_dir=None,
                   extra_classes=list(test_dataset.classes))
@@ -284,27 +285,6 @@ def write_similarity_csv(matrix: SimilarityMatrix, path) -> None:
                             + [f"{v:.10f}" for v in matrix.values[i]])
 
 
-def run_ablation(dataset_path, seeds, base: RunConfig | None = None,
-                 dataset=None, threads: int = 1) -> dict:
-    """Four-row component table: zero-shot baseline, then each prompter variant."""
-    report = evaluate_leave_one_out(
-        dataset_path, [m for _, m in ABLATION_ROWS], seeds,
-        base=base, dataset=dataset, threads=threads,
-    )
-    rows = []
-    for label, method in ABLATION_ROWS:
-        m = report.methods[method]
-        rows.append({
-            "row": label,
-            "method": method,
-            "average_accuracy": m.average,
-            "per_domain": m.per_domain,
-            "config_hash": m.config_hash,
-        })
-    return {"rows": rows, "metadata": report.metadata, "partial": report.partial,
-            "failures": report.failures}
-
-
 def write_report_json(payload: dict, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -318,8 +298,5 @@ def write_report_csv(report: EvalReport, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["method"] + report.domains + ["average"])
         for name, m in report.methods.items():
-            writer.writerow(
-                [name]
-                + [f"{m.per_domain.get(d, float('nan')):.6f}" for d in report.domains]
-                + [f"{m.average:.6f}"]
-            )
+            values = [m.per_domain.get(d) for d in report.domains] + [m.average]
+            writer.writerow([name] + [f"{float('nan') if v is None else v:.6f}" for v in values])

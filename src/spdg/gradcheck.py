@@ -26,8 +26,7 @@ from .losses import (
     total_loss,
 )
 from .prompter import (
-    BasicPrompter,
-    GaussianPrompter,
+    StylePrompter,
     basic_forward,
     gaussian_forward,
     init_basic_prompter,
@@ -61,12 +60,11 @@ def _weighted(outs, weights) -> Tensor:
     return T.apply(np.asarray(value), tuple(outs), lambda g: tuple(g * w for w in weights))
 
 
-def _prompter_case(kind: str, z_shape):
+def _prompter_case(init, forward, z_shape):
     """x holds z (shape z_shape), then every prompter parameter, flattened."""
-    init = init_basic_prompter if kind == "basic" else init_gaussian_prompter
-    shapes = tuple(t.shape for _, t in init(4, 3, seed=0).parameters())
-    layout = _layout((z_shape,) + shapes)
-    n_out = 1 if kind == "basic" else 2
+    p = init(4, 3, seed=0)
+    layout = _layout((z_shape,) + tuple(t.shape for _, t in p.parameters()))
+    n_out = len(p.names[4:]) // 2   # one output per head: the (weight, bias) pairs past the trunk
     out_shape = z_shape[:-1] + (3,)
 
     def make(rng):
@@ -74,12 +72,11 @@ def _prompter_case(kind: str, z_shape):
 
         def f(x):
             z, *params = _split(x, layout)
-            if kind == "basic":
-                return _weighted([basic_forward(BasicPrompter(*params), z)], w)
-            return _weighted(gaussian_forward(GaussianPrompter(*params), z), w)
+            out = forward(StylePrompter(p.kind, dict(zip(p.names, params))), z)
+            return _weighted(out if n_out > 1 else (out,), w)
         return f
 
-    return (f"{kind}_forward", (layout[-1][1],), make)
+    return (forward.__name__, (layout[-1][1],), make)
 
 
 def _head_case(with_reg: bool):
@@ -124,8 +121,8 @@ def _primitive_cases():
                                                             domain_discrimination_loss(T.l2_normalize(x), dom, 0.5))),
         ("encode_text_batch", (3, d_t), lambda rng: (lambda x, w=rng.normal(size=(9, d_f)):
                                                      _weighted([encode_text_batch(prompt_bundle, x, prompt_classes)], [w]))),
-        _prompter_case("basic", (2, 4)),
-        _prompter_case("gaussian", (4,)),
+        _prompter_case(init_basic_prompter, basic_forward, (2, 4)),
+        _prompter_case(init_gaussian_prompter, gaussian_forward, (4,)),
         ("sample_styles_batch", (2 * 2 * 3,), lambda rng: (
             lambda x, eps=Tensor(rng.normal(size=(6, 3))), w=rng.normal(size=(6, 3)):
             _weighted([sample_styles_batch(*_split(x, styles_layout), 3, None, eps=eps)], [w]))),
@@ -158,7 +155,7 @@ def run_primitive_checks(n_inputs: int = 100, cases=None) -> dict[str, float]:
 @dataclass
 class ObjectiveFixture:
     bundle: object
-    prompter: GaussianPrompter
+    prompter: StylePrompter
     z: np.ndarray
     labels: np.ndarray
     domains: np.ndarray
@@ -189,7 +186,7 @@ def build_objective_fixture(batch: int = 8, n_classes: int = 4, n_domains: int =
                             classes=classes)
 
 
-def objective_value(fx: ObjectiveFixture, prompter: GaussianPrompter) -> Tensor:
+def objective_value(fx: ObjectiveFixture, prompter: StylePrompter) -> Tensor:
     """The trainer's step objective on the fixture, at its frozen Monte Carlo draw."""
     return step_losses(fx.bundle, prompter, fx.z, fx.labels, fx.domains, fx.classes,
                        fx.anchors, fx.weights, fx.mc_samples, None, eps=fx.eps)[0]
@@ -207,10 +204,8 @@ def run_objective_check(fixture: ObjectiveFixture | None = None,
     names = [name for name, _ in fx.prompter.parameters()]
     for name in names:
         def f(x: Tensor, name=name) -> Tensor:
-            stand_in = GaussianPrompter(
-                **{k: (x if k == name else v) for k, v in fx.prompter.parameters()},
-                sigma_floor=fx.prompter.sigma_floor,
-            )
+            stand_in = StylePrompter(fx.prompter.kind, {
+                k: (x if k == name else v) for k, v in fx.prompter.parameters()})
             return objective_value(fx, stand_in)
 
         errors[name] = finite_diff_grad_check(f, dict(fx.prompter.parameters())[name], h=h)

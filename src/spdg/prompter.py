@@ -1,8 +1,9 @@
 """Trainable style prompters: map image features to a style token embedding.
 
-The basic prompter emits a point in token-embedding space; the Gaussian
-prompter emits a diagonal Gaussian (mu, sigma) and draws reparameterized
-Monte Carlo samples from it. Only these parameters ever receive gradients.
+One prompter type over one parameter table, in two kinds: the basic prompter
+emits a point in token-embedding space; the Gaussian prompter emits a diagonal
+Gaussian (mu, sigma) and draws reparameterized Monte Carlo samples from it.
+Only these parameters ever receive gradients.
 
 Each training forward is one tape node with a hand-written backward: the two
 ELU layers and the head(s) of a prompter, and the row repeat plus the
@@ -28,20 +29,33 @@ CHECKPOINT_FORMAT_VERSION = 1
 # softplus(x) = 0.1 at this raw value, so sigma starts near 0.1
 _SIGMA_RAW_INIT = math.log(math.expm1(0.1))
 
+_TRUNK = ("w1", "b1", "w2", "b2")
+# each kind's parameters: the trunk's, then its heads' as (weight, bias)
+# pairs; the first head's output is the prompt embedding
+PARAMETER_NAMES = {
+    "basic": _TRUNK + ("w3", "b3"),
+    "gaussian": _TRUNK + ("w_mu", "b_mu", "w_sigma", "b_sigma"),
+}
 
-class BasicPrompter:
-    """Linear -> ELU -> Linear -> ELU -> Linear, hidden width d_i // 2."""
 
-    kind = "basic"
+class StylePrompter:
+    """Linear -> ELU -> Linear -> ELU trunk, hidden width d_i // 2, then the
+    heads of its kind: one point head (basic), or a mu and a raw-sigma head
+    (gaussian). Each parameter is an attribute of its name."""
 
-    def __init__(self, w1, b1, w2, b2, w3, b3):
-        self.w1, self.b1 = w1, b1
-        self.w2, self.b2 = w2, b2
-        self.w3, self.b3 = w3, b3
+    def __init__(self, kind: str, params):
+        self.kind = kind
+        self.names = PARAMETER_NAMES[kind]
+        for name in self.names:
+            setattr(self, name, params[name])
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2),
-                ("b2", self.b2), ("w3", self.w3), ("b3", self.b3)]
+        return [(name, getattr(self, name)) for name in self.names]
+
+    @property
+    def prompt_head(self) -> tuple[Tensor, Tensor]:
+        """The (weight, bias) of the head whose output is the prompt embedding."""
+        return getattr(self, self.names[4]), getattr(self, self.names[5])
 
     @property
     def d_i(self) -> int:
@@ -49,34 +63,7 @@ class BasicPrompter:
 
     @property
     def d_t(self) -> int:
-        return self.w3.data.shape[1]
-
-
-class GaussianPrompter:
-    """Shared two-layer trunk with separate mu and raw-sigma heads."""
-
-    kind = "gaussian"
-
-    def __init__(self, w1, b1, w2, b2, w_mu, b_mu, w_sigma, b_sigma,
-                 sigma_floor: float = SIGMA_FLOOR):
-        self.w1, self.b1 = w1, b1
-        self.w2, self.b2 = w2, b2
-        self.w_mu, self.b_mu = w_mu, b_mu
-        self.w_sigma, self.b_sigma = w_sigma, b_sigma
-        self.sigma_floor = float(sigma_floor)
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2),
-                ("w_mu", self.w_mu), ("b_mu", self.b_mu),
-                ("w_sigma", self.w_sigma), ("b_sigma", self.b_sigma)]
-
-    @property
-    def d_i(self) -> int:
-        return self.w1.data.shape[0]
-
-    @property
-    def d_t(self) -> int:
-        return self.w_mu.data.shape[1]
+        return self.prompt_head[0].data.shape[1]
 
 
 def _uniform_init(rng, fan_in: int, *shape) -> Tensor:
@@ -84,36 +71,30 @@ def _uniform_init(rng, fan_in: int, *shape) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-def _check_dims(d_i: int, d_t: int) -> int:
+def _init_prompter(kind: str, d_i: int, d_t: int, seed: int) -> StylePrompter:
+    """Uniform weights drawn in name order, zero biases, and b_sigma at _SIGMA_RAW_INIT."""
     if d_i % 2 != 0:
         raise ConfigError(f"image feature dimension must be even, got {d_i}")
     if d_i < 2 or d_t < 2:
         raise ConfigError(f"prompter dims too small: d_i={d_i}, d_t={d_t}")
-    return d_i // 2
-
-
-def init_basic_prompter(d_i: int, d_t: int, seed: int) -> BasicPrompter:
-    hidden = _check_dims(d_i, d_t)
+    hidden = d_i // 2
     rng = np.random.default_rng(seed)
-    return BasicPrompter(
-        _uniform_init(rng, d_i, d_i, hidden), Tensor(np.zeros(hidden), requires_grad=True),
-        _uniform_init(rng, hidden, hidden, hidden), Tensor(np.zeros(hidden), requires_grad=True),
-        _uniform_init(rng, hidden, hidden, d_t), Tensor(np.zeros(d_t), requires_grad=True),
-    )
+    names = PARAMETER_NAMES[kind]
+    params = {}
+    for layer, (w, b) in enumerate(zip(names[::2], names[1::2])):
+        rows, cols = (d_i if layer == 0 else hidden), (hidden if layer < 2 else d_t)
+        params[w] = _uniform_init(rng, rows, rows, cols)
+        params[b] = Tensor(np.full(cols, _SIGMA_RAW_INIT if b == "b_sigma" else 0.0),
+                           requires_grad=True)
+    return StylePrompter(kind, params)
 
 
-def init_gaussian_prompter(d_i: int, d_t: int, seed: int,
-                           sigma_floor: float = SIGMA_FLOOR) -> GaussianPrompter:
-    hidden = _check_dims(d_i, d_t)
-    rng = np.random.default_rng(seed)
-    return GaussianPrompter(
-        _uniform_init(rng, d_i, d_i, hidden), Tensor(np.zeros(hidden), requires_grad=True),
-        _uniform_init(rng, hidden, hidden, hidden), Tensor(np.zeros(hidden), requires_grad=True),
-        _uniform_init(rng, hidden, hidden, d_t), Tensor(np.zeros(d_t), requires_grad=True),
-        _uniform_init(rng, hidden, hidden, d_t),
-        Tensor(np.full(d_t, _SIGMA_RAW_INIT), requires_grad=True),
-        sigma_floor=sigma_floor,
-    )
+def init_basic_prompter(d_i: int, d_t: int, seed: int) -> StylePrompter:
+    return _init_prompter("basic", d_i, d_t, seed)
+
+
+def init_gaussian_prompter(d_i: int, d_t: int, seed: int) -> StylePrompter:
+    return _init_prompter("gaussian", d_i, d_t, seed)
 
 
 def _as_rows(z) -> tuple[Tensor, np.ndarray]:
@@ -147,7 +128,7 @@ def _trunk(p, zt: Tensor, x: np.ndarray):
     return h2, vjp
 
 
-def basic_forward(p: BasicPrompter, z) -> Tensor:
+def basic_forward(p: StylePrompter, z) -> Tensor:
     """Style embeddings for a batch of image features, (B, d_i) -> (B, d_t).
 
     A 1D input gives a 1D output. One tape node.
@@ -161,14 +142,14 @@ def basic_forward(p: BasicPrompter, z) -> Tensor:
         g = g.reshape(out.shape)
         return (*trunk_vjp(g @ w3.T), h.T @ g, g.sum(axis=0))
 
-    return T.apply(out.reshape(zt.shape[:-1] + (p.d_t,)),
+    return T.apply(out.reshape(zt.shape[:-1] + (w3.shape[1],)),
                    (zt, p.w1, p.b1, p.w2, p.b2, p.w3, p.b3), bwd)
 
 
-def gaussian_forward(p: GaussianPrompter, z) -> tuple[Tensor, Tensor]:
+def gaussian_forward(p: StylePrompter, z) -> tuple[Tensor, Tensor]:
     """Per-row (mu, sigma) in token-embedding space; sigma strictly positive.
 
-    sigma = softplus(raw) + sigma_floor. A 1D input gives 1D outputs. One tape
+    sigma = softplus(raw) + SIGMA_FLOOR. A 1D input gives 1D outputs. One tape
     node with two outputs.
     """
     zt, x = _as_rows(z)
@@ -176,7 +157,7 @@ def gaussian_forward(p: GaussianPrompter, z) -> tuple[Tensor, Tensor]:
     w_mu, w_sigma = p.w_mu.data, p.w_sigma.data
     mu = T.affine(h, w_mu, p.b_mu.data)
     raw = T.affine(h, w_sigma, p.b_sigma.data)
-    sigma = np.logaddexp(0.0, raw) + p.sigma_floor
+    sigma = np.logaddexp(0.0, raw) + SIGMA_FLOOR
 
     def bwd(g):
         g_mu, g_sigma = (part.reshape(mu.shape) for part in g)
@@ -184,7 +165,7 @@ def gaussian_forward(p: GaussianPrompter, z) -> tuple[Tensor, Tensor]:
         return (*trunk_vjp(g_raw @ w_sigma.T + g_mu @ w_mu.T),
                 h.T @ g_mu, g_mu.sum(axis=0), h.T @ g_raw, g_raw.sum(axis=0))
 
-    shape = zt.shape[:-1] + (p.d_t,)
+    shape = zt.shape[:-1] + (w_mu.shape[1],)
     return T.apply((mu.reshape(shape), sigma.reshape(shape)),
                    (zt, p.w1, p.b1, p.w2, p.b2, p.w_mu, p.b_mu, p.w_sigma, p.b_sigma), bwd)
 
@@ -220,8 +201,13 @@ def style_for_prompt(p, z) -> Tensor:
     """The pseudo-slot embedding, point output or Gaussian mu; forward only, no node, no sigma."""
     zt, x = _as_rows(z)
     h, _ = _trunk(p, zt, x)
-    w, b = (p.w3, p.b3) if p.kind == "basic" else (p.w_mu, p.b_mu)
-    return Tensor(T.affine(h, w.data, b.data).reshape(zt.shape[:-1] + (p.d_t,)))
+    w, b = p.prompt_head
+    return Tensor(T.affine(h, w.data, b.data).reshape(zt.shape[:-1] + (w.data.shape[1],)))
+
+
+def _manifest_sigma_floor(kind: str) -> float | None:
+    """The manifest's sigma_floor: SIGMA_FLOOR for a Gaussian prompter, none for a basic one."""
+    return SIGMA_FLOOR if kind == "gaussian" else None
 
 
 def save_checkpoint(p, directory, run_config: dict | None = None) -> None:
@@ -231,7 +217,7 @@ def save_checkpoint(p, directory, run_config: dict | None = None) -> None:
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "prompter_kind": p.kind,
         "dims": {"d_i": p.d_i, "d_t": p.d_t},
-        "sigma_floor": getattr(p, "sigma_floor", None),
+        "sigma_floor": _manifest_sigma_floor(p.kind),
         "run_config": run_config,
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -243,18 +229,11 @@ def load_checkpoint(directory):
     directory = Path(directory)
     manifest = read_manifest(directory / "manifest.json", "checkpoint", CHECKPOINT_FORMAT_VERSION)
     with manifest_fields(directory, "checkpoint"):
-        kind = manifest["prompter_kind"]
-    names = ["w1", "b1", "w2", "b2"]
-    if kind == "basic":
-        names += ["w3", "b3"]
-    elif kind == "gaussian":
-        names += ["w_mu", "b_mu", "w_sigma", "b_sigma"]
-    else:
+        kind, sigma_floor = manifest["prompter_kind"], manifest["sigma_floor"]
+    if not (isinstance(kind, str) and kind in PARAMETER_NAMES):
         raise FormatError(f"unknown prompter_kind {kind!r}")
-    arrays = [Tensor(read_blob(directory / f"{n}.spdg"), requires_grad=True) for n in names]
-    if kind == "basic":
-        prompter = BasicPrompter(*arrays)
-    else:
-        with manifest_fields(directory, "checkpoint"):
-            prompter = GaussianPrompter(*arrays, sigma_floor=manifest["sigma_floor"])
-    return prompter, manifest
+    if sigma_floor != _manifest_sigma_floor(kind):
+        raise FormatError(f"{directory}: checkpoint sigma_floor {sigma_floor!r}, but this "
+                          f"build's {kind} prompter has {_manifest_sigma_floor(kind)!r}")
+    return StylePrompter(kind, {n: Tensor(read_blob(directory / f"{n}.spdg"), requires_grad=True)
+                                for n in PARAMETER_NAMES[kind]}), manifest

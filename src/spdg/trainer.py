@@ -314,6 +314,13 @@ def _dump_diagnostics(out_dir, step, parts_values, params, backward_ran: bool):
     return str(path)
 
 
+def check_sample_width(dataset, dims: EncoderDims, what: str = "dataset") -> None:
+    """Reject a dataset whose samples are not dims.d_x wide, before any work on it."""
+    if dataset.x.shape[1] != dims.d_x:
+        raise ConfigError(f"{what} samples have d_x = {dataset.x.shape[1]}, "
+                          f"but the config's dims.d_x is {dims.d_x}")
+
+
 def step_losses(bundle, prompter, z, labels, domains, classes, anchors, weights: LossWeights,
                 mc_samples: int, rng, eps=None):
     """The training objective on one batch of image features z: (total, ce, domain, reg).
@@ -345,9 +352,7 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
             raise ConfigError("config.dataset is empty and no dataset was passed")
         dataset = datagen.load(config.dataset)
 
-    if dataset.x.shape[1] != config.dims.d_x:
-        raise ConfigError(f"dataset samples have d_x = {dataset.x.shape[1]}, "
-                          f"but the config's dims.d_x is {config.dims.d_x}")
+    check_sample_width(dataset, config.dims)
     held_out = _resolve_held_out(dataset, config.held_out_domain)
     train_domains = [d for d in range(len(dataset.domains)) if d != held_out]
     if len(train_domains) < 2:
@@ -361,10 +366,8 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
     bundle = build_bundle(config.dims, vocab, seed=config.seed, logit_scale=config.logit_scale)
     checksum_before = bundle_checksum(bundle)
 
-    if config.prompter_kind == "basic":
-        prompter = init_basic_prompter(config.dims.d_i, config.dims.d_t, seed_from(config.seed, 1))
-    else:
-        prompter = init_gaussian_prompter(config.dims.d_i, config.dims.d_t, seed_from(config.seed, 1))
+    init = init_basic_prompter if config.prompter_kind == "basic" else init_gaussian_prompter
+    prompter = init(config.dims.d_i, config.dims.d_t, seed_from(config.seed, 1))
     named_params = prompter.parameters()
     params = [p for _, p in named_params]
 

@@ -39,7 +39,7 @@ from spdg.encoders import (
 from spdg.encoders import encode_text_batch as production_encode_text_batch
 from spdg.errors import ConfigError, DegenerateVectorError, FormatError, ShapeError, TokenizeError
 from spdg.losses import LossParts, LossWeights, RegAnchorTable
-from spdg.prompter import basic_forward, gaussian_forward, style_for_prompt
+from spdg.prompter import SIGMA_FLOOR, basic_forward, gaussian_forward, style_for_prompt
 from spdg.tensor import Tensor
 
 
@@ -281,7 +281,7 @@ def composed_gaussian_forward(p, z) -> tuple[Tensor, Tensor]:
     h = _trunk(p, zb)
     mu = linear_forward(h, p.w_mu, p.b_mu)
     sigma = add(softplus(linear_forward(h, p.w_sigma, p.b_sigma)),
-                constant(p.sigma_floor))
+                constant(SIGMA_FLOOR))
     if squeeze:
         return reshape(mu, (p.d_t,)), reshape(sigma, (p.d_t,))
     return mu, sigma

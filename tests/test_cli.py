@@ -1,6 +1,7 @@
 import argparse
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,17 +158,66 @@ def test_eval_crosscat_reads_its_config_file(capsys, cli_dataset, tmp_path, seed
     assert (tmp_path / "cc" / "crosscat_report.csv").exists()
 
 
-def test_dataset_narrower_than_the_config_is_config_error(capsys, tmp_path):
+@pytest.mark.parametrize("command", [["train"], ["eval-lodo", "--methods", "baseline_C,bsp"]],
+                         ids=lambda c: c[0])
+def test_dataset_narrower_than_the_config_is_config_error(capsys, tmp_path, command):
     data = tmp_path / "data16"
     assert run_cli(capsys, "gen-data", "--out-dir", str(data), "--seed", "0",
                    "--n-per-cell", "12", "--dx", "16")[0] == 0
-    code, _, err = run_cli(capsys, "train", "--dataset", str(data), "--out-dir",
+    code, _, err = run_cli(capsys, *command, "--dataset", str(data), "--out-dir",
                            str(tmp_path / "run"))
     assert code == 2
     payload = json.loads(err)
     assert payload["error"] == "config_error"
     assert "16" in payload["message"] and "32" in payload["message"]
     assert not (tmp_path / "run").exists()
+
+
+def test_report_of_a_method_with_no_successful_fold_is_strict_json(capsys, tmp_path):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    data = tmp_path / "data"
+    assert run_cli(capsys, "gen-data", "--out-dir", str(data), "--seed", "0",
+                   "--n-per-cell", "12")[0] == 0
+    config = tmp_path / "config.json"   # a batch of 4 is too small for 3 training domains
+    config.write_text(json.dumps({"batch_size": 4, "epochs": 1, "mc_samples": 2}))
+    code, out, _ = run_cli(capsys, "eval-lodo", "--config", str(config), "--dataset", str(data),
+                           "--methods", "gsp_sr", "--out-dir", str(tmp_path / "lodo"))
+    assert code == 4
+    assert json.loads(out, parse_constant=reject)["averages"] == {"gsp_sr": None}
+    report = json.loads((tmp_path / "lodo" / "lodo_report.json").read_text(),
+                        parse_constant=reject)
+    assert report["methods"]["gsp_sr"]["average"] is None and len(report["failures"]) == 4
+    assert (tmp_path / "lodo" / "lodo_report.csv").read_text().splitlines()[1].endswith(",nan")
+
+
+def test_checkpoint_of_another_sigma_floor_is_format_error(capsys, cli_dataset, cli_run,
+                                                           tmp_path):
+    shutil.copytree(cli_run / "final", tmp_path / "final")
+    manifest = tmp_path / "final" / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    assert raw["sigma_floor"] == 1e-6
+    raw["sigma_floor"] = 1e-3
+    manifest.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "infer", "--checkpoint", str(tmp_path / "final"),
+                             "--bundle", str(cli_run / "bundle"), "--dataset", str(cli_dataset),
+                             "--index", "0")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "format_error" and "sigma_floor" in payload["message"]
+
+
+def test_readme_flag_table_names_exactly_the_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(readme) if line.startswith("| subcommand | `--seed`"))
+    names = []
+    for line in readme[start + 2:]:
+        if not line.startswith("|"):
+            break
+        names += [n.strip().strip("`") for n in line.split("|")[1].split(",")]
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(names) == sorted(sub.choices)
 
 
 def test_error_json_on_stderr(capsys, tmp_path):
@@ -328,7 +378,6 @@ _REQUIRED = {
     "eval-crosscat": ["--config", "c.json", "--test-data", "d"],
     "infer": ["--checkpoint", "c", "--bundle", "b", "--dataset", "d", "--index", "0"],
     "similarity-report": ["--checkpoint", "c", "--bundle", "b", "--dataset", "d"],
-    "ablation": ["--dataset", "d"],
 }
 _FLAG_VALUES = {"--seed": "1", "--out-dir": "o", "--precision": "f64", "--threads": "1"}
 _REMOVED_FLAGS = [
@@ -337,7 +386,7 @@ _REMOVED_FLAGS = [
     ("eval-crosscat", "--precision"), ("eval-crosscat", "--threads"),
     *(("infer", f) for f in _FLAG_VALUES), *(("grad-check", f) for f in _FLAG_VALUES),
     ("similarity-report", "--seed"), ("similarity-report", "--precision"),
-    ("similarity-report", "--threads"), ("ablation", "--seed"), ("ablation", "--precision"),
+    ("similarity-report", "--threads"),
 ]
 
 
@@ -358,14 +407,12 @@ def test_each_command_declares_only_the_shared_flags_it_reads():
         "gen-data": ["--out-dir", "--precision", "--seed"], "train": ["--out-dir", "--seed"],
         "eval-lodo": ["--out-dir", "--threads"], "eval-crosscat": ["--out-dir", "--seed"],
         "infer": [], "similarity-report": ["--out-dir"], "grad-check": [],
-        "ablation": ["--out-dir", "--threads"],
     }
     assert sum(map(len, declared.values())) + len(set(_REMOVED_FLAGS)) == 4 * len(declared)
 
 
-@pytest.mark.parametrize("command", ["eval-lodo", "ablation"])
-def test_non_integer_seeds_are_config_error(capsys, cli_dataset, tmp_path, command):
-    code, _, err = run_cli(capsys, command, "--dataset", str(cli_dataset), "--seeds", "0,a",
+def test_non_integer_seeds_are_config_error(capsys, cli_dataset, tmp_path):
+    code, _, err = run_cli(capsys, "eval-lodo", "--dataset", str(cli_dataset), "--seeds", "0,a",
                            "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert json.loads(err)["error"] == "config_error"

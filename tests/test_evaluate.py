@@ -14,7 +14,6 @@ from spdg.evaluate import (
     MethodResult,
     evaluate_cross_category,
     evaluate_leave_one_out,
-    run_ablation,
     style_similarity_report,
     write_report_csv,
     write_report_json,
@@ -371,6 +370,15 @@ class TestLeaveOneOut:
         with pytest.raises(ConfigError, match="may be given once"):
             evaluate_leave_one_out(small_dataset_dir, methods, seeds=seeds, base=quick_config)
 
+    def test_component_methods_are_one_matrix_of_distinct_configs(self, small_dataset_dir,
+                                                                 quick_config):
+        # the paper's component table: baseline, +BSP, +GSP, +GSP+SR
+        methods = ["baseline_C", "bsp", "gsp", "gsp_sr"]
+        report = evaluate_leave_one_out(small_dataset_dir, methods, seeds=[0], base=quick_config)
+        assert list(report.methods) == methods and not report.partial
+        assert report.methods["baseline_C"].config_hash is None
+        assert len({report.methods[m].config_hash for m in methods[1:]} - {None}) == 3
+
     def test_report_writers(self, lodo_report, tmp_path):
         write_report_json(lodo_report.to_dict(), tmp_path / "r.json")
         write_report_csv(lodo_report, tmp_path / "r.csv")
@@ -413,6 +421,20 @@ class TestCrossCategory:
             evaluate_cross_category(quick_config, small_dataset_dir, overlap)
 
 
+    def test_test_set_width_is_checked_before_training(self, monkeypatch, small_dataset_dir,
+                                                       tmp_path, quick_config):
+        narrow = tmp_path / "narrow"
+        datagen.save(datagen.generate(n_per_cell=10, d_x=16, seed=1, classes=["cat", "zebra"],
+                                      domains=["a", "b", "c"]), narrow)
+        calls = []
+        train = evaluate.train_style_prompter
+        monkeypatch.setattr(evaluate, "train_style_prompter",
+                            lambda *a, **k: calls.append(1) or train(*a, **k))
+        with pytest.raises(ConfigError, match="d_x = 16"):
+            evaluate_cross_category(quick_config, small_dataset_dir, narrow)
+        assert calls == []
+
+
 class TestSimilarityReport:
     def test_matrix_shape_and_range(self, small_dataset, bundle, dims, tmp_path):
         prompter = init_gaussian_prompter(dims.d_i, dims.d_t, seed=0)
@@ -442,13 +464,3 @@ class TestSimilarityReport:
         lines = (tmp_path / "sim.csv").read_text().splitlines()
         assert len(lines) == 11
         assert lines[0] == "image,true_domain," + ",".join(matrix.columns)
-
-
-class TestAblation:
-    def test_four_rows_in_order(self, small_dataset_dir, quick_config):
-        table = run_ablation(small_dataset_dir, seeds=[0], base=quick_config)
-        assert [r["row"] for r in table["rows"]] == ["baseline", "+BSP", "+GSP", "+GSP+SR"]
-        for row in table["rows"][1:]:
-            assert row["config_hash"]
-        hashes = [r["config_hash"] for r in table["rows"][1:]]
-        assert len(set(hashes)) == 3  # each variant is a distinct config

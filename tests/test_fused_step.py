@@ -31,6 +31,7 @@ from spdg.losses import (
     total_loss,
 )
 from spdg.prompter import (
+    StylePrompter,
     basic_forward,
     gaussian_forward,
     init_basic_prompter,
@@ -172,7 +173,7 @@ class TestFusedPrompters:
 
         def run(forward):
             def fn(z, *params):
-                return [forward(type(p)(**dict(zip(names, params))), z)]
+                return [forward(StylePrompter(p.kind, dict(zip(names, params))), z)]
             return fn
 
         got, got_grad, n_nodes = taped(run(basic_forward), arrays, probes)
@@ -191,7 +192,7 @@ class TestFusedPrompters:
 
         def run(forward):
             def fn(z, *params):
-                return forward(type(p)(**dict(zip(names, params)), sigma_floor=p.sigma_floor), z)
+                return forward(StylePrompter(p.kind, dict(zip(names, params))), z)
             return fn
 
         got, got_grad, _ = taped(run(gaussian_forward), arrays, probes)

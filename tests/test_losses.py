@@ -437,13 +437,12 @@ class TestSharedTextPass:
     def test_gradient_of_total_on_small_fixture(self, bundle, rng):
         """Full objective gradient vs finite differences on one trunk weight."""
         from spdg.gradcheck import build_objective_fixture, objective_value
-        from spdg.prompter import GaussianPrompter
+        from spdg.prompter import StylePrompter
         fx = build_objective_fixture(batch=4, mc_samples=2, seed=11)
 
         def f(x):
-            stand_in = GaussianPrompter(
-                **{k: (x if k == "w2" else v) for k, v in fx.prompter.parameters()},
-                sigma_floor=fx.prompter.sigma_floor)
+            stand_in = StylePrompter(
+                "gaussian", {k: (x if k == "w2" else v) for k, v in fx.prompter.parameters()})
             return objective_value(fx, stand_in)
 
         assert T.finite_diff_grad_check(f, dict(fx.prompter.parameters())["w2"], h=1e-5) < 1e-4

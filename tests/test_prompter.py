@@ -1,11 +1,15 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from oracles import mul, reshape, sum_all
-from spdg.errors import ConfigError
+from spdg.errors import ConfigError, FormatError
 from spdg.prompter import (
+    PARAMETER_NAMES,
     SIGMA_FLOOR,
-    BasicPrompter,
+    StylePrompter,
     basic_forward,
     gaussian_forward,
     init_basic_prompter,
@@ -35,7 +39,7 @@ class TestBasicForward:
         zeros = [Tensor(np.zeros(s), requires_grad=True) for s in
                  [(D_I, D_I // 2), (D_I // 2,), (D_I // 2, D_I // 2), (D_I // 2,),
                   (D_I // 2, D_T), (D_T,)]]
-        p = BasicPrompter(*zeros)
+        p = StylePrompter("basic", dict(zip(PARAMETER_NAMES["basic"], zeros)))
         out = basic_forward(p, Tensor(np.ones((3, D_I))))
         assert np.array_equal(out.data, np.zeros((3, D_T)))
 
@@ -49,8 +53,8 @@ class TestBasicForward:
         probe = rng.normal(size=(4, D_T))
         for name, param in basic.parameters():
             def f(x, name=name):
-                stand_in = BasicPrompter(**{k: (x if k == name else v)
-                                            for k, v in basic.parameters()})
+                stand_in = StylePrompter("basic", {k: (x if k == name else v)
+                                                   for k, v in basic.parameters()})
                 return sum_all(mul(basic_forward(stand_in, Tensor(z)), Tensor(probe)))
             assert finite_diff_grad_check(f, param) < 1e-5, name
 
@@ -61,6 +65,18 @@ class TestBasicForward:
     def test_parameter_count_formula(self, basic):
         h = D_I // 2
         assert sum(p.size for _, p in basic.parameters()) == D_I * h + h + h * h + h + h * D_T + D_T
+
+
+@pytest.mark.parametrize("init, want", [(init_basic_prompter, "bd2f022f33921402"),
+                                        (init_gaussian_prompter, "a95473c02d060843")])
+def test_initial_parameters_are_pinned(init, want):
+    """Draw order (w1, w2, then the head weights in name order), zero biases and
+    the raw-sigma bias: a SHA-256 over each name and its bytes, in parameters() order."""
+    digest = hashlib.sha256()
+    for name, t in init(64, 32, seed=[7, 1]).parameters():
+        digest.update(name.encode())
+        digest.update(t.data.tobytes())
+    assert digest.hexdigest()[:16] == want
 
 
 class TestGaussianForward:
@@ -82,7 +98,7 @@ class TestGaussianForward:
         def f(x):
             stand_in = dict(gaussian.parameters())
             stand_in["w_mu"] = x
-            p = type(gaussian)(**stand_in, sigma_floor=gaussian.sigma_floor)
+            p = StylePrompter("gaussian", stand_in)
             mu, _ = gaussian_forward(p, Tensor(z))
             return sum_all(mul(mu, Tensor(probe)))
 
@@ -194,6 +210,26 @@ class TestCheckpointIO:
         assert manifest["prompter_kind"] == kind
         for (name, a), (_, b) in zip(p.parameters(), loaded.parameters()):
             assert np.array_equal(a.data, b.data), name
+
+    @pytest.mark.parametrize("kind, floor", [("gaussian", 1e-3), ("gaussian", None),
+                                             ("basic", SIGMA_FLOOR)])
+    def test_manifest_sigma_floor_other_than_this_builds_is_format_error(
+            self, kind, floor, tmp_path, basic, gaussian):
+        save_checkpoint(basic if kind == "basic" else gaussian, tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["sigma_floor"] = floor
+        manifest.write_text(json.dumps(raw))
+        with pytest.raises(FormatError, match="sigma_floor"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("kind", ["conv", ["gaussian"], {"kind": "basic"}], ids=str)
+    def test_unknown_prompter_kind_is_format_error(self, kind, tmp_path, gaussian):
+        save_checkpoint(gaussian, tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "prompter_kind": kind}))
+        with pytest.raises(FormatError, match="prompter_kind"):
+            load_checkpoint(tmp_path / "ckpt")
 
     def test_gaussian_forward_single_vector(self, gaussian, rng):
         mu, sigma = gaussian_forward(gaussian, Tensor(rng.normal(size=D_I)))
