@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .blob import manifest_fields, read_blob, read_manifest, write_blob
-from .errors import ConfigError, FormatError, ShapeError, TokenizeError
+from .errors import ConfigError, FormatError, ShapeError, TokenizeError, check_range
 from .tensor import Tensor
 
 PSEUDO_TOKEN = -1
@@ -62,6 +62,10 @@ class EncoderDims:
     d_i: int = 64   # image feature
     d_t: int = 32   # token embedding
     d_f: int = 48   # shared image-text feature
+
+    def __post_init__(self):
+        for name in ("d_x", "d_i", "d_t", "d_f"):
+            check_range(name, getattr(self, name), 2)
 
 
 def style_prompt_text(cls: str) -> str:
@@ -110,8 +114,7 @@ class FrozenEncoderBundle:
 
     def __init__(self, dims: EncoderDims, vocab: list[str], seed: int,
                  logit_scale: float, weights: dict[str, np.ndarray]):
-        if logit_scale <= 0:
-            raise ConfigError(f"logit_scale must be positive, got {logit_scale}")
+        check_range("logit_scale", logit_scale, 0.0, low_open=True)
         missing = [n for n in _WEIGHT_NAMES if n not in weights]
         if missing:
             raise FormatError(f"bundle is missing weights: {missing}")
@@ -131,9 +134,6 @@ class FrozenEncoderBundle:
 def build_bundle(dims: EncoderDims, vocab: list[str], seed: int,
                  logit_scale: float = 100.0) -> FrozenEncoderBundle:
     """Draw all encoder weights from one seeded generator, in a fixed order."""
-    for name, val in (("d_x", dims.d_x), ("d_i", dims.d_i), ("d_t", dims.d_t), ("d_f", dims.d_f)):
-        if val < 2:
-            raise ConfigError(f"{name} must be >= 2, got {val}")
     if not vocab:
         raise ConfigError("vocab must be non-empty")
     if len(set(vocab)) != len(vocab):
@@ -349,11 +349,11 @@ def encode_text_batch(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> T
     att = np.empty((2 * width + 1, n_classes, b))
     np.matmul(plan.scores, x0.T, out=att[1:].reshape(-1, b))
     att[1:] += plan.bias
-    att[0] = np.einsum("bd,bd->b", q0, k0)
+    np.vecdot(q0, k0, out=att[0])
     slot = att[:width + 1]
-    slot -= slot.max(axis=0)
+    slot -= np.maximum.reduce(slot, axis=0)
     np.exp(slot, out=slot)
-    slot /= slot.sum(axis=0)
+    slot /= np.add.reduce(slot, axis=0)
     q = att[width + 1:]  # each class row's slot score t, then its class share q
     m = np.maximum(q, 0.0)
     p = np.exp(q - m)
@@ -361,7 +361,7 @@ def encode_text_batch(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> T
     np.add(p, q, out=m)
     p /= m
     q /= m
-    col0 = att[0] + p.sum(axis=0)
+    col0 = att[0] + np.add.reduce(p, axis=0)
     ext = np.empty((b, n_classes, 2))
     ext[:, :, 0] = (col0 * plan.inv_len[:, None]).T
     ext[:, :, 1] = plan.inv_len
@@ -379,9 +379,9 @@ def encode_text_batch(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> T
         d_t_rows *= p
         d_t_rows *= q
         d_slot = d[:width + 1]
-        d_slot -= (slot * d_slot).sum(axis=0)
+        d_slot -= np.add.reduce(slot * d_slot, axis=0)
         d_slot *= slot
-        d_s00 = d[0].sum(axis=0)[:, None]
+        d_s00 = np.add.reduce(d[0], axis=0)[:, None]
         d_proj = np.empty_like(proj)
         np.multiply(d_s00, k0, out=d_proj[:, :d_t])
         np.multiply(d_s00, q0, out=d_proj[:, d_t:2 * d_t])

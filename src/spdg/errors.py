@@ -4,6 +4,8 @@ Every error raised by public entry points derives from SpdgError so the CLI
 can map failures to a machine-readable JSON payload on stderr.
 """
 
+import math
+
 
 class SpdgError(Exception):
     code = "error"
@@ -31,6 +33,21 @@ class BatchCompositionError(SpdgError):
 
 class ConfigError(SpdgError):
     code = "config_error"
+
+
+def check_range(name: str, value, low: float, high: float = math.inf,
+                low_open: bool = False, high_open: bool = True) -> None:
+    """Raise ConfigError unless value is a finite number between low and high,
+    each end open or closed as flagged. NaN fails every comparison, and an int
+    too large for a float counts as infinite."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not (finite and (low < value if low_open else low <= value)
+            and (value < high if high_open else value <= high)):
+        interval = f"{'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
+        raise ConfigError(f"{name} must be in {interval}, got {value!r}")
 
 
 class FormatError(SpdgError):

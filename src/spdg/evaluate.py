@@ -24,7 +24,7 @@ from .encoders import STYLE_WORDS, build_bundle, default_vocab, domain_style_tex
 from .errors import ConfigError, SpdgError
 from .inference import accuracy, predict_batch, prompted_cosines, zero_shot_predict_batch
 from .tensor import unit_rows
-from .trainer import RunConfig, check_sample_width, train_style_prompter
+from .trainer import RunConfig, check_sample_width, train_style_prompter, training_domains
 
 BASELINE_METHODS = ("baseline_C", "baseline_PC")
 TRAINED_METHODS = {
@@ -147,9 +147,14 @@ def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None 
     for what, values in (("method", methods), ("seed", seeds)):
         if len(set(values)) != len(values):
             raise ConfigError(f"each {what} may be given once, got {values}")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {seeds}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     check_sample_width(dataset, base.dims)
+    for method in methods:  # every fold holds out one domain, so one check covers them all
+        if method in TRAINED_METHODS:
+            training_domains(dataset, method_config(base, method, seeds[0], dataset.domains[0]))
 
     tasks = [(held_out, seed, method)
              for held_out in dataset.domains for seed in seeds for method in methods]
@@ -259,7 +264,7 @@ def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_nam
         image_ids = list(range(n))
 
     cosines, zp, z_norms = prompted_cosines(bundle, prompter, x, classes)
-    zp /= z_norms
+    zp /= z_norms[:, None]
 
     # row ci * W + j: style word j with class ci
     word_feats = encode_texts(bundle, [domain_style_text(word, cls)
@@ -268,7 +273,7 @@ def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_nam
     word_feats = word_feats.reshape(len(classes), len(style_words), -1)
 
     learned = cosines[np.arange(n), true_class_ids]
-    values = np.column_stack([np.einsum("nkd,nd->nk", word_feats[true_class_ids], zp), learned])
+    values = np.column_stack([np.vecdot(word_feats[true_class_ids], zp[:, None, :]), learned])
     return SimilarityMatrix(image_ids=list(image_ids),
                             true_domains=list(true_domain_names),
                             columns=list(style_words) + ["learned"], values=values)

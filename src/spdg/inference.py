@@ -20,7 +20,6 @@ from .encoders import (
 from .errors import ConfigError, ShapeError
 from .losses import prompt_text_features
 from .prompter import style_for_prompt
-from .tensor import Tensor
 
 ZERO_SHOT_TEMPLATES = {
     "C": bare_class_text,
@@ -61,17 +60,20 @@ def predict_batch(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes)
 
 def prompted_cosines(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, classes):
     """The (n, C) cosines f.z / (|f| |z|) of each image's prompted class texts f with
-    its projected feature z, and the (n, d_f) projected features with their checked norms."""
+    its projected feature z, and the (n, d_f) projected features with their (n,) checked norms."""
     if not classes:
         raise ConfigError("class set must be non-empty")
     x = _batch(x)
     z = encode_image(bundle, x)
-    styles = style_for_prompt(prompter, Tensor(z))
+    styles = style_for_prompt(prompter, z)
     feats = prompt_text_features(bundle, styles, classes).data.reshape(x.shape[0], len(classes), -1)
-    f_norms = T.checked_norms(feats, "prompted text feature")[..., 0]
+    norms = T.checked_norms(feats, "prompted text feature")
     zp = project_image(bundle, z)
     z_norms = T.checked_norms(zp, "projected image feature")
-    return np.einsum("bcd,bd->bc", feats, zp) / (f_norms * z_norms), zp, z_norms
+    cos = np.vecdot(feats, zp[:, None, :])
+    norms *= z_norms[:, None]
+    cos /= norms
+    return cos, zp, z_norms
 
 
 def zero_shot_text_features(bundle: FrozenEncoderBundle, classes, template: str) -> np.ndarray:

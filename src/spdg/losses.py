@@ -29,7 +29,7 @@ from .encoders import (
     encode_texts,
     project_image,
 )
-from .errors import BatchCompositionError, ConfigError, NormalizationError, ShapeError
+from .errors import BatchCompositionError, ConfigError, NormalizationError, ShapeError, check_range
 from .tensor import Tensor
 
 NORM_TOLERANCE = 1e-6
@@ -46,12 +46,10 @@ class LossWeights:
     ce_scale: float = 1.0
 
     def __post_init__(self):
-        if self.w_d < 0 or self.w_reg < 0:
-            raise ConfigError(f"loss weights must be >= 0, got w_d={self.w_d}, w_reg={self.w_reg}")
-        if self.tau_d <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.tau_d}")
-        if self.ce_scale <= 0:
-            raise ConfigError(f"ce_scale must be > 0, got {self.ce_scale}")
+        check_range("w_d", self.w_d, 0.0)
+        check_range("w_reg", self.w_reg, 0.0)
+        check_range("tau_d", self.tau_d, 0.0, low_open=True)
+        check_range("ce_scale", self.ce_scale, 0.0, low_open=True)
 
 
 @dataclass
@@ -104,7 +102,7 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float) -> Tensor:
         raise ShapeError(
             f"expected (N, d) samples with N domain labels, got {samples.shape}, {dom.shape}"
         )
-    sq = np.einsum("ij,ij->i", u, u)
+    sq = np.vecdot(u, u)
     max_sq = sq.max()
     # a NaN row makes both reductions NaN, which fails the comparison
     if not ((1.0 - NORM_TOLERANCE) ** 2 <= sq.min() and max_sq <= (1.0 + NORM_TOLERANCE) ** 2):
@@ -251,7 +249,7 @@ def classification_head(feats: Tensor, unit_z: np.ndarray, class_labels, scale: 
     if anchors is not None and labels.max(initial=-1) >= anchors.shape[0]:
         raise ConfigError(f"class label outside anchor table of size {anchors.shape[0]}")
     f3 = feats.data.reshape(b, n_classes, -1)
-    norms = T.checked_norms(f3, "prompted text feature")[..., 0]  # (B, C)
+    norms = T.checked_norms(f3, "prompted text feature")  # (B, C)
     rows = np.arange(b)
     cos = np.matmul(f3, unit_z[:, :, None])[..., 0]
     cos /= norms
@@ -265,7 +263,7 @@ def classification_head(feats: Tensor, unit_z: np.ndarray, class_labels, scale: 
     if anchors is not None:
         own = anchors[labels]
         own_norms = norms[rows, labels]
-        own_cos = np.einsum("bd,bd->b", f3[rows, labels], own)
+        own_cos = np.vecdot(f3[rows, labels], own)
         own_cos /= own_norms
         loss_reg = np.asarray(1.0 - np.add.reduce(own_cos) / b)
 
@@ -280,7 +278,7 @@ def classification_head(feats: Tensor, unit_z: np.ndarray, class_labels, scale: 
         s /= norms
         along /= norms
         along /= norms
-        g_f = np.einsum("bc,bd->bcd", s, unit_z)
+        g_f = s[:, :, None] * unit_z[:, None, :]
         g_f -= along[:, :, None] * f3
         if g_reg is not None:
             g_f[rows, labels] -= ((float(g_reg) / b) / own_norms)[:, None] * own

@@ -97,25 +97,35 @@ def init_gaussian_prompter(d_i: int, d_t: int, seed: int) -> StylePrompter:
     return _init_prompter("gaussian", d_i, d_t, seed)
 
 
-def _as_rows(z) -> tuple[Tensor, np.ndarray]:
+def _rows(p, z: np.ndarray) -> np.ndarray:
+    """Image features z of rank 1 or 2 as (B, d_i) rows, d_i being the prompter's input width."""
+    if z.ndim not in (1, 2):
+        raise ShapeError(f"expected image features of rank 1 or 2, got shape {z.shape}")
+    if z.shape[-1] != p.w1.data.shape[0]:
+        raise ShapeError(f"prompter expects {p.w1.data.shape[0]}-wide features, got {z.shape}")
+    return z.reshape(-1, z.shape[-1])
+
+
+def _as_rows(p, z) -> tuple[Tensor, np.ndarray]:
     """The input as a Tensor and its values as (B, d_i) rows."""
     t = z if isinstance(z, Tensor) else Tensor(z)
-    if t.data.ndim not in (1, 2):
-        raise ShapeError(f"expected image features of rank 1 or 2, got shape {t.shape}")
-    return t, t.data.reshape(-1, t.data.shape[-1])
+    return t, _rows(p, t.data)
+
+
+def _trunk_forward(p, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear -> ELU -> Linear -> ELU over rows x: both layers' outputs (h1, h2)."""
+    h1 = T.elu(T.affine(x, p.w1.data, p.b1.data))
+    return h1, T.elu(T.affine(h1, p.w2.data, p.b2.data))
 
 
 def _trunk(p, zt: Tensor, x: np.ndarray):
-    """Linear -> ELU -> Linear -> ELU over rows x, and the trunk's VJP.
+    """The trunk's output over rows x, and its VJP.
 
     The VJP maps the trunk output's gradient to those of (z, w1, b1, w2, b2),
     z's only when it requires one; only the VJP computes the ELU slopes, from the outputs.
     """
-    if x.shape[1] != p.w1.data.shape[0]:
-        raise ShapeError(f"prompter expects {p.w1.data.shape[0]}-wide features, got {zt.shape}")
+    h1, h2 = _trunk_forward(p, x)
     w1, w2 = p.w1.data, p.w2.data
-    h1 = T.elu(T.affine(x, w1, p.b1.data))
-    h2 = T.elu(T.affine(h1, w2, p.b2.data))
 
     def vjp(g_h2):
         g_a2 = T.elu_slope(h2)
@@ -133,7 +143,7 @@ def basic_forward(p: StylePrompter, z) -> Tensor:
 
     A 1D input gives a 1D output. One tape node.
     """
-    zt, x = _as_rows(z)
+    zt, x = _as_rows(p, z)
     h, trunk_vjp = _trunk(p, zt, x)
     w3 = p.w3.data
     out = T.affine(h, w3, p.b3.data)
@@ -152,7 +162,7 @@ def gaussian_forward(p: StylePrompter, z) -> tuple[Tensor, Tensor]:
     sigma = softplus(raw) + SIGMA_FLOOR. A 1D input gives 1D outputs. One tape
     node with two outputs.
     """
-    zt, x = _as_rows(z)
+    zt, x = _as_rows(p, z)
     h, trunk_vjp = _trunk(p, zt, x)
     w_mu, w_sigma = p.w_mu.data, p.w_sigma.data
     mu = T.affine(h, w_mu, p.b_mu.data)
@@ -192,17 +202,17 @@ def sample_styles_batch(mu: Tensor, sigma: Tensor, n: int,
 
     def bwd(g):
         g3 = g.reshape(b, n, d)
-        return g3.sum(axis=1), np.einsum("bnd,bnd->bd", g3, eps3)
+        return g3.sum(axis=1), (g3 * eps3).sum(axis=1)
 
     return T.apply(out.reshape(b * n, d), (mu, sigma), bwd)
 
 
-def style_for_prompt(p, z) -> Tensor:
-    """The pseudo-slot embedding, point output or Gaussian mu; forward only, no node, no sigma."""
-    zt, x = _as_rows(z)
-    h, _ = _trunk(p, zt, x)
+def style_for_prompt(p, z: np.ndarray) -> Tensor:
+    """The pseudo-slot embedding of image features z, (B, d_i) -> (B, d_t) or 1D -> 1D:
+    point output or Gaussian mu; forward only, no node, no sigma."""
+    _, h = _trunk_forward(p, _rows(p, z))
     w, b = p.prompt_head
-    return Tensor(T.affine(h, w.data, b.data).reshape(zt.shape[:-1] + (w.data.shape[1],)))
+    return Tensor(T.affine(h, w.data, b.data).reshape(z.shape[:-1] + (w.data.shape[1],)))
 
 
 def _manifest_sigma_floor(kind: str) -> float | None:

@@ -200,13 +200,13 @@ def elu_slope(h: np.ndarray) -> np.ndarray:
 
 
 def checked_norms(v: np.ndarray, what: str) -> np.ndarray:
-    """Euclidean norm of each last-axis slice of v (keepdims).
+    """Euclidean norm of each last-axis slice of v, of shape v.shape[:-1].
 
     Norms at or below EPS_NORM, and NaN or infinite norms, are treated as
     degenerate and raise instead of being clamped; silent clamping would hide
     a collapsed style embedding or a dead feature. A NaN fails both bounds.
     """
-    norms = np.sqrt(np.einsum("...d,...d->...", v, v))[..., None]
+    norms = np.sqrt(np.vecdot(v, v))
     flat = norms.reshape(-1)
     if flat.size and not (np.minimum.reduce(flat) > EPS_NORM and np.maximum.reduce(flat) < np.inf):
         raise DegenerateVectorError(f"{what} has a norm <= {EPS_NORM} or a non-finite norm")
@@ -214,8 +214,8 @@ def checked_norms(v: np.ndarray, what: str) -> np.ndarray:
 
 
 def unit_rows(v: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each last-axis slice of v scaled to unit norm, and the checked norms."""
-    norms = checked_norms(v, what)
+    """Each last-axis slice of v scaled to unit norm, and the checked norms (keepdims)."""
+    norms = checked_norms(v, what)[..., None]
     return v / norms, norms
 
 
@@ -224,7 +224,7 @@ def l2_normalize(a: Tensor) -> Tensor:
     out, norms = unit_rows(a.data, "l2_normalize input")
 
     def bwd(g):
-        grad = out * np.einsum("...d,...d->...", g, out)[..., None]
+        grad = out * np.vecdot(g, out)[..., None]
         np.subtract(g, grad, out=grad)
         grad /= norms
         return (grad,)

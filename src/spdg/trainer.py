@@ -17,7 +17,7 @@ import numpy as np
 
 from . import datagen
 from .encoders import EncoderDims, build_bundle, bundle_checksum, default_vocab, encode_image, save_bundle
-from .errors import ConfigError, DegenerateVectorError, NormalizationError, TrainingDiverged
+from .errors import ConfigError, DegenerateVectorError, NormalizationError, TrainingDiverged, check_range
 from .inference import accuracy, predict_batch
 from .losses import (
     LossParts,
@@ -61,14 +61,19 @@ class RunConfig:
     extra_classes: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.prompter_kind not in ("basic", "gaussian"):
             raise ConfigError(f"prompter_kind must be basic|gaussian, got {self.prompter_kind!r}")
-        if self.mc_samples < 1:
-            raise ConfigError(f"mc_samples must be >= 1, got {self.mc_samples}")
-        if not (0.0 < self.val_ratio < 1.0):
-            raise ConfigError(f"val_ratio must be in (0, 1), got {self.val_ratio}")
+        check_range("epochs", self.epochs, 1)
+        check_range("batch_size", self.batch_size, 2)  # a positive pair per domain
+        check_range("mc_samples", self.mc_samples, 1)
+        # a zero rate is allowed: it trains nothing, a control run whose parameters stay put
+        check_range("lr_max", self.lr_max, 0.0)
+        check_range("lr_warmup", self.lr_warmup, 0.0)
+        check_range("momentum", self.momentum, 0.0, 1.0)
+        check_range("weight_decay", self.weight_decay, 0.0)
+        check_range("seed", self.seed, 0)
+        check_range("logit_scale", self.logit_scale, 0.0, low_open=True)
+        check_range("val_ratio", self.val_ratio, 0.0, 1.0, low_open=True)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -321,6 +326,20 @@ def check_sample_width(dataset, dims: EncoderDims, what: str = "dataset") -> Non
                           f"but the config's dims.d_x is {dims.d_x}")
 
 
+def training_domains(dataset, config: RunConfig) -> list[int]:
+    """The run's training domain ids, checked against the recipe before any work:
+    at least 2 training domains, and a batch that holds 2 samples from each."""
+    held_out = _resolve_held_out(dataset, config.held_out_domain)
+    train_domains = [d for d in range(len(dataset.domains)) if d != held_out]
+    if len(train_domains) < 2:
+        raise ConfigError("need at least 2 training domains")
+    if config.batch_size < 2 * len(train_domains):
+        raise ConfigError(
+            f"batch size {config.batch_size} must be >= 2 x {len(train_domains)} training domains"
+        )
+    return train_domains
+
+
 def step_losses(bundle, prompter, z, labels, domains, classes, anchors, weights: LossWeights,
                 mc_samples: int, rng, eps=None):
     """The training objective on one batch of image features z: (total, ce, domain, reg).
@@ -353,14 +372,7 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
         dataset = datagen.load(config.dataset)
 
     check_sample_width(dataset, config.dims)
-    held_out = _resolve_held_out(dataset, config.held_out_domain)
-    train_domains = [d for d in range(len(dataset.domains)) if d != held_out]
-    if len(train_domains) < 2:
-        raise ConfigError("need at least 2 training domains")
-    if config.batch_size < 2 * len(train_domains):
-        raise ConfigError(
-            f"batch size {config.batch_size} must be >= 2 x {len(train_domains)} training domains"
-        )
+    train_domains = training_domains(dataset, config)
 
     vocab = default_vocab(list(dataset.classes) + list(config.extra_classes))
     bundle = build_bundle(config.dims, vocab, seed=config.seed, logit_scale=config.logit_scale)

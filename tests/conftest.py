@@ -3,6 +3,7 @@ import pytest
 
 from spdg import datagen
 from spdg.encoders import EncoderDims, build_bundle, default_vocab
+from spdg.gradcheck import build_objective_fixture, run_objective_check
 
 FIXTURE_CLASSES = ["dog", "elephant", "guitar", "horse"]
 
@@ -45,6 +46,15 @@ def small_dataset():
     # smallest legal dataset: quick to train on, still 3 domains for batching
     return datagen.generate(n_per_cell=12, seed=7,
                             domains=["photo", "cartoon", "sketch"])
+
+
+@pytest.fixture(scope="session")
+def objective_check():
+    """The full-objective finite-difference check, (per-parameter max relative
+    error, elapsed seconds), run once per session. Its fixture is the one
+    `spdg grad-check` checks by default."""
+    return run_objective_check(fixture=build_objective_fixture(batch=8, n_classes=4, n_domains=3,
+                                                               mc_samples=4))
 
 
 @pytest.fixture()

@@ -335,7 +335,7 @@ def looped_similarity_values(bundle: FrozenEncoderBundle, prompter, x, true_clas
                                        for cls in classes for word in style_words])
     word_feats, _ = T.unit_rows(word_feats, "style-word text feature")
     word_feats = word_feats.reshape(len(classes), len(style_words), -1)
-    learned = production_encode_text_batch(bundle, style_for_prompt(prompter, Tensor(z)), classes).data
+    learned = production_encode_text_batch(bundle, style_for_prompt(prompter, z), classes).data
     learned, _ = T.unit_rows(learned, "prompted text feature")
     values = np.zeros((len(z), len(style_words) + 1))
     for i, ci in enumerate(np.asarray(true_class_ids, dtype=np.int64)):

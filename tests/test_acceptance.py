@@ -23,7 +23,6 @@ from oracles import style_regularization_loss
 from spdg.cli import main as cli_main
 from spdg.encoders import build_bundle, bundle_checksum, default_vocab
 from spdg.evaluate import evaluate_leave_one_out, style_similarity_report
-from spdg.gradcheck import build_objective_fixture, run_objective_check
 from spdg.inference import predict_batch
 from spdg.losses import build_reg_anchors, domain_discrimination_loss
 from spdg.losses import RegAnchorTable
@@ -61,9 +60,8 @@ def lodo_result(fixture_dir, fixture_dataset):
     return report_obj, time.perf_counter() - start
 
 
-def test_gradient_correctness_of_full_objective():
-    fx = build_objective_fixture(batch=8, n_classes=4, n_domains=3, mc_samples=4)
-    errors, elapsed = run_objective_check(fixture=fx)
+def test_gradient_correctness_of_full_objective(objective_check):
+    errors, elapsed = objective_check
     worst = max(errors.values())
     assert worst < 1e-4, errors
     assert elapsed < 30.0

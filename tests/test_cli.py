@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spdg.cli
+import spdg.evaluate
 from spdg.cli import _build_parser, main
+from spdg.errors import TrainingDiverged
 
 
 def run_cli(capsys, *argv):
@@ -173,23 +176,44 @@ def test_dataset_narrower_than_the_config_is_config_error(capsys, tmp_path, comm
     assert not (tmp_path / "run").exists()
 
 
-def test_report_of_a_method_with_no_successful_fold_is_strict_json(capsys, tmp_path):
+def test_report_of_a_method_with_no_successful_fold_is_strict_json(capsys, tmp_path,
+                                                                   monkeypatch):
     def reject(constant):
         raise ValueError(f"not JSON: {constant}")
+
+    def diverge(config, dataset=None):
+        raise TrainingDiverged(f"training diverged at step 0 holding out {config.held_out_domain}")
 
     data = tmp_path / "data"
     assert run_cli(capsys, "gen-data", "--out-dir", str(data), "--seed", "0",
                    "--n-per-cell", "12")[0] == 0
-    config = tmp_path / "config.json"   # a batch of 4 is too small for 3 training domains
-    config.write_text(json.dumps({"batch_size": 4, "epochs": 1, "mc_samples": 2}))
-    code, out, _ = run_cli(capsys, "eval-lodo", "--config", str(config), "--dataset", str(data),
+    monkeypatch.setattr(spdg.evaluate, "train_style_prompter", diverge)
+    code, out, _ = run_cli(capsys, "eval-lodo", "--dataset", str(data),
                            "--methods", "gsp_sr", "--out-dir", str(tmp_path / "lodo"))
     assert code == 4
     assert json.loads(out, parse_constant=reject)["averages"] == {"gsp_sr": None}
     report = json.loads((tmp_path / "lodo" / "lodo_report.json").read_text(),
                         parse_constant=reject)
     assert report["methods"]["gsp_sr"]["average"] is None and len(report["failures"]) == 4
+    assert all(f["error"].startswith("TrainingDiverged") for f in report["failures"])
     assert (tmp_path / "lodo" / "lodo_report.csv").read_text().splitlines()[1].endswith(",nan")
+
+
+def test_batch_too_small_for_the_training_domains_fails_before_any_fold(capsys, tmp_path,
+                                                                        monkeypatch):
+    folds = []
+    monkeypatch.setattr(spdg.evaluate, "_evaluate_fold", lambda *a: folds.append(a))
+    data = tmp_path / "data"
+    assert run_cli(capsys, "gen-data", "--out-dir", str(data), "--seed", "0",
+                   "--n-per-cell", "12")[0] == 0
+    config = tmp_path / "config.json"   # a batch of 4 is too small for 3 training domains
+    config.write_text(json.dumps({"batch_size": 4, "epochs": 1, "mc_samples": 2}))
+    code, out, err = run_cli(capsys, "eval-lodo", "--config", str(config), "--dataset", str(data),
+                             "--methods", "baseline_C,gsp_sr", "--out-dir", str(tmp_path / "lodo"))
+    assert (code, out, folds) == (2, "", [])
+    payload = json.loads(err)
+    assert payload["error"] == "config_error" and "batch size 4" in payload["message"]
+    assert not (tmp_path / "lodo").exists()
 
 
 def test_checkpoint_of_another_sigma_floor_is_format_error(capsys, cli_dataset, cli_run,
@@ -374,6 +398,37 @@ def test_wrong_config_value_type_is_config_error(capsys, cli_dataset, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+_OUT_OF_RANGE = [
+    ("lr_max", -1), ("lr_max", float("nan")), ("lr_max", float("inf")), ("lr_max", 10 ** 400),
+    ("lr_warmup", -1), ("lr_warmup", float("-inf")),
+    ("momentum", 5), ("momentum", -3), ("momentum", 1), ("weight_decay", -100),
+    ("logit_scale", float("nan")), ("logit_scale", 0), ("seed", -1), ("batch_size", 1),
+    ("weights.tau_d", float("nan")), ("weights.w_d", -0.1), ("weights.w_reg", float("inf")),
+    ("weights.ce_scale", 0), ("dims.d_t", 1),
+]
+
+
+@pytest.mark.parametrize("key, value", _OUT_OF_RANGE,
+                         ids=[f"{k}={v if len(str(v)) < 9 else f'{len(str(v))}-digit'}"
+                              for k, v in _OUT_OF_RANGE])
+def test_config_value_out_of_range_is_config_error(capsys, cli_dataset, tmp_path, key, value):
+    *outer, name = key.split(".")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({outer[0]: {name: value}} if outer else {name: value}))
+    code, _, err = run_cli(capsys, "train", "--config", str(path), "--dataset", str(cli_dataset),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "config_error" and payload["message"].startswith(f"{name} must be in")
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_config_hash_is_pinned():
+    from spdg.trainer import RunConfig
+
+    assert RunConfig().config_hash() == "83a3d09d09f4"
+
+
 _REQUIRED = {
     "eval-crosscat": ["--config", "c.json", "--test-data", "d"],
     "infer": ["--checkpoint", "c", "--bundle", "b", "--dataset", "d", "--index", "0"],
@@ -419,6 +474,15 @@ def test_non_integer_seeds_are_config_error(capsys, cli_dataset, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_seed_is_config_error(capsys, cli_dataset, tmp_path):
+    # a baseline method too: its bundle seed would reach the generator as -1
+    code, _, err = run_cli(capsys, "eval-lodo", "--dataset", str(cli_dataset), "--seeds", "0,-1",
+                           "--methods", "baseline_C", "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err)["error"] == "config_error"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [["--methods", ","], ["--threads", "-3"]])
 def test_empty_methods_or_no_workers_is_config_error(capsys, cli_dataset, tmp_path, argv):
     code, _, err = run_cli(capsys, "eval-lodo", "--dataset", str(cli_dataset), *argv,
@@ -438,7 +502,9 @@ def test_empty_seeds_or_repeated_entries_are_config_error(capsys, cli_dataset, t
     assert not (tmp_path / "out").exists()
 
 
-def test_grad_check_lists_the_shipped_fused_nodes(capsys):
+def test_grad_check_lists_the_shipped_fused_nodes(capsys, monkeypatch, objective_check):
+    # the full-objective check at grad-check's default fixture, computed once per session
+    monkeypatch.setattr(spdg.cli, "run_objective_check", lambda: objective_check)
     code, out, _ = run_cli(capsys, "grad-check", "--primitive-inputs", "1")
     assert code == 0
     lines = out.splitlines()

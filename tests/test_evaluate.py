@@ -179,6 +179,15 @@ class TestInfer:
                                     small_dataset.class_ids[:3], ["photo"] * 3,
                                     small_dataset.classes)
 
+    def test_nan_image_row_raises(self, small_dataset, bundle, dims):
+        prompter = init_gaussian_prompter(dims.d_i, dims.d_t, seed=0)
+        x = small_dataset.x[:3].copy()
+        x[1, 4] = np.nan
+        with pytest.raises(DegenerateVectorError):
+            predict_batch(bundle, prompter, x, small_dataset.classes)
+        with pytest.raises(DegenerateVectorError):
+            infer(bundle, prompter, x[1], small_dataset.classes)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_norm_raises(self, bad):
         from spdg.tensor import unit_rows
@@ -255,13 +264,13 @@ class TestInferOracle:
 
 class TestPredictBatchOracle:
     @pytest.mark.parametrize("kind", ["basic", "gaussian"])
-    @pytest.mark.parametrize("n_rows, n_classes", [(9, 1), (9, 16), (1, 16)])
+    @pytest.mark.parametrize("n_rows, n_classes", [(9, 1), (9, 16), (1, 16), (256, 4), (1, 4)])
     def test_matches_unit_row_logits(self, wide_bundle, kind, n_rows, n_classes):
         dims = wide_bundle.dims
         init = init_basic_prompter if kind == "basic" else init_gaussian_prompter
         prompter = init(dims.d_i, dims.d_t, seed=n_rows + n_classes)
         x = np.random.default_rng([n_rows, n_classes]).normal(size=(n_rows, dims.d_x))
-        classes = WIDE_CLASSES if n_classes > 1 else ["ice cream"]
+        classes = WIDE_CLASSES[:n_classes] if n_classes > 1 else ["ice cream"]
         got_pred, got = predict_batch(wide_bundle, prompter, x, classes)
         want_pred, want = normalized_predict_batch(wide_bundle, prompter, x, classes)
         assert got.shape == (n_rows, n_classes)

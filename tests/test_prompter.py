@@ -178,25 +178,25 @@ class TestStyleForPrompt:
     def test_gaussian_returns_mu_exactly(self, gaussian, rng):
         for z in (rng.normal(size=(3, D_I)), rng.normal(size=D_I)):
             mu, _ = gaussian_forward(gaussian, Tensor(z))
-            style = style_for_prompt(gaussian, Tensor(z)).data
+            style = style_for_prompt(gaussian, z).data
             assert style.shape == mu.data.shape and np.array_equal(style, mu.data)
 
     def test_basic_returns_forward_exactly(self, basic, rng):
         for z in (rng.normal(size=(3, D_I)), rng.normal(size=D_I)):
-            style = style_for_prompt(basic, Tensor(z)).data
+            style = style_for_prompt(basic, z).data
             want = basic_forward(basic, Tensor(z)).data
             assert style.shape == want.shape and np.array_equal(style, want)
 
     @pytest.mark.parametrize("kind", ["basic", "gaussian"])
     def test_records_no_tape_node(self, basic, gaussian, rng, kind):
-        z = Tensor(rng.normal(size=(3, D_I)), requires_grad=True)
+        z = rng.normal(size=(3, D_I))
         with Tape() as tape:
             style = style_for_prompt(basic if kind == "basic" else gaussian, z)
         assert len(tape) == 0
         assert not style.requires_grad
 
     def test_deterministic_across_calls(self, gaussian, rng):
-        z = Tensor(rng.normal(size=(2, D_I)))
+        z = rng.normal(size=(2, D_I))
         assert np.array_equal(style_for_prompt(gaussian, z).data,
                               style_for_prompt(gaussian, z).data)
 

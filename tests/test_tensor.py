@@ -74,7 +74,7 @@ class TestCheckedNorms:
             T.checked_norms(v, "prompted text feature")
 
     def test_empty_input_passes(self):
-        assert T.checked_norms(np.zeros((0, 3, 8)), "f").shape == (0, 3, 1)
+        assert T.checked_norms(np.zeros((0, 3, 8)), "f").shape == (0, 3)
 
 
 class TestL2Normalize:
