@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 MAGIC = b"SPDG"
 FORMAT_VERSION = 1
@@ -97,8 +97,9 @@ def read_manifest(path, kind: str, version: int) -> dict:
 
 @contextmanager
 def manifest_fields(path, kind: str):
-    """Turn a missing or mistyped manifest field read inside the block into a FormatError."""
+    """Turn a missing, mistyped or out-of-range manifest field read inside the block
+    into a FormatError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise FormatError(f"{path}: malformed {kind} manifest: {type(exc).__name__}: {exc}") from exc

@@ -179,6 +179,9 @@ def load(directory) -> MultiDomainDataset:
     if x.shape != (expected, manifest.d_x):
         raise FormatError(f"samples blob shape {x.shape} does not match manifest "
                           f"({expected}, {manifest.d_x})")
+    if not np.isfinite(x).all():
+        row = int(np.isfinite(x).all(axis=1).argmin())
+        raise FormatError(f"{directory / 'samples.spdg'}: sample {row} is not finite")
 
     class_ids = np.empty(expected, dtype=np.int64)
     domain_ids = np.empty(expected, dtype=np.int64)

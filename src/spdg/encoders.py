@@ -131,6 +131,15 @@ class FrozenEncoderBundle:
         self.prompt_plans: dict[tuple, StylePromptPlan] = {}  # see style_prompt_plan
 
 
+def _weight_shapes(dims: EncoderDims, n_words: int) -> dict[str, tuple]:
+    """Each weight's shape, in _WEIGHT_NAMES order."""
+    d_x, d_i, d_t, d_f = dims.d_x, dims.d_i, dims.d_t, dims.d_f
+    return {"img_w1": (d_x, d_i), "img_b1": (d_i,), "img_w2": (d_i, d_i), "img_b2": (d_i,),
+            "tok_emb": (n_words, d_t),
+            "txt_wq": (d_t, d_t), "txt_wk": (d_t, d_t), "txt_wv": (d_t, d_t),
+            "txt_wp": (d_t, d_f), "txt_bp": (d_f,), "proj_w": (d_i, d_f)}
+
+
 def build_bundle(dims: EncoderDims, vocab: list[str], seed: int,
                  logit_scale: float = 100.0) -> FrozenEncoderBundle:
     """Draw all encoder weights from one seeded generator, in a fixed order."""
@@ -141,26 +150,13 @@ def build_bundle(dims: EncoderDims, vocab: list[str], seed: int,
         raise ConfigError(f"vocab has duplicate words: {dupes}")
 
     rng = np.random.default_rng(seed)
-
-    def w(fan_in, *shape):
-        return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
-
-    def b(*shape):
-        return rng.normal(0.0, 0.1, size=shape)
-
-    weights = {
-        "img_w1": w(dims.d_x, dims.d_x, dims.d_i),
-        "img_b1": b(dims.d_i),
-        "img_w2": w(dims.d_i, dims.d_i, dims.d_i),
-        "img_b2": b(dims.d_i),
-        "tok_emb": w(dims.d_t, len(vocab), dims.d_t),
-        "txt_wq": w(dims.d_t, dims.d_t, dims.d_t),
-        "txt_wk": w(dims.d_t, dims.d_t, dims.d_t),
-        "txt_wv": w(dims.d_t, dims.d_t, dims.d_t),
-        "txt_wp": w(dims.d_t, dims.d_t, dims.d_f),
-        "txt_bp": b(dims.d_f),
-        "proj_w": w(dims.d_i, dims.d_i, dims.d_f),
-    }
+    weights = {}
+    for name, shape in _weight_shapes(dims, len(vocab)).items():
+        if len(shape) == 1:  # a bias
+            weights[name] = rng.normal(0.0, 0.1, size=shape)
+        else:  # a weight over its input width; token embeddings are d_t wide
+            fan_in = dims.d_t if name == "tok_emb" else shape[0]
+            weights[name] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
     return FrozenEncoderBundle(dims, vocab, seed, logit_scale, weights)
 
 
@@ -252,15 +248,24 @@ class StylePromptPlan:
     the outer axis. For slot rows x_0, scores @ x_0^T holds the slot query
     against each class key, then each class query against the slot key.
     Padding never carries weight: its score rows are zero, its bias -inf.
+    Each class's value rows end in its constant, so one GEMM over the
+    attention weights and a row of ones adds it. Every array is read-only,
+    like the bundle weights: the plan is cached, and an edit would stale
+    every later call.
     """
 
-    w_style: np.ndarray   # (d_t, 2 d_t + 2 d_f): [alpha W_q | W_k | W_v W_p | W_p]
+    w_style: np.ndarray   # (d_t, d_t + 2 d_f): [M | W_v W_p | W_p], M = alpha W_q W_k^T
+    w_back: np.ndarray    # (d_t + 2 d_f, d_t): [M + M^T ; (W_v W_p)^T ; W_p^T]
     slot_pos: np.ndarray  # (d_t,) positional row of the pseudo slot
     scores: np.ndarray    # (2N C, d_t) [alpha K_c W_q^T ; alpha Q_c W_k^T]
     bias: np.ndarray      # (2N, C, 1) [0 ; -log-sum-exp of each class-class score row], -inf on padding
-    values: np.ndarray    # (C, 2N, d_f) [V_c W_p ; P_c V_c W_p] / L_c, P_c the class-class softmax
+    values: np.ndarray    # (C, 2N + 1, d_f) [V_c W_p ; P_c V_c W_p] / L_c, P_c the class-class
+                          # softmax, then the constant (sum of X_c) W_p / L_c + b_p
     inv_len: np.ndarray   # (C,) 1 / L_c
-    const: np.ndarray     # (C, d_f) (sum of X_c) W_p / L_c + b_p
+
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.setflags(write=False)
 
 
 def _build_style_prompt_plan(bundle: FrozenEncoderBundle, classes: tuple) -> StylePromptPlan:
@@ -276,9 +281,8 @@ def _build_style_prompt_plan(bundle: FrozenEncoderBundle, classes: tuple) -> Sty
     n_classes, width = len(tails), max(map(len, tails))
     scores = np.zeros((2, width, n_classes, d_t))
     bias = np.full((2, width, n_classes, 1), -np.inf)
-    values = np.zeros((n_classes, 2 * width, d_f))
+    values = np.zeros((n_classes, 2 * width + 1, d_f))
     inv_len = np.empty(n_classes)
-    const = np.empty((n_classes, d_f))
     for c, tail in enumerate(tails):
         n = len(tail)
         inv_len[c] = 1.0 / (n + 1)
@@ -295,12 +299,14 @@ def _build_style_prompt_plan(bundle: FrozenEncoderBundle, classes: tuple) -> Sty
         bias[1, :n, c] = -(top + np.log(mass))
         values[c, :n] = v_p * inv_len[c]
         values[c, width:width + n] = (e / mass) @ v_p * inv_len[c]
-        const[c] = x.sum(axis=0) @ wgt["txt_wp"] * inv_len[c] + wgt["txt_bp"]
-    w_style = np.concatenate(
-        [wgt["txt_wq"] * alpha, wgt["txt_wk"], wgt["txt_wv"] @ wgt["txt_wp"], wgt["txt_wp"]], axis=1)
-    return StylePromptPlan(w_style=w_style, slot_pos=bundle.positions[0],
-                           scores=scores.reshape(-1, d_t), bias=bias.reshape(-1, n_classes, 1),
-                           values=values, inv_len=inv_len, const=const)
+        values[c, -1] = x.sum(axis=0) @ wgt["txt_wp"] * inv_len[c] + wgt["txt_bp"]
+    slot_score = (wgt["txt_wq"] * alpha) @ wgt["txt_wk"].T
+    value_basis = np.concatenate([wgt["txt_wv"] @ wgt["txt_wp"], wgt["txt_wp"]], axis=1)
+    return StylePromptPlan(
+        w_style=np.concatenate([slot_score, value_basis], axis=1),
+        w_back=np.concatenate([slot_score + slot_score.T, value_basis.T]),
+        slot_pos=bundle.positions[0], scores=scores.reshape(-1, d_t),
+        bias=bias.reshape(-1, n_classes, 1), values=values, inv_len=inv_len)
 
 
 def style_prompt_plan(bundle: FrozenEncoderBundle, classes) -> StylePromptPlan:
@@ -319,20 +325,24 @@ def encode_text_batch(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> T
 
     styles is (B, d_t); row i*C + c of the (B*C, d_f) result is class c
     prompted with style i. Only the pseudo-slot row x_0 depends on the style:
-    a call projects the B slot rows once through [alpha W_q | W_k | W_v W_p | W_p]
-    and takes every other style-dependent score from one GEMM with the plan's
-    score rows, into a (2N + 1, C, B) buffer: the slot-slot score, the slot
-    query against the N class keys, then the N class queries against the slot
-    key. The slot row's softmax runs over the first N + 1 rows. A class row's
+    a call projects the B slot rows once through [M | W_v W_p | W_p], with
+    M = alpha W_q W_k^T, so the slot-slot score is (x_0 M) . x_0. Every other
+    style-dependent score comes from one GEMM with the plan's score rows, into
+    a (2N + 2, C, B) buffer: the slot-slot score, the slot query against the N
+    class keys, the N class queries against the slot key, then a row of ones.
+    The slot row's softmax runs over the first N + 1 rows. A class row's
     softmax is its constant class-class part plus one slot score t (less the
     part's log-sum-exp), so the slot's share is p = e^(t-m) / (e^(t-m) + e^-m),
     m = max(t, 0), and the class columns keep the plan's proportions scaled by
     q = 1 - p, which overwrites t. The pooled output is the attention column
-    sums times the value rows plus the residual rows: per style, [col_0 / L,
-    1 / L] times [v_0 W_p ; x_0 W_p]; per class, buffer rows 1.. (the slot
-    row's class weights, then the q's) times the plan's values; plus the
-    plan's constant. The backward returns only the (B, d_t) gradient and sends
-    both score blocks back through the plan's score rows in one GEMM.
+    sums times the value rows plus the residual rows. Per class, buffer rows
+    1.. (the slot row's class weights, the q's and the ones) times the plan's
+    values, which end in the class constant, is one batched GEMM that writes
+    the output in place; per style, [col_0 / L, 1 / L] times
+    [v_0 W_p ; x_0 W_p] is added to it. The backward returns only the (B, d_t)
+    gradient and sends both score blocks back through the plan's score rows in
+    one GEMM, and the slot-slot score through M + M^T with the value basis in
+    another.
     """
     s = styles.data
     d_t, d_f = bundle.dims.d_t, bundle.dims.d_f
@@ -344,17 +354,18 @@ def encode_text_batch(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> T
 
     x0 = s + plan.slot_pos
     proj = x0 @ plan.w_style
-    q0, k0 = proj[:, :d_t], proj[:, d_t:2 * d_t]
-    basis = proj[:, 2 * d_t:].reshape(b, 2, d_f)  # [v_0 W_p ; x_0 W_p] per style
-    att = np.empty((2 * width + 1, n_classes, b))
-    np.matmul(plan.scores, x0.T, out=att[1:].reshape(-1, b))
-    att[1:] += plan.bias
-    np.vecdot(q0, k0, out=att[0])
+    basis = proj[:, d_t:].reshape(b, 2, d_f)  # [v_0 W_p ; x_0 W_p] per style
+    att = np.empty((2 * width + 2, n_classes, b))
+    scored = att[1:2 * width + 1]
+    np.matmul(plan.scores, x0.T, out=scored.reshape(-1, b))
+    scored += plan.bias
+    np.vecdot(proj[:, :d_t], x0, out=att[0])
+    att[-1] = 1.0  # weights each class's constant value row
     slot = att[:width + 1]
     slot -= np.maximum.reduce(slot, axis=0)
     np.exp(slot, out=slot)
     slot /= np.add.reduce(slot, axis=0)
-    q = att[width + 1:]  # each class row's slot score t, then its class share q
+    q = att[width + 1:-1]  # each class row's slot score t, then its class share q
     m = np.maximum(q, 0.0)
     p = np.exp(q - m)
     np.exp(np.negative(m, out=q), out=q)
@@ -365,15 +376,15 @@ def encode_text_batch(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> T
     ext = np.empty((b, n_classes, 2))
     ext[:, :, 0] = (col0 * plan.inv_len[:, None]).T
     ext[:, :, 1] = plan.inv_len
-    out = np.matmul(ext, basis)
-    out += np.matmul(att[1:].transpose(1, 2, 0), plan.values).transpose(1, 0, 2)
-    out += plan.const
+    out = np.empty((b, n_classes, d_f))
+    np.matmul(att[1:].transpose(1, 2, 0), plan.values, out=out.transpose(1, 0, 2))
+    out += np.matmul(ext, basis)
 
     def bwd(g):
         g = g.reshape(b, n_classes, d_f)
-        d = np.empty_like(att)  # d col_0, then d of the rows 1.. that weight the plan's values
+        d = np.empty((2 * width + 1, n_classes, b))  # d col_0, then d of the rows 1..2N
         np.multiply(np.matmul(g, basis[:, 0, :, None])[:, :, 0].T, plan.inv_len[:, None], out=d[0])
-        np.matmul(plan.values, g.transpose(1, 2, 0), out=d[1:].transpose(1, 0, 2))
+        np.matmul(plan.values[:, :-1], g.transpose(1, 2, 0), out=d[1:].transpose(1, 0, 2))
         d_t_rows = d[width + 1:]
         np.subtract(d[0], d_t_rows, out=d_t_rows)
         d_t_rows *= p
@@ -381,12 +392,10 @@ def encode_text_batch(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> T
         d_slot = d[:width + 1]
         d_slot -= np.add.reduce(slot * d_slot, axis=0)
         d_slot *= slot
-        d_s00 = np.add.reduce(d[0], axis=0)[:, None]
         d_proj = np.empty_like(proj)
-        np.multiply(d_s00, k0, out=d_proj[:, :d_t])
-        np.multiply(d_s00, q0, out=d_proj[:, d_t:2 * d_t])
-        d_proj[:, 2 * d_t:] = np.matmul(ext.transpose(0, 2, 1), g).reshape(b, 2 * d_f)
-        d_x0 = d_proj @ plan.w_style.T
+        np.multiply(np.add.reduce(d[0], axis=0)[:, None], x0, out=d_proj[:, :d_t])
+        d_proj[:, d_t:] = np.matmul(ext.transpose(0, 2, 1), g).reshape(b, 2 * d_f)
+        d_x0 = d_proj @ plan.w_back
         d_x0 += d[1:].reshape(-1, b).T @ plan.scores
         return (d_x0,)
 
@@ -433,5 +442,10 @@ def load_bundle(directory) -> FrozenEncoderBundle:
     weights = {name: read_blob(directory / f"{name}.spdg") for name in _WEIGHT_NAMES}
     with manifest_fields(directory, "bundle"):
         dims = EncoderDims(*(manifest["dims"][k] for k in ("d_x", "d_i", "d_t", "d_f")))
+        for name, shape in _weight_shapes(dims, len(manifest["vocab"])).items():
+            if weights[name].shape != shape:
+                raise FormatError(f"{directory}: bundle weight {name} has shape "
+                                  f"{weights[name].shape}, but the manifest's dims and vocab "
+                                  f"give {shape}")
         return FrozenEncoderBundle(dims, manifest["vocab"], manifest["seed"],
                                    manifest["logit_scale"], weights)

@@ -37,6 +37,10 @@ from .prompter import (
 )
 from .tensor import Tape, Tensor, l2_normalize
 
+# The largest N x N f64 domain-loss matrix a recipe may ask for, N being its style rows
+# per batch; the default recipe's 480 rows make 1.8 MB.
+MAX_DOMAIN_LOSS_BYTES = 1 << 30
+
 
 @dataclass
 class RunConfig:
@@ -74,6 +78,10 @@ class RunConfig:
         check_range("seed", self.seed, 0)
         check_range("logit_scale", self.logit_scale, 0.0, low_open=True)
         check_range("val_ratio", self.val_ratio, 0.0, 1.0, low_open=True)
+        rows = self.batch_size * (self.mc_samples if self.prompter_kind == "gaussian" else 1)
+        if 8 * rows * rows > MAX_DOMAIN_LOSS_BYTES:
+            raise ConfigError(f"{rows} style rows per batch need {8 * rows * rows} bytes for the "
+                              f"domain-loss matrix, over the cap of {MAX_DOMAIN_LOSS_BYTES}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -423,6 +423,57 @@ def test_config_value_out_of_range_is_config_error(capsys, cli_dataset, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["train"], ["eval-lodo", "--methods", "baseline_C,gsp_sr"]],
+                         ids=lambda c: c[0])
+def test_domain_loss_over_the_size_cap_is_config_error(capsys, cli_dataset, tmp_path,
+                                                       monkeypatch, command):
+    runs = []
+    monkeypatch.setattr(spdg.cli, "train_style_prompter", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(spdg.evaluate, "_evaluate_fold", lambda *a: runs.append(a))
+    path = tmp_path / "config.json"   # 12 x 1e8 style rows: a domain-loss matrix of ~1e19 bytes
+    path.write_text(json.dumps({"mc_samples": 100_000_000}))
+    code, out, err = run_cli(capsys, *command, "--config", str(path), "--dataset",
+                             str(cli_dataset), "--out-dir", str(tmp_path / "out"))
+    assert (code, out, runs) == (2, "", [])
+    payload = json.loads(err)
+    assert payload["error"] == "config_error" and "domain-loss matrix" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_sample_is_format_error(capsys, tmp_path):
+    from spdg.blob import read_blob, write_blob
+
+    data = tmp_path / "data"
+    assert run_cli(capsys, "gen-data", "--out-dir", str(data), "--n-per-cell", "12")[0] == 0
+    x = read_blob(data / "samples.spdg")
+    x[100, 7] = np.nan
+    write_blob(data / "samples.spdg", x)
+    code, out, err = run_cli(capsys, "train", "--dataset", str(data), "--held-out", "sketch",
+                             "--out-dir", str(tmp_path / "run"))
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "format_error"
+    assert "samples.spdg" in payload["message"] and "sample 100 " in payload["message"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("d_t", [16, 1], ids=["narrower-than-weights", "out-of-range"])
+def test_bundle_manifest_dims_that_do_not_fit_the_weights_are_format_error(
+        capsys, cli_dataset, cli_run, tmp_path, d_t):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(cli_run / "bundle", bundle)
+    raw = json.loads((bundle / "manifest.json").read_text())
+    assert raw["dims"]["d_t"] == 32
+    raw["dims"]["d_t"] = d_t
+    (bundle / "manifest.json").write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "infer", "--checkpoint", str(cli_run / "final"),
+                             "--bundle", str(bundle), "--dataset", str(cli_dataset),
+                             "--index", "0")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "format_error" and str(bundle) in payload["message"]
+
+
 def test_default_config_hash_is_pinned():
     from spdg.trainer import RunConfig
 

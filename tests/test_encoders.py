@@ -258,6 +258,12 @@ class TestStylePromptPlan:
         with pytest.raises(ValueError, match="read-only"):
             bundle.positions[0] = 0.0
 
+    def test_plan_arrays_are_read_only(self, bundle):
+        plan = style_prompt_plan(bundle, CLASSES)
+        for arr in vars(plan).values():
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0.0
+
     def test_second_pseudo_slot_rejected(self, dims, rng):
         odd = build_bundle(dims, default_vocab(["dog"]), seed=0)
         with pytest.raises(TokenizeError, match="more than one pseudo slot"):

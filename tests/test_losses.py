@@ -529,7 +529,7 @@ class TestPromptTextFeatures:
         tape.backward(loss, [styles])
         return feats.data, styles.grad
 
-    @pytest.mark.parametrize("b", [1, 3, 12])
+    @pytest.mark.parametrize("b", [1, 3, 12, 256])
     def test_mixed_lengths_match_per_row_oracle(self, mixed_bundle, rng, b):
         # the factored encoder sums in another order than the full-sequence oracle
         styles = rng.normal(size=(b, mixed_bundle.dims.d_t))
@@ -541,7 +541,7 @@ class TestPromptTextFeatures:
         assert np.abs(got - want).max() <= 1e-13
         assert np.abs(got_grad - want_grad).max() <= 1e-13
 
-    @pytest.mark.parametrize("b", [1, 12])
+    @pytest.mark.parametrize("b", [1, 12, 256])
     def test_extreme_scores_match_per_row_oracle(self, mixed_bundle, rng, b):
         # styles 50x their usual scale put slot scores in the hundreds, so every
         # softmax and the class rows' slot shares saturate; padded tokens are present

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -191,6 +192,18 @@ class TestRunConfig:
         for kind in (RunConfig, LossWeights, EncoderDims):
             for f in fields(kind):
                 assert f.type in _VALUE_TYPES, (kind.__name__, f.name)
+
+    def test_domain_loss_size_cap_counts_the_style_rows(self):
+        from spdg.trainer import MAX_DOMAIN_LOSS_BYTES
+        rows = math.isqrt(MAX_DOMAIN_LOSS_BYTES // 8)   # the most rows whose matrix fits
+        RunConfig(batch_size=rows, mc_samples=1)
+        RunConfig(batch_size=2, mc_samples=rows // 2)
+        with pytest.raises(ConfigError, match="domain-loss matrix"):
+            RunConfig(batch_size=rows + 1, mc_samples=1)
+        with pytest.raises(ConfigError, match="domain-loss matrix"):
+            RunConfig(batch_size=2, mc_samples=rows // 2 + 1)
+        # the basic prompter draws no samples: its matrix is batch_size rows square
+        RunConfig(prompter_kind="basic", batch_size=12, mc_samples=10 ** 8)
 
     def test_numbers_and_ids_accepted(self):
         cfg = RunConfig.from_dict({"lr_max": 1, "held_out_domain": 2, "extra_classes": ["kite"],
