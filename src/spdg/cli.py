@@ -2,6 +2,9 @@
 
 Every subcommand exits 0 on success; failures print a machine-readable JSON
 object {"error": code, "message": ...} on stderr and exit nonzero.
+
+The evaluation and grad-check modules load inside the commands that run them,
+so `infer`, `train` and `gen-data` start without them.
 """
 
 from __future__ import annotations
@@ -17,17 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen
-from .encoders import load_bundle
-from .errors import ConfigError, SpdgError
-from .evaluate import (
-    evaluate_cross_category,
-    evaluate_leave_one_out,
-    style_similarity_report,
-    write_report_csv,
-    write_report_json,
-    write_similarity_csv,
-)
-from .gradcheck import run_objective_check, run_primitive_checks
+from .encoders import bundle_checksum, load_bundle
+from .errors import ConfigError, FormatError, SpdgError
 from .inference import infer
 from .prompter import load_checkpoint
 from .trainer import RunConfig, train_style_prompter
@@ -172,16 +166,18 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _cmd_eval_lodo(args) -> int:
+    from . import evaluate
+
     out = _need_out_dir(args)
     base = _load_run_config(args)
     dataset = args.dataset or base.dataset
     if not dataset:
         raise ConfigError("eval-lodo needs --dataset (or dataset in the config)")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    report = evaluate_leave_one_out(dataset, methods, _parse_seeds(args.seeds), base=base,
-                                    threads=args.threads)
-    write_report_json(report.to_dict(), out / "lodo_report.json")
-    write_report_csv(report, out / "lodo_report.csv")
+    report = evaluate.evaluate_leave_one_out(dataset, methods, _parse_seeds(args.seeds),
+                                             base=base, threads=args.threads)
+    evaluate.write_report_json(report.to_dict(), out / "lodo_report.json")
+    evaluate.write_report_csv(report, out / "lodo_report.csv")
     print(json.dumps({"report": str(out / "lodo_report.json"),
                       "averages": {m: r.average for m, r in report.methods.items()},
                       "partial": report.partial}))
@@ -189,19 +185,32 @@ def _cmd_eval_lodo(args) -> int:
 
 
 def _cmd_eval_crosscat(args) -> int:
+    from . import evaluate
+
     out = _need_out_dir(args)
     cfg = _load_run_config(args, "seed")
-    report = evaluate_cross_category(cfg, cfg.dataset, args.test_data)
-    write_report_json(report.to_dict(), out / "crosscat_report.json")
-    write_report_csv(report, out / "crosscat_report.csv")
+    report = evaluate.evaluate_cross_category(cfg, cfg.dataset, args.test_data)
+    evaluate.write_report_json(report.to_dict(), out / "crosscat_report.json")
+    evaluate.write_report_csv(report, out / "crosscat_report.csv")
     print(json.dumps({"report": str(out / "crosscat_report.json"),
                       "averages": {m: r.average for m, r in report.methods.items()}}))
     return 0
 
 
-def _cmd_infer(args) -> int:
-    prompter, _ = load_checkpoint(args.checkpoint)
+def _load_bound_pair(args):
+    """The --checkpoint prompter and the --bundle it was trained against: a checkpoint
+    bound to another bundle, or to none, is a FormatError."""
+    prompter, manifest = load_checkpoint(args.checkpoint)
     bundle = load_bundle(args.bundle)
+    bound, loaded = manifest.get("bundle_checksum"), bundle_checksum(bundle)
+    if bound != loaded:
+        raise FormatError(f"{args.checkpoint}: checkpoint is bound to bundle checksum {bound}, "
+                          f"but {args.bundle} has {loaded}")
+    return prompter, bundle
+
+
+def _cmd_infer(args) -> int:
+    prompter, bundle = _load_bound_pair(args)
     ds = datagen.load(args.dataset)
     if not (0 <= args.index < len(ds)):
         raise ConfigError(f"index {args.index} outside dataset of {len(ds)} samples")
@@ -217,9 +226,10 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_similarity_report(args) -> int:
+    from . import evaluate
+
     out = _need_out_dir(args)
-    prompter, _ = load_checkpoint(args.checkpoint)
-    bundle = load_bundle(args.bundle)
+    prompter, bundle = _load_bound_pair(args)
     ds = datagen.load(args.dataset)
     if args.domain is not None:
         if args.domain not in ds.domains:
@@ -227,30 +237,32 @@ def _cmd_similarity_report(args) -> int:
         idx = ds.domain_indices(ds.domains.index(args.domain))
     else:
         idx = np.arange(len(ds))
-    matrix = style_similarity_report(
+    matrix = evaluate.style_similarity_report(
         bundle, prompter, ds.x[idx], ds.class_ids[idx],
         [ds.domains[d] for d in ds.domain_ids[idx]], ds.classes,
         image_ids=[int(i) for i in idx],
     )
     path = out / "similarity_report.csv"
-    write_similarity_csv(matrix, path)
+    evaluate.write_similarity_csv(matrix, path)
     print(json.dumps({"report": str(path), "rows": len(matrix.image_ids),
                       "column_means": matrix.column_means()}))
     return 0
 
 
 def _cmd_grad_check(args) -> int:
+    from . import gradcheck
+
     for flag, tol in (("--primitive-tol", args.primitive_tol), ("--objective-tol", args.objective_tol)):
         if not (np.isfinite(tol) and tol > 0):
             raise ConfigError(f"{flag} must be a finite number > 0, got {tol}")
     failures = []
-    prim = run_primitive_checks(n_inputs=args.primitive_inputs)
+    prim = gradcheck.run_primitive_checks(n_inputs=args.primitive_inputs)
     for name, err in sorted(prim.items()):
         status = "ok" if err < args.primitive_tol else "FAIL"
         if status == "FAIL":
             failures.append(name)
         print(f"primitive {name}: max_rel_err={err:.3e} [{status}]")
-    obj, elapsed = run_objective_check()
+    obj, elapsed = gradcheck.run_objective_check()
     for name, err in obj.items():
         status = "ok" if err < args.objective_tol else "FAIL"
         if status == "FAIL":

@@ -12,7 +12,6 @@ import csv
 import ctypes
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import datagen
 from .encoders import STYLE_WORDS, build_bundle, default_vocab, domain_style_text, encode_texts
-from .errors import ConfigError, SpdgError
+from .errors import ConfigError, DegenerateVectorError, TrainingDiverged
 from .inference import accuracy, predict_batch, prompted_cosines, zero_shot_predict_batch
 from .tensor import unit_rows
 from .trainer import RunConfig, check_sample_width, train_style_prompter, training_domains
@@ -96,11 +95,12 @@ def _evaluate_fold(dataset, base: RunConfig, method: str, seed: int,
 
 
 def _fold_outcome(dataset, base: RunConfig, task):
-    """(held_out, seed, method, accuracy, error) of one fold."""
+    """(held_out, seed, method, accuracy, error) of one fold. Only a numeric outcome
+    is a fold failure; any other error, typed or not, aborts the run."""
     held_out, seed, method = task
     try:
         return (*task, _evaluate_fold(dataset, base, method, seed, held_out), None)
-    except SpdgError as exc:  # a typed fold failure is reported; anything else aborts
+    except (TrainingDiverged, DegenerateVectorError) as exc:
         return (*task, None, f"{type(exc).__name__}: {exc}")
 
 
@@ -127,6 +127,15 @@ def _init_worker(dataset, base: RunConfig) -> None:
 
 def _run_worker_fold(task):
     return _worker_fold(task)
+
+
+def _process_pool(workers: int, dataset, base: RunConfig):
+    """A pool of workers set up by _init_worker. The pool modules load here, so a
+    process that runs no pool never imports them."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(dataset, base))
 
 
 def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None = None,
@@ -162,8 +171,7 @@ def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None 
     if workers == 1:
         outcomes = list(map(partial(_fold_outcome, dataset, base), tasks))
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(dataset, base)) as pool:
+        with _process_pool(workers, dataset, base) as pool:
             outcomes = list(pool.map(_run_worker_fold, tasks))
 
     outcomes.sort(key=lambda r: (r[2], r[0], r[1]))

@@ -220,10 +220,15 @@ def _manifest_sigma_floor(kind: str) -> float | None:
     return SIGMA_FLOOR if kind == "gaussian" else None
 
 
-def save_checkpoint(p, directory, run_config: dict | None = None) -> None:
+def save_checkpoint(p, directory, run_config: dict | None = None,
+                    bundle_checksum: str | None = None) -> None:
+    """Write the prompter's manifest and blobs. bundle_checksum names the encoder
+    bundle the prompter was trained against; `infer` and `similarity-report`
+    refuse any other bundle, and a checkpoint without one."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
+        "bundle_checksum": bundle_checksum,
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "prompter_kind": p.kind,
         "dims": {"d_i": p.d_i, "d_t": p.d_t},

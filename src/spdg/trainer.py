@@ -476,7 +476,7 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
                 best_acc, best_flat = val_acc, opt_state.flat.copy()
             if out_dir is not None:
                 save_checkpoint(prompter, out_dir / "checkpoints" / f"epoch_{epoch + 1}",
-                                run_config=config_echo)
+                                run_config=config_echo, bundle_checksum=checksum_before)
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
@@ -486,7 +486,8 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
     final_dir = None
     if out_dir is not None:
         final_dir = str(out_dir / "final")
-        save_checkpoint(prompter, final_dir, run_config=config_echo)
+        save_checkpoint(prompter, final_dir, run_config=config_echo,
+                        bundle_checksum=checksum_before)
 
     checksum_after = bundle_checksum(bundle)
     if checksum_after != checksum_before:

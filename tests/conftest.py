@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spdg
 from spdg import datagen
 from spdg.encoders import EncoderDims, build_bundle, default_vocab
 from spdg.gradcheck import build_objective_fixture, run_objective_check
@@ -19,6 +25,15 @@ FIXTURE_DATASET_SEED = 0
 FIXTURE_REPORT_SEED = 2
 FIXTURE_REPORT_DOMAIN = "sketch"
 FIXTURE_SEEDS = [0, 1, 2, 3, 4]
+
+
+def run_python(script: str) -> str:
+    """The stdout of a fresh interpreter that runs script against the spdg under test."""
+    src = str(Path(spdg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture(scope="session")

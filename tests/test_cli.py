@@ -8,8 +8,10 @@ import pytest
 
 import spdg.cli
 import spdg.evaluate
+import spdg.gradcheck
+from conftest import run_python
 from spdg.cli import _build_parser, main
-from spdg.errors import TrainingDiverged
+from spdg.errors import ConfigError, TrainingDiverged
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +57,13 @@ def test_train_emits_summary(capsys, cli_dataset, tmp_path):
     payload = json.loads(out)
     assert payload["final_checkpoint"]
     assert len(payload["val_accuracies"]) == 1
+
+
+def test_cli_import_loads_no_evaluation_pool_or_grad_check_module():
+    loaded = run_python("import sys, spdg.cli; print(' '.join(sorted(sys.modules)))").split()
+    assert "spdg.trainer" in loaded
+    assert not {"concurrent.futures.process", "multiprocessing", "spdg.evaluate",
+                "spdg.gradcheck"} & set(loaded)
 
 
 def test_infer_round_trip(capsys, cli_dataset, cli_run):
@@ -199,6 +208,21 @@ def test_report_of_a_method_with_no_successful_fold_is_strict_json(capsys, tmp_p
     assert (tmp_path / "lodo" / "lodo_report.csv").read_text().splitlines()[1].endswith(",nan")
 
 
+def test_config_error_inside_a_fold_exits_2_without_a_report(capsys, cli_dataset, tmp_path,
+                                                             monkeypatch):
+    def fold(dataset, base, method, seed, held_out):
+        if held_out == "cartoon":
+            raise ConfigError(f"no recipe for {held_out}")
+        return 0.5
+
+    monkeypatch.setattr(spdg.evaluate, "_evaluate_fold", fold)
+    code, out, err = run_cli(capsys, "eval-lodo", "--dataset", str(cli_dataset),
+                             "--methods", "gsp_sr", "--out-dir", str(tmp_path / "lodo"))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "config_error", "message": "no recipe for cartoon"}
+    assert not (tmp_path / "lodo").exists()
+
+
 def test_batch_too_small_for_the_training_domains_fails_before_any_fold(capsys, tmp_path,
                                                                         monkeypatch):
     folds = []
@@ -214,6 +238,60 @@ def test_batch_too_small_for_the_training_domains_fails_before_any_fold(capsys, 
     payload = json.loads(err)
     assert payload["error"] == "config_error" and "batch size 4" in payload["message"]
     assert not (tmp_path / "lodo").exists()
+
+
+@pytest.fixture(scope="module")
+def seed_runs(tmp_path_factory, cli_dataset):
+    """Run directories of the same short recipe at training seeds 1 and 2."""
+    runs = {}
+    for seed in (1, 2):
+        runs[seed] = tmp_path_factory.mktemp("cli") / f"seed{seed}"
+        assert main(["train", "--dataset", str(cli_dataset), "--held-out", "sketch",
+                     "--epochs", "1", "--batch-size", "8", "--mc-samples", "2",
+                     "--seed", str(seed), "--out-dir", str(runs[seed])]) == 0
+    return runs
+
+
+def _scoring_argv(command, checkpoint, bundle, dataset, out_dir):
+    argv = [command, "--checkpoint", str(checkpoint), "--bundle", str(bundle),
+            "--dataset", str(dataset)]
+    return argv + (["--index", "0"] if command == "infer" else ["--out-dir", str(out_dir)])
+
+
+@pytest.mark.parametrize("command", ["infer", "similarity-report"])
+def test_checkpoint_given_another_seeds_bundle_is_format_error(capsys, cli_dataset, seed_runs,
+                                                               tmp_path, command):
+    from spdg.encoders import bundle_checksum, load_bundle
+
+    manifest = json.loads((seed_runs[1] / "final" / "manifest.json").read_text())
+    assert manifest["bundle_checksum"] == bundle_checksum(load_bundle(seed_runs[1] / "bundle"))
+    code, out, err = run_cli(capsys, *_scoring_argv(command, seed_runs[1] / "final",
+                                                    seed_runs[2] / "bundle", cli_dataset,
+                                                    tmp_path / "out"))
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "format_error" and "bundle checksum" in payload["message"]
+    assert not (tmp_path / "out").exists()
+    code, _, _ = run_cli(capsys, *_scoring_argv(command, seed_runs[2] / "final",
+                                                seed_runs[2] / "bundle", cli_dataset,
+                                                tmp_path / "out"))
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["infer", "similarity-report"])
+def test_checkpoint_bound_to_no_bundle_is_format_error(capsys, cli_dataset, cli_run, tmp_path,
+                                                       command):
+    from spdg.prompter import load_checkpoint, save_checkpoint
+
+    prompter, manifest = load_checkpoint(cli_run / "final")
+    save_checkpoint(prompter, tmp_path / "final", run_config=manifest["run_config"])
+    assert json.loads((tmp_path / "final" / "manifest.json").read_text())["bundle_checksum"] is None
+    code, out, err = run_cli(capsys, *_scoring_argv(command, tmp_path / "final",
+                                                    cli_run / "bundle", cli_dataset,
+                                                    tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "format_error"
+    assert not (tmp_path / "out").exists()
 
 
 def test_checkpoint_of_another_sigma_floor_is_format_error(capsys, cli_dataset, cli_run,
@@ -555,7 +633,7 @@ def test_empty_seeds_or_repeated_entries_are_config_error(capsys, cli_dataset, t
 
 def test_grad_check_lists_the_shipped_fused_nodes(capsys, monkeypatch, objective_check):
     # the full-objective check at grad-check's default fixture, computed once per session
-    monkeypatch.setattr(spdg.cli, "run_objective_check", lambda: objective_check)
+    monkeypatch.setattr(spdg.gradcheck, "run_objective_check", lambda: objective_check)
     code, out, _ = run_cli(capsys, "grad-check", "--primitive-inputs", "1")
     assert code == 0
     lines = out.splitlines()

@@ -1,10 +1,9 @@
 import ctypes
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from conftest import WIDE_CLASSES
+from conftest import WIDE_CLASSES, run_python
 from oracles import normalized_predict_batch
 from spdg import datagen, evaluate
 from spdg.encoders import FrozenEncoderBundle
@@ -63,6 +62,15 @@ class TestLodoFoldFailures:
         assert [f["held_out"] for f in report.failures] == ["cartoon"]
         assert "TrainingDiverged" in report.failures[0]["error"]
 
+    @pytest.mark.parametrize("threads", [1, 2])  # in-process, and through a forked pool
+    def test_config_error_in_a_fold_aborts_the_run(self, monkeypatch, small_dataset_dir,
+                                                   quick_config, threads):
+        monkeypatch.setattr(evaluate, "_evaluate_fold",
+                            self._failing_fold(ConfigError("batch too small for cartoon")))
+        with pytest.raises(ConfigError, match="batch too small for cartoon"):
+            evaluate_leave_one_out(small_dataset_dir, ["gsp"], seeds=[0], base=quick_config,
+                                   threads=threads)
+
     def test_broken_invariant_aborts_the_run(self, monkeypatch, small_dataset_dir, quick_config):
         monkeypatch.setattr(evaluate, "_evaluate_fold",
                             self._failing_fold(AssertionError("encoder weights changed")))
@@ -88,13 +96,14 @@ def _blas_thread_counts() -> list[int]:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+    """Stands in for evaluate._process_pool: records the worker count, sets up
+    this process as a worker, starts no process."""
 
     max_workers: list[int] = []
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.max_workers.append(max_workers)
-        initializer(*initargs)
+    def __init__(self, workers, dataset, base):
+        self.max_workers.append(workers)
+        evaluate._init_worker(dataset, base)
 
     def __enter__(self):
         return self
@@ -112,7 +121,7 @@ class TestWorkerCount:
                                               threads, cpus, workers):
         monkeypatch.setattr(_RecordingPool, "max_workers", [])
         monkeypatch.setattr(evaluate, "_worker_fold", None)  # the fake pool binds it in-process
-        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(evaluate, "_process_pool", _RecordingPool)
         monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         report = evaluate_leave_one_out(small_dataset_dir, ["baseline_C"], seeds=[0],
                                         base=quick_config, threads=threads)
@@ -120,17 +129,29 @@ class TestWorkerCount:
         assert len(report.methods["baseline_C"].runs) == 3
 
     def test_one_worker_runs_in_process(self, monkeypatch, small_dataset_dir, quick_config):
-        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(evaluate, "_process_pool", None)
         monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: {0})
         report = evaluate_leave_one_out(small_dataset_dir, ["baseline_C"], seeds=[0],
                                         base=quick_config, threads=8)
         assert not report.partial
 
     def test_pool_workers_use_one_blas_thread(self, small_dataset, quick_config):
-        with ProcessPoolExecutor(max_workers=1, initializer=evaluate._init_worker,
-                                 initargs=(small_dataset, quick_config)) as pool:
+        with evaluate._process_pool(1, small_dataset, quick_config) as pool:
             assert pool.submit(_blas_thread_counts).result() == [1]
         assert _blas_thread_counts() != []  # numpy here runs on OpenBLAS
+
+    def test_in_process_run_loads_no_pool_module(self, small_dataset_dir):
+        script = (
+            "import sys\n"
+            "from spdg.evaluate import evaluate_leave_one_out\n"
+            "from spdg.trainer import RunConfig\n"
+            f"report = evaluate_leave_one_out({str(small_dataset_dir)!r}, ['baseline_C', 'gsp'],"
+            " [0], base=RunConfig(epochs=1, batch_size=8, mc_samples=2), threads=1)\n"
+            "assert not report.partial and len(report.methods['gsp'].runs) == 3\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(('concurrent', 'multiprocessing'))))\n"
+        )
+        assert run_python(script).strip() == "[]"
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_fewer_than_one_is_config_error(self, small_dataset_dir, quick_config, threads):
