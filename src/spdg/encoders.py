@@ -84,11 +84,11 @@ def bare_class_text(cls: str) -> str:
     return cls
 
 
-def default_vocab(classes, style_words=STYLE_WORDS) -> list[str]:
+def default_vocab(classes) -> list[str]:
     """Closed word list: templates, style words, class names (all lowercased)."""
     words: list[str] = []
     seen = set()
-    for group in (TEMPLATE_WORDS, style_words, classes):
+    for group in (TEMPLATE_WORDS, STYLE_WORDS, classes):
         for entry in group:
             for w in entry.lower().split():
                 if w not in seen:
@@ -412,8 +412,9 @@ def project_image(bundle: FrozenEncoderBundle, z: np.ndarray) -> np.ndarray:
 
 
 def bundle_checksum(bundle: FrozenEncoderBundle) -> str:
-    """SHA-256 over every weight array, in name order. Freeze-contract witness."""
-    digest = hashlib.sha256()
+    """SHA-256 over the vocab in order, the logit scale and every weight array in
+    name order: all that maps a token or a score. Freeze-contract witness."""
+    digest = hashlib.sha256(json.dumps([bundle.vocab, bundle.logit_scale]).encode())
     for name in _WEIGHT_NAMES:
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(bundle.weights[name]).tobytes())

@@ -23,7 +23,7 @@ from .encoders import STYLE_WORDS, build_bundle, default_vocab, domain_style_tex
 from .errors import ConfigError, DegenerateVectorError, TrainingDiverged
 from .inference import accuracy, predict_batch, prompted_cosines, zero_shot_predict_batch
 from .tensor import unit_rows
-from .trainer import RunConfig, check_sample_width, train_style_prompter, training_domains
+from .trainer import RunConfig, check_run, check_sample_width, train_style_prompter
 
 BASELINE_METHODS = ("baseline_C", "baseline_PC")
 TRAINED_METHODS = {
@@ -160,10 +160,14 @@ def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None 
         raise ConfigError(f"seeds must be >= 0, got {seeds}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    check_sample_width(dataset, base.dims)
-    for method in methods:  # every fold holds out one domain, so one check covers them all
-        if method in TRAINED_METHODS:
-            training_domains(dataset, method_config(base, method, seeds[0], dataset.domains[0]))
+    # the report names each trained method by its config at the first seed and fold
+    configs = {m: method_config(base, m, seeds[0], dataset.domains[0])
+               for m in methods if m in TRAINED_METHODS}
+    if configs:  # the trained methods differ in no field that check_run reads
+        for held_out in dataset.domains:
+            check_run(dataset, replace(base, held_out_domain=held_out))
+    else:
+        check_sample_width(dataset, base.dims)
 
     tasks = [(held_out, seed, method)
              for held_out in dataset.domains for seed in seeds for method in methods]
@@ -187,9 +191,7 @@ def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None 
             for held_out, seed, m, acc, err in outcomes
             if m == method and err is None
         ]
-        cfg_hash = None
-        if method in TRAINED_METHODS:
-            cfg_hash = method_config(base, method, seeds[0], dataset.domains[0]).config_hash()
+        cfg_hash = configs[method].config_hash() if method in configs else None
         methods_out[method] = _method_result(runs, dataset.domains, cfg_hash)
 
     return EvalReport(
@@ -257,8 +259,7 @@ class SimilarityMatrix:
 
 
 def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_names,
-                            classes, style_words=STYLE_WORDS,
-                            image_ids=None) -> SimilarityMatrix:
+                            classes, image_ids=None) -> SimilarityMatrix:
     """Cosine similarity of each test image against hand-crafted domain-style
     texts for its true class, plus its own learned-style prompt.
 
@@ -276,15 +277,15 @@ def style_similarity_report(bundle, prompter, x, true_class_ids, true_domain_nam
 
     # row ci * W + j: style word j with class ci
     word_feats = encode_texts(bundle, [domain_style_text(word, cls)
-                                       for cls in classes for word in style_words])
+                                       for cls in classes for word in STYLE_WORDS])
     word_feats, _ = unit_rows(word_feats, "style-word text feature")
-    word_feats = word_feats.reshape(len(classes), len(style_words), -1)
+    word_feats = word_feats.reshape(len(classes), len(STYLE_WORDS), -1)
 
     learned = cosines[np.arange(n), true_class_ids]
     values = np.column_stack([np.vecdot(word_feats[true_class_ids], zp[:, None, :]), learned])
     return SimilarityMatrix(image_ids=list(image_ids),
                             true_domains=list(true_domain_names),
-                            columns=list(style_words) + ["learned"], values=values)
+                            columns=STYLE_WORDS + ["learned"], values=values)
 
 
 def write_similarity_csv(matrix: SimilarityMatrix, path) -> None:

@@ -93,8 +93,7 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float) -> Tensor:
         instead, and drops out of the E products in the backward.
     The gradient is un-permuted back to the caller's row order.
     """
-    if tau <= 0:
-        raise ConfigError(f"temperature must be > 0, got {tau}")
+    check_range("tau", tau, 0.0, low_open=True)
     dom = np.asarray(domains, dtype=np.int64)
     u = samples.data
     n = u.shape[0]
@@ -197,13 +196,12 @@ def _softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, top + np.log(mass)
 
 
-def build_reg_anchors(bundle: FrozenEncoderBundle, classes,
-                      style_words=STYLE_WORDS) -> RegAnchorTable:
+def build_reg_anchors(bundle: FrozenEncoderBundle, classes) -> RegAnchorTable:
     """Per class: encode every domain-style text, unit-normalize, average, renormalize."""
-    texts = [domain_style_text(word, cls) for cls in classes for word in style_words]
+    texts = [domain_style_text(word, cls) for cls in classes for word in STYLE_WORDS]
     feats = encode_texts(bundle, texts)
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-    mean = feats.reshape(len(classes), len(style_words), bundle.dims.d_f).mean(axis=1)
+    mean = feats.reshape(len(classes), len(STYLE_WORDS), bundle.dims.d_f).mean(axis=1)
     return RegAnchorTable(classes=list(classes),
                           anchors=mean / np.linalg.norm(mean, axis=1, keepdims=True))
 

@@ -57,7 +57,7 @@ class RunConfig:
     seed: int = 0
     dims: EncoderDims = field(default_factory=EncoderDims)
     dataset: str = ""
-    held_out_domain: str | int | None = None
+    held_out_domain: str | None = None
     out_dir: str | None = None
     logit_scale: float = 100.0
     val_ratio: float = 0.9
@@ -109,7 +109,7 @@ class RunConfig:
 # is accepted only where listed
 _VALUE_TYPES = {
     "int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
-    "str | int | None": (str, int, type(None)), "str | None": (str, type(None)),
+    "str | None": (str, type(None)),
     "list": (list,), "LossWeights": (LossWeights,), "EncoderDims": (EncoderDims,),
 }
 
@@ -207,19 +207,21 @@ def lr_at(step: int, sched: Schedule) -> float:
     return 0.5 * sched.lr_max * (1.0 + np.cos(np.pi * t / t_cos))
 
 
+def _n_train(size: int, ratio: float) -> int:
+    """How many of a domain's size samples the split keeps for training: the
+    ratio's share, rounded, but at least 1 and leaving at least 1 to validate."""
+    return min(max(int(round(ratio * size)), 1), size - 1)
+
+
 def split_train_val(indices_by_domain: dict, ratio: float, seed: int):
     """Per-domain seeded shuffle, then a ratio split. Disjoint and exhaustive."""
-    if not (0.0 < ratio < 1.0):
-        raise ConfigError(f"split ratio must be in (0, 1), got {ratio}")
     train, val = {}, {}
     for d in sorted(indices_by_domain):
         idx = np.asarray(indices_by_domain[d])
-        if idx.size < 10:
-            raise ConfigError(f"domain {d} has only {idx.size} samples, need >= 10")
         rng = np.random.default_rng([seed, int(d)])
         shuffled = idx.copy()
         rng.shuffle(shuffled)
-        n_train = min(max(int(round(ratio * idx.size)), 1), idx.size - 1)
+        n_train = _n_train(idx.size, ratio)
         train[d] = shuffled[:n_train]
         val[d] = shuffled[n_train:]
     return train, val
@@ -231,16 +233,10 @@ def stratified_batches(train_by_domain: dict, batch_size: int, seed: int) -> lis
     Domains enter a batch two samples at a time; once present, they may add
     singles. A trailing partial batch is kept only when it still satisfies the
     two-per-domain contract, which the construction guarantees, so only an
-    unpairable remainder is dropped.
+    unpairable remainder is dropped. Under check_run's contract (a batch holds
+    2 samples of each domain, and each domain has 2) every epoch has a batch.
     """
     order = sorted(train_by_domain)
-    for d in order:
-        if len(train_by_domain[d]) < 2:
-            raise ConfigError(f"domain {d} has fewer than 2 training samples")
-    if batch_size < 2 * len(order):
-        raise ConfigError(
-            f"batch size {batch_size} cannot hold 2 samples from each of {len(order)} domains"
-        )
     rng = np.random.default_rng(seed)
     pools = {}
     for d in order:
@@ -276,8 +272,6 @@ def stratified_batches(train_by_domain: dict, batch_size: int, seed: int) -> lis
             if len(batch) >= 2:
                 batches.append(np.asarray(batch, dtype=np.int64))
             break
-    if not batches:
-        raise ConfigError("not enough training samples to form a single batch")
     return batches
 
 
@@ -292,19 +286,6 @@ class TrainResult:
     out_dir: str | None
     final_dir: str | None
     metrics_path: str | None
-
-
-def _resolve_held_out(dataset, held_out) -> int | None:
-    if held_out is None:
-        return None
-    if isinstance(held_out, str):
-        if held_out not in dataset.domains:
-            raise ConfigError(f"held-out domain {held_out!r} not in dataset domains {dataset.domains}")
-        return dataset.domains.index(held_out)
-    held_out = int(held_out)
-    if not (0 <= held_out < len(dataset.domains)):
-        raise ConfigError(f"held-out domain id {held_out} out of range")
-    return held_out
 
 
 def _dump_diagnostics(out_dir, step, parts_values, params, backward_ran: bool):
@@ -334,17 +315,30 @@ def check_sample_width(dataset, dims: EncoderDims, what: str = "dataset") -> Non
                           f"but the config's dims.d_x is {dims.d_x}")
 
 
-def training_domains(dataset, config: RunConfig) -> list[int]:
-    """The run's training domain ids, checked against the recipe before any work:
-    at least 2 training domains, and a batch that holds 2 samples from each."""
-    held_out = _resolve_held_out(dataset, config.held_out_domain)
-    train_domains = [d for d in range(len(dataset.domains)) if d != held_out]
+def check_run(dataset, config: RunConfig) -> list[int]:
+    """The run's training domain ids, once the dataset fits the recipe. Checked
+    before any work: the sample width, the held-out domain's name, at least 2
+    training domains, a batch that holds 2 samples from each, and in each at
+    least 10 samples, of which val_ratio keeps at least 2 for training."""
+    check_sample_width(dataset, config.dims)
+    held_out = config.held_out_domain
+    if held_out is not None and held_out not in dataset.domains:
+        raise ConfigError(f"held-out domain {held_out!r} not in dataset domains {dataset.domains}")
+    train_domains = [d for d, name in enumerate(dataset.domains) if name != held_out]
     if len(train_domains) < 2:
         raise ConfigError("need at least 2 training domains")
     if config.batch_size < 2 * len(train_domains):
         raise ConfigError(
             f"batch size {config.batch_size} must be >= 2 x {len(train_domains)} training domains"
         )
+    sizes = np.bincount(dataset.domain_ids, minlength=len(dataset.domains))
+    for d in train_domains:
+        name, size = dataset.domains[d], int(sizes[d])
+        if size < 10:
+            raise ConfigError(f"domain {name!r} has only {size} samples, need >= 10")
+        if (kept := _n_train(size, config.val_ratio)) < 2:
+            raise ConfigError(f"val_ratio {config.val_ratio} keeps {kept} of the {size} samples "
+                              f"of domain {name!r} for training, need >= 2")
     return train_domains
 
 
@@ -379,8 +373,7 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
             raise ConfigError("config.dataset is empty and no dataset was passed")
         dataset = datagen.load(config.dataset)
 
-    check_sample_width(dataset, config.dims)
-    train_domains = training_domains(dataset, config)
+    train_domains = check_run(dataset, config)
 
     vocab = default_vocab(list(dataset.classes) + list(config.extra_classes))
     bundle = build_bundle(config.dims, vocab, seed=config.seed, logit_scale=config.logit_scale)

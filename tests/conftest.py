@@ -36,6 +36,18 @@ def run_python(script: str) -> str:
     return proc.stdout
 
 
+def sized_dataset(sizes) -> datagen.MultiDomainDataset:
+    """A dataset of domains d0, d1, ... holding sizes[d] samples in domain d."""
+    domain_ids = np.repeat(np.arange(len(sizes)), sizes)
+    manifest = datagen.DatasetManifest(classes=["dog", "horse"],
+                                       domains=[f"d{d}" for d in range(len(sizes))],
+                                       n_per_cell=min(sizes), d_x=32, seed=0,
+                                       style_strength=0.0, noise_std=0.0)
+    return datagen.MultiDomainDataset(x=np.ones((domain_ids.size, 32)),
+                                      class_ids=domain_ids % 2, domain_ids=domain_ids,
+                                      manifest=manifest)
+
+
 @pytest.fixture(scope="session")
 def dims():
     return EncoderDims()

@@ -325,19 +325,19 @@ def normalized_predict_batch(bundle: FrozenEncoderBundle, prompter, x, classes):
     return logits.argmax(axis=1), logits
 
 
-def looped_similarity_values(bundle: FrozenEncoderBundle, prompter, x, true_class_ids, classes,
-                             style_words=STYLE_WORDS) -> np.ndarray:
+def looped_similarity_values(bundle: FrozenEncoderBundle, prompter, x, true_class_ids,
+                             classes) -> np.ndarray:
     """style_similarity_report's values, filled one image at a time with two
     small matvecs: the true class's style-word rows, then its learned row."""
     z = encode_image(bundle, np.asarray(x, dtype=np.float64))
     zp, _ = T.unit_rows(project_image(bundle, z), "projected image feature")
     word_feats = encode_texts(bundle, [domain_style_text(word, cls)
-                                       for cls in classes for word in style_words])
+                                       for cls in classes for word in STYLE_WORDS])
     word_feats, _ = T.unit_rows(word_feats, "style-word text feature")
-    word_feats = word_feats.reshape(len(classes), len(style_words), -1)
+    word_feats = word_feats.reshape(len(classes), len(STYLE_WORDS), -1)
     learned = production_encode_text_batch(bundle, style_for_prompt(prompter, z), classes).data
     learned, _ = T.unit_rows(learned, "prompted text feature")
-    values = np.zeros((len(z), len(style_words) + 1))
+    values = np.zeros((len(z), len(STYLE_WORDS) + 1))
     for i, ci in enumerate(np.asarray(true_class_ids, dtype=np.int64)):
         values[i, :-1] = word_feats[ci] @ zp[i]
         values[i, -1] = zp[i] @ learned[i * len(classes) + ci]

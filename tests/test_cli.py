@@ -240,6 +240,22 @@ def test_batch_too_small_for_the_training_domains_fails_before_any_fold(capsys, 
     assert not (tmp_path / "lodo").exists()
 
 
+def test_split_that_keeps_too_few_to_train_fails_before_any_fold(capsys, tmp_path, monkeypatch):
+    folds = []
+    monkeypatch.setattr(spdg.evaluate, "_evaluate_fold", lambda *a: folds.append(a))
+    data = tmp_path / "data"
+    assert run_cli(capsys, "gen-data", "--out-dir", str(data), "--seed", "0")[0] == 0
+    config = tmp_path / "config.json"   # 0.004 of a domain's 240 samples rounds to 1
+    config.write_text(json.dumps({"val_ratio": 0.004, "epochs": 1, "mc_samples": 2}))
+    code, out, err = run_cli(capsys, "eval-lodo", "--config", str(config), "--dataset", str(data),
+                             "--out-dir", str(tmp_path / "lodo"))
+    assert (code, out, folds) == (2, "", [])
+    payload = json.loads(err)
+    assert payload["error"] == "config_error"
+    assert "keeps 1 of the 240 samples of domain 'cartoon'" in payload["message"]
+    assert not (tmp_path / "lodo").exists()
+
+
 @pytest.fixture(scope="module")
 def seed_runs(tmp_path_factory, cli_dataset):
     """Run directories of the same short recipe at training seeds 1 and 2."""
@@ -292,6 +308,21 @@ def test_checkpoint_bound_to_no_bundle_is_format_error(capsys, cli_dataset, cli_
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "format_error"
     assert not (tmp_path / "out").exists()
+
+
+def test_bundle_with_a_reordered_vocab_is_format_error(capsys, cli_dataset, cli_run, tmp_path):
+    shutil.copytree(cli_run / "bundle", tmp_path / "bundle")
+    manifest = tmp_path / "bundle" / "manifest.json"
+    raw = json.loads(manifest.read_text())
+    i, j = raw["vocab"].index("dog"), raw["vocab"].index("horse")
+    raw["vocab"][i], raw["vocab"][j] = "horse", "dog"
+    manifest.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "infer", "--checkpoint", str(cli_run / "final"),
+                             "--bundle", str(tmp_path / "bundle"), "--dataset", str(cli_dataset),
+                             "--index", "0")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "format_error" and "bundle checksum" in payload["message"]
 
 
 def test_checkpoint_of_another_sigma_floor_is_format_error(capsys, cli_dataset, cli_run,
@@ -462,9 +493,9 @@ def test_malformed_config_file_is_config_error(capsys, cli_dataset, tmp_path, re
 
 @pytest.mark.parametrize("config", [
     {"epochs": "three"}, {"epochs": True}, {"epochs": 2.0}, {"lr_max": None},
-    {"use_style_reg": 1}, {"held_out_domain": 1.5}, {"extra_classes": "kite"},
-    {"extra_classes": [1]}, {"weights": {"w_d": "x"}}, {"weights": [0.1]},
-    {"dims": 5}, {"dims": {"d_i": 64.0}}, {"precision": "f64"},
+    {"use_style_reg": 1}, {"held_out_domain": 2}, {"held_out_domain": 1.5},
+    {"extra_classes": "kite"}, {"extra_classes": [1]}, {"weights": {"w_d": "x"}},
+    {"weights": [0.1]}, {"dims": 5}, {"dims": {"d_i": 64.0}}, {"precision": "f64"},
 ], ids=lambda c: json.dumps(c))
 def test_wrong_config_value_type_is_config_error(capsys, cli_dataset, tmp_path, config):
     path = tmp_path / "config.json"

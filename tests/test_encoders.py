@@ -44,6 +44,15 @@ class TestBuildBundle:
         assert bundle_checksum(build_bundle(dims, vocab, seed=1)) != \
             bundle_checksum(build_bundle(dims, vocab, seed=2))
 
+    @pytest.mark.parametrize("change", ["vocab", "logit_scale"])
+    def test_checksum_covers_vocab_order_and_logit_scale(self, dims, change):
+        from spdg.encoders import FrozenEncoderBundle
+        b = build_bundle(dims, default_vocab(CLASSES), seed=0)
+        vocab = b.vocab[::-1] if change == "vocab" else b.vocab
+        scale = b.logit_scale * 2 if change == "logit_scale" else b.logit_scale
+        same_weights = FrozenEncoderBundle(b.dims, vocab, b.seed, scale, b.weights)
+        assert bundle_checksum(same_weights) != bundle_checksum(b)
+
     def test_duplicate_vocab_rejected(self, dims):
         with pytest.raises(ConfigError, match="duplicate"):
             build_bundle(dims, ["dog", "dog"], seed=0)

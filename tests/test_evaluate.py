@@ -3,7 +3,7 @@ import ctypes
 import numpy as np
 import pytest
 
-from conftest import WIDE_CLASSES, run_python
+from conftest import WIDE_CLASSES, run_python, sized_dataset
 from oracles import normalized_predict_batch
 from spdg import datagen, evaluate
 from spdg.encoders import FrozenEncoderBundle
@@ -408,6 +408,27 @@ class TestLeaveOneOut:
         assert list(report.methods) == methods and not report.partial
         assert report.methods["baseline_C"].config_hash is None
         assert len({report.methods[m].config_hash for m in methods[1:]} - {None}) == 3
+
+    def test_every_held_out_domain_is_checked_before_any_fold(self, monkeypatch, quick_config):
+        folds = []
+        monkeypatch.setattr(evaluate, "_evaluate_fold", lambda *a: folds.append(a))
+        # d0's 9 samples are too few to train on, so only the fold that holds d0 out fits
+        with pytest.raises(ConfigError, match="'d0' has only 9 samples"):
+            evaluate_leave_one_out("sized", ["baseline_C", "gsp"], seeds=[0], base=quick_config,
+                                   dataset=sized_dataset([9, 10, 10]))
+        assert folds == []
+
+    def test_one_method_config_per_trained_method(self, monkeypatch, small_dataset_dir,
+                                                  quick_config):
+        made, method_config = [], evaluate.method_config
+        monkeypatch.setattr(evaluate, "_evaluate_fold", lambda *a: 0.5)
+        monkeypatch.setattr(evaluate, "method_config",
+                            lambda *a: made.append(a) or method_config(*a))
+        report = evaluate_leave_one_out(small_dataset_dir, ["baseline_C", "bsp", "gsp_sr"],
+                                        seeds=[0, 1], base=quick_config)
+        assert [a[1] for a in made] == ["bsp", "gsp_sr"]
+        assert report.methods["gsp_sr"].config_hash == \
+            method_config(quick_config, "gsp_sr", 0, "photo").config_hash()
 
     def test_report_writers(self, lodo_report, tmp_path):
         write_report_json(lodo_report.to_dict(), tmp_path / "r.json")

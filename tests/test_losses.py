@@ -242,9 +242,10 @@ class TestDomainDiscriminationLoss:
         with pytest.raises(NormalizationError):
             domain_discrimination_loss(Tensor(s), [0, 0, 1, 1], tau=0.5)
 
-    def test_bad_temperature_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            domain_discrimination_loss(Tensor(unit_rows(rng, 4, 4)), [0, 0, 1, 1], tau=0.0)
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_temperature_rejected(self, rng, tau):
+        with pytest.raises(ConfigError, match="tau must be in"):
+            domain_discrimination_loss(Tensor(unit_rows(rng, 4, 4)), [0, 0, 1, 1], tau=tau)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
@@ -269,13 +270,14 @@ class TestRegAnchors:
         norms = np.linalg.norm(t1.anchors, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12
 
-    def test_single_style_word_is_that_prompt(self, bundle):
-        from spdg.encoders import domain_style_text
-        table = build_reg_anchors(bundle, ["dog"], style_words=["photo"])
-        ids = tokenize(domain_style_text("photo", "dog"), bundle)
-        emb = bundle.weights["tok_emb"][np.asarray(ids)]
-        feat = encode_text(bundle, Tensor(emb)).data
-        assert np.allclose(table.anchors[0], feat / np.linalg.norm(feat), atol=1e-12)
+    def test_anchor_is_the_mean_of_the_unit_style_texts(self, bundle):
+        from spdg.encoders import STYLE_WORDS, domain_style_text
+        table = build_reg_anchors(bundle, ["dog"])
+        feats = [encode_text(bundle, Tensor(bundle.weights["tok_emb"][
+            np.asarray(tokenize(domain_style_text(word, "dog"), bundle))])).data
+            for word in STYLE_WORDS]
+        mean = np.mean([f / np.linalg.norm(f) for f in feats], axis=0)
+        assert np.allclose(table.anchors[0], mean / np.linalg.norm(mean), atol=1e-12)
 
 
     def test_grouped_encodes_match_per_text(self, mixed_bundle):

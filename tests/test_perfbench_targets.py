@@ -1,12 +1,17 @@
-"""Every attribute the benchmark's span recorder patches exists in the package.
+"""Every attribute the benchmark's span recorder patches exists in the package,
+and every spdg call the benchmark's workloads make still binds.
 
 The benchmark times each layer by replacing a module or class attribute with
 a wrapper, so renaming or moving one of them breaks a traced benchmark run
 and nothing else. This test loads perfbench/spans.py from its source without
 writing anything next to it, hands both recorders a patcher that only records
-what they would replace, and checks each target.
+what they would replace, and checks each target. It reads perfbench/workloads.py
+as a syntax tree, so a dropped parameter fails here and not in a benchmark run.
 """
 
+import ast
+import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -18,6 +23,7 @@ import spdg.tensor
 import spdg.trainer
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +72,41 @@ def test_run_probe_patches_exist(spans):
         (spdg.cli, "train_style_prompter"),
     ]
     assert not _missing(patcher.targets)
+
+
+def _spdg_calls(tree):
+    """(line, target, call) for each call of spdg.<module>.<name>, or of a name
+    imported from an spdg module, in the tree."""
+    imported = {alias.asname or alias.name: (node.module, alias.name)
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("spdg") for alias in node.names}
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            yield call.lineno, imported[func.id], call
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+              and isinstance(func.value.value, ast.Name) and func.value.value.id == "spdg"):
+            yield call.lineno, (f"spdg.{func.value.attr}", func.attr), call
+
+
+def test_workload_calls_bind_to_the_package():
+    calls = list(_spdg_calls(ast.parse(WORKLOADS.read_text(encoding="utf-8"))))
+    assert {name for _, (_, name), _ in calls} >= {"evaluate_leave_one_out", "main", "infer",
+                                                    "predict_batch", "RunConfig"}
+    unbound = []
+    for line, (module, name), call in calls:
+        target = getattr(importlib.import_module(module), name, None)
+        if not callable(target):
+            unbound.append(f"line {line}: {module}.{name} is not callable")
+            continue
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords):
+            unbound.append(f"line {line}: {module}.{name} is called with * or ** arguments")
+            continue
+        try:
+            inspect.signature(target).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {line}: {module}.{name}: {exc}")
+    assert not unbound

@@ -4,7 +4,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import sized_dataset
 from spdg.errors import ConfigError, NormalizationError, TrainingDiverged
 from spdg.losses import LossWeights
 from spdg.tensor import Tensor
@@ -12,6 +15,7 @@ from spdg.trainer import (
     OptimizerState,
     RunConfig,
     Schedule,
+    check_run,
     lr_at,
     sgd_momentum_step,
     split_train_val,
@@ -130,10 +134,6 @@ class TestSplitTrainVal:
             assert np.array_equal(merged, np.sort(domains[d]))
             assert len(np.intersect1d(train[d], val[d])) == 0
 
-    def test_small_domain_rejected(self, rng):
-        with pytest.raises(ConfigError, match="10"):
-            split_train_val({0: np.arange(9)}, 0.9, seed=0)
-
 
 class TestStratifiedBatches:
     def test_two_per_present_domain(self, rng):
@@ -151,21 +151,50 @@ class TestStratifiedBatches:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
-    def test_batch_too_small_rejected(self):
-        train = {d: np.arange(10) for d in range(3)}
-        with pytest.raises(ConfigError, match="batch size"):
-            stratified_batches(train, 5, seed=0)
-
-    def test_single_sample_domain_rejected(self):
-        with pytest.raises(ConfigError, match="fewer than 2"):
-            stratified_batches({0: np.arange(10), 1: np.arange(1)}, 8, seed=0)
-
     def test_all_samples_used_or_dropped_cleanly(self):
         train = {d: np.arange(d * 100, d * 100 + 20) for d in range(2)}
         batches = stratified_batches(train, 8, seed=0)
         flat = np.concatenate(batches)
         assert len(flat) == len(set(flat.tolist()))
         assert len(flat) == 40  # 40 samples pack exactly into 8-size batches
+
+
+class TestCheckRun:
+    def test_training_domains_by_held_out_name(self):
+        dataset = sized_dataset([10, 10, 10])
+        assert check_run(dataset, RunConfig(held_out_domain="d1")) == [0, 2]
+        assert check_run(dataset, RunConfig(held_out_domain=None, batch_size=6)) == [0, 1, 2]
+
+    def test_held_out_domain_index_rejected(self):
+        with pytest.raises(ConfigError, match="held-out domain 1 not in dataset domains"):
+            check_run(sized_dataset([10, 10, 10]), RunConfig(held_out_domain=1))
+
+    def test_one_training_domain_rejected(self):
+        with pytest.raises(ConfigError, match="at least 2 training domains"):
+            check_run(sized_dataset([10, 10]), RunConfig(held_out_domain="d0"))
+
+    def test_small_domain_rejected(self):
+        with pytest.raises(ConfigError, match="'d1' has only 9 samples, need >= 10"):
+            check_run(sized_dataset([10, 9]), RunConfig(batch_size=4))
+
+    def test_batch_too_small_rejected(self):
+        with pytest.raises(ConfigError, match="batch size 5"):
+            check_run(sized_dataset([10, 10, 10]), RunConfig(batch_size=5))
+
+    def test_single_sample_domain_rejected(self):
+        with pytest.raises(ConfigError, match="'d1' has only 1 samples"):
+            check_run(sized_dataset([10, 1]), RunConfig(batch_size=8))
+
+    @pytest.mark.parametrize("ratio", [0.1, 0.004])
+    def test_fewer_than_two_kept_for_training_rejected(self, ratio):
+        with pytest.raises(ConfigError, match="keeps 1 of the 10 samples of domain 'd0'"):
+            check_run(sized_dataset([10, 12]), RunConfig(batch_size=4, val_ratio=ratio))
+
+    def test_two_kept_for_training_split_as_checked(self):
+        dataset, config = sized_dataset([10, 12]), RunConfig(batch_size=4, val_ratio=0.15)
+        assert check_run(dataset, config) == [0, 1]
+        train, _ = split_train_val({d: dataset.domain_indices(d) for d in (0, 1)}, 0.15, seed=0)
+        assert [len(train[d]) for d in (0, 1)] == [2, 2]
 
 
 class TestRunConfig:
@@ -205,10 +234,13 @@ class TestRunConfig:
         # the basic prompter draws no samples: its matrix is batch_size rows square
         RunConfig(prompter_kind="basic", batch_size=12, mc_samples=10 ** 8)
 
-    def test_numbers_and_ids_accepted(self):
-        cfg = RunConfig.from_dict({"lr_max": 1, "held_out_domain": 2, "extra_classes": ["kite"],
-                                   "weights": {"w_d": 0}, "dims": {"d_f": 32}})
-        assert cfg.lr_max == 1 and cfg.held_out_domain == 2 and cfg.dims.d_f == 32
+    def test_numbers_accepted_and_domain_ids_rejected(self):
+        cfg = RunConfig.from_dict({"lr_max": 1, "held_out_domain": "sketch",
+                                   "extra_classes": ["kite"], "weights": {"w_d": 0},
+                                   "dims": {"d_f": 32}})
+        assert cfg.lr_max == 1 and cfg.held_out_domain == "sketch" and cfg.dims.d_f == 32
+        with pytest.raises(ConfigError, match=r"held_out_domain must be str \| None"):
+            RunConfig.from_dict({"held_out_domain": 2})
 
     def test_invalid_rejected(self):
         with pytest.raises(ConfigError):
@@ -344,3 +376,61 @@ class TestTrainStylePrompter:
             best, _ = load_checkpoint(best_dir)
             for (name, a), (_, b) in zip(in_memory.prompter.parameters(), best.parameters()):
                 assert np.array_equal(a.data, b.data), name
+
+
+_NAN, _INF = float("nan"), float("inf")
+# values from_dict accepts, kept small: rates that cannot overflow, and with epochs 1 and
+# mc_samples <= 4, which every example sets, little work. On small_dataset, "watercolor",
+# val_ratio 0.004, d_x 16 and a batch under 2 per training domain fail the run check.
+_VALID = {
+    "prompter_kind": st.sampled_from(["basic", "gaussian"]), "use_style_reg": st.booleans(),
+    "batch_size": st.integers(2, 16), "lr_max": st.floats(0.0, 0.1),
+    "lr_warmup": st.floats(0.0, 0.1), "momentum": st.floats(0.0, 0.99),
+    "weight_decay": st.floats(0.0, 0.01), "seed": st.integers(0, 3),
+    "held_out_domain": st.sampled_from([None, "photo", "cartoon", "sketch", "watercolor"]),
+    "logit_scale": st.floats(1.0, 100.0),
+    "val_ratio": st.sampled_from([0.004, 0.05, 0.5, 0.9, 0.99]),
+    "select_best": st.booleans(), "extra_classes": st.sampled_from([[], ["kite"]]),
+    "weights": st.fixed_dictionaries({}, optional={
+        "w_d": st.floats(0.0, 1.0), "w_reg": st.floats(0.0, 10.0), "tau_d": st.floats(0.05, 1.0),
+        "ce_scale": st.floats(0.1, 2.0)}),
+    "dims": st.sampled_from([{}, {"d_f": 8}, {"d_x": 16}]),
+}
+# values that are out of range, not finite or of the wrong JSON type
+_INVALID = {
+    "prompter_kind": ["mlp", 1], "use_style_reg": [1, "yes"], "epochs": [0, -1, 1.0, "1"],
+    "batch_size": [1, 0, -4, 8.0], "mc_samples": [0, -1, None],
+    "lr_max": [-1, _NAN, _INF, "0.1"], "lr_warmup": [-1e-5, _NAN, -_INF],
+    "momentum": [1, 5, -3, _NAN], "weight_decay": [-100, _NAN, _INF], "seed": [-1, 0.5],
+    "held_out_domain": [2, 1.5, ["sketch"]], "logit_scale": [0, -1, _NAN, _INF],
+    "val_ratio": [0, 1, -0.5, _NAN], "select_best": [1, None], "extra_classes": ["kite", [1]],
+    "weights": [{"tau_d": 0}, {"w_d": -0.1}, {"w_reg": _INF}, {"ce_scale": _NAN}, [0.1]],
+    "dims": [{"d_t": 1}, {"d_i": 64.0}, 5], "bogus": [1],
+}
+
+
+@st.composite
+def _run_config_dicts(draw):
+    raw = {"epochs": 1, "mc_samples": draw(st.integers(1, 4)),
+           **draw(st.fixed_dictionaries({}, optional=_VALID))}
+    broken = draw(st.none() | st.sampled_from(list(_INVALID)))  # about half the examples
+    if broken is not None:
+        raw[broken] = draw(st.sampled_from(_INVALID[broken]))
+    return raw
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(raw=_run_config_dicts())
+def test_any_config_dict_is_rejected_up_front_or_trains(small_dataset, raw):
+    """from_dict or check_run rejects a config with a ConfigError, or one epoch
+    trains to a result or a TrainingDiverged; nothing else escapes."""
+    try:
+        config = RunConfig.from_dict(raw)
+        check_run(small_dataset, config)
+    except ConfigError:
+        return
+    try:
+        result = train_style_prompter(config, dataset=small_dataset)
+    except TrainingDiverged:
+        return
+    assert len(result.val_accuracies) == 1
