@@ -3,12 +3,12 @@
 
     python3 scripts/cold_start.py --tree ../spdg-parent --tree . --launches 10
 
-The fixture artifacts (the seed-0 dataset, and a one-epoch checkpoint with its
-bundle) are built once in a temporary directory by the last --tree; give the
-newest tree last, since an older one writes checkpoints that bind no bundle,
-which a newer `spdg infer` refuses. Then, for
-each bytecode setting, every tree launches two commands in turn, the tree order
-alternating from round to round:
+Each tree builds its own fixture artifacts (the seed-0 dataset, and a one-epoch
+checkpoint with its bundle) from the same seeds in a temporary directory of its
+own, since trees of different artifact formats cannot read each other's
+datasets and checkpoints; the trees may be given in any order. Then, for
+each bytecode setting, every tree launches two commands in turn on its own
+artifacts, the tree order alternating from round to round:
 
 - infer:  python -m spdg.cli infer --index 0 on those artifacts;
 - import: python -c 'import spdg.cli'.
@@ -108,17 +108,20 @@ def main(argv=None) -> int:
     times = {s: {str(t): {c: [] for c in COMMANDS} for t in trees} for s in SETTINGS}
     with tempfile.TemporaryDirectory(prefix="spdg-cold-start-") as tmp:
         tmp = Path(tmp)
-        _build_artifacts(trees[-1], tmp)
+        artifacts = {t: tmp / f"tree-{i}" for i, t in enumerate(trees)}
+        for tree, out in artifacts.items():
+            out.mkdir()
+            _build_artifacts(tree, out)
         for setting in SETTINGS:
             envs = {t: _env(t, setting, tmp / f"pycache-{setting}") for t in trees}
             for tree in trees:          # untimed: fills the prefix, checks each command
                 for command in COMMANDS:
-                    _launch(_argv(command, tmp), envs[tree], tmp)
+                    _launch(_argv(command, artifacts[tree]), envs[tree], tmp)
             for round_ in range(args.launches):
                 for tree in (trees if round_ % 2 == 0 else trees[::-1]):
                     for command in COMMANDS:
                         times[setting][str(tree)][command].append(
-                            _launch(_argv(command, tmp), envs[tree], tmp))
+                            _launch(_argv(command, artifacts[tree]), envs[tree], tmp))
 
     print(json.dumps({
         "machine": {"python": platform.python_version(), "cpus": len(os.sched_getaffinity(0)),

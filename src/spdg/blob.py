@@ -3,10 +3,10 @@
 Layout, all little-endian:
     magic   4 bytes  b"SPDG"
     version u32      currently 1
-    dtype   u8       0 = float64, 1 = float32
+    dtype   u8       0 = float64, 1 = float32, 2 = int64
     rank    u8
     dims    rank * u64
-    values  raw little-endian floats, row-major
+    values  raw little-endian values, row-major
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ MAGIC = b"SPDG"
 FORMAT_VERSION = 1
 _FIXED_HEADER = 10  # magic, version, dtype flag, rank
 
-_DTYPE_FLAGS = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
-_FLAG_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
+_DTYPE_FLAGS = {0: np.dtype("<f8"), 1: np.dtype("<f4"), 2: np.dtype("<i8")}
+_FLAG_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1, np.dtype(np.int64): 2}
+_KIND_NAMES = {"f": "float", "i": "int64"}
 
 
 def write_blob(path, array: np.ndarray) -> None:
     # keep rank-0 as rank-0 (ascontiguousarray would promote it to 1-d)
     arr = np.asarray(array, order="C")
     if arr.dtype not in _FLAG_FOR:
-        raise FormatError(f"blob supports float64/float32, got {arr.dtype}")
+        raise FormatError(f"blob supports float64/float32/int64, got {arr.dtype}")
     with open(path, "wb") as fh:
         fh.write(struct.pack(f"<4sIBB{arr.ndim}Q", MAGIC, FORMAT_VERSION, _FLAG_FOR[arr.dtype],
                              arr.ndim, *arr.shape))
@@ -45,8 +46,9 @@ def unreadable(path, what: str, exc: Exception) -> FormatError:
     return FormatError(f"{path}: cannot read {what}: {getattr(exc, 'strerror', None) or exc}")
 
 
-def read_blob(path) -> np.ndarray:
-    """The blob's array, read straight into its buffer once the header and file size check out."""
+def read_blob(path, kind: str = "f") -> np.ndarray:
+    """The blob's array, read straight into its buffer once the header and file size check out.
+    kind is the numpy dtype kind the caller takes: "f" (float64 or float32) or "i" (int64)."""
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -61,6 +63,8 @@ def read_blob(path) -> np.ndarray:
             if flag not in _DTYPE_FLAGS:
                 raise FormatError(f"{path}: unknown dtype flag {flag}")
             dtype = _DTYPE_FLAGS[flag]
+            if dtype.kind != kind:
+                raise FormatError(f"{path}: holds {dtype.name} values, expected {_KIND_NAMES[kind]}")
             dims = fh.read(8 * rank)
             if len(dims) < 8 * rank:
                 raise FormatError(f"{path}: truncated header, {size} bytes for rank {rank}")
@@ -78,8 +82,9 @@ def read_blob(path) -> np.ndarray:
     return values.astype(dtype.newbyteorder("="), copy=False)
 
 
-def read_manifest(path, kind: str, version: int) -> dict:
-    """Parse an artifact's manifest.json: a JSON object of the given format version."""
+def read_manifest(path, kind: str, version: int, remedy: str = "") -> dict:
+    """Parse an artifact's manifest.json: a JSON object of the given format version;
+    remedy ends the message for any other version."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -91,7 +96,8 @@ def read_manifest(path, kind: str, version: int) -> dict:
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: {kind} manifest must be a JSON object")
     if manifest.get("format_version") != version:
-        raise FormatError(f"unsupported {kind} format_version {manifest.get('format_version')}")
+        raise FormatError(f"{path}: unsupported {kind} format_version "
+                          f"{manifest.get('format_version')!r}, this build reads {version}{remedy}")
     return manifest
 
 

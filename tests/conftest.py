@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import spdg
 from spdg import datagen
+from spdg.blob import read_blob, write_blob
 from spdg.encoders import EncoderDims, build_bundle, default_vocab
 from spdg.gradcheck import build_objective_fixture, run_objective_check
 
@@ -39,13 +41,87 @@ def run_python(script: str) -> str:
 def sized_dataset(sizes) -> datagen.MultiDomainDataset:
     """A dataset of domains d0, d1, ... holding sizes[d] samples in domain d."""
     domain_ids = np.repeat(np.arange(len(sizes)), sizes)
-    manifest = datagen.DatasetManifest(classes=["dog", "horse"],
-                                       domains=[f"d{d}" for d in range(len(sizes))],
-                                       n_per_cell=min(sizes), d_x=32, seed=0,
+    manifest = datagen.DatasetManifest(classes=["dog", "horse"], domains=["a", "b", "c"],
+                                       n_per_cell=10, d_x=32, seed=0,
                                        style_strength=0.0, noise_std=0.0)
+    # the run check's tests need domain counts and sizes no valid manifest
+    # describes, so the names are set after the manifest's own checks
+    manifest.domains = [f"d{d}" for d in range(len(sizes))]
     return datagen.MultiDomainDataset(x=np.ones((domain_ids.size, 32)),
                                       class_ids=domain_ids % 2, domain_ids=domain_ids,
                                       manifest=manifest)
+
+
+# saved-dataset faults that load must refuse with a FormatError
+
+def spoil_labels(directory: Path, damage: str) -> str:
+    """Damage a saved dataset's labels.spdg; returns what load's FormatError says."""
+    path = directory / "labels.spdg"
+    manifest = json.loads((directory / "manifest.json").read_text())
+    n_classes, n_domains = len(manifest["classes"]), len(manifest["domains"])
+    labels = read_blob(path, kind="i")
+    n = labels.shape[1]
+    if damage in ("missing", "directory"):
+        path.unlink()
+        if damage == "directory":
+            path.mkdir()
+        return "cannot read blob"
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[:-8])
+        return "payload size mismatch"
+    if damage == "unknown dtype flag":
+        raw = bytearray(path.read_bytes())
+        raw[8] = 3
+        path.write_bytes(bytes(raw))
+        return "unknown dtype flag 3"
+    replacement, message = {
+        "float64": (labels.astype(np.float64), "holds float64 values, expected int64"),
+        "transposed": (labels.T, f"has shape ({n}, 2)"),
+        "one row": (labels[:1], f"has shape (1, {n})"),
+        "short": (labels[:, :-1], f"has shape (2, {n - 1})"),
+        "flat": (labels.ravel(), f"has shape ({2 * n},)"),
+        "negative class": (labels * [[-1], [1]], f"class ids must lie in [0, {n_classes})"),
+        "class past names": (labels + [[n_classes], [0]], f"class ids must lie in [0, {n_classes})"),
+        "negative domain": (labels - [[0], [1]], f"domain ids must lie in [0, {n_domains})"),
+        "domain past names": (labels + [[0], [1]], f"domain ids must lie in [0, {n_domains})"),
+        "int64 extreme": (labels + [[0], [2**62]], f"domain ids must lie in [0, {n_domains})"),
+    }[damage]
+    write_blob(path, np.ascontiguousarray(replacement))
+    return message
+
+
+LABEL_FAULTS = ["missing", "directory", "truncated", "unknown dtype flag", "float64", "transposed",
+                "one row", "short", "flat", "negative class", "class past names",
+                "negative domain", "domain past names", "int64 extreme"]
+
+
+# manifest edits generate would refuse, and how load's FormatError names them; where
+# they can, the edits keep the sample count of a 4-class, 3-domain, 12-per-cell dataset
+MANIFEST_FAULTS = [
+    ({"n_per_cell": 12.0}, "n_per_cell must be int, got float 12.0"),
+    ({"n_per_cell": "10"}, "n_per_cell must be int, got str '10'"),
+    ({"n_per_cell": 9}, "n_per_cell must be in [10, inf)"),
+    ({"n_per_cell": 10**9}, "over the cap of"),
+    ({"d_x": 32.0}, "d_x must be int, got float 32.0"),
+    ({"d_x": 0}, "d_x must be in [1, inf)"),
+    ({"d_x": True}, "d_x must be int, got bool True"),
+    ({"seed": "x"}, "seed must be int, got str 'x'"),
+    ({"seed": -1}, "seed must be in [0, inf)"),
+    ({"style_strength": "x"}, "style_strength must be int or float, got str 'x'"),
+    ({"style_strength": -0.5}, "style_strength must be in [0.0, inf)"),
+    ({"noise_std": None}, "noise_std must be int or float, got NoneType None"),
+    ({"classes": ["dog", "dog", "guitar", "horse"]}, "classes names must be unique"),
+    ({"domains": ["photo", "photo", "sketch"]}, "domains names must be unique"),
+    ({"classes": ["dog"]}, "number of classes must be in [2, inf)"),
+    ({"domains": ["photo", "cartoon"]}, "number of domains must be in [3, inf)"),
+    ({"classes": "dog,elephant"}, "classes must be list, got str"),
+    ({"domains": ["photo", "cartoon", 3]}, "domains names must be strings"),
+]
+
+
+def edit_manifest(directory: Path, edit: dict) -> None:
+    manifest = directory / "manifest.json"
+    manifest.write_text(json.dumps(json.loads(manifest.read_text()) | edit))
 
 
 @pytest.fixture(scope="session")

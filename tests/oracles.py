@@ -10,8 +10,7 @@ node: the prompters, the sample reparameterization, the classification head
 with its regularizer, the weighted loss sum and the per-tensor optimizer;
 production fuses each into one node. Beside them sits a reference prediction
 path: the taped style forward, unit-normalized feature rows, then the dots,
-the similarity report filled one image at a time, and labels.csv written and
-read one csv row at a time.
+and the similarity report filled one image at a time.
 The last part holds the composable primitives that only the oracles and
 tests build with, the elementary add, sub, mul, neg, matmul, reshape,
 sum_all and mean_all among them, and their finite-difference cases.
@@ -19,8 +18,6 @@ sum_all and mean_all among them, and their finite-difference cases.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +34,7 @@ from spdg.encoders import (
     project_image,
 )
 from spdg.encoders import encode_text_batch as production_encode_text_batch
-from spdg.errors import ConfigError, DegenerateVectorError, FormatError, ShapeError, TokenizeError
+from spdg.errors import ConfigError, DegenerateVectorError, ShapeError, TokenizeError
 from spdg.losses import LossParts, LossWeights, RegAnchorTable
 from spdg.prompter import SIGMA_FLOOR, basic_forward, gaussian_forward, style_for_prompt
 from spdg.tensor import Tensor
@@ -342,51 +339,6 @@ def looped_similarity_values(bundle: FrozenEncoderBundle, prompter, x, true_clas
         values[i, :-1] = word_feats[ci] @ zp[i]
         values[i, -1] = zp[i] @ learned[i * len(classes) + ci]
     return values
-
-
-def rowwise_labels_csv(dataset) -> str:
-    """labels.csv text as one csv.writer row per sample."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["index", "class", "domain"])
-    for i in range(len(dataset)):
-        writer.writerow([i, dataset.classes[dataset.class_ids[i]],
-                         dataset.domains[dataset.domain_ids[i]]])
-    return buf.getvalue()
-
-
-def rowwise_read_labels(text: str, classes, domains, expected: int):
-    """Class and domain ids from labels.csv text, checked one row at a time, so
-    the first faulty row's first fault is the one raised."""
-    cls_lookup = {name: i for i, name in enumerate(classes)}
-    dom_lookup = {name: i for i, name in enumerate(domains)}
-    class_ids = np.empty(expected, dtype=np.int64)
-    domain_ids = np.empty(expected, dtype=np.int64)
-    seen = np.zeros(expected, dtype=bool)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header != ["index", "class", "domain"]:
-        raise FormatError(f"unexpected labels.csv header: {header}")
-    count = 0
-    for row in reader:
-        if len(row) != 3:
-            raise FormatError(f"labels.csv row needs 3 fields, got {row}")
-        try:
-            idx = int(row[0])
-        except ValueError as exc:
-            raise FormatError(f"labels.csv index {row[0]!r} is not an integer") from exc
-        if not (0 <= idx < expected):
-            raise FormatError(f"labels.csv index {idx} out of range")
-        if seen[idx]:
-            raise FormatError(f"labels.csv repeats index {idx}")
-        seen[idx] = True
-        if row[1] not in cls_lookup or row[2] not in dom_lookup:
-            raise FormatError(f"labels.csv names unknown to manifest: {row}")
-        class_ids[idx], domain_ids[idx] = cls_lookup[row[1]], dom_lookup[row[2]]
-        count += 1
-    if count != expected:
-        raise FormatError(f"labels.csv has {count} rows, manifest expects {expected}")
-    return class_ids, domain_ids
 
 
 # ---------------------------------------------------------------------------

@@ -52,15 +52,28 @@ def test_truncated_blob_rejected(tmp_path, rng):
     np.arange(5, dtype=np.float32) / 3,
     np.asarray(-2.5),
     np.asarray(0.1, dtype=np.float32),
-], ids=["f64", "f32", "rank0-f64", "rank0-f32"])
+    np.array([[0, -1, 2**62], [3, -(2**63), 5]], dtype=np.int64),
+], ids=["f64", "f32", "rank0-f64", "rank0-f32", "i64"])
 def test_exact_bytes(tmp_path, arr):
     path = tmp_path / "t.spdg"
     write_blob(path, arr)
-    flag = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}[arr.dtype]
+    flag = {np.dtype(np.float64): 0, np.dtype(np.float32): 1, np.dtype(np.int64): 2}[arr.dtype]
     header = b"SPDG" + struct.pack(f"<IBB{arr.ndim}Q", 1, flag, arr.ndim, *arr.shape)
     assert path.read_bytes() == header + arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-    back = read_blob(path)
+    back = read_blob(path, kind=arr.dtype.kind)
     assert (back.dtype, back.shape, back.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
+
+
+@pytest.mark.parametrize("arr, kind, message", [
+    (np.arange(4, dtype=np.int64), "f", "holds int64 values, expected float"),
+    (np.arange(4.0), "i", "holds float64 values, expected int64"),
+    (np.arange(4, dtype=np.float32), "i", "holds float32 values, expected int64"),
+], ids=["i64-as-float", "f64-as-int", "f32-as-int"])
+def test_blob_of_another_kind_rejected(tmp_path, arr, kind, message):
+    path = tmp_path / "t.spdg"
+    write_blob(path, arr)
+    with pytest.raises(FormatError, match=message):
+        read_blob(path, kind=kind)
 
 
 class _ShortReader(io.BufferedReader):

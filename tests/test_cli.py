@@ -9,7 +9,7 @@ import pytest
 import spdg.cli
 import spdg.evaluate
 import spdg.gradcheck
-from conftest import run_python
+from conftest import LABEL_FAULTS, MANIFEST_FAULTS, edit_manifest, run_python, spoil_labels
 from spdg.cli import _build_parser, main
 from spdg.errors import ConfigError, TrainingDiverged
 
@@ -373,6 +373,25 @@ def test_blob_cut_inside_header_is_format_error(capsys, cli_dataset, tmp_path):
     assert json.loads(err)["error"] == "format_error"
 
 
+@pytest.mark.parametrize("blob", ["data/samples.spdg", "final/w2.spdg", "bundle/tok_emb.spdg"])
+def test_int64_blob_where_floats_belong_is_format_error(capsys, cli_dataset, cli_run, tmp_path,
+                                                        blob):
+    from spdg.blob import read_blob, write_blob
+
+    for name, source in (("data", cli_dataset), ("bundle", cli_run / "bundle"),
+                         ("final", cli_run / "final")):
+        shutil.copytree(source, tmp_path / name)
+    path = tmp_path / blob
+    write_blob(path, read_blob(path).astype(np.int64))
+    code, out, err = run_cli(capsys, "infer", "--checkpoint", str(tmp_path / "final"),
+                             "--bundle", str(tmp_path / "bundle"),
+                             "--dataset", str(tmp_path / "data"), "--index", "0")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "format_error"
+    assert f"{path}: holds int64 values, expected float" in payload["message"]
+
+
 @pytest.mark.parametrize("artifact, key", [("data", "d_x"), ("bundle", "vocab"),
                                            ("final", "prompter_kind")])
 @pytest.mark.parametrize("damage", ["truncated", "dropped-key"])
@@ -416,30 +435,47 @@ def test_missing_artifact_is_format_error(capsys, cli_dataset, cli_run, tmp_path
     assert not (tmp_path / "out").exists()
 
 
-def _spoil_labels(labels, damage):
-    if damage == "directory":
-        labels.unlink()
-        labels.mkdir()
-    elif damage == "missing":
-        labels.unlink()
-    elif damage == "empty":
-        labels.write_bytes(b"")
-    elif damage == "not utf-8":
-        labels.write_bytes(labels.read_bytes().replace(b"photo", b"ph\xffto", 1))
-    else:  # duplicated line
-        lines = labels.read_bytes().splitlines(keepends=True)
-        labels.write_bytes(b"".join(lines[:5] + lines[4:]))
-
-
-@pytest.mark.parametrize("damage", ["missing", "directory", "empty", "not utf-8", "duplicated line"])
-def test_unreadable_labels_csv_is_format_error(capsys, cli_dataset, tmp_path, damage):
-    data = tmp_path / "data"
-    shutil.copytree(cli_dataset, data)
-    _spoil_labels(data / "labels.csv", damage)
+def _eval_lodo_refuses(capsys, data, tmp_path) -> dict:
+    """Run eval-lodo on data: it must exit 2 and write no --out-dir; returns the JSON error."""
     code, _, err = run_cli(capsys, "eval-lodo", "--dataset", str(data), "--out-dir",
                            str(tmp_path / "out"))
     assert code == 2
-    assert json.loads(err)["error"] == "format_error"
+    assert not (tmp_path / "out").exists()
+    return json.loads(err)
+
+
+@pytest.mark.parametrize("damage", LABEL_FAULTS)
+def test_spoiled_labels_blob_is_format_error(capsys, cli_dataset, tmp_path, damage):
+    data = tmp_path / "data"
+    shutil.copytree(cli_dataset, data)
+    message = spoil_labels(data, damage)
+    payload = _eval_lodo_refuses(capsys, data, tmp_path)
+    assert payload["error"] == "format_error"
+    assert message in payload["message"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    *MANIFEST_FAULTS, ({"format_version": 1}, "regenerate it with `spdg gen-data`"),
+], ids=lambda v: json.dumps(v)[:40])
+def test_faulty_dataset_manifest_is_format_error(capsys, cli_dataset, tmp_path, edit, message):
+    data = tmp_path / "data"
+    shutil.copytree(cli_dataset, data)
+    edit_manifest(data, edit)
+    payload = _eval_lodo_refuses(capsys, data, tmp_path)
+    assert payload["error"] == "format_error"
+    assert message in payload["message"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dx", "0"], ["--dx", "-3"], ["--seed", "-1"], ["--n-per-cell", "100000000"],
+    ["--n-per-cell", "9"], ["--style-strength", "nan"], ["--noise-std", "inf"],
+    ["--noise-std", "1e308"], ["--classes", "dog,dog"], ["--domains", "photo,sketch"],
+], ids=" ".join)
+def test_gen_data_refuses_what_it_cannot_save(capsys, tmp_path, flags):
+    code, _, err = run_cli(capsys, "gen-data", "--out-dir", str(tmp_path / "d"), *flags)
+    assert code == 2
+    assert json.loads(err)["error"] == "config_error"
+    assert not (tmp_path / "d").exists()
 
 
 def test_missing_out_dir_is_config_error(capsys, cli_dataset):

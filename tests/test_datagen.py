@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 import re
 import runpy
@@ -7,25 +5,25 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rowwise_labels_csv, rowwise_read_labels
+from conftest import LABEL_FAULTS, MANIFEST_FAULTS, edit_manifest, spoil_labels
 from spdg import datagen
+from spdg.blob import read_blob
 from spdg.errors import ConfigError, FormatError
 
-# A dataset saved with these arguments when labels.csv was written one
-# csv.writer row at a time; save must still reproduce it byte for byte. Its
-# names need csv quoting (comma, double quote) or UTF-8 (non-ASCII letters).
+# A dataset saved with these arguments; save must still reproduce it byte for
+# byte. Its samples.spdg is as old as the dataset format, and its names hold a
+# space, a comma, double quotes and non-ASCII letters.
 GOLDEN = Path(__file__).parent / "data" / "golden_dataset"
 GOLDEN_KWARGS = dict(n_per_cell=10, d_x=4, seed=7,
                      classes=["hot dog", "salt, pepper", 'say "cheese"', "crème brûlée"],
                      domains=["photo", "cartoon", "sketch", "clip art"])
-DATASET_FILES = ["manifest.json", "samples.spdg", "labels.csv"]
+DATASET_FILES = ["manifest.json", "samples.spdg", "labels.spdg"]
 
 # dataset seed where a least-squares probe shows a clear transfer gap; the
 # shift property is a seeded-fixture claim, not a universal one
@@ -160,81 +158,49 @@ def test_unhashable_manifest_names_rejected(tmp_path):
         datagen.load(tmp_path / "d")
 
 
-def _saved_with_label_lines(tmp_path, edit):
-    datagen.save(datagen.generate(n_per_cell=10, seed=9), tmp_path / "d")
-    labels = tmp_path / "d" / "labels.csv"
-    lines = labels.read_text().splitlines()
-    edit(lines)
-    labels.write_text("\n".join(lines) + "\n")
+def _saved(tmp_path) -> Path:
+    datagen.save(datagen.generate(n_per_cell=12, seed=9, domains=["photo", "cartoon", "sketch"]),
+                 tmp_path / "d")
     return tmp_path / "d"
 
 
-def test_labels_csv_repeated_index_rejected(tmp_path):
-    def repeat_first_row(lines):
-        # index 1 goes missing while the row count stays right
-        lines[2] = lines[1]
-    with pytest.raises(FormatError, match="repeats index 0"):
-        datagen.load(_saved_with_label_lines(tmp_path, repeat_first_row))
+def test_labels_blob_layout(tmp_path):
+    ds = datagen.generate(n_per_cell=10, seed=9)
+    datagen.save(ds, tmp_path / "d")
+    labels = read_blob(tmp_path / "d" / "labels.spdg", kind="i")
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, np.stack([ds.class_ids, ds.domain_ids]))
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == sorted(DATASET_FILES)
 
 
-def test_labels_csv_non_integer_index_rejected(tmp_path):
-    def spoil_index(lines):
-        lines[3] = "two" + lines[3][1:]
-    with pytest.raises(FormatError, match="not an integer"):
-        datagen.load(_saved_with_label_lines(tmp_path, spoil_index))
-
-
-def test_labels_csv_short_row_rejected(tmp_path):
-    def drop_domain(lines):
-        lines[4] = lines[4].rsplit(",", 1)[0]
-    with pytest.raises(FormatError, match="3 fields"):
-        datagen.load(_saved_with_label_lines(tmp_path, drop_domain))
-
-
-def _faulty(fields: list, kind: str):
-    """A labels.csv row's fields with one fault of ``kind``, and the message it gets."""
-    i, cls, dom = fields
-    return {
-        "field count": ([i, cls], f"labels.csv row needs 3 fields, got {[i, cls]}"),
-        "non-integer": ([i + "x", cls, dom], f"labels.csv index '{i}x' is not an integer"),
-        "out of range": (["1000000", cls, dom], "labels.csv index 1000000 out of range"),
-        "int64 overflow": ([str(10**20), cls, dom], f"labels.csv index {10**20} out of range"),
-        "repeat": ([str(int(i) - 1), cls, dom], f"labels.csv repeats index {int(i) - 1}"),
-        "unknown names": ([i, cls, "pastel"],
-                          f"labels.csv names unknown to manifest: {[i, cls, 'pastel']}"),
-    }[kind]
-
-
-ROW_FAULTS = ["field count", "non-integer", "out of range", "int64 overflow", "repeat",
-              "unknown names"]
-
-
-@pytest.mark.parametrize("chunk", [512, 7])
-@pytest.mark.parametrize("late", ROW_FAULTS + ["row count"])
-@pytest.mark.parametrize("early", ROW_FAULTS)
-def test_labels_csv_earliest_fault_reported(tmp_path, monkeypatch, early, late, chunk):
-    # chunk 7 puts the two faulty rows in different parse chunks
-    monkeypatch.setattr(datagen, "_LABELS_CHUNK", chunk)
-    messages = []
-
-    def spoil_rows_40_and_120(lines):
-        for row, kind in ((40, early), (120, late)):
-            if kind == "row count":
-                del lines[-1]
-                continue
-            fields, message = _faulty(lines[row + 1].split(","), kind)
-            lines[row + 1] = ",".join(fields)
-            messages.append(message)
-    directory = _saved_with_label_lines(tmp_path, spoil_rows_40_and_120)
+@pytest.mark.parametrize("damage", LABEL_FAULTS)
+def test_spoiled_labels_blob_rejected(tmp_path, damage):
+    directory = _saved(tmp_path)
+    message = spoil_labels(directory, damage)
     with pytest.raises(FormatError) as err:
         datagen.load(directory)
-    assert str(err.value) == messages[0]
+    assert str(directory / "labels.spdg") in str(err.value)
+    assert message in str(err.value)
 
 
-def test_labels_csv_row_count_message(tmp_path):
-    with pytest.raises(FormatError) as err:
-        datagen.load(_saved_with_label_lines(tmp_path, lambda lines: lines.pop()))
-    assert str(err.value) == "labels.csv has 159 rows, manifest expects 160"
+def test_format_1_dataset_says_regenerate(tmp_path):
+    directory = _saved(tmp_path)
+    manifest = directory / "manifest.json"
+    manifest.write_text(manifest.read_text().replace('"format_version": 2', '"format_version": 1'))
+    (directory / "labels.spdg").unlink()
+    (directory / "labels.csv").write_text("index,class,domain\r\n")
+    with pytest.raises(FormatError, match="format_version 1, this build reads 2; "
+                                          "regenerate it with `spdg gen-data`"):
+        datagen.load(directory)
+
+
+@pytest.mark.parametrize("edit, message", MANIFEST_FAULTS, ids=lambda v: json.dumps(v)[:40])
+def test_faulty_manifest_rejected(tmp_path, edit, message):
+    directory = _saved(tmp_path)
+    edit_manifest(directory, edit)
+    with pytest.raises(FormatError, match="malformed dataset manifest") as err:
+        datagen.load(directory)
+    assert message in str(err.value)
 
 
 def _mutate(raw: bytes, mutation) -> bytes:
@@ -246,123 +212,49 @@ def _mutate(raw: bytes, mutation) -> bytes:
         return raw[:a] + bytes([raw[a] ^ b]) + raw[a + 1:]
     if kind == "truncate":
         return raw[:a % len(raw)]
-    if kind == "newlines":
-        return raw.replace(b"\r\n", b"\n") if b"\r\n" in raw else raw.replace(b"\n", b"\r\n")
-    lines = raw.splitlines(keepends=True)
-    a, b = a % len(lines), b % len(lines)
-    if kind == "drop":
-        del lines[a]
-    elif kind == "duplicate":
-        lines.insert(b, lines[a])
-    else:  # swap
-        lines[a], lines[b] = lines[b], lines[a]
-    return b"".join(lines)
+    a %= len(raw)
+    return raw[:a] + raw[a:a + b] + raw[a:]  # repeat up to b bytes
 
 
-_MUTATION = st.tuples(st.sampled_from(["flip", "truncate", "drop", "duplicate", "swap", "newlines"]),
+_MUTATION = st.tuples(st.sampled_from(DATASET_FILES), st.sampled_from(["flip", "truncate", "repeat"]),
                       st.integers(0, 1 << 20), st.integers(1, 255))
-
-
-def _load_with_labels(raw: bytes):
-    """The golden dataset loaded with ``raw`` in place of its labels.csv."""
-    with tempfile.TemporaryDirectory() as tmp:
-        directory = Path(tmp) / "d"
-        shutil.copytree(GOLDEN, directory)
-        (directory / "labels.csv").write_bytes(raw)
-        return datagen.load(directory)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_MUTATION, min_size=1, max_size=3))
-def test_labels_csv_fuzz_loads_same_or_format_error(mutations):
-    raw = (GOLDEN / "labels.csv").read_bytes()
-    for mutation in mutations:
-        raw = _mutate(raw, mutation)
-    try:
-        back = _load_with_labels(raw)
-    except FormatError:
-        return
-    _assert_same_dataset(back, datagen.generate(**GOLDEN_KWARGS))
+def test_fuzzed_dataset_loads_whole_or_format_error(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "d"
+        shutil.copytree(GOLDEN, directory)
+        for name, *mutation in mutations:
+            path = directory / name
+            path.write_bytes(_mutate(path.read_bytes(), mutation))
+        try:
+            back = datagen.load(directory)
+        except FormatError:
+            return
+    # whatever loads is whole: the shapes the manifest gives, finite samples, ids in range
+    n = back.manifest.n_samples
+    assert back.x.shape == (n, back.manifest.d_x) and np.isfinite(back.x).all()
+    assert back.class_ids.shape == back.domain_ids.shape == (n,)
+    assert 0 <= back.class_ids.min() and back.class_ids.max() < len(back.classes)
+    assert 0 <= back.domain_ids.min() and back.domain_ids.max() < len(back.domains)
 
 
-# names that need quoting, CRLF or UTF-8, or none of them
-_NAME = st.text(st.sampled_from("ab ,\"\r\nü\t"), max_size=4)
+# names that JSON must escape (quotes, line breaks, tabs), non-ASCII, or plain
+_NAME = st.text(st.sampled_from("ab ,\"\r\n\\ü\t") | st.characters(), max_size=5)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_NAME, min_size=2, max_size=3, unique=True),
-       st.lists(_NAME, min_size=3, max_size=4, unique=True))
-def test_labels_csv_matches_rowwise_writer(classes, domains):
-    ds = datagen.generate(n_per_cell=10, d_x=2, classes=classes, domains=domains)
+       st.lists(_NAME, min_size=3, max_size=4, unique=True),
+       st.integers(10, 12), st.integers(1, 3), st.integers(0, 2**32))
+def test_round_trip_any_names(classes, domains, n_per_cell, d_x, seed):
+    ds = datagen.generate(n_per_cell=n_per_cell, d_x=d_x, seed=seed, classes=classes,
+                          domains=domains)
     with tempfile.TemporaryDirectory() as tmp:
         datagen.save(ds, tmp)
-        assert (Path(tmp) / "labels.csv").read_bytes() == rowwise_labels_csv(ds).encode("utf-8")
         _assert_same_dataset(datagen.load(tmp), ds)
-
-
-_FIELD = st.sampled_from(["", "x", "-1", "160", "99999999999999999999", " 7", "+7", "1_0", "٣",
-                          "7.0", "0", "hot dog", "salt, pepper", "photo", "clip art", "pastel"])
-# (row, column, new value); a column past the row's end appends a field, None drops the last one
-_EDIT = st.tuples(st.integers(0, 159), st.integers(0, 3), st.none() | _FIELD)
-
-
-def _edited_golden(edits) -> bytes:
-    rows = list(csv.reader(io.StringIO((GOLDEN / "labels.csv").read_text(encoding="utf-8"),
-                                       newline="")))
-    for row, column, value in edits:
-        fields = rows[row + 1]
-        if value is None:
-            fields.pop()
-        elif column >= len(fields):
-            fields.append(value)
-        else:
-            fields[column] = value
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue().encode("utf-8")
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_EDIT, max_size=3), st.lists(_MUTATION, max_size=2), st.sampled_from([512, 7]))
-def test_labels_csv_load_matches_rowwise_reader(edits, mutations, chunk):
-    raw = _edited_golden(edits)
-    for mutation in mutations:
-        raw = _mutate(raw, mutation)
-    with mock.patch.object(datagen, "_LABELS_CHUNK", chunk):
-        try:
-            back = _load_with_labels(raw)
-            got = (back.class_ids.tolist(), back.domain_ids.tolist())
-        except FormatError as exc:
-            got = str(exc)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        assert isinstance(got, str) and "codec can't decode" in got
-        return
-    try:
-        ids = rowwise_read_labels(text, GOLDEN_KWARGS["classes"], GOLDEN_KWARGS["domains"], 160)
-        want = (ids[0].tolist(), ids[1].tolist())
-    except FormatError as exc:
-        want = str(exc)
-    assert got == want
-
-
-@pytest.mark.parametrize("chunk", [512, 7])
-def test_labels_csv_not_utf8_reported_before_earlier_row_fault(chunk):
-    # row 0 lacks a field and the file ends inside a UTF-8 sequence: the decoder
-    # only sees that at end of file, after the chunks before it are checked
-    raw = _edited_golden([(0, 0, None)])
-    raw = raw[:raw.rindex("û".encode("utf-8")) + 1]
-    with mock.patch.object(datagen, "_LABELS_CHUNK", chunk), pytest.raises(FormatError) as err:
-        _load_with_labels(raw)
-    assert "codec can't decode" in str(err.value)
-
-
-def test_labels_csv_header(tmp_path):
-    ds = datagen.generate(n_per_cell=10, seed=9)
-    datagen.save(ds, tmp_path / "d")
-    header = (tmp_path / "d" / "labels.csv").read_text().splitlines()[0]
-    assert header == "index,class,domain"
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -375,10 +267,50 @@ def test_labels_csv_header(tmp_path):
     {"classes": ["dog", None]},
     {"domains": ["photo", "cartoon", 3]},
     {"domains": ["photo", "cartoon", b"sketch"]},
-])
+    {"d_x": 0}, {"d_x": -3}, {"seed": -1}, {"n_per_cell": 10.0}, {"seed": None},
+    {"n_per_cell": 100_000_000}, {"style_strength": float("nan")}, {"noise_std": float("inf")},
+    {"noise_std": 1e308},
+], ids=repr)
 def test_invalid_arguments_rejected(kwargs):
     with pytest.raises(ConfigError):
         datagen.generate(**kwargs)
+
+
+def test_overflowing_samples_rejected():
+    with pytest.raises(ConfigError, match="noise_std 1e\\+308 give samples that are not finite"):
+        datagen.generate(n_per_cell=10, noise_std=1e308)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_per_cell": 10}, {"d_x": 1}, {"seed": 0}, {"style_strength": 0}, {"noise_std": 0},
+    {"classes": ["a", "b"], "domains": ["x", "y", "z"]},
+], ids=repr)
+def test_least_accepted_values_round_trip(tmp_path, kwargs):
+    # each field at the bound its check allows; ints are numbers for the two float fields
+    ds = datagen.generate(**{"n_per_cell": 10, **kwargs})
+    datagen.save(ds, tmp_path / "d")
+    _assert_same_dataset(datagen.load(tmp_path / "d"), ds)
+
+
+@pytest.mark.parametrize("n_per_cell, accepted", [(1 << 14, True), ((1 << 14) + 1, False)],
+                         ids=["at-cap", "one-over"])
+def test_dataset_byte_cap_boundary(n_per_cell, accepted):
+    # 2 classes x 4 domains x 2**14 samples of 1022 floats and 2 ids are 2**30 bytes
+    fields = dict(classes=["a", "b"], domains=["w", "x", "y", "z"], n_per_cell=n_per_cell,
+                  d_x=1022, seed=0, style_strength=0.8, noise_std=0.15)
+    if accepted:
+        assert datagen.DatasetManifest(**fields).n_samples == 8 << 14
+    else:
+        with pytest.raises(ConfigError, match=f"over the cap of {datagen.MAX_DATASET_BYTES}"):
+            datagen.DatasetManifest(**fields)
+
+
+def test_generate_checks_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("generate drew samples for arguments it refuses")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ConfigError, match="n_per_cell must be in"):
+        datagen.generate(n_per_cell=9)
 
 
 @pytest.mark.parametrize("column", ["class_ids", "domain_ids"])
