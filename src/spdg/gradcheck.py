@@ -5,6 +5,8 @@ small fixture.
 
 The fixture freezes one Monte Carlo draw so the objective is a deterministic
 function of the prompter parameters, which is what finite differencing needs.
+Both checks run the domain loss in float64, since a central difference cannot
+resolve the rounding of the float32 block that training uses.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def _primitive_cases():
         ("l2_normalize", (3, 4), lambda rng: (lambda x, s=np.sign(rng.normal(size=(3, 4))) * 2.0, w=rng.normal(size=(3, 4)):
                                               _weighted([T.l2_normalize(_shift(x, s))], [w]))),
         ("domain_discrimination_loss", (8, 3), lambda rng: (lambda x, dom=np.array([0, 1, 2, 0, 1, 2, 0, 1]):
-                                                            domain_discrimination_loss(T.l2_normalize(x), dom, 0.5))),
+                                                            domain_discrimination_loss(T.l2_normalize(x), dom, 0.5, dtype=np.float64))),
         ("encode_text_batch", (3, d_t), lambda rng: (lambda x, w=rng.normal(size=(9, d_f)):
                                                      _weighted([encode_text_batch(prompt_bundle, x, prompt_classes)], [w]))),
         _prompter_case(init_basic_prompter, basic_forward, (2, 4)),
@@ -187,9 +189,11 @@ def build_objective_fixture(batch: int = 8, n_classes: int = 4, n_domains: int =
 
 
 def objective_value(fx: ObjectiveFixture, prompter: StylePrompter) -> Tensor:
-    """The trainer's step objective on the fixture, at its frozen Monte Carlo draw."""
+    """The trainer's step objective on the fixture, at its frozen Monte Carlo draw,
+    with the domain loss in float64: finite differences cannot resolve float32 rounding."""
     return step_losses(fx.bundle, prompter, fx.z, fx.labels, fx.domains, fx.classes,
-                       fx.anchors, fx.weights, fx.mc_samples, None, eps=fx.eps)[0]
+                       fx.anchors, fx.weights, fx.mc_samples, None, eps=fx.eps,
+                       dtype=np.float64)[0]
 
 
 def run_objective_check(fixture: ObjectiveFixture | None = None,

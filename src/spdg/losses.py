@@ -33,9 +33,11 @@ from .errors import BatchCompositionError, ConfigError, NormalizationError, Shap
 from .tensor import Tensor
 
 NORM_TOLERANCE = 1e-6
-# Smallest numerator kept under the shared shift: far above the subnormals, so
-# no term large enough to matter has underflowed.
-LOW_MASS = 1e-280
+# Smallest numerator kept under the shared shift, per dtype of the N x N block:
+# even at the most rows trainer.MAX_DOMAIN_LOSS_BYTES admits (about 11.6k), N
+# times the dtype's smallest normal stays below 1e-10 of it, so the terms that
+# were flushed or went subnormal are a negligible share of any kept mass.
+LOW_MASS = {np.float64: 1e-280, np.float32: 1e-20}
 
 
 @dataclass
@@ -67,7 +69,8 @@ class LossParts:
     loss_reg: Tensor | None = None
 
 
-def domain_discrimination_loss(samples: Tensor, domains, tau: float) -> Tensor:
+def domain_discrimination_loss(samples: Tensor, domains, tau: float,
+                               dtype=np.float32) -> Tensor:
     """Mean over anchors of -log(same-domain mass / all-others mass).
 
     Rows of `samples` must be finite and already L2-normalized. Every anchor
@@ -76,24 +79,34 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float) -> Tensor:
 
     One fused primitive whose only N x N buffer is E (outside the small-tau
     fallback below):
+      * E and the GEMM operands that form and use it are of `dtype`: float32,
+        the training precision, or float64, which the finite-difference
+        checks need. Each row's per-domain sums of E are taken in `dtype` and
+        promoted, so den, num, the loss and the returned gradient are float64
+        either way;
       * rows are stably sorted by domain, so each domain's pairs form one
         diagonal block of E and a row's numerator is its sum over that block
         (with one domain the block is all of E, so num == den bit for bit);
       * one shared shift, (max row norm)^2 / tau, rides in the GEMM as an
         extra column; by Cauchy-Schwarz it bounds every entry of
-        S = u u^T / tau, so E = exp(S - shift) cannot overflow, is symmetric
-        and needs no row max;
+        S = u u^T / tau, and it is widened by the GEMM's worst rounding
+        error, so E = exp(S - shift) cannot overflow, is symmetric and needs
+        no row max;
       * the closed-form (supervised-contrastive) backward (W + W^T) u with
         W = E * (1/den - same/num) / (N tau) is one GEMM E @ [u, u/den] plus
         one small GEMM per diagonal block for the numerator terms, so W is
         never formed;
-      * a row whose numerator falls below LOW_MASS under the shared shift
-        (possible only for tau below 2/645, about 3e-3) takes its
-        log-denominator, log-numerator and weights from its own maxima
-        instead, and drops out of the E products in the backward.
+      * a row whose numerator falls below LOW_MASS[dtype] under the shared
+        shift (in float32 1e-20, reachable for tau below about 0.043; in
+        float64 1e-280, only for tau below 2/645, about 3e-3) takes its
+        log-denominator, log-numerator and weights from its own maxima in
+        float64 instead, and drops out of the E products in the backward.
     The gradient is un-permuted back to the caller's row order.
     """
     check_range("tau", tau, 0.0, low_open=True)
+    if dtype not in (np.float32, np.float64):
+        raise ConfigError(f"domain-loss dtype must be float32 or float64, got {dtype!r}")
+    low_mass = LOW_MASS[np.dtype(dtype).type]
     dom = np.asarray(domains, dtype=np.int64)
     u = samples.data
     n = u.shape[0]
@@ -125,26 +138,28 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float) -> Tensor:
 
     d = u.shape[1]
     us = u[order]
-    # [us / tau, -shift] @ [us, 1]^T = S - shift in one GEMM, with no N x N pass
-    left = np.empty((n, d + 1))
+    # [us / tau, -shift] @ [us, 1]^T = S - shift in one GEMM, with no N x N pass;
+    # the shift's widening covers the rounding of a (d + 1)-term dot product
+    left = np.empty((n, d + 1), dtype)
     np.multiply(us, 1.0 / tau, out=left[:, :d])
-    left[:, d] = -max_sq / tau
-    right = np.empty((n, d + 1))
+    left[:, d] = -max_sq / tau * (1.0 + 4 * (d + 2) * np.finfo(dtype).eps)
+    right = np.empty((n, d + 1), dtype)
     right[:, :d] = us
     right[:, d] = 1.0
     e = left @ right.T
     np.exp(e, out=e)
     np.fill_diagonal(e, 0.0)
     block_of = np.cumsum(opens) - 1
-    mass = np.add.reduceat(e, starts, axis=1)  # (N, K) row sums over each domain's columns
+    # (N, K) row sums over each domain's columns
+    mass = np.add.reduceat(e, starts, axis=1).astype(np.float64, copy=False)
     den = mass.sum(axis=1)
     num = mass[np.arange(n), block_of]
 
     low = w_low = None
-    if num.min() < LOW_MASS:
+    if num.min() < low_mass:
         # rows whose positives sit far below the shared shift: exact values
         # from each row's own maxima, as (weights, log-sum-exp) pairs
-        low = np.flatnonzero(num < LOW_MASS)
+        low = np.flatnonzero(num < low_mass)
         sims = (us[low] @ us.T) * (1.0 / tau)
         sims[np.arange(low.size), low] = -np.inf
         p_low, log_den_low = _softmax_rows(sims)
@@ -163,13 +178,15 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float) -> Tensor:
         q = scale / num
         if low is not None:
             p[low] = q[low] = 0.0
-        x = np.empty((n, 2 * d))
-        x[:, :d] = us
-        np.multiply(us, p[:, None], out=x[:, d:])
+        # the sorted rows are taken again, so no float64 copy of them outlives the forward
+        x = np.empty((n, 2 * d), dtype)
+        rows = x[:, :d]
+        rows[...] = u[order]
+        np.multiply(rows, p[:, None], out=x[:, d:])
         y = e @ x  # E = E^T, so this one product carries both W u and W^T u of the denominator
         grad = y[:, :d] * p[:, None]
         grad += y[:, d:]
-        np.multiply(us, q[:, None], out=x[:, d:])
+        np.multiply(rows, q[:, None], out=x[:, d:])
         for s, t in blocks:  # the numerator part: E restricted to each domain's block
             np.matmul(e[s:t, s:t], x[s:t], out=y[s:t])
         num_part = y[:, :d]
@@ -177,6 +194,7 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float) -> Tensor:
         num_part += y[:, d:]
         grad -= num_part
         if low is not None:
+            us = u[order]
             w = scale * w_low
             grad[low] += w @ us
             grad += w.T @ us[low]

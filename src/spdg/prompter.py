@@ -71,21 +71,32 @@ def _uniform_init(rng, fan_in: int, *shape) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
+def _parameter_shapes(kind: str, d_i: int, d_t: int) -> dict[str, tuple]:
+    """Each parameter's shape, in PARAMETER_NAMES[kind] order: the trunk's two
+    layers (d_i -> d_i // 2 -> d_i // 2), then each head's (d_i // 2 -> d_t)."""
+    names = PARAMETER_NAMES[kind]
+    shapes = {}
+    for layer, (w, b) in enumerate(zip(names[::2], names[1::2])):
+        cols = d_i // 2 if layer < 2 else d_t
+        shapes[w] = (d_i if layer == 0 else d_i // 2, cols)
+        shapes[b] = (cols,)
+    return shapes
+
+
 def _init_prompter(kind: str, d_i: int, d_t: int, seed: int) -> StylePrompter:
     """Uniform weights drawn in name order, zero biases, and b_sigma at _SIGMA_RAW_INIT."""
     if d_i % 2 != 0:
         raise ConfigError(f"image feature dimension must be even, got {d_i}")
     if d_i < 2 or d_t < 2:
         raise ConfigError(f"prompter dims too small: d_i={d_i}, d_t={d_t}")
-    hidden = d_i // 2
     rng = np.random.default_rng(seed)
-    names = PARAMETER_NAMES[kind]
     params = {}
-    for layer, (w, b) in enumerate(zip(names[::2], names[1::2])):
-        rows, cols = (d_i if layer == 0 else hidden), (hidden if layer < 2 else d_t)
-        params[w] = _uniform_init(rng, rows, rows, cols)
-        params[b] = Tensor(np.full(cols, _SIGMA_RAW_INIT if b == "b_sigma" else 0.0),
-                           requires_grad=True)
+    for name, shape in _parameter_shapes(kind, d_i, d_t).items():
+        if len(shape) == 2:  # a weight, drawn over its input width
+            params[name] = _uniform_init(rng, shape[0], *shape)
+        else:
+            params[name] = Tensor(np.full(shape, _SIGMA_RAW_INIT if name == "b_sigma" else 0.0),
+                                  requires_grad=True)
     return StylePrompter(kind, params)
 
 
@@ -241,14 +252,26 @@ def save_checkpoint(p, directory, run_config: dict | None = None,
 
 
 def load_checkpoint(directory):
+    """The prompter and manifest saved in directory; every blob must have the shape
+    that the manifest's prompter_kind and dims give it."""
     directory = Path(directory)
     manifest = read_manifest(directory / "manifest.json", "checkpoint", CHECKPOINT_FORMAT_VERSION)
     with manifest_fields(directory, "checkpoint"):
         kind, sigma_floor = manifest["prompter_kind"], manifest["sigma_floor"]
+        d_i, d_t = (manifest["dims"][k] for k in ("d_i", "d_t"))
     if not (isinstance(kind, str) and kind in PARAMETER_NAMES):
         raise FormatError(f"unknown prompter_kind {kind!r}")
     if sigma_floor != _manifest_sigma_floor(kind):
         raise FormatError(f"{directory}: checkpoint sigma_floor {sigma_floor!r}, but this "
                           f"build's {kind} prompter has {_manifest_sigma_floor(kind)!r}")
-    return StylePrompter(kind, {n: Tensor(read_blob(directory / f"{n}.spdg"), requires_grad=True)
-                                for n in PARAMETER_NAMES[kind]}), manifest
+    if not all(type(v) is int and v >= 2 for v in (d_i, d_t)):
+        raise FormatError(f"{directory}: checkpoint dims must be integers >= 2, "
+                          f"got d_i={d_i!r}, d_t={d_t!r}")
+    params = {}
+    for name, shape in _parameter_shapes(kind, d_i, d_t).items():
+        data = read_blob(directory / f"{name}.spdg")
+        if data.shape != shape:
+            raise FormatError(f"{directory}: checkpoint blob {name} has shape {data.shape}, but "
+                              f"the manifest's {kind} prompter with d_i={d_i}, d_t={d_t} gives {shape}")
+        params[name] = Tensor(data, requires_grad=True)
+    return StylePrompter(kind, params), manifest

@@ -1,9 +1,11 @@
 """Dense tensor math with tape-based reverse-mode automatic differentiation.
 
-A Tensor always holds float64; float32 exists only as a storage format in
-blob files. `apply` is the one way to define a differentiable operation: it
-records a fused node, a forward result plus a closed-form backward, on the
-active Tape. A Tape keeps its nodes in creation order (already topological),
+A Tensor always holds float64. float32 is a storage format in blob files and
+the precision of one node's inner block: the domain loss forms its N x N
+similarity block in float32 but promotes its sums, so its value and gradient
+are float64 like every other node's. `apply` is the one way to define a
+differentiable operation: it records a fused node, a forward result plus a
+closed-form backward, on the active Tape. A Tape keeps its nodes in creation order (already topological),
 and `Tape.backward` walks that list in reverse, accumulating vector-Jacobian
 products into the requires_grad leaves. A node may have several outputs (a
 fused node that yields, say, mu and sigma together), in which case its

@@ -37,8 +37,10 @@ from .prompter import (
 )
 from .tensor import Tape, Tensor, l2_normalize
 
-# The largest N x N f64 domain-loss matrix a recipe may ask for, N being its style rows
-# per batch; the default recipe's 480 rows make 1.8 MB.
+# The largest N x N domain-loss block a recipe may ask for, N being its style rows per
+# batch, counted at float64 width so that the float64 form of the loss fits too: at
+# most 11,585 rows. Training forms the block in float32, N^2 * 4 bytes, so the
+# default recipe's 480 rows make 0.9 MB.
 MAX_DOMAIN_LOSS_BYTES = 1 << 30
 
 
@@ -81,7 +83,7 @@ class RunConfig:
         rows = self.batch_size * (self.mc_samples if self.prompter_kind == "gaussian" else 1)
         if 8 * rows * rows > MAX_DOMAIN_LOSS_BYTES:
             raise ConfigError(f"{rows} style rows per batch need {8 * rows * rows} bytes for the "
-                              f"domain-loss matrix, over the cap of {MAX_DOMAIN_LOSS_BYTES}")
+                              f"float64 domain-loss matrix, over the cap of {MAX_DOMAIN_LOSS_BYTES}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -317,16 +319,15 @@ def check_sample_width(dataset, dims: EncoderDims, what: str = "dataset") -> Non
 
 def check_run(dataset, config: RunConfig) -> list[int]:
     """The run's training domain ids, once the dataset fits the recipe. Checked
-    before any work: the sample width, the held-out domain's name, at least 2
-    training domains, a batch that holds 2 samples from each, and in each at
-    least 10 samples, of which val_ratio keeps at least 2 for training."""
+    before any work: the sample width, the held-out domain's name, a batch that
+    holds 2 samples from each training domain, and in each at least 10
+    samples, of which val_ratio keeps at least 2 for training. A dataset has at
+    least 3 domains, so at least 2 are left to train on."""
     check_sample_width(dataset, config.dims)
     held_out = config.held_out_domain
     if held_out is not None and held_out not in dataset.domains:
         raise ConfigError(f"held-out domain {held_out!r} not in dataset domains {dataset.domains}")
     train_domains = [d for d, name in enumerate(dataset.domains) if name != held_out]
-    if len(train_domains) < 2:
-        raise ConfigError("need at least 2 training domains")
     if config.batch_size < 2 * len(train_domains):
         raise ConfigError(
             f"batch size {config.batch_size} must be >= 2 x {len(train_domains)} training domains"
@@ -343,12 +344,13 @@ def check_run(dataset, config: RunConfig) -> list[int]:
 
 
 def step_losses(bundle, prompter, z, labels, domains, classes, anchors, weights: LossWeights,
-                mc_samples: int, rng, eps=None):
+                mc_samples: int, rng, eps=None, dtype=np.float32):
     """The training objective on one batch of image features z: (total, ce, domain, reg).
 
     The Gaussian prompter's domain loss runs over mc_samples reparameterized
     draws per image, from rng or, given eps, from that fixed draw; its prompts
-    carry the mean. The basic prompter's single embedding serves both.
+    carry the mean. The basic prompter's single embedding serves both. dtype
+    is the precision of the domain loss's N x N block.
     """
     zt = Tensor(z)
     if prompter.kind == "gaussian":
@@ -360,7 +362,7 @@ def step_losses(bundle, prompter, z, labels, domains, classes, anchors, weights:
         prompt_styles = basic_forward(prompter, zt)
         style_samples = l2_normalize(prompt_styles)
         sample_domains = domains
-    loss_d = domain_discrimination_loss(style_samples, sample_domains, weights.tau_d)
+    loss_d = domain_discrimination_loss(style_samples, sample_domains, weights.tau_d, dtype=dtype)
     loss_ce, loss_reg = prompted_ce_and_reg(bundle, z, prompt_styles, labels, classes, anchors)
     total = total_loss(LossParts(loss_ce=loss_ce, loss_d=loss_d, loss_reg=loss_reg), weights)
     return total, loss_ce, loss_d, loss_reg

@@ -92,29 +92,29 @@ def test_domain_loss_oracle_equivalence():
             counts = np.bincount(dom, minlength=3)
             if ((counts == 0) | (counts >= 2)).all():
                 break
-        ours = domain_discrimination_loss(Tensor(s), dom, 0.1).item()
+        ours = domain_discrimination_loss(Tensor(s), dom, 0.1, dtype=np.float64).item()
         worst = max(worst, abs(ours - naive(s, dom, 0.1)))
     assert worst < 1e-10
 
     # single-domain batches evaluate to exactly zero
     s = rng.normal(size=(6, 8))
     s /= np.linalg.norm(s, axis=1, keepdims=True)
-    assert domain_discrimination_loss(Tensor(s), [1] * 6, 0.1).item() == 0.0
+    assert domain_discrimination_loss(Tensor(s), [1] * 6, 0.1, dtype=np.float64).item() == 0.0
 
     # orthogonal rotation leaves the loss unchanged
     s = rng.normal(size=(24, 16))
     s /= np.linalg.norm(s, axis=1, keepdims=True)
     dom = np.repeat([0, 1, 2], 8)
     q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
-    a = domain_discrimination_loss(Tensor(s), dom, 0.1).item()
-    b = domain_discrimination_loss(Tensor(s @ q), dom, 0.1).item()
+    a = domain_discrimination_loss(Tensor(s), dom, 0.1, dtype=np.float64).item()
+    b = domain_discrimination_loss(Tensor(s @ q), dom, 0.1, dtype=np.float64).item()
     assert abs(a - b) < 1e-10
     report("domain-loss-oracle", f"50 batches, worst |diff| {worst:.2e}")
 
 
 def test_domain_loss_hand_computed_value():
     s = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
-    val = domain_discrimination_loss(s, [0, 0, 1, 1], tau=1.0).item()
+    val = domain_discrimination_loss(s, [0, 0, 1, 1], tau=1.0, dtype=np.float64).item()
     expected = math.log(1 + 2 / math.e)
     assert abs(val - expected) < 1e-10
     report("domain-loss-hand-value", f"{val:.12f} vs log(1+2/e)")

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +344,54 @@ def test_checkpoint_of_another_sigma_floor_is_format_error(capsys, cli_dataset, 
     assert payload["error"] == "format_error" and "sigma_floor" in payload["message"]
 
 
+# (damage, what the format error says); the run's Gaussian prompter has d_i = 64
+# (hidden width 32) and d_t = 32
+CHECKPOINT_SHAPE_FAULTS = [
+    ("w2 cut to (32, 31)", "blob w2 has shape (32, 31)"),
+    ("w1 transposed", "blob w1 has shape (32, 64)"),
+    ("b_sigma as a row", "blob b_sigma has shape (1, 32)"),
+    ("w_mu as a scalar", "blob w_mu has shape ()"),
+    ("manifest d_t 31", "blob w_mu has shape (32, 32)"),
+    ("manifest d_i 66", "blob w1 has shape (64, 32)"),
+    ("manifest d_i '64'", "dims must be integers >= 2"),
+    ("manifest d_t true", "dims must be integers >= 2"),
+    ("manifest without d_t", "malformed checkpoint manifest"),
+]
+
+
+@pytest.mark.parametrize("damage, message", CHECKPOINT_SHAPE_FAULTS,
+                         ids=[d for d, _ in CHECKPOINT_SHAPE_FAULTS])
+def test_checkpoint_blob_of_the_wrong_shape_is_format_error(capsys, cli_dataset, cli_run,
+                                                            tmp_path, damage, message):
+    from spdg.blob import read_blob, write_blob
+
+    final = tmp_path / "final"
+    shutil.copytree(cli_run / "final", final)
+    if damage.startswith("manifest"):
+        raw = json.loads((final / "manifest.json").read_text())
+        edit = {"manifest d_t 31": ("d_t", 31), "manifest d_i 66": ("d_i", 66),
+                "manifest d_i '64'": ("d_i", "64"), "manifest d_t true": ("d_t", True)}
+        if damage in edit:
+            key, value = edit[damage]
+            raw["dims"][key] = value
+        else:
+            del raw["dims"]["d_t"]
+        (final / "manifest.json").write_text(json.dumps(raw))
+    else:
+        name = damage.split()[0]
+        data = read_blob(final / f"{name}.spdg")
+        write_blob(final / f"{name}.spdg", {"w2": lambda a: a[:, :31], "w1": lambda a: a.T,
+                                            "b_sigma": lambda a: a[None],
+                                            "w_mu": lambda a: a[0, 0]}[name](data))
+    code, out, err = run_cli(capsys, "infer", "--checkpoint", str(final),
+                             "--bundle", str(cli_run / "bundle"), "--dataset", str(cli_dataset),
+                             "--index", "0")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "format_error"
+    assert message in payload["message"]
+
+
 def test_readme_flag_table_names_exactly_the_subcommands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
     start = next(i for i, line in enumerate(readme) if line.startswith("| subcommand | `--seed`"))
@@ -504,6 +555,35 @@ def test_train_determinism_across_cli_runs(capsys, cli_dataset, tmp_path):
     assert (paths[0] / "metrics.ndjson").read_bytes() == (paths[1] / "metrics.ndjson").read_bytes()
     for blob in sorted((paths[0] / "final").glob("*.spdg")):
         assert blob.read_bytes() == (paths[1] / "final" / blob.name).read_bytes()
+
+
+def test_default_train_repeats_byte_for_byte_under_one_and_two_blas_threads(cli_dataset,
+                                                                            tmp_path):
+    # the default Gaussian recipe (N = 12 x 40 = 480 float32 domain-loss rows), one
+    # epoch, four fresh processes at once: two with one OpenBLAS thread, two with two
+    src = str(Path(spdg.__file__).resolve().parents[1])
+    runs = {(threads, k): tmp_path / f"t{threads}_{k}" for threads in (1, 2) for k in (0, 1)}
+    procs = []
+    for (threads, _), out in runs.items():
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["train", "--dataset", str(cli_dataset), "--held-out", "sketch", "--epochs", "1",
+                "--seed", "0", "--out-dir", str(out)]
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", "import sys; from spdg.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True))
+    for proc in procs:
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err
+
+    def outputs(out):
+        files = [out / "metrics.ndjson", *sorted((out / "final").glob("*.spdg"))]
+        return {f.relative_to(out): f.read_bytes() for f in files}
+
+    for threads in (1, 2):
+        first = outputs(runs[threads, 0])
+        assert len(first) == 9  # metrics and the Gaussian prompter's eight blobs
+        assert first == outputs(runs[threads, 1]), f"{threads} BLAS threads"
 
 
 @pytest.mark.parametrize("reader, damage", [

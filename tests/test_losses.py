@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spdg.losses
 from spdg import tensor as T
 from oracles import (
     concat_rows,
@@ -37,6 +40,7 @@ from spdg.encoders import (
 )
 from spdg.errors import BatchCompositionError, ConfigError, DegenerateVectorError, NormalizationError
 from spdg.losses import (
+    LOW_MASS,
     LossParts,
     LossWeights,
     build_reg_anchors,
@@ -46,7 +50,7 @@ from spdg.losses import (
     total_loss,
 )
 from spdg.tensor import Tape, Tensor
-from spdg.trainer import stratified_batches
+from spdg.trainer import MAX_DOMAIN_LOSS_BYTES, stratified_batches
 
 CLASSES = ["dog", "elephant", "guitar", "horse"]
 # 1-, 3-, 2- and 1-word names, interleaved so no length group is contiguous
@@ -79,10 +83,10 @@ def masked_lse_domain_loss(samples: Tensor, domains, tau: float) -> Tensor:
     return mean_all(sub(log_den, log_num))
 
 
-def loss_and_grad(loss_fn, samples: np.ndarray, domains, tau: float):
+def loss_and_grad(loss_fn, samples: np.ndarray, domains, tau: float, **kwargs):
     x = Tensor(samples, requires_grad=True)
     with Tape() as tape:
-        loss = loss_fn(x, domains, tau)
+        loss = loss_fn(x, domains, tau, **kwargs)
     tape.backward(loss, leaves=[x])
     return loss.item(), x.grad
 
@@ -103,41 +107,41 @@ def domains_with_pairs(rng, n, n_domains):
 class TestDomainDiscriminationLoss:
     def test_two_samples_same_domain_exactly_zero(self, rng):
         s = unit_rows(rng, 2, 6)
-        assert domain_discrimination_loss(Tensor(s), [0, 0], tau=0.7).item() == 0.0
+        assert domain_discrimination_loss(Tensor(s), [0, 0], tau=0.7, dtype=np.float64).item() == 0.0
 
     def test_hand_value_two_domains(self):
         s = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
-        val = domain_discrimination_loss(s, [0, 0, 1, 1], tau=1.0).item()
+        val = domain_discrimination_loss(s, [0, 0, 1, 1], tau=1.0, dtype=np.float64).item()
         assert val == pytest.approx(np.log(1 + 2 / np.e), abs=1e-10)
 
     def test_rotation_invariance(self, rng):
         s = unit_rows(rng, 12, 8)
         dom = domains_with_pairs(rng, 12, 3)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-        a = domain_discrimination_loss(Tensor(s), dom, 0.3).item()
-        b = domain_discrimination_loss(Tensor(s @ q), dom, 0.3).item()
+        a = domain_discrimination_loss(Tensor(s), dom, 0.3, dtype=np.float64).item()
+        b = domain_discrimination_loss(Tensor(s @ q), dom, 0.3, dtype=np.float64).item()
         assert abs(a - b) < 1e-10
 
     def test_permutation_invariance(self, rng):
         s = unit_rows(rng, 10, 5)
         dom = domains_with_pairs(rng, 10, 2)
         perm = rng.permutation(10)
-        a = domain_discrimination_loss(Tensor(s), dom, 0.2).item()
-        b = domain_discrimination_loss(Tensor(s[perm]), dom[perm], 0.2).item()
+        a = domain_discrimination_loss(Tensor(s), dom, 0.2, dtype=np.float64).item()
+        b = domain_discrimination_loss(Tensor(s[perm]), dom[perm], 0.2, dtype=np.float64).item()
         assert abs(a - b) < 1e-10
 
     @pytest.mark.parametrize("n", [4, 16, 64, 256])
     def test_oracle_equivalence(self, n, rng):
         s = unit_rows(rng, n, 8)
         dom = domains_with_pairs(rng, n, 3)
-        ours = domain_discrimination_loss(Tensor(s), dom, 0.1).item()
+        ours = domain_discrimination_loss(Tensor(s), dom, 0.1, dtype=np.float64).item()
         assert ours == pytest.approx(naive_domain_loss(s, dom, 0.1), abs=1e-10)
 
     def test_matches_composed_oracle_at_trainer_shape(self, rng):
         # 3 domains x 4 images x 40 Monte Carlo draws, as one training step sees them
         s = unit_rows(rng, 480, 32)
         dom = np.repeat(np.arange(3), 4 * 40)
-        ours, grad = loss_and_grad(domain_discrimination_loss, s, dom, 0.1)
+        ours, grad = loss_and_grad(domain_discrimination_loss, s, dom, 0.1, dtype=np.float64)
         ref, ref_grad = loss_and_grad(masked_lse_domain_loss, s, dom, 0.1)
         assert ours == pytest.approx(ref, abs=1e-12)
         assert np.abs(grad - ref_grad).max() <= 1e-15
@@ -149,7 +153,7 @@ class TestDomainDiscriminationLoss:
         dom = np.repeat(image_domains, 40)
         assert (np.diff(dom) < 0).any()  # not already sorted by domain
         s = unit_rows(rng, 480, 32)
-        ours, grad = loss_and_grad(domain_discrimination_loss, s, dom, 0.1)
+        ours, grad = loss_and_grad(domain_discrimination_loss, s, dom, 0.1, dtype=np.float64)
         ref, ref_grad = loss_and_grad(masked_lse_domain_loss, s, dom, 0.1)
         assert ours == pytest.approx(ref, abs=1e-12)
         assert np.abs(grad - ref_grad).max() <= 1e-15
@@ -162,7 +166,8 @@ class TestDomainDiscriminationLoss:
         near_v = np.array([0.999, np.sqrt(1.0 - 0.999 ** 2)])
         s = np.stack([v, -v, near_v, -v])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            val, grad = loss_and_grad(domain_discrimination_loss, s, [0, 0, 1, 1], tau)
+            val, grad = loss_and_grad(domain_discrimination_loss, s, [0, 0, 1, 1], tau,
+                                      dtype=np.float64)
             _, ref_grad = loss_and_grad(masked_lse_domain_loss, s, [0, 0, 1, 1], tau)
         assert np.isfinite(val)
         assert np.isfinite(grad).all()
@@ -187,7 +192,7 @@ class TestDomainDiscriminationLoss:
         best_positive = np.where(dom[:, None] == dom, sims, -np.inf).max(axis=1)
         assert (best_positive < -700).sum() == 4 and (best_positive[dom == 0] > -600).all()
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            val, grad = loss_and_grad(domain_discrimination_loss, s, dom, tau)
+            val, grad = loss_and_grad(domain_discrimination_loss, s, dom, tau, dtype=np.float64)
             ref, ref_grad = loss_and_grad(masked_lse_domain_loss, s, dom, tau)
             naive = naive_domain_loss(s, dom, tau)
         assert val == pytest.approx(ref, rel=1e-12)
@@ -203,14 +208,14 @@ class TestDomainDiscriminationLoss:
         s *= 1.0 + 5e-7
         dom = np.array([0, 0] + [1, 2, 3] * 4 + [1, 2])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            val, grad = loss_and_grad(domain_discrimination_loss, s, dom, tau)
+            val, grad = loss_and_grad(domain_discrimination_loss, s, dom, tau, dtype=np.float64)
             ref, ref_grad = loss_and_grad(masked_lse_domain_loss, s, dom, tau)
         assert np.isfinite(val) and val > 0.0
         assert val == pytest.approx(ref, rel=1e-12)
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
     def test_one_buffer_of_n_by_n(self, rng):
-        # E is the only N x N array; three of them plus a bool mask peak near 2.3 N^2 doubles
+        # E, in float32, is the only N x N array
         n = 480
         x = Tensor(unit_rows(rng, n, 32), requires_grad=True)
         dom = np.repeat(np.arange(3), n // 3)
@@ -223,7 +228,88 @@ class TestDomainDiscriminationLoss:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * n * n * 8
+        assert peak < 1.75 * n * n * 4
+
+    # float32 twins of the oracle tests above: the block is float32 and the sums,
+    # loss and gradient float64, so the loss stays within F32_LOSS_REL of the
+    # oracle's and the gradient within F32_GRAD_REL of the oracle's largest entry
+    F32_LOSS_REL = 1e-6
+    F32_GRAD_REL = 1e-5
+
+    def assert_float32_close(self, s, dom, tau):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            val, grad = loss_and_grad(domain_discrimination_loss, s, dom, tau, dtype=np.float32)
+            ref, ref_grad = loss_and_grad(masked_lse_domain_loss, s, dom, tau)
+        assert grad.dtype == np.float64
+        assert val == pytest.approx(ref, rel=self.F32_LOSS_REL)
+        assert np.abs(grad - ref_grad).max() <= self.F32_GRAD_REL * np.abs(ref_grad).max()
+
+    @pytest.mark.parametrize("tau", [0.1, 0.05])
+    def test_float32_matches_composed_oracle_at_trainer_shape(self, rng, tau):
+        self.assert_float32_close(unit_rows(rng, 480, 32), np.repeat(np.arange(3), 4 * 40), tau)
+
+    def test_float32_matches_composed_oracle_with_interleaved_trainer_domains(self, rng):
+        train = {d: np.arange(60 * d, 60 * (d + 1)) for d in range(3)}
+        dom = np.repeat(stratified_batches(train, 12, seed=0)[0] // 60, 40)
+        assert (np.diff(dom) < 0).any()
+        self.assert_float32_close(unit_rows(rng, 480, 32), dom, 0.1)
+
+    def test_float32_fallback_rows_under_its_low_mass(self, rng, monkeypatch):
+        # at tau = 0.03 the pairs (+-e2) and (+-e3), each other's only positive at
+        # similarity -1, keep a numerator near exp(-2 / tau) = 1e-29 under the
+        # shared shift: normal in float32, but below its LOW_MASS, so exactly
+        # those 4 rows take the float64 fallback, which float64 would not take
+        tau = 0.03
+        near_e1 = np.array([1.0, 0.0, 0.0]) + 0.1 * rng.normal(size=(12, 3))
+        far = np.array([[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
+        far += 0.01 * rng.normal(size=far.shape)
+        s = np.concatenate([near_e1, far])
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        dom = np.array([0] * 12 + [1, 1, 2, 2])
+        order = rng.permutation(16)
+        s, dom = s[order], dom[order]
+        fallback_rows = []
+        softmax_rows = spdg.losses._softmax_rows
+
+        def spy(a):
+            fallback_rows.append(a.shape[0])
+            return softmax_rows(a)
+
+        monkeypatch.setattr(spdg.losses, "_softmax_rows", spy)
+        assert LOW_MASS[np.float64] < np.exp(-2.0 / tau) < LOW_MASS[np.float32]
+        domain_discrimination_loss(Tensor(s), dom, tau, dtype=np.float64)
+        assert fallback_rows == []
+        self.assert_float32_close(s, dom, tau)
+        assert fallback_rows == [4, 4]
+        naive = naive_domain_loss(s, dom, tau)
+        assert domain_discrimination_loss(Tensor(s), dom, tau).item() == pytest.approx(
+            naive, rel=self.F32_LOSS_REL)
+
+    def test_float32_tiny_temperature_cannot_overflow(self, rng):
+        # at tau = 1e-9 a float32 GEMM's rounding alone lifts S - shift by up to
+        # about 256, past exp's float32 range; the widened shift absorbs it
+        s = unit_rows(rng, 480, 32)
+        s[1] = s[0]
+        s *= 1.0 + 5e-7
+        self.assert_float32_close(s, np.repeat(np.arange(3), 160), 1e-9)
+
+    @pytest.mark.parametrize("n", [2, 480])
+    def test_float32_one_domain_exactly_zero(self, rng, n):
+        s = unit_rows(rng, n, 32)
+        assert domain_discrimination_loss(Tensor(s), np.zeros(n), 0.1).item() == 0.0
+
+    def test_float32_is_the_default_and_its_low_mass_bounds_flushed_mass(self):
+        assert inspect.signature(domain_discrimination_loss).parameters["dtype"].default is np.float32
+        most_rows = math.isqrt(MAX_DOMAIN_LOSS_BYTES // 8)
+        for dtype, low_mass in LOW_MASS.items():
+            assert most_rows * np.finfo(dtype).tiny < 1e-10 * low_mass
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.longdouble, np.int64, np.complex128,
+                                       "float32", None])
+    def test_other_dtype_rejected(self, rng, dtype):
+        with pytest.raises(ConfigError, match="float32 or float64"):
+            domain_discrimination_loss(Tensor(unit_rows(rng, 4, 4)), [0, 0, 1, 1], 0.5,
+                                       dtype=dtype)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_rejected(self, rng, bad):
@@ -494,6 +580,24 @@ class TestSharedTextPass:
         objective_value(fx, fx.prompter)
         assert calls == {"domain_discrimination_loss": 1, "prompted_ce_and_reg": 1}
 
+
+    def test_training_step_runs_the_block_in_float32_and_grad_check_in_float64(self, monkeypatch):
+        import spdg.trainer
+        from spdg.gradcheck import build_objective_fixture, objective_value
+        from spdg.trainer import step_losses
+        dtypes = []
+        original = spdg.trainer.domain_discrimination_loss
+
+        def spy(*args, **kwargs):
+            dtypes.append(kwargs["dtype"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spdg.trainer, "domain_discrimination_loss", spy)
+        fx = build_objective_fixture(batch=4, mc_samples=2, seed=13)
+        objective_value(fx, fx.prompter)
+        step_losses(fx.bundle, fx.prompter, fx.z, fx.labels, fx.domains, fx.classes, fx.anchors,
+                    fx.weights, fx.mc_samples, None, eps=fx.eps)
+        assert dtypes == [np.float64, np.float32]
 
 def per_row_prompt_features(bundle, styles: Tensor, classes) -> Tensor:
     """Oracle: prompts encoded per length group, then one get_row and one

@@ -169,10 +169,6 @@ class TestCheckRun:
         with pytest.raises(ConfigError, match="held-out domain 1 not in dataset domains"):
             check_run(sized_dataset([10, 10, 10]), RunConfig(held_out_domain=1))
 
-    def test_one_training_domain_rejected(self):
-        with pytest.raises(ConfigError, match="at least 2 training domains"):
-            check_run(sized_dataset([10, 10]), RunConfig(held_out_domain="d0"))
-
     def test_small_domain_rejected(self):
         with pytest.raises(ConfigError, match="'d1' has only 9 samples, need >= 10"):
             check_run(sized_dataset([10, 9]), RunConfig(batch_size=4))
@@ -315,11 +311,11 @@ class TestTrainStylePrompter:
 
         calls = []
 
-        def failing_second_step(*args):
+        def failing_second_step(*args, **kwargs):
             calls.append(args)
             if len(calls) == 2:
                 raise NormalizationError("injected style-sample failure")
-            return domain_discrimination_loss(*args)
+            return domain_discrimination_loss(*args, **kwargs)
 
         if trigger == "forward":
             monkeypatch.setattr(spdg.trainer, "build_bundle", dead_projection)
