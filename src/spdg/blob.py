@@ -103,9 +103,9 @@ def read_manifest(path, kind: str, version: int, remedy: str = "") -> dict:
 
 @contextmanager
 def manifest_fields(path, kind: str):
-    """Turn a missing, mistyped or out-of-range manifest field read inside the block
-    into a FormatError."""
+    """Turn a missing, mistyped or out-of-range manifest field read inside the block,
+    or an artifact its constructor refuses there, into a FormatError naming path."""
     try:
         yield
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise FormatError(f"{path}: malformed {kind} manifest: {type(exc).__name__}: {exc}") from exc
+        raise FormatError(f"{path}: malformed {kind}: {type(exc).__name__}: {exc}") from exc

@@ -118,7 +118,8 @@ def _cmd_gen_data(args) -> int:
         classes=classes, domains=domains,
     )
     if args.precision == "f32":
-        ds.x = ds.x.astype(np.float32)
+        with np.errstate(over="ignore"):  # the constructor refuses a sample that overflows
+            ds = replace(ds, x=ds.x.astype(np.float32))
     datagen.save(ds, out)
     print(json.dumps({"dataset": str(out), "samples": len(ds),
                       "classes": ds.classes, "domains": ds.domains}))

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .blob import manifest_fields, read_blob, read_manifest, write_blob
-from .errors import ConfigError, FormatError, check_range
+from .errors import ConfigError, check_range
 
 DATASET_FORMAT_VERSION = 2
 
@@ -70,10 +70,36 @@ class DatasetManifest:
 
 @dataclass
 class MultiDomainDataset:
+    """Samples and labels of every (class, domain) cell. The constructor refuses
+    samples that are not finite or not (manifest.n_samples, d_x), ids outside the
+    name lists, and a cell that does not hold n_per_cell samples."""
+
     x: np.ndarray            # (n, d_x)
     class_ids: np.ndarray    # (n,)
     domain_ids: np.ndarray   # (n,)
     manifest: DatasetManifest
+
+    def check(self) -> None:
+        """Raise ConfigError where the constructor would; save checks again, as arrays stay mutable."""
+        m = self.manifest
+        n, n_domains = m.n_samples, len(m.domains)
+        if np.shape(self.x) != (n, m.d_x):
+            raise ConfigError(f"samples have shape {np.shape(self.x)}, not ({n}, {m.d_x})")
+        if not np.isfinite(self.x).all():
+            raise ConfigError(f"sample {int(np.isfinite(self.x).all(axis=1).argmin())} is not finite")
+        for what, ids, names in (("class", self.class_ids, m.classes),
+                                 ("domain", self.domain_ids, m.domains)):
+            if np.shape(ids) != (n,):
+                raise ConfigError(f"{what} ids have shape {np.shape(ids)}, not ({n},)")
+            if not 0 <= ids.min() <= ids.max() < len(names):
+                raise ConfigError(f"{what} ids must lie in [0, {len(names)})")
+        cells = np.bincount(self.class_ids * n_domains + self.domain_ids, minlength=n // m.n_per_cell)
+        if (cells != m.n_per_cell).any():
+            c, d = divmod(int(np.argmax(cells != m.n_per_cell)), n_domains)
+            raise ConfigError(f"cell ({m.classes[c]!r}, {m.domains[d]!r}) holds "
+                              f"{cells[c * n_domains + d]} samples, not n_per_cell {m.n_per_cell}")
+
+    __post_init__ = check
 
     @property
     def classes(self) -> list[str]:
@@ -114,28 +140,19 @@ def generate(n_per_cell: int = 60, d_x: int = 32, style_strength: float = 0.8,
         transforms.append(np.eye(d_x) + style_strength * r)
 
     x = np.empty((n_domains, n_classes, n_per_cell, d_x))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # the constructor refuses an overflow
         for d, c in np.ndindex(n_domains, n_classes):
             eps = rng.normal(scale=noise_std, size=x.shape[2:]) if noise_std > 0 else np.zeros(x.shape[2:])
             np.matmul(protos[c] + eps, transforms[d].T, out=x[d, c])
-    if not np.isfinite(x).all():
-        raise ConfigError(f"style_strength {style_strength} and noise_std {noise_std} "
-                          f"give samples that are not finite")
     cells = np.arange(n_domains * n_classes, dtype=np.int64).repeat(n_per_cell)  # d * C + c
     return MultiDomainDataset(x=x.reshape(-1, d_x), class_ids=cells % n_classes,
                               domain_ids=cells // n_classes, manifest=manifest)
 
 
-def _check_ids(labels, manifest: DatasetManifest, where: str) -> None:
-    for what, ids, names in zip(("class", "domain"), labels, (manifest.classes, manifest.domains)):
-        if len(ids) and not 0 <= ids.min() <= ids.max() < len(names):
-            raise FormatError(f"{where}{what} ids must lie in [0, {len(names)})")
-
-
 def save(dataset: MultiDomainDataset, directory) -> None:
     """Write manifest.json, samples.spdg and labels.spdg, the (2, n) int64 class
-    and domain ids; ids outside the name lists are refused before any write."""
-    _check_ids((dataset.class_ids, dataset.domain_ids), dataset.manifest, "")
+    and domain ids; a dataset its constructor would refuse now is refused before any write."""
+    dataset.check()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "manifest.json").write_text(
@@ -147,24 +164,15 @@ def save(dataset: MultiDomainDataset, directory) -> None:
 
 
 def load(directory) -> MultiDomainDataset:
+    """The dataset saved in directory; what its constructor refuses is a FormatError."""
     directory = Path(directory)
     raw = read_manifest(directory / "manifest.json", "dataset", DATASET_FORMAT_VERSION,
                         remedy="; regenerate it with `spdg gen-data`")
+    x = read_blob(directory / "samples.spdg")
+    labels = read_blob(directory / "labels.spdg", kind="i")
     with manifest_fields(directory, "dataset"):
         manifest = DatasetManifest(**{f.name: raw[f.name] for f in fields(DatasetManifest)})
-    n = manifest.n_samples
-    path = directory / "samples.spdg"
-    x = read_blob(path)
-    if x.shape != (n, manifest.d_x):
-        raise FormatError(f"{path}: samples blob has shape {x.shape}, the manifest gives "
-                          f"({n}, {manifest.d_x})")
-    if not np.isfinite(x).all():
-        row = int(np.isfinite(x).all(axis=1).argmin())
-        raise FormatError(f"{path}: sample {row} is not finite")
-    path = directory / "labels.spdg"
-    labels = read_blob(path, kind="i")
-    if labels.shape != (2, n):
-        raise FormatError(f"{path}: labels blob has shape {labels.shape}, the manifest gives "
-                          f"(2, {n})")
-    _check_ids(labels, manifest, f"{path}: ")
-    return MultiDomainDataset(x=x, class_ids=labels[0], domain_ids=labels[1], manifest=manifest)
+        if labels.shape != (2, manifest.n_samples):  # the class ids, then the domain ids
+            raise ConfigError(f"labels have shape {labels.shape}, not (2, {manifest.n_samples})")
+        class_ids, domain_ids = labels
+        return MultiDomainDataset(x=x, class_ids=class_ids, domain_ids=domain_ids, manifest=manifest)

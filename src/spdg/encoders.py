@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .blob import manifest_fields, read_blob, read_manifest, write_blob
-from .errors import ConfigError, FormatError, ShapeError, TokenizeError, check_range
+from .errors import ConfigError, ShapeError, TokenizeError, check_range
 from .tensor import Tensor
 
 PSEUDO_TOKEN = -1
@@ -41,13 +42,6 @@ STYLE_WORDS = [
     "product",
 ]
 TEMPLATE_WORDS = ["a", "photo", "of", "style", "."]
-
-_WEIGHT_NAMES = [
-    "img_w1", "img_b1", "img_w2", "img_b2",
-    "tok_emb",
-    "txt_wq", "txt_wk", "txt_wv", "txt_wp", "txt_bp",
-    "proj_w",
-]
 
 # Positional rows are scaled well below the unit-norm token embeddings.
 # At full scale the shared positional component dominates every prompt and
@@ -106,25 +100,38 @@ def _sinusoidal_positions(length: int, dim: int, scale: float = POSITION_SCALE) 
 
 
 class FrozenEncoderBundle:
-    """Immutable encoder weights plus vocabulary and logit scale.
-
-    The bundle takes ownership of the weight arrays and makes them read-only,
-    because it caches one StylePromptPlan per class list built from them.
+    """Immutable encoder weights plus vocabulary and logit scale. The constructor
+    refuses a vocab other than a non-empty list of unique strings, a seed other
+    than an int >= 0, a logit scale not > 0, and weights other than exactly the
+    shapes that the dims and the vocab length give. The bundle owns the weight
+    arrays and makes them read-only, because it caches one StylePromptPlan per
+    class list built from them.
     """
 
     def __init__(self, dims: EncoderDims, vocab: list[str], seed: int,
                  logit_scale: float, weights: dict[str, np.ndarray]):
+        if not (isinstance(vocab, list) and vocab and all(isinstance(w, str) for w in vocab)):
+            raise ConfigError(f"vocab must be a non-empty list of strings, got {vocab!r:.80}")
+        if len(set(vocab)) != len(vocab):
+            dupes = sorted(w for w, k in Counter(vocab).items() if k > 1)
+            raise ConfigError(f"vocab has duplicate words: {dupes}")
+        if type(seed) is not int or seed < 0:  # bool and float are refused
+            raise ConfigError(f"seed must be an int >= 0, got {type(seed).__name__} {seed!r}")
         check_range("logit_scale", logit_scale, 0.0, low_open=True)
-        missing = [n for n in _WEIGHT_NAMES if n not in weights]
-        if missing:
-            raise FormatError(f"bundle is missing weights: {missing}")
+        shapes = _weight_shapes(dims, len(vocab))
+        if weights.keys() != shapes.keys():
+            raise ConfigError(f"bundle weights must be {sorted(shapes)}, got {sorted(weights)}")
+        for name, shape in shapes.items():
+            if np.shape(weights[name]) != shape:
+                raise ConfigError(f"bundle weight {name} has shape {np.shape(weights[name])}, but "
+                                  f"the dims and the vocab's {len(vocab)} words give {shape}")
         self.dims = dims
         self.vocab = list(vocab)
         self.word_to_id = {w: i for i, w in enumerate(self.vocab)}
-        self.seed = int(seed)
+        self.seed = seed
         self.logit_scale = float(logit_scale)
-        # read-only: an in-place edit would silently stale the prompt plans
-        self.weights = {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
+        # in _weight_shapes order, read-only: an in-place edit would stale the prompt plans
+        self.weights = {name: np.asarray(weights[name], dtype=np.float64) for name in shapes}
         self.positions = _sinusoidal_positions(MAX_TEXT_LEN, dims.d_t)
         for arr in (*self.weights.values(), self.positions):
             arr.setflags(write=False)
@@ -132,7 +139,7 @@ class FrozenEncoderBundle:
 
 
 def _weight_shapes(dims: EncoderDims, n_words: int) -> dict[str, tuple]:
-    """Each weight's shape, in _WEIGHT_NAMES order."""
+    """Each weight's shape, in the order that checksums and files follow."""
     d_x, d_i, d_t, d_f = dims.d_x, dims.d_i, dims.d_t, dims.d_f
     return {"img_w1": (d_x, d_i), "img_b1": (d_i,), "img_w2": (d_i, d_i), "img_b2": (d_i,),
             "tok_emb": (n_words, d_t),
@@ -143,12 +150,6 @@ def _weight_shapes(dims: EncoderDims, n_words: int) -> dict[str, tuple]:
 def build_bundle(dims: EncoderDims, vocab: list[str], seed: int,
                  logit_scale: float = 100.0) -> FrozenEncoderBundle:
     """Draw all encoder weights from one seeded generator, in a fixed order."""
-    if not vocab:
-        raise ConfigError("vocab must be non-empty")
-    if len(set(vocab)) != len(vocab):
-        dupes = sorted({w for w in vocab if vocab.count(w) > 1})
-        raise ConfigError(f"vocab has duplicate words: {dupes}")
-
     rng = np.random.default_rng(seed)
     weights = {}
     for name, shape in _weight_shapes(dims, len(vocab)).items():
@@ -415,9 +416,9 @@ def bundle_checksum(bundle: FrozenEncoderBundle) -> str:
     """SHA-256 over the vocab in order, the logit scale and every weight array in
     name order: all that maps a token or a score. Freeze-contract witness."""
     digest = hashlib.sha256(json.dumps([bundle.vocab, bundle.logit_scale]).encode())
-    for name in _WEIGHT_NAMES:
+    for name, weight in bundle.weights.items():
         digest.update(name.encode())
-        digest.update(np.ascontiguousarray(bundle.weights[name]).tobytes())
+        digest.update(np.ascontiguousarray(weight).tobytes())
     return digest.hexdigest()
 
 
@@ -427,26 +428,22 @@ def save_bundle(bundle: FrozenEncoderBundle, directory) -> None:
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "seed": bundle.seed,
-        "dims": {"d_x": bundle.dims.d_x, "d_i": bundle.dims.d_i,
-                 "d_t": bundle.dims.d_t, "d_f": bundle.dims.d_f},
+        "dims": asdict(bundle.dims),
         "vocab": bundle.vocab,
         "logit_scale": bundle.logit_scale,
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    for name in _WEIGHT_NAMES:
-        write_blob(directory / f"{name}.spdg", bundle.weights[name])
+    for name, weight in bundle.weights.items():
+        write_blob(directory / f"{name}.spdg", weight)
 
 
 def load_bundle(directory) -> FrozenEncoderBundle:
+    """The bundle saved in directory; what its constructor refuses is a FormatError."""
     directory = Path(directory)
     manifest = read_manifest(directory / "manifest.json", "bundle", BUNDLE_FORMAT_VERSION)
-    weights = {name: read_blob(directory / f"{name}.spdg") for name in _WEIGHT_NAMES}
     with manifest_fields(directory, "bundle"):
         dims = EncoderDims(*(manifest["dims"][k] for k in ("d_x", "d_i", "d_t", "d_f")))
-        for name, shape in _weight_shapes(dims, len(manifest["vocab"])).items():
-            if weights[name].shape != shape:
-                raise FormatError(f"{directory}: bundle weight {name} has shape "
-                                  f"{weights[name].shape}, but the manifest's dims and vocab "
-                                  f"give {shape}")
+        names = _weight_shapes(dims, 0)  # the weight names, whatever the vocab
+        weights = {name: read_blob(directory / f"{name}.spdg") for name in names}
         return FrozenEncoderBundle(dims, manifest["vocab"], manifest["seed"],
                                    manifest["logit_scale"], weights)

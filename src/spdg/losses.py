@@ -50,16 +50,10 @@ class LossWeights:
     def __post_init__(self):
         check_range("w_d", self.w_d, 0.0)
         check_range("w_reg", self.w_reg, 0.0)
-        check_range("tau_d", self.tau_d, 0.0, low_open=True)
+        # the float32 domain-loss block scales rows by 1/tau_d and shifts them by about
+        # 1/tau_d, so both are finite in float32 only for tau_d >= 2 / its largest value
+        check_range("tau_d", self.tau_d, 2.0 / float(np.finfo(np.float32).max))
         check_range("ce_scale", self.ce_scale, 0.0, low_open=True)
-
-
-@dataclass
-class RegAnchorTable:
-    """One unit-norm mean text feature per class, frozen for the whole run."""
-
-    classes: list[str]
-    anchors: np.ndarray  # (C, d_f), unit rows
 
 
 @dataclass
@@ -103,9 +97,10 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float,
         float64 instead, and drops out of the E products in the backward.
     The gradient is un-permuted back to the caller's row order.
     """
-    check_range("tau", tau, 0.0, low_open=True)
     if dtype not in (np.float32, np.float64):
         raise ConfigError(f"domain-loss dtype must be float32 or float64, got {dtype!r}")
+    # so that 1/tau and the shift below, about 1/tau, are finite in dtype (see LossWeights)
+    check_range("tau", tau, 2.0 / float(np.finfo(dtype).max))
     low_mass = LOW_MASS[np.dtype(dtype).type]
     dom = np.asarray(domains, dtype=np.int64)
     u = samples.data
@@ -214,14 +209,14 @@ def _softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, top + np.log(mass)
 
 
-def build_reg_anchors(bundle: FrozenEncoderBundle, classes) -> RegAnchorTable:
-    """Per class: encode every domain-style text, unit-normalize, average, renormalize."""
+def build_reg_anchors(bundle: FrozenEncoderBundle, classes) -> np.ndarray:
+    """The (C, d_f) anchors, one unit row per class, frozen for the whole run: per
+    class, encode every domain-style text, unit-normalize, average, renormalize."""
     texts = [domain_style_text(word, cls) for cls in classes for word in STYLE_WORDS]
     feats = encode_texts(bundle, texts)
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
     mean = feats.reshape(len(classes), len(STYLE_WORDS), bundle.dims.d_f).mean(axis=1)
-    return RegAnchorTable(classes=list(classes),
-                          anchors=mean / np.linalg.norm(mean, axis=1, keepdims=True))
+    return mean / np.linalg.norm(mean, axis=1, keepdims=True)
 
 
 def prompt_text_features(bundle: FrozenEncoderBundle, styles: Tensor, classes) -> Tensor:
@@ -305,7 +300,7 @@ def classification_head(feats: Tensor, unit_z: np.ndarray, class_labels, scale: 
 
 def prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch: np.ndarray, styles: Tensor,
                         class_labels, classes,
-                        anchors: RegAnchorTable | None = None) -> tuple[Tensor, Tensor | None]:
+                        anchors: np.ndarray | None = None) -> tuple[Tensor, Tensor | None]:
     """Classification loss plus (optionally) the regularizer, sharing one text pass.
 
     The regularizer consumes the text features of each image's ground-truth
@@ -315,9 +310,8 @@ def prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch: np.ndarray, styles
     feats = encode_text_batch(bundle, styles, classes)
     z_batch = np.asarray(z_batch, dtype=np.float64)
     unit_z, _ = T.unit_rows(project_image(bundle, z_batch), "projected image feature")
-    if anchors is None:
-        return classification_head(feats, unit_z, class_labels, bundle.logit_scale), None
-    return classification_head(feats, unit_z, class_labels, bundle.logit_scale, anchors.anchors)
+    out = classification_head(feats, unit_z, class_labels, bundle.logit_scale, anchors)
+    return out if anchors is not None else (out, None)
 
 
 def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:

@@ -38,16 +38,33 @@ PARAMETER_NAMES = {
 }
 
 
+def parameter_names(kind) -> tuple[str, ...]:
+    """The parameter names of a prompter kind; any other kind is a ConfigError."""
+    if not (isinstance(kind, str) and kind in PARAMETER_NAMES):
+        raise ConfigError(f"unknown prompter_kind {kind!r}, expected one of {sorted(PARAMETER_NAMES)}")
+    return PARAMETER_NAMES[kind]
+
+
 class StylePrompter:
     """Linear -> ELU -> Linear -> ELU trunk, hidden width d_i // 2, then the
     heads of its kind: one point head (basic), or a mu and a raw-sigma head
-    (gaussian). Each parameter is an attribute of its name."""
+    (gaussian). Each parameter is an attribute of its name, and so are d_i, w1's
+    rows, and d_t, the prompt head's columns. The constructor refuses an unknown
+    kind, an odd d_i or one below 2, a d_t below 2, and a parameter not of its
+    _parameter_shapes."""
 
     def __init__(self, kind: str, params):
         self.kind = kind
-        self.names = PARAMETER_NAMES[kind]
+        self.names = parameter_names(kind)
         for name in self.names:
             setattr(self, name, params[name])
+        w1, head = self.w1.shape, self.prompt_head[0].shape
+        self.d_i = d_i = w1[0] if w1 else 0
+        self.d_t = d_t = head[1] if len(head) > 1 else 0
+        for name, shape in _parameter_shapes(kind, d_i, d_t).items():
+            if getattr(self, name).shape != shape:
+                raise ConfigError(f"parameter {name} has shape {getattr(self, name).shape}, but the "
+                                  f"{kind} prompter with d_i={d_i}, d_t={d_t} gives {shape}")
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [(name, getattr(self, name)) for name in self.names]
@@ -57,14 +74,6 @@ class StylePrompter:
         """The (weight, bias) of the head whose output is the prompt embedding."""
         return getattr(self, self.names[4]), getattr(self, self.names[5])
 
-    @property
-    def d_i(self) -> int:
-        return self.w1.data.shape[0]
-
-    @property
-    def d_t(self) -> int:
-        return self.prompt_head[0].data.shape[1]
-
 
 def _uniform_init(rng, fan_in: int, *shape) -> Tensor:
     bound = 1.0 / np.sqrt(fan_in)
@@ -73,7 +82,10 @@ def _uniform_init(rng, fan_in: int, *shape) -> Tensor:
 
 def _parameter_shapes(kind: str, d_i: int, d_t: int) -> dict[str, tuple]:
     """Each parameter's shape, in PARAMETER_NAMES[kind] order: the trunk's two
-    layers (d_i -> d_i // 2 -> d_i // 2), then each head's (d_i // 2 -> d_t)."""
+    layers (d_i -> d_i // 2 -> d_i // 2), then each head's (d_i // 2 -> d_t). An odd
+    d_i or one below 2, or a d_t below 2, is a ConfigError."""
+    if d_i < 2 or d_i % 2 or d_t < 2:
+        raise ConfigError(f"d_i must be even and >= 2 and d_t >= 2, got d_i={d_i}, d_t={d_t}")
     names = PARAMETER_NAMES[kind]
     shapes = {}
     for layer, (w, b) in enumerate(zip(names[::2], names[1::2])):
@@ -85,10 +97,6 @@ def _parameter_shapes(kind: str, d_i: int, d_t: int) -> dict[str, tuple]:
 
 def _init_prompter(kind: str, d_i: int, d_t: int, seed: int) -> StylePrompter:
     """Uniform weights drawn in name order, zero biases, and b_sigma at _SIGMA_RAW_INIT."""
-    if d_i % 2 != 0:
-        raise ConfigError(f"image feature dimension must be even, got {d_i}")
-    if d_i < 2 or d_t < 2:
-        raise ConfigError(f"prompter dims too small: d_i={d_i}, d_t={d_t}")
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in _parameter_shapes(kind, d_i, d_t).items():
@@ -112,8 +120,8 @@ def _rows(p, z: np.ndarray) -> np.ndarray:
     """Image features z of rank 1 or 2 as (B, d_i) rows, d_i being the prompter's input width."""
     if z.ndim not in (1, 2):
         raise ShapeError(f"expected image features of rank 1 or 2, got shape {z.shape}")
-    if z.shape[-1] != p.w1.data.shape[0]:
-        raise ShapeError(f"prompter expects {p.w1.data.shape[0]}-wide features, got {z.shape}")
+    if z.shape[-1] != p.d_i:
+        raise ShapeError(f"prompter expects {p.d_i}-wide features, got {z.shape}")
     return z.reshape(-1, z.shape[-1])
 
 
@@ -252,26 +260,19 @@ def save_checkpoint(p, directory, run_config: dict | None = None,
 
 
 def load_checkpoint(directory):
-    """The prompter and manifest saved in directory; every blob must have the shape
-    that the manifest's prompter_kind and dims give it."""
+    """The prompter and manifest saved in directory. What its constructor refuses is a
+    FormatError, as are manifest dims other than the blobs' and another sigma_floor."""
     directory = Path(directory)
     manifest = read_manifest(directory / "manifest.json", "checkpoint", CHECKPOINT_FORMAT_VERSION)
     with manifest_fields(directory, "checkpoint"):
-        kind, sigma_floor = manifest["prompter_kind"], manifest["sigma_floor"]
-        d_i, d_t = (manifest["dims"][k] for k in ("d_i", "d_t"))
-    if not (isinstance(kind, str) and kind in PARAMETER_NAMES):
-        raise FormatError(f"unknown prompter_kind {kind!r}")
-    if sigma_floor != _manifest_sigma_floor(kind):
-        raise FormatError(f"{directory}: checkpoint sigma_floor {sigma_floor!r}, but this "
-                          f"build's {kind} prompter has {_manifest_sigma_floor(kind)!r}")
-    if not all(type(v) is int and v >= 2 for v in (d_i, d_t)):
-        raise FormatError(f"{directory}: checkpoint dims must be integers >= 2, "
-                          f"got d_i={d_i!r}, d_t={d_t!r}")
-    params = {}
-    for name, shape in _parameter_shapes(kind, d_i, d_t).items():
-        data = read_blob(directory / f"{name}.spdg")
-        if data.shape != shape:
-            raise FormatError(f"{directory}: checkpoint blob {name} has shape {data.shape}, but "
-                              f"the manifest's {kind} prompter with d_i={d_i}, d_t={d_t} gives {shape}")
-        params[name] = Tensor(data, requires_grad=True)
-    return StylePrompter(kind, params), manifest
+        kind = manifest["prompter_kind"]
+        prompter = StylePrompter(kind, {
+            name: Tensor(read_blob(directory / f"{name}.spdg"), requires_grad=True)
+            for name in parameter_names(kind)})
+    want = {"dims": {"d_i": prompter.d_i, "d_t": prompter.d_t},
+            "sigma_floor": _manifest_sigma_floor(kind)}
+    got = {key: manifest.get(key) for key in want}
+    if json.dumps(got, sort_keys=True) != json.dumps(want, sort_keys=True):  # 64.0 is not 64
+        raise FormatError(f"{directory}: checkpoint manifest gives {got}, but this build's {kind} "
+                          f"prompter from its blobs has {want}")
+    return prompter, manifest

@@ -32,6 +32,7 @@ from .prompter import (
     gaussian_forward,
     init_basic_prompter,
     init_gaussian_prompter,
+    parameter_names,
     sample_styles_batch,
     save_checkpoint,
 )
@@ -67,8 +68,7 @@ class RunConfig:
     extra_classes: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.prompter_kind not in ("basic", "gaussian"):
-            raise ConfigError(f"prompter_kind must be basic|gaussian, got {self.prompter_kind!r}")
+        parameter_names(self.prompter_kind)  # an unknown kind is a ConfigError
         check_range("epochs", self.epochs, 1)
         check_range("batch_size", self.batch_size, 2)  # a positive pair per domain
         check_range("mc_samples", self.mc_samples, 1)
@@ -320,9 +320,9 @@ def check_sample_width(dataset, dims: EncoderDims, what: str = "dataset") -> Non
 def check_run(dataset, config: RunConfig) -> list[int]:
     """The run's training domain ids, once the dataset fits the recipe. Checked
     before any work: the sample width, the held-out domain's name, a batch that
-    holds 2 samples from each training domain, and in each at least 10
-    samples, of which val_ratio keeps at least 2 for training. A dataset has at
-    least 3 domains, so at least 2 are left to train on."""
+    holds 2 samples from each training domain, and a val_ratio that keeps at
+    least 2 of a domain's samples for training. A dataset has at least 3
+    domains, so at least 2 are left to train on."""
     check_sample_width(dataset, config.dims)
     held_out = config.held_out_domain
     if held_out is not None and held_out not in dataset.domains:
@@ -332,14 +332,10 @@ def check_run(dataset, config: RunConfig) -> list[int]:
         raise ConfigError(
             f"batch size {config.batch_size} must be >= 2 x {len(train_domains)} training domains"
         )
-    sizes = np.bincount(dataset.domain_ids, minlength=len(dataset.domains))
-    for d in train_domains:
-        name, size = dataset.domains[d], int(sizes[d])
-        if size < 10:
-            raise ConfigError(f"domain {name!r} has only {size} samples, need >= 10")
-        if (kept := _n_train(size, config.val_ratio)) < 2:
-            raise ConfigError(f"val_ratio {config.val_ratio} keeps {kept} of the {size} samples "
-                              f"of domain {name!r} for training, need >= 2")
+    size = len(dataset.classes) * dataset.manifest.n_per_cell  # each domain's samples
+    if (kept := _n_train(size, config.val_ratio)) < 2:
+        raise ConfigError(f"val_ratio {config.val_ratio} keeps {kept} of each domain's {size} "
+                          f"samples for training, need >= 2")
     return train_domains
 
 
@@ -349,7 +345,8 @@ def step_losses(bundle, prompter, z, labels, domains, classes, anchors, weights:
 
     The Gaussian prompter's domain loss runs over mc_samples reparameterized
     draws per image, from rng or, given eps, from that fixed draw; its prompts
-    carry the mean. The basic prompter's single embedding serves both. dtype
+    carry the mean. The basic prompter's single embedding serves both. anchors
+    is build_reg_anchors' (C, d_f) array, or None without the regularizer. dtype
     is the precision of the domain loss's N x N block.
     """
     zt = Tensor(z)

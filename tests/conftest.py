@@ -38,20 +38,6 @@ def run_python(script: str) -> str:
     return proc.stdout
 
 
-def sized_dataset(sizes) -> datagen.MultiDomainDataset:
-    """A dataset of domains d0, d1, ... holding sizes[d] samples in domain d."""
-    domain_ids = np.repeat(np.arange(len(sizes)), sizes)
-    manifest = datagen.DatasetManifest(classes=["dog", "horse"], domains=["a", "b", "c"],
-                                       n_per_cell=10, d_x=32, seed=0,
-                                       style_strength=0.0, noise_std=0.0)
-    # the run check's tests need domain counts and sizes no valid manifest
-    # describes, so the names are set after the manifest's own checks
-    manifest.domains = [f"d{d}" for d in range(len(sizes))]
-    return datagen.MultiDomainDataset(x=np.ones((domain_ids.size, 32)),
-                                      class_ids=domain_ids % 2, domain_ids=domain_ids,
-                                      manifest=manifest)
-
-
 # saved-dataset faults that load must refuse with a FormatError
 
 def spoil_labels(directory: Path, damage: str) -> str:
@@ -76,15 +62,20 @@ def spoil_labels(directory: Path, damage: str) -> str:
         return "unknown dtype flag 3"
     replacement, message = {
         "float64": (labels.astype(np.float64), "holds float64 values, expected int64"),
-        "transposed": (labels.T, f"has shape ({n}, 2)"),
-        "one row": (labels[:1], f"has shape (1, {n})"),
-        "short": (labels[:, :-1], f"has shape (2, {n - 1})"),
-        "flat": (labels.ravel(), f"has shape ({2 * n},)"),
+        "transposed": (labels.T, f"labels have shape ({n}, 2), not (2, {n})"),
+        "one row": (labels[:1], f"labels have shape (1, {n}), not (2, {n})"),
+        "short": (labels[:, :-1], f"labels have shape (2, {n - 1}), not (2, {n})"),
+        "flat": (labels.ravel(), f"labels have shape ({2 * n},), not (2, {n})"),
         "negative class": (labels * [[-1], [1]], f"class ids must lie in [0, {n_classes})"),
         "class past names": (labels + [[n_classes], [0]], f"class ids must lie in [0, {n_classes})"),
         "negative domain": (labels - [[0], [1]], f"domain ids must lie in [0, {n_domains})"),
         "domain past names": (labels + [[0], [1]], f"domain ids must lie in [0, {n_domains})"),
         "int64 extreme": (labels + [[0], [2**62]], f"domain ids must lie in [0, {n_domains})"),
+        # ids in range, but one sample moved from the first cell to the second
+        "cells uneven": (labels + [[0], [1]] * (np.arange(n) == 0),
+                         f"cell ({manifest['classes'][0]!r}, {manifest['domains'][0]!r}) holds "
+                         f"{manifest['n_per_cell'] - 1} samples, not n_per_cell"),
+        "one class": (labels * [[0], [1]], f"holds {n_classes * manifest['n_per_cell']} samples"),
     }[damage]
     write_blob(path, np.ascontiguousarray(replacement))
     return message
@@ -92,7 +83,7 @@ def spoil_labels(directory: Path, damage: str) -> str:
 
 LABEL_FAULTS = ["missing", "directory", "truncated", "unknown dtype flag", "float64", "transposed",
                 "one row", "short", "flat", "negative class", "class past names",
-                "negative domain", "domain past names", "int64 extreme"]
+                "negative domain", "domain past names", "int64 extreme", "cells uneven", "one class"]
 
 
 # manifest edits generate would refuse, and how load's FormatError names them; where

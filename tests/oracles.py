@@ -35,7 +35,7 @@ from spdg.encoders import (
 )
 from spdg.encoders import encode_text_batch as production_encode_text_batch
 from spdg.errors import ConfigError, DegenerateVectorError, ShapeError, TokenizeError
-from spdg.losses import LossParts, LossWeights, RegAnchorTable
+from spdg.losses import LossParts, LossWeights
 from spdg.prompter import SIGMA_FLOOR, basic_forward, gaussian_forward, style_for_prompt
 from spdg.tensor import Tensor
 
@@ -218,21 +218,21 @@ def cross_entropy_from_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     return mean_all(sub(lse, picked))
 
 
-def style_regularization_loss(text_feats: Tensor, class_labels, table: RegAnchorTable) -> Tensor:
+def style_regularization_loss(text_feats: Tensor, class_labels, anchors: np.ndarray) -> Tensor:
     """Mean of (1 - cosine) between each prompted text feature and its class anchor."""
     labels = np.asarray(class_labels, dtype=np.int64)
     b = text_feats.data.shape[0]
     if text_feats.data.ndim != 2 or labels.shape != (b,):
         raise ShapeError(f"expected (B, d_f) features with B labels, got {text_feats.shape}")
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= len(table.classes):
-        raise ConfigError(f"class label outside anchor table of size {len(table.classes)}")
+    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= len(anchors):
+        raise ConfigError(f"class label outside anchor table of size {len(anchors)}")
     unit = T.l2_normalize(text_feats)
-    cos = rowwise_dot_grouped(unit, table.anchors[labels], group=1)
+    cos = rowwise_dot_grouped(unit, anchors[labels], group=1)
     return add(neg(mean_all(cos)), constant(1.0))
 
 
 def composed_head(feats: Tensor, unit_z: np.ndarray, labels, scale: float,
-                  table: RegAnchorTable | None = None):
+                  anchors: np.ndarray | None = None):
     """classification_head from primitives: normalize, grouped dots, CE, and
     the regularizer over a take_rows gather of each image's own-class row."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -240,19 +240,28 @@ def composed_head(feats: Tensor, unit_z: np.ndarray, labels, scale: float,
     n_classes = feats.data.shape[0] // b
     dots = rowwise_dot_grouped(T.l2_normalize(feats), unit_z, group=n_classes)
     loss_ce = cross_entropy_from_logits(mul(dots, constant(scale)), labels)
-    if table is None:
+    if anchors is None:
         return loss_ce, None
     own = take_rows(feats, np.arange(b) * n_classes + labels)
-    return loss_ce, style_regularization_loss(own, labels, table)
+    return loss_ce, style_regularization_loss(own, labels, anchors)
 
 
 def composed_prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch, styles: Tensor,
-                                 labels, classes, table: RegAnchorTable | None = None):
+                                 labels, classes, anchors: np.ndarray | None = None):
     """prompted_ce_and_reg with the head composed from primitives."""
     zp = project_image(bundle, np.asarray(z_batch, dtype=np.float64))
     unit_z, _ = T.unit_rows(zp, "projected image feature")
     feats = production_encode_text_batch(bundle, styles, classes)
-    return composed_head(feats, unit_z, labels, bundle.logit_scale, table)
+    return composed_head(feats, unit_z, labels, bundle.logit_scale, anchors)
+
+
+def prompter_shapes(kind: str, d_i: int, d_t: int) -> dict[str, tuple]:
+    """Each prompter parameter's shape at any dims, those the prompter refuses too:
+    the trunk d_i -> d_i // 2 -> d_i // 2, then each head d_i // 2 -> d_t."""
+    h = d_i // 2
+    heads = ("w3", "b3") if kind == "basic" else ("w_mu", "b_mu", "w_sigma", "b_sigma")
+    return {"w1": (d_i, h), "b1": (h,), "w2": (h, h), "b2": (h,),
+            **{name: (h, d_t) if name[0] == "w" else (d_t,) for name in heads}}
 
 
 def _as_batch(z) -> tuple[Tensor, bool]:

@@ -25,7 +25,6 @@ from spdg.encoders import build_bundle, bundle_checksum, default_vocab
 from spdg.evaluate import evaluate_leave_one_out, style_similarity_report
 from spdg.inference import predict_batch
 from spdg.losses import build_reg_anchors, domain_discrimination_loss
-from spdg.losses import RegAnchorTable
 from spdg.prompter import init_gaussian_prompter, load_checkpoint, sample_styles_batch, save_checkpoint
 from spdg.tensor import Tensor
 from spdg.trainer import RunConfig, train_style_prompter, seed_from
@@ -125,19 +124,18 @@ def test_regularizer_bounds_and_anchor_table(bundle):
     classes = ["dog", "elephant", "guitar", "horse"]
     anchors = rng.normal(size=(4, bundle.dims.d_f))
     anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
-    table = RegAnchorTable(classes=classes, anchors=anchors)
     for _ in range(1000):
         b = int(rng.integers(1, 7))
         feats = Tensor(rng.normal(size=(b, bundle.dims.d_f)) * rng.uniform(0.05, 10.0))
         labels = rng.integers(0, 4, size=b)
-        val = style_regularization_loss(feats, labels, table).item()
+        val = style_regularization_loss(feats, labels, anchors).item()
         assert 0.0 <= val <= 2.0
 
     t1 = build_reg_anchors(bundle, classes)
     t2 = build_reg_anchors(bundle, classes)
-    assert np.array_equal(t1.anchors, t2.anchors)
-    assert np.abs(np.linalg.norm(t1.anchors, axis=1) - 1.0).max() < 1e-12
-    assert t1.anchors.shape == (4, bundle.dims.d_f)
+    assert np.array_equal(t1, t2)
+    assert np.abs(np.linalg.norm(t1, axis=1) - 1.0).max() < 1e-12
+    assert t1.shape == (4, bundle.dims.d_f)
     report("regularizer-bounds-and-anchors", "1000 draws in [0,2]; anchors unit and deterministic")
 
 

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -255,7 +256,7 @@ def test_split_that_keeps_too_few_to_train_fails_before_any_fold(capsys, tmp_pat
     assert (code, out, folds) == (2, "", [])
     payload = json.loads(err)
     assert payload["error"] == "config_error"
-    assert "keeps 1 of the 240 samples of domain 'cartoon'" in payload["message"]
+    assert "keeps 1 of each domain's 240 samples" in payload["message"]
     assert not (tmp_path / "lodo").exists()
 
 
@@ -347,15 +348,17 @@ def test_checkpoint_of_another_sigma_floor_is_format_error(capsys, cli_dataset, 
 # (damage, what the format error says); the run's Gaussian prompter has d_i = 64
 # (hidden width 32) and d_t = 32
 CHECKPOINT_SHAPE_FAULTS = [
-    ("w2 cut to (32, 31)", "blob w2 has shape (32, 31)"),
-    ("w1 transposed", "blob w1 has shape (32, 64)"),
-    ("b_sigma as a row", "blob b_sigma has shape (1, 32)"),
-    ("w_mu as a scalar", "blob w_mu has shape ()"),
-    ("manifest d_t 31", "blob w_mu has shape (32, 32)"),
-    ("manifest d_i 66", "blob w1 has shape (64, 32)"),
-    ("manifest d_i '64'", "dims must be integers >= 2"),
-    ("manifest d_t true", "dims must be integers >= 2"),
-    ("manifest without d_t", "malformed checkpoint manifest"),
+    ("w2 cut to (32, 31)", "parameter w2 has shape (32, 31), but the gaussian prompter with "
+                           "d_i=64, d_t=32 gives (32, 32)"),
+    ("w1 transposed", "parameter w1 has shape (32, 64)"),
+    ("b_sigma as a row", "parameter b_sigma has shape (1, 32)"),
+    ("w_mu as a scalar", "d_i must be even and >= 2 and d_t >= 2, got d_i=64, d_t=0"),
+    ("manifest d_t 31", "checkpoint manifest gives {'dims': {'d_i': 64, 'd_t': 31}"),
+    ("manifest d_i 66", "checkpoint manifest gives {'dims': {'d_i': 66, 'd_t': 32}"),
+    ("manifest d_i '64'", "checkpoint manifest gives {'dims': {'d_i': '64', 'd_t': 32}"),
+    ("manifest d_i 64.0", "checkpoint manifest gives {'dims': {'d_i': 64.0, 'd_t': 32}"),
+    ("manifest d_t true", "checkpoint manifest gives {'dims': {'d_i': 64, 'd_t': True}"),
+    ("manifest without d_t", "checkpoint manifest gives {'dims': {'d_i': 64}"),
 ]
 
 
@@ -370,7 +373,8 @@ def test_checkpoint_blob_of_the_wrong_shape_is_format_error(capsys, cli_dataset,
     if damage.startswith("manifest"):
         raw = json.loads((final / "manifest.json").read_text())
         edit = {"manifest d_t 31": ("d_t", 31), "manifest d_i 66": ("d_i", 66),
-                "manifest d_i '64'": ("d_i", "64"), "manifest d_t true": ("d_t", True)}
+                "manifest d_i '64'": ("d_i", "64"), "manifest d_i 64.0": ("d_i", 64.0),
+                "manifest d_t true": ("d_t", True)}
         if damage in edit:
             key, value = edit[damage]
             raw["dims"][key] = value
@@ -390,6 +394,106 @@ def test_checkpoint_blob_of_the_wrong_shape_is_format_error(capsys, cli_dataset,
     payload = json.loads(err)
     assert payload["error"] == "format_error"
     assert message in payload["message"]
+
+
+def _infer_on(capsys, cli_dataset, checkpoint, bundle):
+    return run_cli(capsys, "infer", "--checkpoint", str(checkpoint), "--bundle", str(bundle),
+                   "--dataset", str(cli_dataset), "--index", "0")
+
+
+# bundle manifest edits the bundle's constructor refuses, and what the format error
+# says; the checksum binding covers the vocab but not the seed
+BUNDLE_MANIFEST_FAULTS = [
+    ("duplicate word", lambda raw: {"vocab": raw["vocab"][:-1] + ["a"]},
+     "vocab has duplicate words: ['a']"),
+    ("word not a string", lambda raw: {"vocab": [1] + raw["vocab"][1:]},
+     "vocab must be a non-empty list of strings"),
+    ("vocab a string", lambda raw: {"vocab": "x" * len(raw["vocab"])},
+     "vocab must be a non-empty list of strings, got 'xxx"),
+    ("float seed", lambda raw: {"seed": 3.5}, "seed must be an int >= 0, got float 3.5"),
+    ("bool seed", lambda raw: {"seed": True}, "seed must be an int >= 0, got bool True"),
+    ("negative seed", lambda raw: {"seed": -3}, "seed must be an int >= 0, got int -3"),
+]
+
+
+@pytest.mark.parametrize("edit, message", [f[1:] for f in BUNDLE_MANIFEST_FAULTS],
+                         ids=[f[0] for f in BUNDLE_MANIFEST_FAULTS])
+def test_bundle_its_constructor_refuses_is_format_error(capsys, cli_dataset, cli_run, tmp_path,
+                                                        edit, message):
+    shutil.copytree(cli_run / "bundle", tmp_path / "bundle")
+    edit_manifest(tmp_path / "bundle", edit(json.loads((cli_run / "bundle" / "manifest.json").read_text())))
+    code, out, err = _infer_on(capsys, cli_dataset, cli_run / "final", tmp_path / "bundle")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "format_error"
+    assert payload["message"].startswith(f"{tmp_path / 'bundle'}: malformed bundle: ConfigError: ")
+    assert message in payload["message"]
+
+
+def test_odd_d_i_checkpoint_is_format_error(capsys, cli_dataset, cli_run, tmp_path):
+    from spdg.blob import write_blob
+    from oracles import prompter_shapes
+
+    final = tmp_path / "final"
+    shutil.copytree(cli_run / "final", final)
+    for name, shape in prompter_shapes("gaussian", 63, 32).items():
+        write_blob(final / f"{name}.spdg", np.full(shape, 0.01))
+    edit_manifest(final, {"dims": {"d_i": 63, "d_t": 32}})
+    code, out, err = _infer_on(capsys, cli_dataset, final, cli_run / "bundle")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "format_error"
+    assert "malformed checkpoint: ConfigError: d_i must be even and >= 2 and d_t >= 2, got d_i=63" \
+        in payload["message"]
+
+
+@pytest.mark.parametrize("damage", ["one class", "cells uneven"])
+def test_train_refuses_labels_whose_cells_miss_n_per_cell(capsys, cli_dataset, tmp_path, damage):
+    data = tmp_path / "data"
+    shutil.copytree(cli_dataset, data)
+    message = spoil_labels(data, damage)
+    code, out, err = run_cli(capsys, "train", "--dataset", str(data), "--held-out", "sketch",
+                             "--epochs", "1", "--out-dir", str(tmp_path / "run"))
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "format_error" and message in payload["message"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_tau_d_whose_inverse_overflows_float32_is_config_error(capsys, cli_dataset, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"weights": {"tau_d": 1e-39}}))
+    code, out, err = run_cli(capsys, "train", "--config", str(config), "--dataset", str(cli_dataset),
+                             "--held-out", "sketch", "--out-dir", str(tmp_path / "run"))
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "config_error" and "tau_d must be in [5.87" in payload["message"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_tau_d_of_1e_38_still_trains(capsys, cli_dataset, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"weights": {"tau_d": 1e-38}, "epochs": 1, "batch_size": 8,
+                                  "mc_samples": 2}))
+    code, out, err = run_cli(capsys, "train", "--config", str(config), "--dataset", str(cli_dataset),
+                             "--held-out", "sketch", "--out-dir", str(tmp_path / "run"))
+    assert code == 0, err
+    losses = [json.loads(line) for line in (tmp_path / "run" / "metrics.ndjson").read_text().splitlines()]
+    assert all(np.isfinite(r["loss_total"]) for r in losses if "loss_total" in r)
+
+
+def test_gen_data_f32_overflow_is_config_error(capsys, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a RuntimeWarning fails the test
+        code, out, err = run_cli(capsys, "gen-data", "--out-dir", str(tmp_path / "d"), "--seed", "0",
+                                 "--style-strength", "1e39", "--precision", "f32")
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "config_error" and "is not finite" in payload["message"]
+    assert not (tmp_path / "d").exists()
+    # float64 holds the same samples
+    assert run_cli(capsys, "gen-data", "--out-dir", str(tmp_path / "d64"), "--seed", "0",
+                   "--style-strength", "1e39")[0] == 0
 
 
 def test_readme_flag_table_names_exactly_the_subcommands():
@@ -678,7 +782,7 @@ def test_non_finite_sample_is_format_error(capsys, tmp_path):
     assert (code, out) == (2, "")
     payload = json.loads(err)
     assert payload["error"] == "format_error"
-    assert "samples.spdg" in payload["message"] and "sample 100 " in payload["message"]
+    assert payload["message"] == f"{data}: malformed dataset: ConfigError: sample 100 is not finite"
     assert not (tmp_path / "run").exists()
 
 

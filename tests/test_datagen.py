@@ -1,20 +1,40 @@
+import contextlib
+import io
 import json
 import re
 import runpy
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import LABEL_FAULTS, MANIFEST_FAULTS, edit_manifest, spoil_labels
 from spdg import datagen
 from spdg.blob import read_blob
+from spdg.cli import main
+from spdg.encoders import (
+    EncoderDims,
+    _weight_shapes,
+    build_bundle,
+    bundle_checksum,
+    default_vocab,
+    load_bundle,
+    save_bundle,
+)
 from spdg.errors import ConfigError, FormatError
+from spdg.prompter import (
+    PARAMETER_NAMES,
+    _parameter_shapes,
+    init_gaussian_prompter,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 # A dataset saved with these arguments; save must still reproduce it byte for
 # byte. Its samples.spdg is as old as the dataset format, and its names hold a
@@ -154,7 +174,7 @@ def test_unhashable_manifest_names_rejected(tmp_path):
     raw = json.loads(manifest_path.read_text())
     raw["classes"] = [[name] for name in raw["classes"]]
     manifest_path.write_text(json.dumps(raw))
-    with pytest.raises(FormatError, match="malformed dataset manifest"):
+    with pytest.raises(FormatError, match="malformed dataset: ConfigError: classes names must be strings"):
         datagen.load(tmp_path / "d")
 
 
@@ -179,7 +199,8 @@ def test_spoiled_labels_blob_rejected(tmp_path, damage):
     message = spoil_labels(directory, damage)
     with pytest.raises(FormatError) as err:
         datagen.load(directory)
-    assert str(directory / "labels.spdg") in str(err.value)
+    # a blob that cannot be read names its file; labels the dataset refuses name the directory
+    assert str(err.value).startswith(str(directory))
     assert message in str(err.value)
 
 
@@ -198,7 +219,7 @@ def test_format_1_dataset_says_regenerate(tmp_path):
 def test_faulty_manifest_rejected(tmp_path, edit, message):
     directory = _saved(tmp_path)
     edit_manifest(directory, edit)
-    with pytest.raises(FormatError, match="malformed dataset manifest") as err:
+    with pytest.raises(FormatError, match="malformed dataset: ConfigError") as err:
         datagen.load(directory)
     assert message in str(err.value)
 
@@ -216,29 +237,110 @@ def _mutate(raw: bytes, mutation) -> bytes:
     return raw[:a] + raw[a:a + b] + raw[a:]  # repeat up to b bytes
 
 
-_MUTATION = st.tuples(st.sampled_from(DATASET_FILES), st.sampled_from(["flip", "truncate", "repeat"]),
-                      st.integers(0, 1 << 20), st.integers(1, 255))
+def _mutations(files):
+    """Lists of 1 to 3 (file, flip | truncate | repeat, offset, byte or length) edits."""
+    edit = st.tuples(st.sampled_from(files), st.sampled_from(["flip", "truncate", "repeat"]),
+                     st.integers(0, 1 << 20), st.integers(1, 255))
+    return st.lists(edit, min_size=1, max_size=3)
+
+
+def _mutated_copy(source: Path, target: Path, mutations) -> None:
+    shutil.copytree(source, target)
+    for name, *mutation in mutations:
+        path = target / name
+        path.write_bytes(_mutate(path.read_bytes(), mutation))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_MUTATION, min_size=1, max_size=3))
+@given(_mutations(DATASET_FILES))
 def test_fuzzed_dataset_loads_whole_or_format_error(mutations):
     with tempfile.TemporaryDirectory() as tmp:
-        directory = Path(tmp) / "d"
-        shutil.copytree(GOLDEN, directory)
-        for name, *mutation in mutations:
-            path = directory / name
-            path.write_bytes(_mutate(path.read_bytes(), mutation))
+        _mutated_copy(GOLDEN, Path(tmp) / "d", mutations)
         try:
-            back = datagen.load(directory)
+            back = datagen.load(Path(tmp) / "d")
         except FormatError:
             return
-    # whatever loads is whole: the shapes the manifest gives, finite samples, ids in range
-    n = back.manifest.n_samples
+    # whatever loads is whole: the shapes the manifest gives, finite samples, ids in
+    # range, and n_per_cell samples in every (class, domain) cell
+    n, n_domains = back.manifest.n_samples, len(back.domains)
     assert back.x.shape == (n, back.manifest.d_x) and np.isfinite(back.x).all()
     assert back.class_ids.shape == back.domain_ids.shape == (n,)
     assert 0 <= back.class_ids.min() and back.class_ids.max() < len(back.classes)
-    assert 0 <= back.domain_ids.min() and back.domain_ids.max() < len(back.domains)
+    assert 0 <= back.domain_ids.min() and back.domain_ids.max() < n_domains
+    cells = np.bincount(back.class_ids * n_domains + back.domain_ids)
+    assert cells.tolist() == [back.manifest.n_per_cell] * (len(back.classes) * n_domains)
+
+
+# a bundle and a Gaussian checkpoint bound to it, at small dims that fit GOLDEN's samples
+FUZZ_DIMS = EncoderDims(d_x=4, d_i=8, d_t=4, d_f=6)
+BUNDLE_FILES = ["manifest.json", *(f"{name}.spdg" for name in _weight_shapes(FUZZ_DIMS, 1))]
+CHECKPOINT_FILES = ["manifest.json", *(f"{name}.spdg" for name in PARAMETER_NAMES["gaussian"])]
+
+
+@pytest.fixture(scope="module")
+def bound_pair(tmp_path_factory) -> Path:
+    """A directory holding bundle/ and checkpoint/, the checkpoint bound to the bundle."""
+    root = tmp_path_factory.mktemp("pair")
+    bundle = build_bundle(FUZZ_DIMS, default_vocab(GOLDEN_KWARGS["classes"]), seed=3)
+    save_bundle(bundle, root / "bundle")
+    save_checkpoint(init_gaussian_prompter(FUZZ_DIMS.d_i, FUZZ_DIMS.d_t, seed=4), root / "checkpoint",
+                    bundle_checksum=bundle_checksum(bundle))
+    return root
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=_mutations(BUNDLE_FILES))
+def test_fuzzed_bundle_loads_whole_or_format_error(bound_pair, mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        _mutated_copy(bound_pair / "bundle", Path(tmp) / "b", mutations)
+        try:
+            back = load_bundle(Path(tmp) / "b")
+        except FormatError:
+            return
+    # whatever loads is whole: the weight shapes its dims and vocab give, a vocab of
+    # unique strings and an int seed
+    assert {name: w.shape for name, w in back.weights.items()} == \
+        _weight_shapes(back.dims, len(back.vocab))
+    assert back.vocab and all(type(w) is str for w in back.vocab)
+    assert len(set(back.vocab)) == len(back.vocab) == len(back.word_to_id)
+    assert type(back.seed) is int and back.seed >= 0
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=_mutations(CHECKPOINT_FILES))
+def test_fuzzed_checkpoint_loads_whole_or_format_error(bound_pair, mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        _mutated_copy(bound_pair / "checkpoint", Path(tmp) / "c", mutations)
+        try:
+            back, manifest = load_checkpoint(Path(tmp) / "c")
+        except FormatError:
+            return
+    # whatever loads is whole: its kind's parameters at the shapes of an even d_i >= 2
+    # and a d_t >= 2, which the manifest's dims repeat
+    d_i, d_t = back.d_i, back.d_t
+    assert d_i >= 2 and d_i % 2 == 0 and d_t >= 2
+    assert {name: p.shape for name, p in back.parameters()} == _parameter_shapes(back.kind, d_i, d_t)
+    assert manifest["dims"] == {"d_i": d_i, "d_t": d_t}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=_mutations([f"bundle/{name}" for name in BUNDLE_FILES]
+                            + [f"checkpoint/{name}" for name in CHECKPOINT_FILES]))
+def test_fuzzed_pair_never_ends_infer_in_internal(bound_pair, mutations):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        _mutated_copy(bound_pair, Path(tmp) / "pair", mutations)
+        # RuntimeWarnings warn, as outside this suite: a flipped exponent bit can leave a
+        # finite but huge checkpoint parameter whose forward overflows
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(action="ignore", category=RuntimeWarning):
+            code = main(["infer", "--checkpoint", str(Path(tmp) / "pair" / "checkpoint"),
+                         "--bundle", str(Path(tmp) / "pair" / "bundle"),
+                         "--dataset", str(GOLDEN), "--index", "0"])
+    # a mutation the checksum binding does not cover (the bundle seed, say) still infers;
+    # an overflowing forward ends in degenerate_vector
+    assert code == 0 or (code == 2 and json.loads(stderr.getvalue())["error"]
+                         in ("format_error", "degenerate_vector")), stderr.getvalue()
 
 
 # names that JSON must escape (quotes, line breaks, tabs), non-ASCII, or plain
@@ -277,7 +379,7 @@ def test_invalid_arguments_rejected(kwargs):
 
 
 def test_overflowing_samples_rejected():
-    with pytest.raises(ConfigError, match="noise_std 1e\\+308 give samples that are not finite"):
+    with pytest.raises(ConfigError, match="sample 0 is not finite"):
         datagen.generate(n_per_cell=10, noise_std=1e308)
 
 
@@ -313,15 +415,45 @@ def test_generate_checks_before_drawing(monkeypatch):
         datagen.generate(n_per_cell=9)
 
 
-@pytest.mark.parametrize("column", ["class_ids", "domain_ids"])
-@pytest.mark.parametrize("past_end", [False, True], ids=["minus-one", "len-names"])
-def test_save_rejects_id_outside_names(tmp_path, column, past_end):
+# edits of a generated dataset's arrays that its constructor refuses, and what it says
+DATASET_FAULTS = {
+    "class id -1": (lambda ds: ds.class_ids.__setitem__(0, -1), "class ids must lie in [0, 4)"),
+    "class id past names": (lambda ds: ds.class_ids.__setitem__(0, 4), "class ids must lie in [0, 4)"),
+    "domain id -1": (lambda ds: ds.domain_ids.__setitem__(0, -1), "domain ids must lie in [0, 4)"),
+    "domain id past names": (lambda ds: ds.domain_ids.__setitem__(0, 4),
+                             "domain ids must lie in [0, 4)"),
+    "sample moved to another cell": (lambda ds: ds.domain_ids.__setitem__(0, 1),
+                                     "cell ('dog', 'photo') holds 9 samples, not n_per_cell 10"),
+    "every class id 0": (lambda ds: ds.class_ids.fill(0),
+                         "cell ('dog', 'photo') holds 40 samples, not n_per_cell 10"),
+    "NaN sample": (lambda ds: ds.x.__setitem__((5, 3), np.nan), "sample 5 is not finite"),
+    "infinite sample": (lambda ds: ds.x.__setitem__((7, 0), -np.inf), "sample 7 is not finite"),
+}
+
+
+@pytest.mark.parametrize("fault", DATASET_FAULTS)
+def test_constructor_and_save_refuse_a_broken_dataset(tmp_path, fault):
     ds = datagen.generate(n_per_cell=10, seed=1)
-    names = ds.classes if column == "class_ids" else ds.domains
-    getattr(ds, column)[0] = len(names) if past_end else -1
-    with pytest.raises(FormatError, match=f"must lie in \\[0, {len(names)}\\)"):
+    spoil, message = DATASET_FAULTS[fault]
+    spoil(ds)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        datagen.MultiDomainDataset(ds.x, ds.class_ids, ds.domain_ids, ds.manifest)
+    # the arrays stay mutable, so save runs the same check before it writes anything
+    with pytest.raises(ConfigError, match=re.escape(message)):
         datagen.save(ds, tmp_path / "d")
-    assert not (tmp_path / "d").exists()   # rejected before any file is written
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("arrays, message", [
+    (lambda ds: (ds.x[:-1], ds.class_ids, ds.domain_ids), "samples have shape (159, 32), not (160, 32)"),
+    (lambda ds: (ds.x[:, :31], ds.class_ids, ds.domain_ids), "samples have shape (160, 31)"),
+    (lambda ds: (ds.x, ds.class_ids[:-1], ds.domain_ids), "class ids have shape (159,), not (160,)"),
+    (lambda ds: (ds.x, ds.class_ids, ds.domain_ids[None]), "domain ids have shape (1, 160)"),
+], ids=["short x", "narrow x", "short class ids", "domain ids as a row"])
+def test_constructor_refuses_arrays_not_of_the_manifest_shape(arrays, message):
+    ds = datagen.generate(n_per_cell=10, seed=1)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        datagen.MultiDomainDataset(*arrays(ds), ds.manifest)
 
 
 def test_fixture_seed_scan_runs(capsys, monkeypatch):

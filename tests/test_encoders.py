@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from spdg.encoders import (
     style_prompt_text,
     tokenize,
 )
-from spdg.errors import ConfigError, DegenerateVectorError, ShapeError, TokenizeError
+from spdg.errors import ConfigError, DegenerateVectorError, FormatError, ShapeError, TokenizeError
 from spdg.tensor import Tensor, finite_diff_grad_check
 
 CLASSES = ["dog", "elephant", "guitar", "horse"]
@@ -56,6 +58,33 @@ class TestBuildBundle:
     def test_duplicate_vocab_rejected(self, dims):
         with pytest.raises(ConfigError, match="duplicate"):
             build_bundle(dims, ["dog", "dog"], seed=0)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda b: {"vocab": b.vocab[:-1] + ["a"]}, "vocab has duplicate words: ['a']"),
+        (lambda b: {"vocab": [None] + b.vocab[1:]}, "vocab must be a non-empty list of strings"),
+        (lambda b: {"vocab": "x" * len(b.vocab)}, "vocab must be a non-empty list of strings"),
+        (lambda b: {"vocab": tuple(b.vocab)}, "vocab must be a non-empty list of strings"),
+        (lambda b: {"vocab": []}, "vocab must be a non-empty list of strings, got []"),
+        (lambda b: {"seed": 3.0}, "seed must be an int >= 0, got float 3.0"),
+        (lambda b: {"seed": False}, "seed must be an int >= 0, got bool False"),
+        (lambda b: {"seed": -1}, "seed must be an int >= 0, got int -1"),
+        (lambda b: {"weights": {k: v for k, v in b.weights.items() if k != "proj_w"}},
+         "bundle weights must be"),
+        (lambda b: {"weights": {**b.weights, "bias": np.zeros(3)}}, "bundle weights must be"),
+        (lambda b: {"weights": {**b.weights, "tok_emb": b.weights["tok_emb"][1:]}},
+         "bundle weight tok_emb has shape (16, 32), but the dims and the vocab's 17 words give (17, 32)"),
+        (lambda b: {"weights": {**b.weights, "txt_bp": b.weights["txt_bp"][None]}},
+         "bundle weight txt_bp has shape (1, 48)"),
+    ], ids=["duplicate word", "word not a string", "string", "tuple", "empty", "float seed",
+            "bool seed", "negative seed", "missing weight", "extra weight", "short tok_emb",
+            "bias as a row"])
+    def test_constructor_refuses(self, bundle, change, message):
+        from spdg.encoders import FrozenEncoderBundle
+        fields = {"dims": bundle.dims, "vocab": bundle.vocab, "seed": bundle.seed,
+                  "logit_scale": bundle.logit_scale, "weights": bundle.weights, **change(bundle)}
+        with pytest.raises(ConfigError) as err:
+            FrozenEncoderBundle(**fields)
+        assert message in str(err.value)
 
     def test_tiny_dims_rejected(self):
         with pytest.raises(ConfigError):
@@ -321,6 +350,25 @@ class TestBundleIO:
         assert bundle_checksum(loaded) == bundle_checksum(bundle)
         assert loaded.vocab == bundle.vocab
         assert loaded.logit_scale == bundle.logit_scale
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: {"vocab": raw["vocab"][:-1] + ["a"]}, "vocab has duplicate words: ['a']"),
+        (lambda raw: {"vocab": raw["vocab"][:-1] + [7]}, "vocab must be a non-empty list of strings"),
+        (lambda raw: {"vocab": "x" * len(raw["vocab"])}, "vocab must be a non-empty list of strings"),
+        (lambda raw: {"seed": 0.5}, "seed must be an int >= 0, got float 0.5"),
+        (lambda raw: {"seed": 1e400}, "seed must be an int >= 0, got float inf"),
+        (lambda raw: {"dims": {**raw["dims"], "d_f": 40}}, "bundle weight txt_wp has shape (32, 48)"),
+    ], ids=["duplicate word", "word not a string", "string vocab", "float seed", "infinite seed",
+            "dims off the weights"])
+    def test_manifest_the_constructor_refuses_is_format_error(self, bundle, tmp_path, edit, message):
+        save_bundle(bundle, tmp_path / "b")
+        manifest = tmp_path / "b" / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**raw, **edit(raw)}))
+        with pytest.raises(FormatError) as err:
+            load_bundle(tmp_path / "b")
+        assert str(err.value).startswith(f"{tmp_path / 'b'}: malformed bundle: ConfigError: ")
+        assert message in str(err.value)
 
     def test_frozen_across_use(self, bundle, rng):
         before = bundle_checksum(bundle)

@@ -1,9 +1,10 @@
 import ctypes
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import WIDE_CLASSES, run_python, sized_dataset
+from conftest import WIDE_CLASSES, run_python
 from oracles import normalized_predict_batch
 from spdg import datagen, evaluate
 from spdg.encoders import FrozenEncoderBundle
@@ -409,14 +410,23 @@ class TestLeaveOneOut:
         assert report.methods["baseline_C"].config_hash is None
         assert len({report.methods[m].config_hash for m in methods[1:]} - {None}) == 3
 
-    def test_every_held_out_domain_is_checked_before_any_fold(self, monkeypatch, quick_config):
-        folds = []
-        monkeypatch.setattr(evaluate, "_evaluate_fold", lambda *a: folds.append(a))
-        # d0's 9 samples are too few to train on, so only the fold that holds d0 out fits
-        with pytest.raises(ConfigError, match="'d0' has only 9 samples"):
-            evaluate_leave_one_out("sized", ["baseline_C", "gsp"], seeds=[0], base=quick_config,
-                                   dataset=sized_dataset([9, 10, 10]))
-        assert folds == []
+    def test_every_held_out_domain_is_checked_before_any_fold(self, monkeypatch, small_dataset,
+                                                              quick_config):
+        events, check_run = [], evaluate.check_run
+        monkeypatch.setattr(evaluate, "_evaluate_fold",
+                            lambda *a: events.append(("fold", a[4])) or 0.5)
+        monkeypatch.setattr(evaluate, "check_run", lambda dataset, config: events.append(
+            ("check", config.held_out_domain)) or check_run(dataset, config))
+        evaluate_leave_one_out("small", ["baseline_C", "gsp"], seeds=[0], base=quick_config,
+                               dataset=small_dataset)
+        domains = small_dataset.domains
+        assert events == [("check", d) for d in domains] + [("fold", d) for d in domains for _ in "ab"]
+        # a split that keeps 1 of a domain's 48 samples for training fails before any fold
+        events.clear()
+        with pytest.raises(ConfigError, match="keeps 1 of each domain's 48 samples"):
+            evaluate_leave_one_out("small", ["baseline_C", "gsp"], seeds=[0],
+                                   base=replace(quick_config, val_ratio=0.004), dataset=small_dataset)
+        assert events == [("check", domains[0])]
 
     def test_one_method_config_per_trained_method(self, monkeypatch, small_dataset_dir,
                                                   quick_config):

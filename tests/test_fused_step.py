@@ -24,7 +24,6 @@ from spdg.errors import ConfigError, DegenerateVectorError, TrainingDiverged
 from spdg.losses import (
     LossParts,
     LossWeights,
-    RegAnchorTable,
     build_reg_anchors,
     classification_head,
     prompted_ce_and_reg,
@@ -71,14 +70,14 @@ class TestClassificationHead:
         z = encode_image(wide_bundle, rng.normal(size=(b, wide_bundle.dims.d_x)))
         styles = rng.normal(size=(b, wide_bundle.dims.d_t))
         labels = rng.integers(0, n_classes, size=b)
-        table = build_reg_anchors(wide_bundle, classes) if with_reg else None
+        anchors = build_reg_anchors(wide_bundle, classes) if with_reg else None
         probes = [np.asarray(0.7), np.asarray(-1.3)]
 
         def fused(s):
-            return prompted_ce_and_reg(wide_bundle, z, s, labels, classes, table)
+            return prompted_ce_and_reg(wide_bundle, z, s, labels, classes, anchors)
 
         def composed(s):
-            return composed_prompted_ce_and_reg(wide_bundle, z, s, labels, classes, table)
+            return composed_prompted_ce_and_reg(wide_bundle, z, s, labels, classes, anchors)
 
         got, got_grad, _ = taped(fused, [styles], probes)
         want, want_grad, _ = taped(composed, [styles], probes)
@@ -99,11 +98,11 @@ class TestClassificationHead:
 
     def test_one_node_over_the_text_features(self, wide_bundle, rng):
         z = encode_image(wide_bundle, rng.normal(size=(12, wide_bundle.dims.d_x)))
-        table = build_reg_anchors(wide_bundle, WIDE_CLASSES)
+        anchors = build_reg_anchors(wide_bundle, WIDE_CLASSES)
         styles = Tensor(rng.normal(size=(12, wide_bundle.dims.d_t)), requires_grad=True)
         with Tape() as tape:
             prompted_ce_and_reg(wide_bundle, z, styles, rng.integers(0, 16, size=12),
-                                WIDE_CLASSES, table)
+                                WIDE_CLASSES, anchors)
         assert len(tape) == 2   # the text encoder and the head
 
 
@@ -128,7 +127,6 @@ class TestClassificationHeadEdges:
     def test_row_scales_from_1e_6_to_1e6_match_composed_oracle(self, b, n_classes, with_reg, scale):
         feats, unit_z, labels, anchors = self._inputs(b, n_classes, self.D_F,
                                                       [b, n_classes, with_reg, int(scale)])
-        table = RegAnchorTable([str(c) for c in range(n_classes)], anchors) if with_reg else None
         probes = [np.asarray(0.7), np.asarray(-1.3)]
 
         def fused(f):
@@ -137,7 +135,7 @@ class TestClassificationHeadEdges:
 
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             got, got_grad, _ = taped(fused, [feats], probes)
-            want, want_grad, _ = taped(lambda f: composed_head(f, unit_z, labels, scale, table),
+            want, want_grad, _ = taped(lambda f: composed_head(f, unit_z, labels, scale, anchors if with_reg else None),
                                        [feats], probes)
         assert len(got) == len(want) == (2 if with_reg else 1)
         # a raw dot over the row norm and a dot of the unit row round apart by

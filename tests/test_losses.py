@@ -311,6 +311,23 @@ class TestDomainDiscriminationLoss:
             domain_discrimination_loss(Tensor(unit_rows(rng, 4, 4)), [0, 0, 1, 1], 0.5,
                                        dtype=dtype)
 
+    @pytest.mark.parametrize("dtype, tau", [(np.float32, 1e-39), (np.float32, 5.8e-39),
+                                            (np.float64, 1e-308), (np.float64, 5e-324)])
+    def test_tau_whose_inverse_or_shift_overflows_the_block_rejected(self, rng, dtype, tau):
+        # below 2 / the dtype's largest value, 1/tau or the shift (about 1/tau) overflows it
+        with pytest.raises(ConfigError, match="tau must be in"):
+            domain_discrimination_loss(Tensor(unit_rows(rng, 8, 4)), np.repeat([0, 1], 4), tau,
+                                       dtype=dtype)
+
+    @pytest.mark.parametrize("tau", [1e-38, 2.0 / float(np.finfo(np.float32).max)],
+                             ids=["1e-38", "least"])
+    def test_float32_at_the_least_tau_matches_float64(self, rng, tau):
+        s, dom = Tensor(unit_rows(rng, 8, 4)), np.repeat([0, 1], 4)
+        got = domain_discrimination_loss(s, dom, tau).item()
+        assert np.isfinite(got)
+        assert got == pytest.approx(domain_discrimination_loss(s, dom, tau, dtype=np.float64).item(),
+                                    rel=1e-6)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_rejected(self, rng, bad):
         s = unit_rows(rng, 480, 32)
@@ -352,23 +369,23 @@ class TestRegAnchors:
     def test_unit_norm_and_deterministic(self, bundle):
         t1 = build_reg_anchors(bundle, CLASSES)
         t2 = build_reg_anchors(bundle, CLASSES)
-        assert np.array_equal(t1.anchors, t2.anchors)
-        norms = np.linalg.norm(t1.anchors, axis=1)
+        assert np.array_equal(t1, t2)
+        norms = np.linalg.norm(t1, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12
 
     def test_anchor_is_the_mean_of_the_unit_style_texts(self, bundle):
         from spdg.encoders import STYLE_WORDS, domain_style_text
-        table = build_reg_anchors(bundle, ["dog"])
+        anchors = build_reg_anchors(bundle, ["dog"])
         feats = [encode_text(bundle, Tensor(bundle.weights["tok_emb"][
             np.asarray(tokenize(domain_style_text(word, "dog"), bundle))])).data
             for word in STYLE_WORDS]
         mean = np.mean([f / np.linalg.norm(f) for f in feats], axis=0)
-        assert np.allclose(table.anchors[0], mean / np.linalg.norm(mean), atol=1e-12)
+        assert np.allclose(anchors[0], mean / np.linalg.norm(mean), atol=1e-12)
 
 
     def test_grouped_encodes_match_per_text(self, mixed_bundle):
         from spdg.encoders import STYLE_WORDS, domain_style_text
-        table = build_reg_anchors(mixed_bundle, MIXED_CLASSES)
+        anchors = build_reg_anchors(mixed_bundle, MIXED_CLASSES)
         for ci, cls in enumerate(MIXED_CLASSES):
             feats = []
             for word in STYLE_WORDS:
@@ -376,49 +393,47 @@ class TestRegAnchors:
                 feat = encode_text(mixed_bundle, Tensor(mixed_bundle.weights["tok_emb"][ids])).data
                 feats.append(feat / np.linalg.norm(feat))
             mean = np.mean(feats, axis=0)
-            assert np.abs(table.anchors[ci] - mean / np.linalg.norm(mean)).max() <= 1e-12
+            assert np.abs(anchors[ci] - mean / np.linalg.norm(mean)).max() <= 1e-12
 
 
 class TestStyleRegularizationLoss:
-    def _table(self, rng, d_f=48):
-        anchors = unit_rows(rng, len(CLASSES), d_f)
-        from spdg.losses import RegAnchorTable
-        return RegAnchorTable(classes=list(CLASSES), anchors=anchors)
+    def _anchors(self, rng, d_f=48):
+        return unit_rows(rng, len(CLASSES), d_f)
 
     def test_perfect_alignment_zero(self, rng):
-        table = self._table(rng)
+        anchors = self._anchors(rng)
         labels = np.array([0, 1, 2, 3])
-        feats = Tensor(table.anchors[labels] * 3.0)  # scale must not matter
-        assert style_regularization_loss(feats, labels, table).item() == pytest.approx(0.0, abs=1e-12)
+        feats = Tensor(anchors[labels] * 3.0)  # scale must not matter
+        assert style_regularization_loss(feats, labels, anchors).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_antipodal_two(self, rng):
-        table = self._table(rng)
+        anchors = self._anchors(rng)
         labels = np.array([0, 1])
-        feats = Tensor(-table.anchors[labels])
-        assert style_regularization_loss(feats, labels, table).item() == pytest.approx(2.0, abs=1e-12)
+        feats = Tensor(-anchors[labels])
+        assert style_regularization_loss(feats, labels, anchors).item() == pytest.approx(2.0, abs=1e-12)
 
     def test_orthogonal_one(self, rng):
-        table = self._table(rng)
-        base = table.anchors[0]
+        anchors = self._anchors(rng)
+        base = anchors[0]
         other = rng.normal(size=base.shape)
         other -= (other @ base) * base
         feats = Tensor(other[None, :])
-        assert style_regularization_loss(feats, [0], table).item() == pytest.approx(1.0, abs=1e-10)
+        assert style_regularization_loss(feats, [0], anchors).item() == pytest.approx(1.0, abs=1e-10)
 
     def test_missing_anchor_rejected(self, rng):
-        table = self._table(rng)
+        anchors = self._anchors(rng)
         with pytest.raises(ConfigError):
-            style_regularization_loss(Tensor(unit_rows(rng, 1, 48)), [7], table)
+            style_regularization_loss(Tensor(unit_rows(rng, 1, 48)), [7], anchors)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_bounds(self, seed):
         rng = np.random.default_rng(seed)
-        table = self._table(rng)
+        anchors = self._anchors(rng)
         b = int(rng.integers(1, 9))
         labels = rng.integers(0, len(CLASSES), size=b)
         feats = Tensor(rng.normal(size=(b, 48)) * rng.uniform(0.1, 5.0))
-        val = style_regularization_loss(feats, labels, table).item()
+        val = style_regularization_loss(feats, labels, anchors).item()
         assert 0.0 <= val <= 2.0
 
 
@@ -504,6 +519,16 @@ class TestTotalLoss:
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
             LossWeights(w_d=-0.1)
+
+    @pytest.mark.parametrize("tau_d, accepted", [
+        (1e-38, True), (2.0 / float(np.finfo(np.float32).max), True), (5.8e-39, False),
+        (1e-39, False), (0.0, False), (-0.1, False)])
+    def test_tau_d_keeps_the_float32_block_finite(self, tau_d, accepted):
+        if accepted:
+            assert LossWeights(tau_d=tau_d).tau_d == tau_d
+        else:
+            with pytest.raises(ConfigError, match="tau_d must be in \\[5.87"):
+                LossWeights(tau_d=tau_d)
 
 
 class TestSharedTextPass:

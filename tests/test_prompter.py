@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import mul, reshape, sum_all
+from oracles import mul, prompter_shapes, reshape, sum_all
+from spdg.blob import write_blob
 from spdg.errors import ConfigError, FormatError
 from spdg.prompter import (
     PARAMETER_NAMES,
@@ -62,9 +63,41 @@ class TestBasicForward:
         with pytest.raises(ConfigError, match="even"):
             init_basic_prompter(15, D_T, seed=0)
 
+    @pytest.mark.parametrize("init", [init_basic_prompter, init_gaussian_prompter])
+    @pytest.mark.parametrize("d_i, d_t", [(1, D_T), (0, D_T), (-2, D_T), (D_I, 1)])
+    def test_small_dims_rejected_before_any_draw(self, init, d_i, d_t):
+        with pytest.raises(ConfigError, match=f"got d_i={d_i}, d_t={d_t}"):
+            init(d_i, d_t, seed=0)
+
     def test_parameter_count_formula(self, basic):
         h = D_I // 2
         assert sum(p.size for _, p in basic.parameters()) == D_I * h + h + h * h + h + h * D_T + D_T
+
+
+def _params(kind, d_i=D_I, d_t=D_T, **changed):
+    """Zero parameters of a kind's shapes at d_i and d_t, some of them replaced."""
+    return {name: Tensor(changed.get(name, np.zeros(shape)))
+            for name, shape in prompter_shapes(kind, d_i, d_t).items()}
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("mlp", _params("basic"), "unknown prompter_kind 'mlp'"),
+    (["gaussian"], _params("gaussian"), "unknown prompter_kind ['gaussian']"),
+    ("basic", _params("basic", w2=np.zeros((D_I // 2, D_I // 2 + 1))),
+     f"parameter w2 has shape (8, 9), but the basic prompter with d_i={D_I}, d_t={D_T} gives (8, 8)"),
+    ("basic", _params("basic", w1=np.zeros((D_I // 2, D_I))), "parameter w1 has shape (8, 16)"),
+    ("gaussian", _params("gaussian", b_sigma=np.zeros((1, D_T))), "parameter b_sigma has shape (1, 8)"),
+    ("gaussian", _params("gaussian", w_mu=np.zeros(())), f"got d_i={D_I}, d_t=0"),
+    ("basic", _params("basic", w1=np.zeros(D_I)), f"parameter w1 has shape ({D_I},)"),
+    ("basic", _params("basic", 15), "d_i must be even and >= 2 and d_t >= 2, got d_i=15, d_t=8"),
+    ("basic", _params("basic", 0), "got d_i=0, d_t=8"),
+    ("gaussian", _params("gaussian", d_t=1), "got d_i=16, d_t=1"),
+], ids=["unknown kind", "unhashable kind", "w2 one column wide", "w1 transposed",
+        "b_sigma as a row", "w_mu a scalar", "w1 a vector", "odd d_i", "d_i 0", "d_t 1"])
+def test_constructor_refuses(kind, params, message):
+    with pytest.raises(ConfigError) as err:
+        StylePrompter(kind, params)
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize("init, want", [(init_basic_prompter, "bd2f022f33921402"),
@@ -221,6 +254,16 @@ class TestCheckpointIO:
         raw["sigma_floor"] = floor
         manifest.write_text(json.dumps(raw))
         with pytest.raises(FormatError, match="sigma_floor"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    def test_odd_d_i_checkpoint_is_format_error(self, tmp_path, basic):
+        save_checkpoint(basic, tmp_path / "ckpt")
+        for name, shape in prompter_shapes("basic", 15, D_T).items():
+            write_blob(tmp_path / "ckpt" / f"{name}.spdg", np.full(shape, 0.1))
+        manifest = tmp_path / "ckpt" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "dims": {"d_i": 15, "d_t": D_T}}))
+        with pytest.raises(FormatError, match="malformed checkpoint: ConfigError: d_i must be even"):
             load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize("kind", ["conv", ["gaussian"], {"kind": "basic"}], ids=str)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sized_dataset
 from spdg.errors import ConfigError, NormalizationError, TrainingDiverged
 from spdg.losses import LossWeights
 from spdg.tensor import Tensor
@@ -160,37 +159,30 @@ class TestStratifiedBatches:
 
 
 class TestCheckRun:
-    def test_training_domains_by_held_out_name(self):
-        dataset = sized_dataset([10, 10, 10])
-        assert check_run(dataset, RunConfig(held_out_domain="d1")) == [0, 2]
-        assert check_run(dataset, RunConfig(held_out_domain=None, batch_size=6)) == [0, 1, 2]
+    # small_dataset: 4 classes x 12 samples in each of photo, cartoon and sketch
+    def test_training_domains_by_held_out_name(self, small_dataset):
+        assert check_run(small_dataset, RunConfig(held_out_domain="cartoon")) == [0, 2]
+        assert check_run(small_dataset, RunConfig(held_out_domain=None, batch_size=6)) == [0, 1, 2]
 
-    def test_held_out_domain_index_rejected(self):
+    def test_held_out_domain_index_rejected(self, small_dataset):
         with pytest.raises(ConfigError, match="held-out domain 1 not in dataset domains"):
-            check_run(sized_dataset([10, 10, 10]), RunConfig(held_out_domain=1))
+            check_run(small_dataset, RunConfig(held_out_domain=1))
 
-    def test_small_domain_rejected(self):
-        with pytest.raises(ConfigError, match="'d1' has only 9 samples, need >= 10"):
-            check_run(sized_dataset([10, 9]), RunConfig(batch_size=4))
-
-    def test_batch_too_small_rejected(self):
+    def test_batch_too_small_rejected(self, small_dataset):
         with pytest.raises(ConfigError, match="batch size 5"):
-            check_run(sized_dataset([10, 10, 10]), RunConfig(batch_size=5))
+            check_run(small_dataset, RunConfig(batch_size=5))
 
-    def test_single_sample_domain_rejected(self):
-        with pytest.raises(ConfigError, match="'d1' has only 1 samples"):
-            check_run(sized_dataset([10, 1]), RunConfig(batch_size=8))
+    @pytest.mark.parametrize("ratio", [0.031, 0.004])
+    def test_fewer_than_two_kept_for_training_rejected(self, small_dataset, ratio):
+        # 0.031 of a domain's 48 samples rounds to 1; 0.004 rounds to 0, which the split lifts to 1
+        with pytest.raises(ConfigError, match="keeps 1 of each domain's 48 samples"):
+            check_run(small_dataset, RunConfig(val_ratio=ratio))
 
-    @pytest.mark.parametrize("ratio", [0.1, 0.004])
-    def test_fewer_than_two_kept_for_training_rejected(self, ratio):
-        with pytest.raises(ConfigError, match="keeps 1 of the 10 samples of domain 'd0'"):
-            check_run(sized_dataset([10, 12]), RunConfig(batch_size=4, val_ratio=ratio))
-
-    def test_two_kept_for_training_split_as_checked(self):
-        dataset, config = sized_dataset([10, 12]), RunConfig(batch_size=4, val_ratio=0.15)
-        assert check_run(dataset, config) == [0, 1]
-        train, _ = split_train_val({d: dataset.domain_indices(d) for d in (0, 1)}, 0.15, seed=0)
-        assert [len(train[d]) for d in (0, 1)] == [2, 2]
+    def test_two_kept_for_training_split_as_checked(self, small_dataset):
+        assert check_run(small_dataset, RunConfig(val_ratio=0.032)) == [0, 1, 2]  # 1.536 rounds to 2
+        indices = {d: small_dataset.domain_indices(d) for d in range(3)}
+        train, _ = split_train_val(indices, 0.032, seed=0)
+        assert [len(train[d]) for d in range(3)] == [2, 2, 2]
 
 
 class TestRunConfig:
@@ -400,7 +392,8 @@ _INVALID = {
     "momentum": [1, 5, -3, _NAN], "weight_decay": [-100, _NAN, _INF], "seed": [-1, 0.5],
     "held_out_domain": [2, 1.5, ["sketch"]], "logit_scale": [0, -1, _NAN, _INF],
     "val_ratio": [0, 1, -0.5, _NAN], "select_best": [1, None], "extra_classes": ["kite", [1]],
-    "weights": [{"tau_d": 0}, {"w_d": -0.1}, {"w_reg": _INF}, {"ce_scale": _NAN}, [0.1]],
+    "weights": [{"tau_d": 0}, {"tau_d": 1e-39}, {"w_d": -0.1}, {"w_reg": _INF}, {"ce_scale": _NAN},
+                [0.1]],
     "dims": [{"d_t": 1}, {"d_i": 64.0}, 5], "bogus": [1],
 }
 
