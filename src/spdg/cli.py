@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import datagen
 from .encoders import bundle_checksum, load_bundle
-from .errors import ConfigError, FormatError, SpdgError
+from .errors import ConfigError, DegenerateVectorError, FormatError, SpdgError
 from .inference import infer
 from .prompter import load_checkpoint
 from .trainer import RunConfig, train_style_prompter
@@ -210,12 +211,25 @@ def _load_bound_pair(args):
     return prompter, bundle
 
 
+@contextmanager
+def _overflow_is_degenerate():
+    """Score under np.errstate(raise): a checkpoint whose finite parameters overflow the
+    forward pass is one degenerate_vector error, with no RuntimeWarning to print or,
+    under -W error::RuntimeWarning, to end the run as an internal error."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise DegenerateVectorError(f"the forward pass left the float range: {exc}") from None
+
+
 def _cmd_infer(args) -> int:
     prompter, bundle = _load_bound_pair(args)
     ds = datagen.load(args.dataset)
     if not (0 <= args.index < len(ds)):
         raise ConfigError(f"index {args.index} outside dataset of {len(ds)} samples")
-    pred, scores = infer(bundle, prompter, ds.x[args.index], ds.classes)
+    with _overflow_is_degenerate():
+        pred, scores = infer(bundle, prompter, ds.x[args.index], ds.classes)
     print(json.dumps({
         "index": args.index,
         "predicted_class": pred,
@@ -238,11 +252,12 @@ def _cmd_similarity_report(args) -> int:
         idx = ds.domain_indices(ds.domains.index(args.domain))
     else:
         idx = np.arange(len(ds))
-    matrix = evaluate.style_similarity_report(
-        bundle, prompter, ds.x[idx], ds.class_ids[idx],
-        [ds.domains[d] for d in ds.domain_ids[idx]], ds.classes,
-        image_ids=[int(i) for i in idx],
-    )
+    with _overflow_is_degenerate():
+        matrix = evaluate.style_similarity_report(
+            bundle, prompter, ds.x[idx], ds.class_ids[idx],
+            [ds.domains[d] for d in ds.domain_ids[idx]], ds.classes,
+            image_ids=[int(i) for i in idx],
+        )
     path = out / "similarity_report.csv"
     evaluate.write_similarity_csv(matrix, path)
     print(json.dumps({"report": str(path), "rows": len(matrix.image_ids),

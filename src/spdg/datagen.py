@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .blob import manifest_fields, read_blob, read_manifest, write_blob
-from .errors import ConfigError, check_range
+from .errors import ConfigError, check_range, check_type
 
 DATASET_FORMAT_VERSION = 2
 
@@ -23,13 +23,6 @@ DEFAULT_DOMAINS = ["photo", "cartoon", "sketch", "clipart"]
 # The most bytes a dataset's f64 samples and int64 labels may take together;
 # a 16,384-sample, 32-wide pool takes 4.5 MB.
 MAX_DATASET_BYTES = 1 << 30
-
-
-def _check_type(name: str, value, kinds: tuple) -> None:
-    # bool is an int to isinstance, and no field admits it
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
-                          f"got {type(value).__name__} {value!r}")
 
 
 @dataclass
@@ -46,17 +39,17 @@ class DatasetManifest:
     def __post_init__(self):
         for name, least in (("classes", 2), ("domains", 3)):  # 3 domains: one held out, two trained
             names = getattr(self, name)
-            _check_type(name, names, (list,))
+            check_type(name, names, (list,))
             if not all(isinstance(n, str) for n in names):
                 raise ConfigError(f"{name} names must be strings, got {names!r}")
             if len(set(names)) != len(names):
                 raise ConfigError(f"{name} names must be unique, got {names!r}")
             check_range(f"number of {name}", len(names), least)
         for name, least in (("n_per_cell", 10), ("d_x", 1), ("seed", 0)):
-            _check_type(name, getattr(self, name), (int,))
+            check_type(name, getattr(self, name), (int,))
             check_range(name, getattr(self, name), least)
         for name in ("style_strength", "noise_std"):
-            _check_type(name, getattr(self, name), (int, float))
+            check_type(name, getattr(self, name), (int, float))
             check_range(name, getattr(self, name), 0.0)
         n, size = self.n_samples, 8 * self.n_samples * (self.d_x + 2)
         if size > MAX_DATASET_BYTES:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .blob import manifest_fields, read_blob, read_manifest, write_blob
-from .errors import ConfigError, ShapeError, TokenizeError, check_range
+from .errors import ConfigError, ShapeError, TokenizeError, check_range, check_type
 from .tensor import Tensor
 
 PSEUDO_TOKEN = -1
@@ -59,6 +59,7 @@ class EncoderDims:
 
     def __post_init__(self):
         for name in ("d_x", "d_i", "d_t", "d_f"):
+            check_type(name, getattr(self, name), (int,))
             check_range(name, getattr(self, name), 2)
 
 

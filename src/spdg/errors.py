@@ -50,6 +50,14 @@ def check_range(name: str, value, low: float, high: float = math.inf,
         raise ConfigError(f"{name} must be in {interval}, got {value!r}")
 
 
+def check_type(name: str, value, kinds: tuple) -> None:
+    """Raise ConfigError unless value is an instance of one of kinds; bool is an
+    int to isinstance, and no field admits it."""
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
+                          f"got {type(value).__name__} {value!r}")
+
+
 class FormatError(SpdgError):
     code = "format_error"
 

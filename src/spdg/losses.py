@@ -75,21 +75,25 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float,
     fallback below):
       * E and the GEMM operands that form and use it are of `dtype`: float32,
         the training precision, or float64, which the finite-difference
-        checks need. Each row's per-domain sums of E are taken in `dtype` and
-        promoted, so den, num, the loss and the returned gradient are float64
-        either way;
-      * rows are stably sorted by domain, so each domain's pairs form one
-        diagonal block of E and a row's numerator is its sum over that block
-        (with one domain the block is all of E, so num == den bit for bit);
+        checks need. Every N x N and N x d pass stays in `dtype`; the (K, N)
+        per-domain sums are promoted, so den, num and the loss are float64,
+        and the gradient is promoted once, as it is scattered back;
+      * rows are stably sorted by domain into one operand [u, 1, indicator of
+        the row's domain], so each domain's pairs form one diagonal block of E
+        and the per-domain sums are one GEMM of E with the indicator (with one
+        domain the block is all of E, so num == den bit for bit);
       * one shared shift, (max row norm)^2 / tau, rides in the GEMM as an
         extra column; by Cauchy-Schwarz it bounds every entry of
         S = u u^T / tau, and it is widened by the GEMM's worst rounding
         error, so E = exp(S - shift) cannot overflow, is symmetric and needs
         no row max;
       * the closed-form (supervised-contrastive) backward (W + W^T) u with
-        W = E * (1/den - same/num) / (N tau) is one GEMM E @ [u, u/den] plus
-        one small GEMM per diagonal block for the numerator terms, so W is
-        never formed;
+        W = E * (1/den - same/num) / (N tau) is, for p = 1/(N tau den) and
+        q = 1/(N tau num) (rows of `dtype`), E_off the off-diagonal blocks of
+        E and E_aa the diagonal ones, p E_off u + E_off p u + (p - q) E_aa u
+        + E_aa (p - q) u. Each block of E is in one GEMM, the off-diagonal
+        ones against [p u, u] and the diagonal ones against [u, (p - q) u],
+        so W is never formed, and one domain (p = q) gives an exact zero;
       * a row whose numerator falls below LOW_MASS[dtype] under the shared
         shift (in float32 1e-20, reachable for tau below about 0.043; in
         float64 1e-280, only for tau below 2/645, about 3e-3) takes its
@@ -138,17 +142,20 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float,
     left = np.empty((n, d + 1), dtype)
     np.multiply(us, 1.0 / tau, out=left[:, :d])
     left[:, d] = -max_sq / tau * (1.0 + 4 * (d + 2) * np.finfo(dtype).eps)
-    right = np.empty((n, d + 1), dtype)
-    right[:, :d] = us
-    right[:, d] = 1.0
-    e = left @ right.T
+    # one sorted operand [us, 1, indicator of the row's domain], stored transposed:
+    # E's right factor, the indicator of the per-domain sums, the backward's rows
+    right = np.empty((d + 1 + len(blocks), n), dtype)
+    right[:d] = us.T
+    right[d] = 1.0
+    onehot = right[d + 1:]
+    np.equal(sorted_dom[starts, None], sorted_dom, out=onehot)
+    e = left @ right[:d + 1]
     np.exp(e, out=e)
     np.fill_diagonal(e, 0.0)
-    block_of = np.cumsum(opens) - 1
-    # (N, K) row sums over each domain's columns
-    mass = np.add.reduceat(e, starts, axis=1).astype(np.float64, copy=False)
-    den = mass.sum(axis=1)
-    num = mass[np.arange(n), block_of]
+    # (K, N) per-domain sums of E's rows, one GEMM of the indicator with E (E = E^T)
+    mass = (onehot @ e).astype(np.float64)
+    den = mass.sum(axis=0)
+    num = (mass * onehot).sum(axis=0)
 
     low = w_low = None
     if num.min() < low_mass:
@@ -159,7 +166,7 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float,
         sims[np.arange(low.size), low] = -np.inf
         p_low, log_den_low = _softmax_rows(sims)
         q_low, log_num_low = _softmax_rows(
-            np.where(block_of[low, None] == block_of, sims, -np.inf))
+            np.where(sorted_dom[low, None] == sorted_dom, sims, -np.inf))
         w_low = p_low - q_low
         den[low] = num[low] = 1.0  # placeholders, so no log or division sees a zero
     gap = np.log(den / num)
@@ -170,32 +177,35 @@ def domain_discrimination_loss(samples: Tensor, domains, tau: float,
     def bwd(g):
         scale = float(g) / (n * tau)
         p = scale / den
-        q = scale / num
+        pq = np.array([p, p - scale / num], dtype)  # p and p - q, q = scale / num
         if low is not None:
-            p[low] = q[low] = 0.0
-        # the sorted rows are taken again, so no float64 copy of them outlives the forward
-        x = np.empty((n, 2 * d), dtype)
-        rows = x[:, :d]
-        rows[...] = u[order]
-        np.multiply(rows, p[:, None], out=x[:, d:])
-        y = e @ x  # E = E^T, so this one product carries both W u and W^T u of the denominator
-        grad = y[:, :d] * p[:, None]
-        grad += y[:, d:]
-        np.multiply(rows, q[:, None], out=x[:, d:])
-        for s, t in blocks:  # the numerator part: E restricted to each domain's block
-            np.matmul(e[s:t, s:t], x[s:t], out=y[s:t])
-        num_part = y[:, :d]
-        num_part *= q[:, None]
-        num_part += y[:, d:]
-        grad -= num_part
+            pq[:, low] = 0.0
+        # z = [p u, u, (p - q) u]^T: E's off-diagonal blocks take its first 2d rows,
+        # the diagonal blocks its last 2d
+        rows = right[:d]
+        z = np.concatenate((pq[0] * rows, rows, pq[1] * rows))
+        # y = [E_off p u, E_off u, E_aa u, E_aa (p - q) u]^T, each block of E in one GEMM
+        y = np.empty((4 * d, n), dtype)
+        for s, t in blocks:
+            np.matmul(z[d:, s:t], e[s:t, s:t], out=y[2 * d:, s:t])
+            # E's off-diagonal rows of the block's columns, in at most two strips (one
+            # domain has none, and the empty product writes zeros)
+            (a, b), (c, f) = ((0, s), (t, n)) if s else ((t, n), (n, n))
+            np.matmul(z[:2 * d, a:b], e[a:b, s:t], out=y[:2 * d, s:t])
+            if c < f:
+                y[:2 * d, s:t] += z[:2 * d, c:f] @ e[c:f, s:t]
+        y = y.reshape(4, d, n)
+        y[1:3] *= pq[:, None]
+        y[:2] += y[2:]
+        y[0] += y[1]
+        grad = np.empty((n, d))
+        grad[order] = y[0].T  # the one promotion to float64
         if low is not None:
             us = u[order]
             w = scale * w_low
-            grad[low] += w @ us
-            grad += w.T @ us[low]
-        unsorted = np.empty_like(grad)
-        unsorted[order] = grad
-        return (unsorted,)
+            grad[order[low]] += w @ us
+            grad[order] += w.T @ us[low]
+        return (grad,)
 
     return T.apply(out, (samples,), bwd)
 

@@ -413,6 +413,8 @@ BUNDLE_MANIFEST_FAULTS = [
     ("float seed", lambda raw: {"seed": 3.5}, "seed must be an int >= 0, got float 3.5"),
     ("bool seed", lambda raw: {"seed": True}, "seed must be an int >= 0, got bool True"),
     ("negative seed", lambda raw: {"seed": -3}, "seed must be an int >= 0, got int -3"),
+    ("float d_x", lambda raw: {"dims": {**raw["dims"], "d_x": 32.0}},
+     "d_x must be int, got float 32.0"),
 ]
 
 
@@ -428,6 +430,28 @@ def test_bundle_its_constructor_refuses_is_format_error(capsys, cli_dataset, cli
     assert payload["error"] == "format_error"
     assert payload["message"].startswith(f"{tmp_path / 'bundle'}: malformed bundle: ConfigError: ")
     assert message in payload["message"]
+
+
+@pytest.mark.parametrize("warnings_raise", [False, True], ids=["warnings shown", "warnings raised"])
+@pytest.mark.parametrize("command", ["infer", "similarity-report"])
+def test_checkpoint_whose_finite_parameter_overflows_is_one_error_line(
+        capsys, cli_dataset, cli_run, tmp_path, command, warnings_raise):
+    from spdg.blob import read_blob, write_blob
+
+    final = tmp_path / "final"
+    shutil.copytree(cli_run / "final", final)
+    b_mu = read_blob(final / "b_mu.spdg")
+    b_mu[0] = 1e300
+    write_blob(final / "b_mu.spdg", b_mu)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error" if warnings_raise else "always", RuntimeWarning)
+        code, out, err = run_cli(capsys, *_scoring_argv(command, final, cli_run / "bundle",
+                                                        cli_dataset, tmp_path / "out"))
+    assert (code, out, caught) == (2, "", [])
+    [line] = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "degenerate_vector" and "overflow" in payload["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_odd_d_i_checkpoint_is_format_error(capsys, cli_dataset, cli_run, tmp_path):

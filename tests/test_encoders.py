@@ -90,6 +90,16 @@ class TestBuildBundle:
         with pytest.raises(ConfigError):
             build_bundle(EncoderDims(d_x=1), ["dog"], seed=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("d_x", 32.0, "d_x must be int, got float 32.0"),
+        ("d_i", True, "d_i must be int, got bool True"),
+        ("d_f", "48", "d_f must be int, got str '48'"),
+    ])
+    def test_dims_that_are_not_ints_rejected(self, field, value, message):
+        with pytest.raises(ConfigError) as err:
+            EncoderDims(**{field: value})
+        assert str(err.value) == message
+
     def test_vocab_contains_style_and_template_words(self):
         vocab = default_vocab(CLASSES)
         for word in ["a", "photo", "of", "style", ".", "art", "painting", "dog"]:
@@ -358,8 +368,9 @@ class TestBundleIO:
         (lambda raw: {"seed": 0.5}, "seed must be an int >= 0, got float 0.5"),
         (lambda raw: {"seed": 1e400}, "seed must be an int >= 0, got float inf"),
         (lambda raw: {"dims": {**raw["dims"], "d_f": 40}}, "bundle weight txt_wp has shape (32, 48)"),
+        (lambda raw: {"dims": {**raw["dims"], "d_x": 32.0}}, "d_x must be int, got float 32.0"),
     ], ids=["duplicate word", "word not a string", "string vocab", "float seed", "infinite seed",
-            "dims off the weights"])
+            "dims off the weights", "float d_x"])
     def test_manifest_the_constructor_refuses_is_format_error(self, bundle, tmp_path, edit, message):
         save_bundle(bundle, tmp_path / "b")
         manifest = tmp_path / "b" / "manifest.json"

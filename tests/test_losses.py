@@ -295,8 +295,71 @@ class TestDomainDiscriminationLoss:
 
     @pytest.mark.parametrize("n", [2, 480])
     def test_float32_one_domain_exactly_zero(self, rng, n):
+        # with one domain num == den bit for bit, so p - q = 0 and every term of the
+        # gradient is an exact zero, in either dtype
         s = unit_rows(rng, n, 32)
-        assert domain_discrimination_loss(Tensor(s), np.zeros(n), 0.1).item() == 0.0
+        for dtype in (np.float32, np.float64):
+            val, grad = loss_and_grad(domain_discrimination_loss, s, np.zeros(n), 0.1, dtype=dtype)
+            assert val == 0.0
+            assert not grad.any()
+
+    # domain blocks of uneven sizes, interleaved in the caller's row order: a first
+    # block of 2 rows, and with 5 domains a last one of 2 as well, each a single
+    # pair on E's diagonal
+    UNEVEN_BLOCKS = {"4 domains": (2, 7, 160, 3), "5 domains": (2, 9, 5, 150, 2)}
+
+    @staticmethod
+    def uneven_domains(rng, sizes):
+        dom = np.repeat(np.arange(len(sizes)), sizes)
+        return unit_rows(rng, dom.size, 32), dom[rng.permutation(dom.size)]
+
+    @pytest.mark.parametrize("sizes", UNEVEN_BLOCKS.values(), ids=UNEVEN_BLOCKS.keys())
+    def test_matches_composed_oracle_with_uneven_interleaved_domains(self, rng, sizes):
+        s, dom = self.uneven_domains(rng, sizes)
+        ours, grad = loss_and_grad(domain_discrimination_loss, s, dom, 0.1, dtype=np.float64)
+        ref, ref_grad = loss_and_grad(masked_lse_domain_loss, s, dom, 0.1)
+        assert ours == pytest.approx(ref, abs=1e-12)
+        assert np.abs(grad - ref_grad).max() <= 1e-15
+
+    @pytest.mark.parametrize("sizes", UNEVEN_BLOCKS.values(), ids=UNEVEN_BLOCKS.keys())
+    def test_float32_matches_composed_oracle_with_uneven_interleaved_domains(self, rng, sizes):
+        self.assert_float32_close(*self.uneven_domains(rng, sizes), 0.1)
+
+    @staticmethod
+    def fallback_in_middle_blocks(rng):
+        # as in test_only_some_rows_take_the_exact_fallback, with the rows near e1 split
+        # into the first and last domains, so the fallback pairs (+-e2) and (+-e3)
+        # are the two middle blocks of four
+        near_e1 = np.array([1.0, 0.0, 0.0]) + 0.1 * rng.normal(size=(14, 3))
+        far = np.array([[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
+        far += 0.01 * rng.normal(size=far.shape)
+        s = np.concatenate([near_e1[:8], far, near_e1[8:]])
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        dom = np.array([0] * 8 + [1, 1, 2, 2] + [3] * 6)
+        order = rng.permutation(18)
+        return s[order], dom[order]
+
+    @pytest.mark.parametrize("dtype, tau", [(np.float64, 2e-3), (np.float32, 0.03)])
+    def test_fallback_rows_in_middle_blocks_match_composed_oracle(self, rng, monkeypatch,
+                                                                  dtype, tau):
+        s, dom = self.fallback_in_middle_blocks(rng)
+        fallback_rows = []
+        softmax_rows = spdg.losses._softmax_rows
+
+        def spy(a):
+            fallback_rows.append(a.shape[0])
+            return softmax_rows(a)
+
+        monkeypatch.setattr(spdg.losses, "_softmax_rows", spy)
+        if dtype is np.float32:
+            self.assert_float32_close(s, dom, tau)
+        else:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                val, grad = loss_and_grad(domain_discrimination_loss, s, dom, tau, dtype=dtype)
+                ref, ref_grad = loss_and_grad(masked_lse_domain_loss, s, dom, tau)
+            assert val == pytest.approx(ref, rel=1e-12)
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+        assert fallback_rows == [4, 4]
 
     def test_float32_is_the_default_and_its_low_mass_bounds_flushed_mass(self):
         assert inspect.signature(domain_discrimination_loss).parameters["dtype"].default is np.float32
