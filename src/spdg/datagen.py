@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .blob import manifest_fields, read_blob, read_manifest, write_blob
+from .encoders import class_words
 from .errors import ConfigError, check_range, check_type
 
 DATASET_FORMAT_VERSION = 2
@@ -45,6 +46,7 @@ class DatasetManifest:
             if len(set(names)) != len(names):
                 raise ConfigError(f"{name} names must be unique, got {names!r}")
             check_range(f"number of {name}", len(names), least)
+        class_words(self.classes)
         for name, least in (("n_per_cell", 10), ("d_x", 1), ("seed", 0)):
             check_type(name, getattr(self, name), (int,))
             check_range(name, getattr(self, name), least)

@@ -79,17 +79,34 @@ def bare_class_text(cls: str) -> str:
     return cls
 
 
-def default_vocab(classes) -> list[str]:
-    """Closed word list: templates, style words, class names (all lowercased)."""
+def text_words(text: str) -> list[str]:
+    """The words a text is read as: lowercased, split on whitespace, and a period
+    that ends a word split off as a word of its own."""
     words: list[str] = []
-    seen = set()
-    for group in (TEMPLATE_WORDS, STYLE_WORDS, classes):
-        for entry in group:
-            for w in entry.lower().split():
-                if w not in seen:
-                    seen.add(w)
-                    words.append(w)
+    for raw in text.lower().split():
+        words.extend([raw[:-1], "."] if raw != "." and raw.endswith(".") else [raw])
     return words
+
+
+def class_words(classes) -> list[tuple[str, ...]]:
+    """Each class name's words. A name of no words, one holding the pseudo-slot word
+    "sp", and two names of the same words are a ConfigError: no prompt could hold the
+    first two, and no score could tell the last apart."""
+    words = [tuple(text_words(name)) for name in classes]
+    first: dict[tuple[str, ...], str] = {}
+    for name, w in zip(classes, words):
+        if not w or "sp" in w:
+            raise ConfigError(f"class name {name!r} must be one or more words, none of them 'sp'")
+        if w in first:
+            raise ConfigError(f"class names {first[w]!r} and {name!r} are the same words to a prompt")
+        first[w] = name
+    return words
+
+
+def default_vocab(classes) -> list[str]:
+    """Closed word list: the words of the templates, style words and class names, each once."""
+    groups = (TEMPLATE_WORDS, STYLE_WORDS, classes)
+    return list(dict.fromkeys(w for group in groups for entry in group for w in text_words(entry)))
 
 
 def _sinusoidal_positions(length: int, dim: int, scale: float = POSITION_SCALE) -> np.ndarray:
@@ -184,15 +201,8 @@ def tokenize(text: str, bundle: FrozenEncoderBundle) -> list[int]:
     if not text or not text.strip():
         raise TokenizeError("cannot tokenize empty text")
 
-    words: list[str] = []
-    for raw in text.lower().split():
-        if raw != "." and raw.endswith("."):
-            words.extend([raw[:-1], "."])
-        else:
-            words.append(raw)
-
     ids: list[int] = []
-    for word in words:
+    for word in text_words(text):
         if word == "sp":
             ids.append(PSEUDO_TOKEN)
         elif word in word_to_id:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen
-from .encoders import STYLE_WORDS, build_bundle, default_vocab, domain_style_text, encode_texts
+from .encoders import STYLE_WORDS, build_bundle, class_words, default_vocab, domain_style_text, encode_texts
 from .errors import ConfigError, DegenerateVectorError, TrainingDiverged
 from .inference import accuracy, predict_batch, prompted_cosines, zero_shot_predict_batch
 from .tensor import unit_rows
@@ -212,7 +212,8 @@ def evaluate_cross_category(base: RunConfig, train_dataset_path, test_dataset_pa
     if test_dataset is None:
         test_dataset = datagen.load(test_dataset_path)
 
-    class_overlap = set(dataset.classes) & set(test_dataset.classes)
+    test_words = dict(zip(class_words(test_dataset.classes), test_dataset.classes))
+    class_overlap = [test_words[w] for w in test_words.keys() & set(class_words(dataset.classes))]
     if class_overlap:
         raise ConfigError(f"train and test class sets overlap: {sorted(class_overlap)}")
     domain_overlap = set(dataset.domains) & set(test_dataset.domains)

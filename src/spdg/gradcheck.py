@@ -63,18 +63,19 @@ def _weighted(outs, weights) -> Tensor:
 
 
 def _prompter_case(init, forward, z_shape):
-    """x holds z (shape z_shape), then every prompter parameter, flattened."""
+    """x holds every prompter parameter, flattened; the image features z, of
+    shape z_shape, are a constant."""
     p = init(4, 3, seed=0)
-    layout = _layout((z_shape,) + tuple(t.shape for _, t in p.parameters()))
+    layout = _layout(tuple(t.shape for _, t in p.parameters()))
     n_out = len(p.names[4:]) // 2   # one output per head: the (weight, bias) pairs past the trunk
     out_shape = z_shape[:-1] + (3,)
 
     def make(rng):
         w = [rng.normal(size=out_shape) for _ in range(n_out)]
+        z = rng.normal(size=z_shape)
 
         def f(x):
-            z, *params = _split(x, layout)
-            out = forward(StylePrompter(p.kind, dict(zip(p.names, params))), z)
+            out = forward(StylePrompter(p.kind, dict(zip(p.names, _split(x, layout)))), z)
             return _weighted(out if n_out > 1 else (out,), w)
         return f
 
@@ -126,7 +127,7 @@ def _primitive_cases():
         _prompter_case(init_basic_prompter, basic_forward, (2, 4)),
         _prompter_case(init_gaussian_prompter, gaussian_forward, (4,)),
         ("sample_styles_batch", (2 * 2 * 3,), lambda rng: (
-            lambda x, eps=Tensor(rng.normal(size=(6, 3))), w=rng.normal(size=(6, 3)):
+            lambda x, eps=rng.normal(size=(6, 3)), w=rng.normal(size=(6, 3)):
             _weighted([sample_styles_batch(*_split(x, styles_layout), 3, None, eps=eps)], [w]))),
         _head_case(with_reg=True),
         _head_case(with_reg=False),
@@ -161,7 +162,7 @@ class ObjectiveFixture:
     z: np.ndarray
     labels: np.ndarray
     domains: np.ndarray
-    eps: Tensor
+    eps: np.ndarray
     anchors: object
     weights: LossWeights
     mc_samples: int
@@ -180,7 +181,7 @@ def build_objective_fixture(batch: int = 8, n_classes: int = 4, n_domains: int =
     # two samples per domain minimum, then round-robin
     domains = np.array([i % n_domains for i in range(batch)], dtype=np.int64)
     prompter = init_gaussian_prompter(dims.d_i, dims.d_t, seed=seed + 1)
-    eps = Tensor(rng.standard_normal((batch * mc_samples, dims.d_t)))
+    eps = rng.standard_normal((batch * mc_samples, dims.d_t))
     anchors = build_reg_anchors(bundle, classes)
     return ObjectiveFixture(bundle=bundle, prompter=prompter, z=z, labels=labels,
                             domains=domains, eps=eps, anchors=anchors,

@@ -75,11 +75,6 @@ class StylePrompter:
         return getattr(self, self.names[4]), getattr(self, self.names[5])
 
 
-def _uniform_init(rng, fan_in: int, *shape) -> Tensor:
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-
 def _parameter_shapes(kind: str, d_i: int, d_t: int) -> dict[str, tuple]:
     """Each parameter's shape, in PARAMETER_NAMES[kind] order: the trunk's two
     layers (d_i -> d_i // 2 -> d_i // 2), then each head's (d_i // 2 -> d_t). An odd
@@ -101,10 +96,10 @@ def _init_prompter(kind: str, d_i: int, d_t: int, seed: int) -> StylePrompter:
     params = {}
     for name, shape in _parameter_shapes(kind, d_i, d_t).items():
         if len(shape) == 2:  # a weight, drawn over its input width
-            params[name] = _uniform_init(rng, shape[0], *shape)
+            bound = 1.0 / np.sqrt(shape[0])
+            params[name] = Tensor(rng.uniform(-bound, bound, size=shape))
         else:
-            params[name] = Tensor(np.full(shape, _SIGMA_RAW_INIT if name == "b_sigma" else 0.0),
-                                  requires_grad=True)
+            params[name] = Tensor(np.full(shape, _SIGMA_RAW_INIT if name == "b_sigma" else 0.0))
     return StylePrompter(kind, params)
 
 
@@ -125,45 +120,38 @@ def _rows(p, z: np.ndarray) -> np.ndarray:
     return z.reshape(-1, z.shape[-1])
 
 
-def _as_rows(p, z) -> tuple[Tensor, np.ndarray]:
-    """The input as a Tensor and its values as (B, d_i) rows."""
-    t = z if isinstance(z, Tensor) else Tensor(z)
-    return t, _rows(p, t.data)
-
-
 def _trunk_forward(p, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear -> ELU -> Linear -> ELU over rows x: both layers' outputs (h1, h2)."""
     h1 = T.elu(T.affine(x, p.w1.data, p.b1.data))
     return h1, T.elu(T.affine(h1, p.w2.data, p.b2.data))
 
 
-def _trunk(p, zt: Tensor, x: np.ndarray):
+def _trunk(p, x: np.ndarray):
     """The trunk's output over rows x, and its VJP.
 
-    The VJP maps the trunk output's gradient to those of (z, w1, b1, w2, b2),
-    z's only when it requires one; only the VJP computes the ELU slopes, from the outputs.
+    The VJP maps the trunk output's gradient to those of (w1, b1, w2, b2); only
+    the VJP computes the ELU slopes, from the outputs.
     """
     h1, h2 = _trunk_forward(p, x)
-    w1, w2 = p.w1.data, p.w2.data
+    w2 = p.w2.data
 
     def vjp(g_h2):
         g_a2 = T.elu_slope(h2)
         g_a2 *= g_h2
         g_a1 = T.elu_slope(h1)
         g_a1 *= g_a2 @ w2.T
-        g_z = (g_a1 @ w1.T).reshape(zt.shape) if zt.requires_grad else None
-        return g_z, x.T @ g_a1, g_a1.sum(axis=0), h1.T @ g_a2, g_a2.sum(axis=0)
+        return x.T @ g_a1, g_a1.sum(axis=0), h1.T @ g_a2, g_a2.sum(axis=0)
 
     return h2, vjp
 
 
-def basic_forward(p: StylePrompter, z) -> Tensor:
+def basic_forward(p: StylePrompter, z: np.ndarray) -> Tensor:
     """Style embeddings for a batch of image features, (B, d_i) -> (B, d_t).
 
-    A 1D input gives a 1D output. One tape node.
+    A 1D input gives a 1D output. One tape node, whose inputs are the parameters.
     """
-    zt, x = _as_rows(p, z)
-    h, trunk_vjp = _trunk(p, zt, x)
+    x = _rows(p, z)
+    h, trunk_vjp = _trunk(p, x)
     w3 = p.w3.data
     out = T.affine(h, w3, p.b3.data)
 
@@ -171,18 +159,18 @@ def basic_forward(p: StylePrompter, z) -> Tensor:
         g = g.reshape(out.shape)
         return (*trunk_vjp(g @ w3.T), h.T @ g, g.sum(axis=0))
 
-    return T.apply(out.reshape(zt.shape[:-1] + (w3.shape[1],)),
-                   (zt, p.w1, p.b1, p.w2, p.b2, p.w3, p.b3), bwd)
+    return T.apply(out.reshape(z.shape[:-1] + (w3.shape[1],)),
+                   (p.w1, p.b1, p.w2, p.b2, p.w3, p.b3), bwd)
 
 
-def gaussian_forward(p: StylePrompter, z) -> tuple[Tensor, Tensor]:
+def gaussian_forward(p: StylePrompter, z: np.ndarray) -> tuple[Tensor, Tensor]:
     """Per-row (mu, sigma) in token-embedding space; sigma strictly positive.
 
     sigma = softplus(raw) + SIGMA_FLOOR. A 1D input gives 1D outputs. One tape
-    node with two outputs.
+    node with two outputs, whose inputs are the parameters.
     """
-    zt, x = _as_rows(p, z)
-    h, trunk_vjp = _trunk(p, zt, x)
+    x = _rows(p, z)
+    h, trunk_vjp = _trunk(p, x)
     w_mu, w_sigma = p.w_mu.data, p.w_sigma.data
     mu = T.affine(h, w_mu, p.b_mu.data)
     raw = T.affine(h, w_sigma, p.b_sigma.data)
@@ -194,13 +182,13 @@ def gaussian_forward(p: StylePrompter, z) -> tuple[Tensor, Tensor]:
         return (*trunk_vjp(g_raw @ w_sigma.T + g_mu @ w_mu.T),
                 h.T @ g_mu, g_mu.sum(axis=0), h.T @ g_raw, g_raw.sum(axis=0))
 
-    shape = zt.shape[:-1] + (w_mu.shape[1],)
+    shape = z.shape[:-1] + (w_mu.shape[1],)
     return T.apply((mu.reshape(shape), sigma.reshape(shape)),
-                   (zt, p.w1, p.b1, p.w2, p.b2, p.w_mu, p.b_mu, p.w_sigma, p.b_sigma), bwd)
+                   (p.w1, p.b1, p.w2, p.b2, p.w_mu, p.b_mu, p.w_sigma, p.b_sigma), bwd)
 
 
 def sample_styles_batch(mu: Tensor, sigma: Tensor, n: int,
-                        rng: np.random.Generator, eps: Tensor | None = None) -> Tensor:
+                        rng: np.random.Generator, eps: np.ndarray | None = None) -> Tensor:
     """Row-major reparameterized samples s = mu + sigma * eps, (B, d_t) -> (B*n, d_t).
 
     Rows i*n..(i+1)*n-1 belong to batch element i; eps is one
@@ -213,7 +201,7 @@ def sample_styles_batch(mu: Tensor, sigma: Tensor, n: int,
     if mu.data.ndim != 2 or sigma.data.shape != mu.data.shape:
         raise ShapeError(f"mu and sigma must be matching (B, d) arrays, got {mu.shape}, {sigma.shape}")
     b, d = mu.data.shape
-    eps = rng.standard_normal((b * n, d)) if eps is None else eps.data
+    eps = rng.standard_normal((b * n, d)) if eps is None else eps
     if eps.shape != (b * n, d):
         raise ShapeError(f"eps must have shape {(b * n, d)}, got {eps.shape}")
     eps3 = eps.reshape(b, n, d)
@@ -267,8 +255,7 @@ def load_checkpoint(directory):
     with manifest_fields(directory, "checkpoint"):
         kind = manifest["prompter_kind"]
         prompter = StylePrompter(kind, {
-            name: Tensor(read_blob(directory / f"{name}.spdg"), requires_grad=True)
-            for name in parameter_names(kind)})
+            name: Tensor(read_blob(directory / f"{name}.spdg")) for name in parameter_names(kind)})
     want = {"dims": {"d_i": prompter.d_i, "d_t": prompter.d_t},
             "sigma_floor": _manifest_sigma_floor(kind)}
     got = {key: manifest.get(key) for key in want}

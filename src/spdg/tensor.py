@@ -5,12 +5,12 @@ the precision of one node's inner block: the domain loss forms its N x N
 similarity block in float32 but promotes its sums, so its value and gradient
 are float64 like every other node's. `apply` is the one way to define a
 differentiable operation: it records a fused node, a forward result plus a
-closed-form backward, on the active Tape. A Tape keeps its nodes in creation order (already topological),
-and `Tape.backward` walks that list in reverse, accumulating vector-Jacobian
-products into the requires_grad leaves. A node may have several outputs (a
-fused node that yields, say, mu and sigma together), in which case its
-backward receives one gradient per output. A single backward pass per scalar
-loss is the only supported mode; there are no higher-order derivatives.
+closed-form backward, on the active Tape. A Tape keeps its nodes in creation
+order (already topological); `Tape.backward(loss, leaves)` walks them in reverse,
+accumulating vector-Jacobian products, and returns the gradient of each leaf.
+A node may have several outputs (a fused node that yields, say, mu and sigma
+together), in which case its backward receives one gradient per output. One
+backward pass per scalar loss is the only mode; there are no higher-order ones.
 
 Evaluation is single-threaded and row-major, so results are bit-reproducible
 for a fixed input and evaluation order.
@@ -34,18 +34,16 @@ def _active_tape() -> "Tape | None":
 
 
 class Tensor:
-    """A dense array plus an optional gradient slot.
+    """A dense float64 array, the value a tape node is keyed by.
 
     Values are immutable by convention once produced; training code mutates
     parameter data only through the optimizer, in place and between tapes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data",)
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -61,8 +59,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
+        return f"Tensor(shape={self.shape})"
 
 
 class Tape:
@@ -94,21 +91,17 @@ class Tape:
         for t in out if type(out) is tuple else (out,):
             self._produced.add(id(t))
 
-    def backward(self, loss: Tensor, leaves: "list[Tensor] | None" = None):
-        """Populate .grad on every requires_grad leaf reachable from `loss`.
+    def backward(self, loss: Tensor, leaves) -> list[np.ndarray]:
+        """The gradient of a scalar `loss` with respect to each of `leaves`, in order.
 
-        Leaves passed explicitly receive a zero gradient when the loss does
-        not depend on them. Gradients are fresh per call, not accumulated
-        across calls.
+        Each gradient is a fresh array of its leaf's shape, zeros where the loss
+        does not reach the leaf. Nothing is stored on the tensors, so a call
+        neither reads nor changes an earlier one's result.
         """
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if leaves is not None:
-            for p in leaves:
-                p.grad = None
 
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        holders: dict[int, Tensor] = {id(loss): loss}
         for out, inputs, backward_fn in reversed(self._nodes):
             if type(out) is tuple:
                 parts = [grads.pop(id(t), None) for t in out]
@@ -122,30 +115,20 @@ class Tape:
                 if g_out is None:
                     continue
             for t, g in zip(inputs, backward_fn(g_out)):
-                if g is None or not t.requires_grad:
+                if g is None:
                     continue
                 if g.shape != t.data.shape:
                     raise ShapeError(
                         f"backward produced grad shape {g.shape} for input shape {t.data.shape}"
                     )
                 key = id(t)
-                if key in grads:
-                    grads[key] = grads[key] + g
-                else:
-                    grads[key] = g
-                    holders[key] = t
+                grads[key] = grads[key] + g if key in grads else g
 
         # whatever is left was never popped, i.e. produced by no node: leaves
-        for key, g in grads.items():
-            t = holders[key]
-            if id(t) in self._produced:
-                raise AssertionError("interior node survived the backward walk")
-            t.grad = np.array(g, copy=True)
-
-        if leaves is not None:
-            for p in leaves:
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
+        if not self._produced.isdisjoint(grads):
+            raise AssertionError("interior node survived the backward walk")
+        return [np.array(grads[id(p)], copy=True) if id(p) in grads else np.zeros_like(p.data)
+                for p in leaves]
 
 
 def apply(out_data: np.ndarray, inputs, backward_fn) -> Tensor:
@@ -153,18 +136,14 @@ def apply(out_data: np.ndarray, inputs, backward_fn) -> Tensor:
 
     `backward_fn(g)` must return one gradient array (or None) per input.
     A tuple of arrays makes one node with a Tensor per array; `g` is then a
-    tuple holding one gradient per output. Every differentiable operation,
-    here and in other modules, is defined through this hook.
+    tuple holding one gradient per output. Every node made under a tape is
+    recorded, so a node lists as inputs only what needs a gradient. Every
+    differentiable operation, here and in other modules, is defined through this hook.
     """
+    out = tuple(Tensor(d) for d in out_data) if type(out_data) is tuple else Tensor(out_data)
     tape = _active_tape()
-    inputs = tuple(inputs)
-    track = tape is not None and any(t.requires_grad for t in inputs)
-    if type(out_data) is tuple:
-        out = tuple(Tensor(d, requires_grad=track) for d in out_data)
-    else:
-        out = Tensor(out_data, requires_grad=track)
-    if track:
-        tape.record(out, inputs, backward_fn)
+    if tape is not None:
+        tape.record(out, tuple(inputs), backward_fn)
     return out
 
 
@@ -241,15 +220,13 @@ def finite_diff_grad_check(f, x: Tensor, h: float = 1e-5) -> float:
     max(1, |numeric|). `f` must map a Tensor to a scalar Tensor and be
     evaluable at x +- h along every coordinate.
     """
-    probe = Tensor(np.array(x.data, dtype=np.float64, copy=True), requires_grad=True)
     with Tape() as tape:
-        loss = f(probe)
+        loss = f(x)
     if loss.size != 1:
         raise ShapeError(f"grad check needs a scalar-valued f, got shape {loss.shape}")
     if not np.isfinite(loss.data).all():
         raise GradCheckError("f returned a non-finite value at the base point")
-    tape.backward(loss, leaves=[probe])
-    analytic = probe.grad.reshape(-1)
+    analytic = tape.backward(loss, [x])[0].reshape(-1)
 
     base = np.array(x.data, dtype=np.float64, copy=True)
     numeric = np.empty(base.size, dtype=np.float64)

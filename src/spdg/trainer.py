@@ -36,7 +36,7 @@ from .prompter import (
     sample_styles_batch,
     save_checkpoint,
 )
-from .tensor import Tape, Tensor, l2_normalize
+from .tensor import Tape, l2_normalize
 
 # The largest N x N domain-loss block a recipe may ask for, N being its style rows per
 # batch, counted at float64 width so that the float64 form of the loss fits too: at
@@ -141,7 +141,7 @@ class OptimizerState:
 
     flat: np.ndarray
     velocity: np.ndarray
-    grad: np.ndarray
+    flat_grad: np.ndarray
     views: list[np.ndarray]
     step: int = 0
 
@@ -156,7 +156,7 @@ class OptimizerState:
             view[...] = p.data
             p.data = view
             views.append(view)
-        return cls(flat=flat, velocity=velocity, grad=np.empty_like(flat), views=views)
+        return cls(flat=flat, velocity=velocity, flat_grad=np.empty_like(flat), views=views)
 
 
 def sgd_momentum_step(params, grads, state: OptimizerState, lr: float,
@@ -174,7 +174,7 @@ def sgd_momentum_step(params, grads, state: OptimizerState, lr: float,
             raise ConfigError("a parameter was rebound away from the optimizer's buffer")
         if g.shape != view.shape:
             raise ConfigError(f"grad shape {g.shape} does not match param shape {view.shape}")
-    flat_grad = np.concatenate([g.reshape(-1) for g in grads], out=state.grad)
+    flat_grad = np.concatenate([g.reshape(-1) for g in grads], out=state.flat_grad)
     if not np.isfinite(flat_grad).all():
         raise TrainingDiverged(f"non-finite gradient at step {state.step}")
     flat_grad += weight_decay * state.flat
@@ -290,10 +290,9 @@ class TrainResult:
     metrics_path: str | None
 
 
-def _dump_diagnostics(out_dir, step, parts_values, params, backward_ran: bool):
+def _dump_diagnostics(out_dir, step, parts_values, params, grads):
     """Write the failing step's losses and norms; its gradient norms are null
-    unless that step's backward ran (the .grad of a parameter still holds the
-    step before's)."""
+    when grads is None, that is, when the step failed before its backward."""
     if out_dir is None:
         return None
     path = Path(out_dir) / f"diagnostics_step_{step}.json"
@@ -301,9 +300,8 @@ def _dump_diagnostics(out_dir, step, parts_values, params, backward_ran: bool):
         "step": step,
         "losses": parts_values,
         "param_norms": {name: float(np.linalg.norm(p.data)) for name, p in params},
-        "grad_norms": {
-            name: float(np.linalg.norm(p.grad)) if backward_ran else None for name, p in params
-        },
+        "grad_norms": {name: None for name, _ in params} if grads is None else
+                      {name: float(np.linalg.norm(g)) for (name, _), g in zip(params, grads)},
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
@@ -349,14 +347,13 @@ def step_losses(bundle, prompter, z, labels, domains, classes, anchors, weights:
     is build_reg_anchors' (C, d_f) array, or None without the regularizer. dtype
     is the precision of the domain loss's N x N block.
     """
-    zt = Tensor(z)
     if prompter.kind == "gaussian":
-        mu, sigma = gaussian_forward(prompter, zt)
+        mu, sigma = gaussian_forward(prompter, z)
         style_samples = l2_normalize(sample_styles_batch(mu, sigma, mc_samples, rng, eps=eps))
         sample_domains = np.repeat(domains, mc_samples)
         prompt_styles = mu
     else:
-        prompt_styles = basic_forward(prompter, zt)
+        prompt_styles = basic_forward(prompter, z)
         style_samples = l2_normalize(prompt_styles)
         sample_domains = domains
     loss_d = domain_discrimination_loss(style_samples, sample_domains, weights.tau_d, dtype=dtype)
@@ -433,7 +430,7 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
                 doms = dataset.domain_ids[batch]
                 z = encode_image(bundle, xb)
 
-                parts_values, backward_ran = None, False
+                parts_values, grads = None, None
                 try:
                     with Tape() as tape:
                         loss, loss_ce, loss_d, loss_reg = step_losses(
@@ -447,14 +444,13 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
                     }
                     if not np.isfinite(parts_values["loss_total"]):
                         raise TrainingDiverged("non-finite loss")
-                    tape.backward(loss, leaves=params)
-                    backward_ran = True
+                    grads = tape.backward(loss, params)
                     lr = lr_at(step, sched)
-                    sgd_momentum_step(params, [p.grad for p in params], opt_state, lr,
+                    sgd_momentum_step(params, grads, opt_state, lr,
                                       config.momentum, config.weight_decay)
                 except (NormalizationError, DegenerateVectorError, TrainingDiverged) as exc:
                     dump = _dump_diagnostics(out_dir, step, parts_values or {"error": str(exc)},
-                                             named_params, backward_ran)
+                                             named_params, grads)
                     raise TrainingDiverged(f"training diverged at step {step}: {exc}"
                                            + (f", diagnostics at {dump}" if dump else "")) from exc
                 emit({"step": step, "epoch": epoch, "lr": float(lr), **parts_values})

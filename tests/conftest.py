@@ -107,6 +107,10 @@ MANIFEST_FAULTS = [
     ({"domains": ["photo", "cartoon"]}, "number of domains must be in [3, inf)"),
     ({"classes": "dog,elephant"}, "classes must be list, got str"),
     ({"domains": ["photo", "cartoon", 3]}, "domains names must be strings"),
+    # class names a prompt cannot hold, or that it reads as the same words
+    ({"classes": ["dog", "Dog", "guitar", "horse"]}, "class names 'dog' and 'Dog' are the same words"),
+    ({"classes": ["dog", " ", "guitar", "horse"]}, "class name ' ' must be one or more words"),
+    ({"classes": ["dog", "sp", "guitar", "horse"]}, "class name 'sp' must be one or more words, none of them 'sp'"),
 ]
 
 

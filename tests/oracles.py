@@ -321,9 +321,9 @@ def normalized_predict_batch(bundle: FrozenEncoderBundle, prompter, x, classes):
     feature row scaled to unit norm before the dot products."""
     z = encode_image(bundle, np.asarray(x, dtype=np.float64))
     if prompter.kind == "basic":
-        styles = basic_forward(prompter, Tensor(z))
+        styles = basic_forward(prompter, z)
     else:
-        styles, _ = gaussian_forward(prompter, Tensor(z))
+        styles, _ = gaussian_forward(prompter, z)
     feats, _ = T.unit_rows(production_encode_text_batch(bundle, styles, classes).data,
                            "prompted text feature")
     zp, _ = T.unit_rows(project_image(bundle, z), "projected image feature")

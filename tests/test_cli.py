@@ -649,6 +649,8 @@ def test_faulty_dataset_manifest_is_format_error(capsys, cli_dataset, tmp_path, 
     ["--dx", "0"], ["--dx", "-3"], ["--seed", "-1"], ["--n-per-cell", "100000000"],
     ["--n-per-cell", "9"], ["--style-strength", "nan"], ["--noise-std", "inf"],
     ["--noise-std", "1e308"], ["--classes", "dog,dog"], ["--domains", "photo,sketch"],
+    ["--classes", "dog,Dog,horse"], ["--classes", " ,dog,horse"], ["--classes", "sp,dog,horse"],
+    ["--classes", "hot dog,Hot  Dog,horse"], ["--classes", "dog,big sp.,horse"],
 ], ids=" ".join)
 def test_gen_data_refuses_what_it_cannot_save(capsys, tmp_path, flags):
     code, _, err = run_cli(capsys, "gen-data", "--out-dir", str(tmp_path / "d"), *flags)

@@ -26,6 +26,7 @@ from spdg.encoders import (
     default_vocab,
     load_bundle,
     save_bundle,
+    text_words,
 )
 from spdg.errors import ConfigError, FormatError
 from spdg.prompter import (
@@ -345,10 +346,13 @@ def test_fuzzed_pair_never_ends_infer_in_internal(bound_pair, mutations):
 
 # names that JSON must escape (quotes, line breaks, tabs), non-ASCII, or plain
 _NAME = st.text(st.sampled_from("ab ,\"\r\n\\ü\t") | st.characters(), max_size=5)
+# a class name must be at least one word, none of them the pseudo-slot word, and
+# two class names must not be the same words
+_CLASS_NAME = _NAME.filter(lambda name: text_words(name) and "sp" not in text_words(name))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_NAME, min_size=2, max_size=3, unique=True),
+@given(st.lists(_CLASS_NAME, min_size=2, max_size=3, unique_by=lambda name: tuple(text_words(name))),
        st.lists(_NAME, min_size=3, max_size=4, unique=True),
        st.integers(10, 12), st.integers(1, 3), st.integers(0, 2**32))
 def test_round_trip_any_names(classes, domains, n_per_cell, d_x, seed):
@@ -367,6 +371,8 @@ def test_round_trip_any_names(classes, domains, n_per_cell, d_x, seed):
     {"classes": ["dog", "dog", "cat"]},
     {"classes": [1, 2]},
     {"classes": ["dog", None]},
+    {"classes": ["dog", "Dog", "cat"]}, {"classes": ["dog", "", "cat"]}, {"classes": ["dog", "\t"]},
+    {"classes": ["sp", "cat"]}, {"classes": ["hot sp dog", "cat"]}, {"classes": ["dog.", "Dog .", "cat"]},
     {"domains": ["photo", "cartoon", 3]},
     {"domains": ["photo", "cartoon", b"sketch"]},
     {"d_x": 0}, {"d_x": -3}, {"seed": -1}, {"n_per_cell": 10.0}, {"seed": None},

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spdg.encoders import (
     EncoderDims,
     build_bundle,
     bundle_checksum,
+    class_words,
     default_vocab,
     encode_embeddings,
     encode_image,
@@ -130,11 +132,41 @@ class TestTokenize:
         ids = tokenize("art painting", bundle)
         assert len(ids) == 2
 
+    def test_class_word_ending_in_a_period_is_in_the_vocab(self, dims):
+        # the vocabulary splits a class name as the tokenizer does: "st." is "st" and "."
+        b = build_bundle(dims, default_vocab(["st. bernard", "dog"]), seed=0)
+        ids = tokenize("a photo of a st. bernard", b)
+        assert ids == [b.word_to_id[w] for w in ["a", "photo", "of", "a", "st", ".", "bernard"]]
+        assert "st." not in b.vocab
+
     def test_template_round_trip_all_classes(self, bundle):
         # "SP [CLASS]." renders and tokenizes for every class word in the vocab
         for cls in CLASSES:
             ids = tokenize(style_prompt_text(cls), bundle)
             assert ids[0] == PSEUDO_TOKEN and len(ids) == 3
+
+
+class TestClassWords:
+    def test_each_name_as_the_words_a_prompt_reads(self):
+        assert class_words(["Hot  Dog", "st. bernard", "dog."]) == [
+            ("hot", "dog"), ("st", ".", "bernard"), ("dog", ".")]
+
+    @pytest.mark.parametrize("classes, message", [
+        (["dog", "Dog"], "class names 'dog' and 'Dog' are the same words"),
+        (["hot dog", "cat", "HOT\tDOG"], "class names 'hot dog' and 'HOT\\tDOG' are the same words"),
+        (["dog.", "dog ."], "are the same words"),
+        (["dog", ""], "class name '' must be one or more words"),
+        (["dog", " \n"], "must be one or more words"),
+        (["SP", "dog"], "none of them 'sp'"),
+        (["dog", "big sp cat"], "none of them 'sp'"),
+        (["dog", "cat sp."], "none of them 'sp'"),
+    ], ids=repr)
+    def test_names_a_prompt_cannot_hold_or_tell_apart_are_refused(self, classes, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            class_words(classes)
+
+    def test_words_that_only_contain_sp_are_names(self):
+        assert class_words(["spaniel", "wasp"]) == [("spaniel",), ("wasp",)]
 
 
 class TestPromptSequence:

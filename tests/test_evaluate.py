@@ -473,6 +473,15 @@ class TestCrossCategory:
         with pytest.raises(ConfigError, match="class sets overlap"):
             evaluate_cross_category(quick_config, small_dataset_dir, overlap)
 
+    def test_class_overlap_is_by_words(self, small_dataset_dir, tmp_path, quick_config):
+        # "DOG" is the word "dog" to a prompt, so it is the training set's "dog"
+        overlap = tmp_path / "overlap_words"
+        datagen.save(datagen.generate(n_per_cell=10, seed=1,
+                                      classes=["giraffe", "DOG"],
+                                      domains=["infograph", "quickdraw", "product"]), overlap)
+        with pytest.raises(ConfigError, match=r"class sets overlap: \['DOG'\]"):
+            evaluate_cross_category(quick_config, small_dataset_dir, overlap)
+
     def test_domain_overlap_rejected(self, small_dataset_dir, tmp_path, quick_config):
         overlap = tmp_path / "overlap2"
         datagen.save(datagen.generate(n_per_cell=10, seed=1,

@@ -43,15 +43,14 @@ from spdg.trainer import OptimizerState, RunConfig, sgd_momentum_step, train_sty
 
 def taped(fn, arrays, probes):
     """Outputs, input gradients and tape length of sum_k <fn(*inputs)[k], probes[k]>."""
-    leaves = [Tensor(np.array(a, copy=True), requires_grad=True) for a in arrays]
+    leaves = [Tensor(np.array(a, copy=True)) for a in arrays]
     with Tape() as tape:
         outs = [o for o in fn(*leaves) if o is not None]
         loss = sum_all(mul(outs[0], Tensor(probes[0])))
         for out, w in zip(outs[1:], probes[1:]):
             loss = add(loss, sum_all(mul(out, Tensor(w))))
     n_nodes = len(tape)
-    tape.backward(loss, leaves)
-    return [o.data for o in outs], [t.grad for t in leaves], n_nodes
+    return [o.data for o in outs], tape.backward(loss, leaves), n_nodes
 
 
 def assert_close(got, want, tol):
@@ -99,7 +98,7 @@ class TestClassificationHead:
     def test_one_node_over_the_text_features(self, wide_bundle, rng):
         z = encode_image(wide_bundle, rng.normal(size=(12, wide_bundle.dims.d_x)))
         anchors = build_reg_anchors(wide_bundle, WIDE_CLASSES)
-        styles = Tensor(rng.normal(size=(12, wide_bundle.dims.d_t)), requires_grad=True)
+        styles = Tensor(rng.normal(size=(12, wide_bundle.dims.d_t)))
         with Tape() as tape:
             prompted_ce_and_reg(wide_bundle, z, styles, rng.integers(0, 16, size=12),
                                 WIDE_CLASSES, anchors)
@@ -149,7 +148,7 @@ class TestClassificationHeadEdges:
         feats, unit_z, labels, anchors = self._inputs(3, 4, self.D_F, 5)
         feats[7] = bad
         with pytest.raises(DegenerateVectorError):
-            classification_head(Tensor(feats, requires_grad=True), unit_z, labels, 100.0,
+            classification_head(Tensor(feats), unit_z, labels, 100.0,
                                 anchors if with_reg else None)
 
     def test_forms_no_unit_feature_matrix(self, monkeypatch):
@@ -159,7 +158,7 @@ class TestClassificationHeadEdges:
             raise AssertionError("unit_rows called on the prompted features")
 
         monkeypatch.setattr(spdg.tensor, "unit_rows", refuse)
-        classification_head(Tensor(feats, requires_grad=True), unit_z, labels, 100.0, anchors)
+        classification_head(Tensor(feats), unit_z, labels, 100.0, anchors)
 
 
 class TestFusedPrompters:
@@ -169,11 +168,12 @@ class TestFusedPrompters:
     def test_basic_matches_composed_oracle(self, z_shape, rng):
         p = init_basic_prompter(self.D_I, self.D_T, seed=3)
         names = [n for n, _ in p.parameters()]
-        arrays = [rng.normal(size=z_shape)] + [t.data for _, t in p.parameters()]
+        z = rng.normal(size=z_shape)
+        arrays = [t.data for _, t in p.parameters()]
         probes = [rng.normal(size=z_shape[:-1] + (self.D_T,))]
 
         def run(forward):
-            def fn(z, *params):
+            def fn(*params):
                 return [forward(StylePrompter(p.kind, dict(zip(names, params))), z)]
             return fn
 
@@ -188,11 +188,12 @@ class TestFusedPrompters:
         p = init_gaussian_prompter(self.D_I, self.D_T, seed=3)
         p.w_sigma.data = rng.normal(size=p.w_sigma.shape)   # sigma away from its init plateau
         names = [n for n, _ in p.parameters()]
-        arrays = [rng.normal(size=z_shape)] + [t.data for _, t in p.parameters()]
+        z = rng.normal(size=z_shape)
+        arrays = [t.data for _, t in p.parameters()]
         probes = [rng.normal(size=z_shape[:-1] + (self.D_T,)) for _ in range(2)]
 
         def run(forward):
-            def fn(z, *params):
+            def fn(*params):
                 return forward(StylePrompter(p.kind, dict(zip(names, params))), z)
             return fn
 
@@ -205,11 +206,11 @@ class TestFusedPrompters:
         p = init_gaussian_prompter(self.D_I, self.D_T, seed=3)
         params = [t for _, t in p.parameters()]
         with Tape() as tape:
-            mu, _ = gaussian_forward(p, Tensor(rng.normal(size=(3, self.D_I))))
+            mu, _ = gaussian_forward(p, rng.normal(size=(3, self.D_I)))
             loss = sum_all(mu)
-        tape.backward(loss, params)
-        assert not p.w_sigma.grad.any() and not p.b_sigma.grad.any()
-        assert p.w_mu.grad.any() and p.w1.grad.any()
+        grads = dict(zip(p.names, tape.backward(loss, params)))
+        assert not grads["w_sigma"].any() and not grads["b_sigma"].any()
+        assert grads["w_mu"].any() and grads["w1"].any()
 
     def test_sample_styles_batch_matches_composed_oracle(self, rng):
         mu, sigma = rng.normal(size=(4, self.D_T)), np.abs(rng.normal(size=(4, self.D_T)))
@@ -249,7 +250,7 @@ class TestStepTapeSize:
         counts = []
 
         class CountingTape(Tape):
-            def backward(self, loss, leaves=None):
+            def backward(self, loss, leaves):
                 counts.append(len(self))
                 return super().backward(loss, leaves)
 
@@ -259,14 +260,46 @@ class TestStepTapeSize:
         train_style_prompter(cfg, dataset=small_dataset)
         assert counts and max(counts) <= limit   # 27 (basic) and 34 (gaussian) when composed
 
+    @pytest.mark.parametrize("kind", ["basic", "gaussian"])
+    def test_every_node_input_is_a_parameter_or_an_earlier_output(self, small_dataset,
+                                                                  monkeypatch, kind):
+        # the tape records every node made under it and differentiates every
+        # input, so a constant input, such as the image features, would cost
+        # backward work that no caller reads
+        steps = []
+
+        class GuardTape(Tape):
+            def __init__(self):
+                super().__init__()
+                self.recorded = []
+
+            def record(self, out, inputs, backward_fn):
+                self.recorded.append((out if type(out) is tuple else (out,), inputs))
+                super().record(out, inputs, backward_fn)
+
+            def backward(self, loss, leaves):
+                known = {id(p) for p in leaves}
+                for outs, inputs in self.recorded:
+                    assert all(id(t) in known for t in inputs)
+                    known.update(id(t) for t in outs)
+                assert id(loss) in known
+                steps.append(len(self.recorded))
+                return super().backward(loss, leaves)
+
+        monkeypatch.setattr(spdg.trainer, "Tape", GuardTape)
+        cfg = RunConfig(seed=0, prompter_kind=kind, held_out_domain="sketch", epochs=1,
+                        batch_size=8, mc_samples=2)
+        train_style_prompter(cfg, dataset=small_dataset)
+        assert steps and set(steps) == {6 if kind == "basic" else 7}
+
 
 class TestFlatBufferOptimizer:
     SHAPES = [(6, 3), (3,), (3, 3), (3,), (3, 2), (2,)]
 
     def test_bit_identical_to_per_tensor_update(self, rng):
         init = [rng.normal(size=s) for s in self.SHAPES]
-        flat_params = [Tensor(a.copy(), requires_grad=True) for a in init]
-        ref_params = [Tensor(a.copy(), requires_grad=True) for a in init]
+        flat_params = [Tensor(a.copy()) for a in init]
+        ref_params = [Tensor(a.copy()) for a in init]
         state = OptimizerState.for_params(flat_params)
         ref_velocities = [np.zeros(s) for s in self.SHAPES]
         for step, lr in enumerate([1e-5, 0.002, 0.0015, 0.001, 3e-4, 0.0]):
@@ -282,14 +315,14 @@ class TestFlatBufferOptimizer:
             assert p.data is view and np.shares_memory(view, state.flat)
 
     def test_non_finite_parameter_aborts(self):
-        p = Tensor(np.array([1e308]), requires_grad=True)
+        p = Tensor(np.array([1e308]))
         state = OptimizerState.for_params([p])
         with pytest.raises(TrainingDiverged, match="non-finite parameter after step 0"):
             with np.errstate(over="ignore"):
                 sgd_momentum_step([p], [np.array([1e308])], state, -1e10, 0.9, 0.0)
 
     def test_non_finite_gradient_leaves_every_parameter_unchanged(self):
-        params = [Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)]
+        params = [Tensor(np.ones(2)), Tensor(np.ones(3))]
         state = OptimizerState.for_params(params)
         with pytest.raises(TrainingDiverged, match="non-finite gradient at step 0"):
             sgd_momentum_step(params, [np.ones(2), np.array([1.0, np.inf, 1.0])], state,
@@ -297,7 +330,7 @@ class TestFlatBufferOptimizer:
         assert all((p.data == 1.0).all() for p in params)
 
     def test_rebound_parameter_rejected(self):
-        p = Tensor(np.ones(2), requires_grad=True)
+        p = Tensor(np.ones(2))
         state = OptimizerState.for_params([p])
         p.data = np.zeros(2)
         with pytest.raises(ConfigError, match="rebound"):

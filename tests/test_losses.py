@@ -84,11 +84,11 @@ def masked_lse_domain_loss(samples: Tensor, domains, tau: float) -> Tensor:
 
 
 def loss_and_grad(loss_fn, samples: np.ndarray, domains, tau: float, **kwargs):
-    x = Tensor(samples, requires_grad=True)
+    x = Tensor(samples)
     with Tape() as tape:
         loss = loss_fn(x, domains, tau, **kwargs)
-    tape.backward(loss, leaves=[x])
-    return loss.item(), x.grad
+    (grad,) = tape.backward(loss, [x])
+    return loss.item(), grad
 
 
 def unit_rows(rng, n, d):
@@ -217,14 +217,14 @@ class TestDomainDiscriminationLoss:
     def test_one_buffer_of_n_by_n(self, rng):
         # E, in float32, is the only N x N array
         n = 480
-        x = Tensor(unit_rows(rng, n, 32), requires_grad=True)
+        x = Tensor(unit_rows(rng, n, 32))
         dom = np.repeat(np.arange(3), n // 3)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             with Tape() as tape:
                 loss = domain_discrimination_loss(x, dom, 0.1)
-            tape.backward(loss, leaves=[x])
+            tape.backward(loss, [x])
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -629,9 +629,8 @@ class TestSharedTextPass:
         params = [p for _, p in fx.prompter.parameters()]
         with Tape() as tape:
             loss = objective_value(fx, fx.prompter)
-        tape.backward(loss, leaves=params)
-        for name, p in fx.prompter.parameters():
-            assert np.abs(p.grad).max() > 0.0, name
+        for name, grad in zip(fx.prompter.names, tape.backward(loss, params)):
+            assert np.abs(grad).max() > 0.0, name
 
     def test_frozen_boundary_no_gradient_into_bundle(self):
         from spdg.encoders import bundle_checksum
@@ -641,7 +640,7 @@ class TestSharedTextPass:
         params = [p for _, p in fx.prompter.parameters()]
         with Tape() as tape:
             loss = objective_value(fx, fx.prompter)
-        tape.backward(loss, leaves=params)
+        tape.backward(loss, params)
         # encoder weights live outside the tape entirely: plain arrays with no
         # gradient slot, byte-identical after the backward pass
         for name, w in fx.bundle.weights.items():
@@ -716,12 +715,11 @@ def mixed_bundle():
 
 class TestPromptTextFeatures:
     def _features_and_grad(self, fn, bundle, styles_np, weight):
-        styles = Tensor(styles_np, requires_grad=True)
+        styles = Tensor(styles_np)
         with Tape() as tape:
             feats = fn(bundle, styles, MIXED_CLASSES)
             loss = sum_all(mul(feats, constant(weight)))
-        tape.backward(loss, [styles])
-        return feats.data, styles.grad
+        return feats.data, tape.backward(loss, [styles])[0]
 
     @pytest.mark.parametrize("b", [1, 3, 12, 256])
     def test_mixed_lengths_match_per_row_oracle(self, mixed_bundle, rng, b):
@@ -750,7 +748,7 @@ class TestPromptTextFeatures:
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
     def test_single_length_is_one_encoder_batch(self, bundle, rng):
-        styles = Tensor(rng.normal(size=(3, bundle.dims.d_t)), requires_grad=True)
+        styles = Tensor(rng.normal(size=(3, bundle.dims.d_t)))
         with Tape() as tape:
             prompt_text_features(bundle, styles, CLASSES)
         assert len(tape) == 1
@@ -760,7 +758,7 @@ class TestPromptTextFeatures:
         nodes = []
         for b in (2, 12):
             z = encode_image(mixed_bundle, rng.normal(size=(b, mixed_bundle.dims.d_x)))
-            styles = Tensor(rng.normal(size=(b, mixed_bundle.dims.d_t)), requires_grad=True)
+            styles = Tensor(rng.normal(size=(b, mixed_bundle.dims.d_t)))
             labels = rng.integers(0, len(MIXED_CLASSES), size=b)
             with Tape() as tape:
                 prompted_ce_and_reg(mixed_bundle, z, styles, labels, MIXED_CLASSES, anchors)

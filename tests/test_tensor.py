@@ -151,51 +151,87 @@ class TestLogSumExp:
 
 class TestBackward:
     def test_linear_sum(self):
-        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        x = Tensor([1.0, 2.0, 3.0])
         with Tape() as tape:
             loss = sum_all(x)
-        tape.backward(loss, leaves=[x])
-        assert np.array_equal(x.grad, [1.0, 1.0, 1.0])
+        (g,) = tape.backward(loss, [x])
+        assert np.array_equal(g, [1.0, 1.0, 1.0])
 
     def test_quadratic(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0])
         with Tape() as tape:
             loss = sum_all(mul(x, x))
-        tape.backward(loss, leaves=[x])
-        assert np.array_equal(x.grad, [2.0, 4.0])
+        (g,) = tape.backward(loss, [x])
+        assert np.array_equal(g, [2.0, 4.0])
 
     def test_two_consumer_accumulation(self):
         # leaf feeds two paths: d/dy (2y + y^2) = 2 + 2y
-        y = Tensor([3.0], requires_grad=True)
+        y = Tensor([3.0])
         with Tape() as tape:
             a = mul(y, constant(2.0))
             b = mul(y, y)
             loss = add(sum_all(a), sum_all(b))
-        tape.backward(loss, leaves=[y])
-        assert np.array_equal(y.grad, [8.0])
+        (g,) = tape.backward(loss, [y])
+        assert np.array_equal(g, [8.0])
 
-    def test_off_path_leaf_gets_zero(self):
-        x = Tensor([1.0], requires_grad=True)
-        unused = Tensor([5.0], requires_grad=True)
+    def test_off_path_leaf_gets_zero(self, rng):
+        # `unused` is on no node; `other` feeds a recorded node the loss does not come from
+        x, unused, other = Tensor([1.0]), Tensor([5.0]), Tensor(rng.normal(size=(2, 3)))
         with Tape() as tape:
+            sum_all(mul(other, other))
             loss = sum_all(mul(x, x))
-        tape.backward(loss, leaves=[x, unused])
-        assert np.array_equal(unused.grad, [0.0])
+        g_x, g_unused, g_other = tape.backward(loss, [x, unused, other])
+        assert np.array_equal(g_x, [2.0])
+        assert np.array_equal(g_unused, [0.0])
+        assert g_other.shape == (2, 3) and not g_other.any()
+
+    def test_gradients_follow_the_order_of_the_leaves(self):
+        x, y = Tensor([2.0]), Tensor([3.0])
+        with Tape() as tape:
+            loss = sum_all(mul(x, mul(y, y)))
+        assert [g.tolist() for g in tape.backward(loss, [y, x, y])] == [[12.0], [9.0], [12.0]]
 
     def test_non_scalar_loss_rejected(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0])
         with Tape() as tape:
             out = mul(x, x)
         with pytest.raises(ShapeError):
-            tape.backward(out)
+            tape.backward(out, [x])
 
     def test_grads_are_fresh_per_backward(self):
-        x = Tensor([2.0], requires_grad=True)
+        x = Tensor([2.0])
         for _ in range(2):
             with Tape() as tape:
                 loss = sum_all(mul(x, x))
-            tape.backward(loss, leaves=[x])
-        assert np.array_equal(x.grad, [4.0])
+            (g,) = tape.backward(loss, [x])
+            assert np.array_equal(g, [4.0])
+
+    def test_returned_arrays_are_fresh(self):
+        # d/dx (x.x / 2) = x: the node hands back the parameter's own array (its
+        # upstream gradient is 1), so writing into a result must reach neither
+        # the parameter nor a second backward
+        x = Tensor([1.0, 2.0])
+        with Tape() as tape:
+            loss = T.apply(np.asarray(0.5 * x.data @ x.data), (x,), lambda g: (x.data,))
+        g, unreached = tape.backward(loss, [x, Tensor([3.0])])
+        g[...] = 7.0
+        unreached[...] = 7.0
+        assert np.array_equal(x.data, [1.0, 2.0])
+        again, unreached = tape.backward(loss, [x, Tensor([3.0])])
+        assert np.array_equal(again, [1.0, 2.0]) and np.array_equal(unreached, [0.0])
+
+    def test_node_of_constants_only_is_recorded(self):
+        with Tape() as tape:
+            out = mul(Tensor([2.0]), constant(3.0))
+        assert len(tape) == 1
+        assert np.array_equal(out.data, [6.0])
+
+    def test_no_node_is_recorded_without_a_tape(self):
+        x = Tensor([2.0])
+        with Tape() as tape:
+            pass
+        mul(x, x)
+        assert len(tape) == 0
 
     def test_composite_matches_finite_differences(self, rng):
         w = Tensor(rng.normal(size=(4, 3)))
@@ -262,16 +298,16 @@ def test_masked_log_sum_exp_skips_a_huge_excluded_entry():
     x = np.array([[0.3, -1.2, 0.3 + 1e4, 0.7], [2.0, 1e4, -0.5, 1.0]])
     mask = np.array([[True, True, False, True], [True, False, True, True]])
     kept = x[mask].reshape(2, 3)
-    a, ref = Tensor(x, requires_grad=True), Tensor(kept, requires_grad=True)
+    a, ref = Tensor(x), Tensor(kept)
     with np.errstate(over="raise"), Tape() as tape:
         out = masked_log_sum_exp_rows(a, mask)
-        tape.backward(sum_all(out), [a])
+        (g_a,) = tape.backward(sum_all(out), [a])
     with Tape() as tape:
         want = masked_log_sum_exp_rows(ref, np.ones(kept.shape, dtype=bool))
-        tape.backward(sum_all(want), [ref])
+        (g_ref,) = tape.backward(sum_all(want), [ref])
     assert np.array_equal(out.data, want.data)
-    assert np.array_equal(a.grad[mask].reshape(2, 3), ref.grad)
-    assert np.all(a.grad[~mask] == 0.0)
+    assert np.array_equal(g_a[mask].reshape(2, 3), g_ref)
+    assert np.all(g_a[~mask] == 0.0)
 
 
 def test_repeat_rows_layout(rng):

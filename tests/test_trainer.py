@@ -28,7 +28,7 @@ class TestSgdMomentumStep:
         sgd_momentum_step(params, grads, state, lr, m, wd)
 
     def test_zero_grad_zero_decay_keeps_params(self):
-        p = Tensor(np.array([1.5]), requires_grad=True)
+        p = Tensor(np.array([1.5]))
         state = OptimizerState.for_params([p])
         state.velocity[:] = 1.0
         sgd_momentum_step([p], [np.zeros(1)], state, lr=0.0, momentum=0.9, weight_decay=0.0)
@@ -36,7 +36,7 @@ class TestSgdMomentumStep:
         assert state.velocity[0] == pytest.approx(0.9)
 
     def test_hand_recurrence_two_steps(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
+        p = Tensor(np.array([1.0]))
         state = OptimizerState.for_params([p])
         sgd_momentum_step([p], [np.array([0.5])], state, lr=0.1, momentum=0.9, weight_decay=0.0)
         assert p.data[0] == pytest.approx(0.95, abs=1e-15)
@@ -45,13 +45,13 @@ class TestSgdMomentumStep:
         assert p.data[0] == pytest.approx(0.855, abs=1e-15)
 
     def test_decay_only_update(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
+        p = Tensor(np.array([1.0]))
         state = OptimizerState.for_params([p])
         sgd_momentum_step([p], [np.zeros(1)], state, lr=0.1, momentum=0.0, weight_decay=5e-4)
         assert p.data[0] == pytest.approx(1.0 - 0.1 * 5e-4, abs=1e-18)
 
     def test_non_finite_grad_aborts(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
+        p = Tensor(np.array([1.0]))
         state = OptimizerState.for_params([p])
         with pytest.raises(TrainingDiverged):
             sgd_momentum_step([p], [np.array([np.nan])], state, 0.1, 0.9, 0.0)
@@ -63,7 +63,7 @@ class TestSgdMomentumStep:
         a = rng.normal(size=(6, 6))
         spd = a @ a.T + 6 * np.eye(6)
         lr = 0.8 * (1 - np.sqrt(0.9)) ** 2 / np.linalg.eigvalsh(spd).max()
-        p = Tensor(rng.normal(size=6), requires_grad=True)
+        p = Tensor(rng.normal(size=6))
         state = OptimizerState.for_params([p])
         values = []
         for _ in range(200):
