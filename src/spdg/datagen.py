@@ -21,7 +21,8 @@ DATASET_FORMAT_VERSION = 2
 
 DEFAULT_CLASSES = ["dog", "elephant", "guitar", "horse"]
 DEFAULT_DOMAINS = ["photo", "cartoon", "sketch", "clipart"]
-# The most bytes a dataset's f64 samples and int64 labels may take together;
+# The most bytes a dataset's f64 samples and int64 labels may take together,
+# and the most its domains' dense d_x x d_x transforms may take while generated;
 # a 16,384-sample, 32-wide pool takes 4.5 MB.
 MAX_DATASET_BYTES = 1 << 30
 
@@ -121,6 +122,9 @@ def generate(n_per_cell: int = 60, d_x: int = 32, style_strength: float = 0.8,
         n_per_cell=n_per_cell, d_x=d_x, seed=seed, style_strength=style_strength,
         noise_std=noise_std)
     n_classes, n_domains = len(manifest.classes), len(manifest.domains)
+    if 8 * n_domains * d_x * d_x > MAX_DATASET_BYTES:
+        raise ConfigError(f"{n_domains} transforms of {d_x} x {d_x} need {8 * n_domains * d_x * d_x} "
+                          f"bytes, over the cap of {MAX_DATASET_BYTES}")
 
     rng = np.random.default_rng(seed)
     protos = rng.normal(size=(n_classes, d_x))

@@ -88,15 +88,24 @@ def text_words(text: str) -> list[str]:
     return words
 
 
+# the most words a class name may have: what MAX_TEXT_LEN leaves beside the longest
+# template's own words, counted around a one-word name
+MAX_CLASS_WORDS = MAX_TEXT_LEN + 1 - max(len(text_words(text)) for text in (
+    style_prompt_text("x"), photo_caption_text("x"), *(domain_style_text(w, "x") for w in STYLE_WORDS)))
+
+
 def class_words(classes) -> list[tuple[str, ...]]:
-    """Each class name's words. A name of no words, one holding the pseudo-slot word
-    "sp", and two names of the same words are a ConfigError: no prompt could hold the
-    first two, and no score could tell the last apart."""
+    """Each class name's words. A name of no words, of more than MAX_CLASS_WORDS, or
+    holding the pseudo-slot word "sp", and two names of the same words are a
+    ConfigError: no prompt could hold the first three, and no score could tell the
+    last apart."""
     words = [tuple(text_words(name)) for name in classes]
     first: dict[tuple[str, ...], str] = {}
     for name, w in zip(classes, words):
         if not w or "sp" in w:
             raise ConfigError(f"class name {name!r} must be one or more words, none of them 'sp'")
+        if len(w) > MAX_CLASS_WORDS:
+            raise ConfigError(f"class name {name!r} has {len(w)} words; a prompt holds at most {MAX_CLASS_WORDS}")
         if w in first:
             raise ConfigError(f"class names {first[w]!r} and {name!r} are the same words to a prompt")
         first[w] = name

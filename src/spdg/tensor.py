@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DegenerateVectorError, GradCheckError, ShapeError
 
 EPS_NORM = 1e-12
+FD_STEP = 1e-5   # the central-difference step of finite_diff_grad_check
 
 _state = threading.local()
 
@@ -213,34 +214,38 @@ def l2_normalize(a: Tensor) -> Tensor:
     return apply(out, (a,), bwd)
 
 
-def finite_diff_grad_check(f, x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def finite_diff_grad_check(f, leaves) -> list[float]:
+    """Per leaf, the worst |analytic - numeric| / max(1, |numeric|) over its coordinates,
+    between the gradient of one tape's backward and the central difference.
 
-    The relative error per coordinate is |analytic - numeric| divided by
-    max(1, |numeric|). `f` must map a Tensor to a scalar Tensor and be
-    evaluable at x +- h along every coordinate.
+    `f` maps the leaves, as positional Tensors, to a scalar Tensor. Each coordinate
+    is moved by +-FD_STEP in turn on a private copy of its leaf, the other leaves
+    kept as they are; no leaf is written.
     """
+    leaves = list(leaves)
     with Tape() as tape:
-        loss = f(x)
+        loss = f(*leaves)
     if loss.size != 1:
         raise ShapeError(f"grad check needs a scalar-valued f, got shape {loss.shape}")
     if not np.isfinite(loss.data).all():
         raise GradCheckError("f returned a non-finite value at the base point")
-    analytic = tape.backward(loss, [x])[0].reshape(-1)
 
-    base = np.array(x.data, dtype=np.float64, copy=True)
-    numeric = np.empty(base.size, dtype=np.float64)
-    flat = base.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(Tensor(base)).item()
-        flat[i] = orig - h
-        fm = f(Tensor(base)).item()
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise GradCheckError(f"f returned a non-finite value at coordinate {i}")
-        numeric[i] = (fp - fm) / (2.0 * h)
-
-    err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
-    return float(err.max()) if err.size else 0.0
+    errors = []
+    for k, analytic in enumerate(tape.backward(loss, leaves)):
+        moved = Tensor(np.array(leaves[k].data, copy=True))
+        args = leaves[:k] + [moved] + leaves[k + 1:]
+        flat = moved.data.reshape(-1)
+        numeric = np.empty(flat.size, dtype=np.float64)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + FD_STEP
+            fp = f(*args).item()
+            flat[i] = orig - FD_STEP
+            fm = f(*args).item()
+            flat[i] = orig
+            if not (np.isfinite(fp) and np.isfinite(fm)):
+                raise GradCheckError(f"f returned a non-finite value at coordinate {i} of leaf {k}")
+            numeric[i] = (fp - fm) / (2.0 * FD_STEP)
+        err = np.abs(analytic.reshape(-1) - numeric) / np.maximum(1.0, np.abs(numeric))
+        errors.append(float(err.max()) if err.size else 0.0)
+    return errors

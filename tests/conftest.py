@@ -111,6 +111,8 @@ MANIFEST_FAULTS = [
     ({"classes": ["dog", "Dog", "guitar", "horse"]}, "class names 'dog' and 'Dog' are the same words"),
     ({"classes": ["dog", " ", "guitar", "horse"]}, "class name ' ' must be one or more words"),
     ({"classes": ["dog", "sp", "guitar", "horse"]}, "class name 'sp' must be one or more words, none of them 'sp'"),
+    ({"classes": ["one two three four five six seven eight nine ten", "dog", "guitar", "horse"]},
+     "has 10 words; a prompt holds at most 9"),
 ]
 
 

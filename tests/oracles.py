@@ -8,7 +8,9 @@ style-slot row (`spdg.encoders.encode_text_batch`).
 The second part composes the training step from tape primitives, node by
 node: the prompters, the sample reparameterization, the classification head
 with its regularizer, the weighted loss sum and the per-tensor optimizer;
-production fuses each into one node. Beside them sits a reference prediction
+production fuses each into one node. Then the full-objective gradient check
+one parameter at a time, the reference for grad-check's one pass over all
+of them. Beside them sits a reference prediction
 path: the taped style forward, unit-normalized feature rows, then the dots,
 and the similarity report filled one image at a time.
 The last part holds the composable primitives that only the oracles and
@@ -35,8 +37,9 @@ from spdg.encoders import (
 )
 from spdg.encoders import encode_text_batch as production_encode_text_batch
 from spdg.errors import ConfigError, DegenerateVectorError, ShapeError, TokenizeError
+from spdg.gradcheck import objective_value
 from spdg.losses import LossParts, LossWeights
-from spdg.prompter import SIGMA_FLOOR, basic_forward, gaussian_forward, style_for_prompt
+from spdg.prompter import SIGMA_FLOOR, StylePrompter, basic_forward, gaussian_forward, style_for_prompt
 from spdg.tensor import Tensor
 
 
@@ -314,6 +317,20 @@ def per_tensor_sgd_step(params, grads, velocities, lr, momentum, weight_decay) -
         v *= momentum
         v += g_eff
         p.data = p.data - lr * v
+
+
+def objective_errors_per_parameter(fx) -> dict[str, float]:
+    """The full-objective gradient check one parameter at a time: a stand-in
+    prompter with that one parameter as the leaf, and one tape, per parameter."""
+    errors = {}
+    for name, param in fx.prompter.parameters():
+        def f(x, name=name):
+            stand_in = StylePrompter(fx.prompter.kind, {
+                k: (x if k == name else v) for k, v in fx.prompter.parameters()})
+            return objective_value(fx, stand_in)
+
+        [errors[name]] = T.finite_diff_grad_check(f, [param])
+    return errors
 
 
 def normalized_predict_batch(bundle: FrozenEncoderBundle, prompter, x, classes):
@@ -598,42 +615,42 @@ def rowwise_dot_grouped(feats: Tensor, anchors: np.ndarray, group: int) -> Tenso
 
 
 def primitive_cases():
-    """(name, input shape, builder) per primitive above, in the form of
+    """(name, leaf shapes, builder) per primitive above, in the form of
     `spdg.gradcheck._primitive_cases`, for `run_primitive_checks`."""
     return [
-    ("add", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(3, 4)): sum_all(add(x, Tensor(c))))),
-    ("add_broadcast", (3, 4), lambda rng: (lambda x, c=rng.normal(size=4): sum_all(add(x, Tensor(c))))),
-    ("sub", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(3, 4)): sum_all(sub(Tensor(c), x)))),
-    ("mul", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(3, 4)): sum_all(mul(x, Tensor(c))))),
-    ("mul_broadcast", (3, 4), lambda rng: (lambda x, c=rng.normal(size=4): sum_all(mul(x, Tensor(c))))),
-    ("neg", (5,), lambda rng: (lambda x: sum_all(neg(x)))),
-    ("matmul", (3, 4), lambda rng: (lambda x, c=rng.normal(size=(4, 2)): sum_all(matmul(x, Tensor(c))))),
-    ("matmul_left", (4, 2), lambda rng: (lambda x, a=rng.normal(size=(3, 4)): sum_all(matmul(Tensor(a), x)))),
-    ("matvec", (3, 4), lambda rng: (lambda x, c=rng.normal(size=4): sum_all(matmul(x, Tensor(c))))),
-    ("reshape", (3, 4), lambda rng: (lambda x, w=rng.normal(size=12): sum_all(mul(reshape(x, (12,)), Tensor(w))))),
-    ("sum_all", (3, 4), lambda rng: (lambda x: sum_all(x))),
-    ("mean_all", (3, 4), lambda rng: (lambda x: mean_all(x))),
-    ("transpose", (3, 4), lambda rng: (lambda x, w=rng.normal(size=(4, 3)): sum_all(mul(transpose(x), Tensor(w))))),
-    ("concat_rows", (2, 3), lambda rng: (lambda x, c=rng.normal(size=(2, 3)), w=rng.normal(size=(4, 3)):
-                                         sum_all(mul(concat_rows([x, Tensor(c)]), Tensor(w))))),
-    ("get_row", (4, 3), lambda rng: (lambda x, w=rng.normal(size=3): sum_all(mul(get_row(x, 2), Tensor(w))))),
-    ("take_rows", (4, 3), lambda rng: (lambda x, w=rng.normal(size=(3, 3)):
-                                       sum_all(mul(take_rows(x, [0, 2, 0]), Tensor(w))))),
-    ("repeat_rows", (3, 2), lambda rng: (lambda x, w=rng.normal(size=(6, 2)):
-                                         sum_all(mul(repeat_rows(x, 2), Tensor(w))))),
-    ("sum_axis0", (3, 4), lambda rng: (lambda x, w=rng.normal(size=4): sum_all(mul(sum_axis(x, 0), Tensor(w))))),
-    ("sum_axis1", (3, 4), lambda rng: (lambda x, w=rng.normal(size=3): sum_all(mul(sum_axis(x, 1), Tensor(w))))),
-    ("elu", (3, 4), lambda rng: (lambda x: sum_all(elu(x)))),
-    ("softplus", (3, 4), lambda rng: (lambda x: sum_all(softplus(x)))),
-    ("linear_forward_x", (3, 4), lambda rng: (lambda x, w=rng.normal(size=(4, 2)), b=rng.normal(size=2):
-                                              sum_all(linear_forward(x, Tensor(w), Tensor(b))))),
-    ("linear_forward_w", (4, 2), lambda rng: (lambda x, a=rng.normal(size=(3, 4)), b=rng.normal(size=2):
-                                              sum_all(linear_forward(Tensor(a), x, Tensor(b))))),
-    ("linear_forward_b", (2,), lambda rng: (lambda x, a=rng.normal(size=(3, 4)), w=rng.normal(size=(4, 2)):
-                                            sum_all(linear_forward(Tensor(a), Tensor(w), x)))),
-    ("cosine_similarity", (5,), lambda rng: (lambda x, c=rng.normal(size=5) + 2.0:
-                                             cosine_similarity(add(x, constant(3.0)), Tensor(c)))),
-    ("log_sum_exp", (6,), lambda rng: (lambda x: log_sum_exp(x))),
-    ("rowwise_dot_grouped", (6, 3), lambda rng: (lambda x, a=rng.normal(size=(2, 3)), w=rng.normal(size=(2, 3)):
-                                                 sum_all(mul(rowwise_dot_grouped(x, a, group=3), Tensor(w))))),
+    ("add", [(3, 4)], lambda rng: (lambda x, c=rng.normal(size=(3, 4)): sum_all(add(x, Tensor(c))))),
+    ("add_broadcast", [(3, 4)], lambda rng: (lambda x, c=rng.normal(size=4): sum_all(add(x, Tensor(c))))),
+    ("sub", [(3, 4)], lambda rng: (lambda x, c=rng.normal(size=(3, 4)): sum_all(sub(Tensor(c), x)))),
+    ("mul", [(3, 4)], lambda rng: (lambda x, c=rng.normal(size=(3, 4)): sum_all(mul(x, Tensor(c))))),
+    ("mul_broadcast", [(3, 4)], lambda rng: (lambda x, c=rng.normal(size=4): sum_all(mul(x, Tensor(c))))),
+    ("neg", [(5,)], lambda rng: (lambda x: sum_all(neg(x)))),
+    ("matmul", [(3, 4)], lambda rng: (lambda x, c=rng.normal(size=(4, 2)): sum_all(matmul(x, Tensor(c))))),
+    ("matmul_left", [(4, 2)], lambda rng: (lambda x, a=rng.normal(size=(3, 4)): sum_all(matmul(Tensor(a), x)))),
+    ("matvec", [(3, 4)], lambda rng: (lambda x, c=rng.normal(size=4): sum_all(matmul(x, Tensor(c))))),
+    ("reshape", [(3, 4)], lambda rng: (lambda x, w=rng.normal(size=12): sum_all(mul(reshape(x, (12,)), Tensor(w))))),
+    ("sum_all", [(3, 4)], lambda rng: (lambda x: sum_all(x))),
+    ("mean_all", [(3, 4)], lambda rng: (lambda x: mean_all(x))),
+    ("transpose", [(3, 4)], lambda rng: (lambda x, w=rng.normal(size=(4, 3)): sum_all(mul(transpose(x), Tensor(w))))),
+    ("concat_rows", [(2, 3)], lambda rng: (lambda x, c=rng.normal(size=(2, 3)), w=rng.normal(size=(4, 3)):
+                                           sum_all(mul(concat_rows([x, Tensor(c)]), Tensor(w))))),
+    ("get_row", [(4, 3)], lambda rng: (lambda x, w=rng.normal(size=3): sum_all(mul(get_row(x, 2), Tensor(w))))),
+    ("take_rows", [(4, 3)], lambda rng: (lambda x, w=rng.normal(size=(3, 3)):
+                                         sum_all(mul(take_rows(x, [0, 2, 0]), Tensor(w))))),
+    ("repeat_rows", [(3, 2)], lambda rng: (lambda x, w=rng.normal(size=(6, 2)):
+                                           sum_all(mul(repeat_rows(x, 2), Tensor(w))))),
+    ("sum_axis0", [(3, 4)], lambda rng: (lambda x, w=rng.normal(size=4): sum_all(mul(sum_axis(x, 0), Tensor(w))))),
+    ("sum_axis1", [(3, 4)], lambda rng: (lambda x, w=rng.normal(size=3): sum_all(mul(sum_axis(x, 1), Tensor(w))))),
+    ("elu", [(3, 4)], lambda rng: (lambda x: sum_all(elu(x)))),
+    ("softplus", [(3, 4)], lambda rng: (lambda x: sum_all(softplus(x)))),
+    ("linear_forward_x", [(3, 4)], lambda rng: (lambda x, w=rng.normal(size=(4, 2)), b=rng.normal(size=2):
+                                                sum_all(linear_forward(x, Tensor(w), Tensor(b))))),
+    ("linear_forward_w", [(4, 2)], lambda rng: (lambda x, a=rng.normal(size=(3, 4)), b=rng.normal(size=2):
+                                                sum_all(linear_forward(Tensor(a), x, Tensor(b))))),
+    ("linear_forward_b", [(2,)], lambda rng: (lambda x, a=rng.normal(size=(3, 4)), w=rng.normal(size=(4, 2)):
+                                              sum_all(linear_forward(Tensor(a), Tensor(w), x)))),
+    ("cosine_similarity", [(5,)], lambda rng: (lambda x, c=rng.normal(size=5) + 2.0:
+                                               cosine_similarity(add(x, constant(3.0)), Tensor(c)))),
+    ("log_sum_exp", [(6,)], lambda rng: (lambda x: log_sum_exp(x))),
+    ("rowwise_dot_grouped", [(6, 3)], lambda rng: (lambda x, a=rng.normal(size=(2, 3)), w=rng.normal(size=(2, 3)):
+                                                   sum_all(mul(rowwise_dot_grouped(x, a, group=3), Tensor(w))))),
     ]

@@ -651,12 +651,28 @@ def test_faulty_dataset_manifest_is_format_error(capsys, cli_dataset, tmp_path, 
     ["--noise-std", "1e308"], ["--classes", "dog,dog"], ["--domains", "photo,sketch"],
     ["--classes", "dog,Dog,horse"], ["--classes", " ,dog,horse"], ["--classes", "sp,dog,horse"],
     ["--classes", "hot dog,Hot  Dog,horse"], ["--classes", "dog,big sp.,horse"],
+    ["--classes", "one two three four five six seven eight nine ten,dog,horse"],
+    ["--dx", "20000", "--n-per-cell", "10"],
 ], ids=" ".join)
 def test_gen_data_refuses_what_it_cannot_save(capsys, tmp_path, flags):
     code, _, err = run_cli(capsys, "gen-data", "--out-dir", str(tmp_path / "d"), *flags)
     assert code == 2
     assert json.loads(err)["error"] == "config_error"
     assert not (tmp_path / "d").exists()
+
+
+def test_class_name_of_the_most_words_a_prompt_holds_trains(capsys, tmp_path):
+    # nine words fill the longest template, "a art painting style of a ... nine.", to 16 tokens
+    code, *_ = run_cli(capsys, "gen-data", "--out-dir", str(tmp_path / "d"), "--seed", "0",
+                       "--n-per-cell", "10", "--classes", "one two three four five six seven eight nine,dog,horse")
+    assert code == 0
+    code, *_ = run_cli(capsys, "train", "--dataset", str(tmp_path / "d"), "--held-out", "sketch",
+                       "--epochs", "1", "--seed", "0", "--out-dir", str(tmp_path / "r"))
+    assert code == 0
+    code, *_ = run_cli(capsys, "similarity-report", "--checkpoint", str(tmp_path / "r" / "final"),
+                       "--bundle", str(tmp_path / "r" / "bundle"), "--dataset", str(tmp_path / "d"),
+                       "--domain", "sketch", "--out-dir", str(tmp_path / "sim"))
+    assert code == 0
 
 
 def test_missing_out_dir_is_config_error(capsys, cli_dataset):

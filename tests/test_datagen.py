@@ -377,7 +377,8 @@ def test_round_trip_any_names(classes, domains, n_per_cell, d_x, seed):
     {"domains": ["photo", "cartoon", b"sketch"]},
     {"d_x": 0}, {"d_x": -3}, {"seed": -1}, {"n_per_cell": 10.0}, {"seed": None},
     {"n_per_cell": 100_000_000}, {"style_strength": float("nan")}, {"noise_std": float("inf")},
-    {"noise_std": 1e308},
+    {"noise_std": 1e308}, {"classes": ["one two three four five six seven eight nine ten", "dog"]},
+    {"d_x": 20000, "n_per_cell": 10},
 ], ids=repr)
 def test_invalid_arguments_rejected(kwargs):
     with pytest.raises(ConfigError):

@@ -238,7 +238,7 @@ class TestEncodeText:
             feat = encode_text_batch(bundle, style, ["dog"])
             return sum_all(mul(feat, Tensor(probe)))
 
-        err = finite_diff_grad_check(f, Tensor(rng.normal(size=(1, bundle.dims.d_t))))
+        [err] = finite_diff_grad_check(f, [Tensor(rng.normal(size=(1, bundle.dims.d_t)))])
         assert err < 1e-5
 
     def test_order_sensitivity(self, bundle, rng):
@@ -293,7 +293,7 @@ class TestFillStyleSlotBatch:
         filled = fill_style_slot_batch(styles, base, owner)
         assert np.array_equal(filled.data[:, 0, :], styles.data[owner])
         assert np.array_equal(filled.data[:, 1:, :], base[:, 1:, :])
-        assert finite_diff_grad_check(f, styles) < 1e-7
+        assert finite_diff_grad_check(f, [styles])[0] < 1e-7
 
 
 class TestStylePromptPlan:

@@ -23,6 +23,7 @@ from oracles import (
     matmul,
     mean_all,
     mul,
+    objective_errors_per_parameter,
     reshape,
     similarity_logits,
     style_regularization_loss,
@@ -621,7 +622,7 @@ class TestSharedTextPass:
                 "gaussian", {k: (x if k == "w2" else v) for k, v in fx.prompter.parameters()})
             return objective_value(fx, stand_in)
 
-        assert T.finite_diff_grad_check(f, dict(fx.prompter.parameters())["w2"], h=1e-5) < 1e-4
+        assert T.finite_diff_grad_check(f, [dict(fx.prompter.parameters())["w2"]])[0] < 1e-4
 
     def test_every_parameter_receives_nonzero_gradient(self):
         from spdg.gradcheck import build_objective_fixture, objective_value
@@ -666,6 +667,13 @@ class TestSharedTextPass:
         fx = build_objective_fixture(batch=4, mc_samples=2, seed=13)
         objective_value(fx, fx.prompter)
         assert calls == {"domain_discrimination_loss": 1, "prompted_ce_and_reg": 1}
+
+    def test_objective_check_matches_the_check_one_parameter_at_a_time(self, objective_check):
+        """One pass over all the parameters gives exactly the errors of a stand-in
+        prompter and a tape per parameter, on the session's grad-check fixture."""
+        from spdg.gradcheck import build_objective_fixture
+        fx = build_objective_fixture(batch=8, n_classes=4, n_domains=3, mc_samples=4)
+        assert objective_check[0] == objective_errors_per_parameter(fx)
 
 
     def test_training_step_runs_the_block_in_float32_and_grad_check_in_float64(self, monkeypatch):

@@ -241,19 +241,53 @@ class TestBackward:
             return log_sum_exp(reshape(h, (6,)))
 
         x = Tensor(rng.normal(size=(2, 4)))
-        assert finite_diff_grad_check(f, x) < 1e-7
+        assert finite_diff_grad_check(f, [x])[0] < 1e-7
 
 
 class TestFiniteDiffGradCheck:
     def test_known_gradient(self, rng):
         x = Tensor(rng.normal(size=5))
-        err = finite_diff_grad_check(lambda t: sum_all(mul(t, t)), x)
+        [err] = finite_diff_grad_check(lambda t: sum_all(mul(t, t)), [x])
         assert err < 1e-7
 
     def test_constant_function(self, rng):
         x = Tensor(rng.normal(size=4))
-        err = finite_diff_grad_check(lambda t: sum_all(mul(t, constant(0.0))), x)
+        [err] = finite_diff_grad_check(lambda t: sum_all(mul(t, constant(0.0))), [x])
         assert err == 0.0
+
+    def test_error_is_attributed_to_the_leaf_whose_gradient_is_wrong(self, rng):
+        def product(a, b):
+            # sum(a * b), with a backward that doubles b's gradient only
+            return T.apply(np.asarray((a.data * b.data).sum()), (a, b),
+                           lambda g: (g * b.data, 2.0 * g * a.data))
+
+        err_a, err_b = finite_diff_grad_check(product, [Tensor(rng.normal(size=(2, 3))),
+                                                        Tensor(rng.normal(size=(2, 3)))])
+        assert err_a < 1e-7
+        assert err_b >= 1e-2
+
+    def test_leaves_are_never_written_and_f_sees_the_others_at_their_values(self, rng):
+        leaves = [Tensor(rng.normal(size=s)) for s in [(2, 3), (4,), ()]]
+        before = [t.data.tobytes() for t in leaves]
+        calls = []
+
+        def f(a, b, c):
+            calls.append([a.data.copy(), b.data.copy(), c.data.copy()])
+            return add(sum_all(mul(a, a)), sum_all(mul(b, c)))
+
+        errors = finite_diff_grad_check(f, leaves)
+        assert len(errors) == 3 and max(errors) < 1e-7
+        assert [t.data.tobytes() for t in leaves] == before
+        # one base call, then two per coordinate of each leaf, leaf by leaf
+        assert len(calls) == 1 + 2 * (6 + 4 + 1)
+        moved = [k for k in range(3) for _ in range(2 * leaves[k].size)]
+        for seen, k in zip(calls[1:], moved):
+            for j, (value, leaf) in enumerate(zip(seen, leaves)):
+                if j != k:
+                    assert value.tobytes() == leaf.data.tobytes()
+            diff = np.abs(seen[k] - leaves[k].data)
+            assert np.count_nonzero(diff) == 1
+            assert diff.max() == pytest.approx(T.FD_STEP, rel=1e-6)
 
 
 @pytest.fixture(scope="module")
