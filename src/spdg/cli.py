@@ -96,8 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("grad-check", help="run the gradient verification suite")
     p.add_argument("--primitive-inputs", type=int, default=20)
-    p.add_argument("--primitive-tol", type=float, default=1e-6)
-    p.add_argument("--objective-tol", type=float, default=1e-4)
 
     return parser
 
@@ -268,19 +266,16 @@ def _cmd_similarity_report(args) -> int:
 def _cmd_grad_check(args) -> int:
     from . import gradcheck
 
-    for flag, tol in (("--primitive-tol", args.primitive_tol), ("--objective-tol", args.objective_tol)):
-        if not (np.isfinite(tol) and tol > 0):
-            raise ConfigError(f"{flag} must be a finite number > 0, got {tol}")
     failures = []
     prim = gradcheck.run_primitive_checks(n_inputs=args.primitive_inputs)
     for name, err in sorted(prim.items()):
-        status = "ok" if err < args.primitive_tol else "FAIL"
+        status = "ok" if err < gradcheck.PRIMITIVE_TOL else "FAIL"
         if status == "FAIL":
             failures.append(name)
         print(f"primitive {name}: max_rel_err={err:.3e} [{status}]")
     obj, elapsed = gradcheck.run_objective_check()
     for name, err in obj.items():
-        status = "ok" if err < args.objective_tol else "FAIL"
+        status = "ok" if err < gradcheck.OBJECTIVE_TOL else "FAIL"
         if status == "FAIL":
             failures.append(f"objective:{name}")
         print(f"objective d/d{name}: max_rel_err={err:.3e} [{status}]")

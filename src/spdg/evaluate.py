@@ -204,13 +204,10 @@ def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None 
     )
 
 
-def evaluate_cross_category(base: RunConfig, train_dataset_path, test_dataset_path,
-                            dataset=None, test_dataset=None) -> EvalReport:
+def evaluate_cross_category(base: RunConfig, train_dataset_path, test_dataset_path) -> EvalReport:
     """Train on one dataset, test on another with disjoint classes and domains."""
-    if dataset is None:
-        dataset = datagen.load(train_dataset_path)
-    if test_dataset is None:
-        test_dataset = datagen.load(test_dataset_path)
+    dataset = datagen.load(train_dataset_path)
+    test_dataset = datagen.load(test_dataset_path)
 
     test_words = dict(zip(class_words(test_dataset.classes), test_dataset.classes))
     class_overlap = [test_words[w] for w in test_words.keys() & set(class_words(dataset.classes))]

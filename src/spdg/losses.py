@@ -56,13 +56,6 @@ class LossWeights:
         check_range("ce_scale", self.ce_scale, 0.0, low_open=True)
 
 
-@dataclass
-class LossParts:
-    loss_ce: Tensor
-    loss_d: Tensor | None = None
-    loss_reg: Tensor | None = None
-
-
 def domain_discrimination_loss(samples: Tensor, domains, tau: float,
                                dtype=np.float32) -> Tensor:
     """Mean over anchors of -log(same-domain mass / all-others mass).
@@ -324,13 +317,14 @@ def prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch: np.ndarray, styles
     return out if anchors is not None else (out, None)
 
 
-def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
+def total_loss(weights: LossWeights, loss_ce: Tensor, loss_d: Tensor | None = None,
+               loss_reg: Tensor | None = None) -> Tensor:
     """Weighted sum: ce_scale * ce + w_d * discrimination + w_reg * regularization.
 
-    One tape node over the parts that are present.
+    One tape node over the parts that are present, summed in that order.
     """
-    terms = [(t, w) for t, w in ((parts.loss_ce, weights.ce_scale), (parts.loss_d, weights.w_d),
-                                 (parts.loss_reg, weights.w_reg)) if t is not None]
+    terms = [(t, w) for t, w in ((loss_ce, weights.ce_scale), (loss_d, weights.w_d),
+                                 (loss_reg, weights.w_reg)) if t is not None]
     out = terms[0][0].data * terms[0][1]
     for t, w in terms[1:]:
         out = out + t.data * w

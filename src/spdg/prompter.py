@@ -2,7 +2,7 @@
 
 One prompter type over one parameter table, in two kinds: the basic prompter
 emits a point in token-embedding space; the Gaussian prompter emits a diagonal
-Gaussian (mu, sigma) and draws reparameterized Monte Carlo samples from it.
+Gaussian (mu, sigma) and reparameterizes the caller's Monte Carlo draw with it.
 Only these parameters ever receive gradients.
 
 Each training forward is one tape node with a hand-written backward: the two
@@ -187,23 +187,20 @@ def gaussian_forward(p: StylePrompter, z: np.ndarray) -> tuple[Tensor, Tensor]:
                    (p.w1, p.b1, p.w2, p.b2, p.w_mu, p.b_mu, p.w_sigma, p.b_sigma), bwd)
 
 
-def sample_styles_batch(mu: Tensor, sigma: Tensor, n: int,
-                        rng: np.random.Generator, eps: np.ndarray | None = None) -> Tensor:
+def sample_styles_batch(mu: Tensor, sigma: Tensor, eps: np.ndarray) -> Tensor:
     """Row-major reparameterized samples s = mu + sigma * eps, (B, d_t) -> (B*n, d_t).
 
-    Rows i*n..(i+1)*n-1 belong to batch element i; eps is one
-    rng.standard_normal((B*n, d_t)) draw, or a fixed eps may be passed for
-    deterministic re-evaluation of the same draw. Gradients flow to mu and
+    eps is the caller's (B*n, d_t) standard normal draw, n = len(eps) // B;
+    rows i*n..(i+1)*n-1 belong to batch element i. A draw whose row count is
+    not a positive multiple of B is a ShapeError. Gradients flow to mu and
     sigma through one tape node.
     """
-    if n < 1:
-        raise ConfigError(f"sample count must be >= 1, got {n}")
     if mu.data.ndim != 2 or sigma.data.shape != mu.data.shape:
         raise ShapeError(f"mu and sigma must be matching (B, d) arrays, got {mu.shape}, {sigma.shape}")
     b, d = mu.data.shape
-    eps = rng.standard_normal((b * n, d)) if eps is None else eps
-    if eps.shape != (b * n, d):
-        raise ShapeError(f"eps must have shape {(b * n, d)}, got {eps.shape}")
+    n = len(eps) // max(b, 1)
+    if n < 1 or eps.shape != (b * n, d):
+        raise ShapeError(f"eps must be (n * {b}, {d}) for some n >= 1, got {eps.shape}")
     eps3 = eps.reshape(b, n, d)
     out = eps3 * sigma.data[:, None, :] + mu.data[:, None, :]
 

@@ -19,14 +19,7 @@ from . import datagen
 from .encoders import EncoderDims, build_bundle, bundle_checksum, default_vocab, encode_image, save_bundle
 from .errors import ConfigError, DegenerateVectorError, NormalizationError, TrainingDiverged, check_range
 from .inference import accuracy, predict_batch
-from .losses import (
-    LossParts,
-    LossWeights,
-    build_reg_anchors,
-    domain_discrimination_loss,
-    prompted_ce_and_reg,
-    total_loss,
-)
+from .losses import LossWeights, build_reg_anchors, domain_discrimination_loss, prompted_ce_and_reg, total_loss
 from .prompter import (
     basic_forward,
     gaussian_forward,
@@ -186,27 +179,16 @@ def sgd_momentum_step(params, grads, state: OptimizerState, lr: float,
     state.step += 1
 
 
-@dataclass
-class Schedule:
-    steps_per_epoch: int
-    epochs: int
-    lr_warmup: float
-    lr_max: float
-
-    @property
-    def total_steps(self) -> int:
-        return self.steps_per_epoch * self.epochs
-
-
-def lr_at(step: int, sched: Schedule) -> float:
-    """Warmup epoch at a fixed rate, then cosine from lr_max to zero per step."""
-    if not (0 <= step < sched.total_steps):
-        raise ConfigError(f"step {step} outside schedule of {sched.total_steps} steps")
-    if step < sched.steps_per_epoch:
-        return sched.lr_warmup
-    t = step - sched.steps_per_epoch
-    t_cos = sched.total_steps - sched.steps_per_epoch
-    return 0.5 * sched.lr_max * (1.0 + np.cos(np.pi * t / t_cos))
+def lr_at(step: int, steps_per_epoch: int, config: RunConfig) -> float:
+    """The config's warmup epoch at lr_warmup, then cosine from lr_max to zero per step."""
+    total_steps = steps_per_epoch * config.epochs
+    if not (0 <= step < total_steps):
+        raise ConfigError(f"step {step} outside schedule of {total_steps} steps")
+    if step < steps_per_epoch:
+        return config.lr_warmup
+    t = step - steps_per_epoch
+    t_cos = total_steps - steps_per_epoch
+    return 0.5 * config.lr_max * (1.0 + np.cos(np.pi * t / t_cos))
 
 
 def _n_train(size: int, ratio: float) -> int:
@@ -285,7 +267,6 @@ class TrainResult:
     metrics: list[dict]
     val_accuracies: list[float]
     encoder_checksum: str
-    out_dir: str | None
     final_dir: str | None
     metrics_path: str | None
 
@@ -338,19 +319,19 @@ def check_run(dataset, config: RunConfig) -> list[int]:
 
 
 def step_losses(bundle, prompter, z, labels, domains, classes, anchors, weights: LossWeights,
-                mc_samples: int, rng, eps=None, dtype=np.float32):
+                eps, dtype=np.float32):
     """The training objective on one batch of image features z: (total, ce, domain, reg).
 
-    The Gaussian prompter's domain loss runs over mc_samples reparameterized
-    draws per image, from rng or, given eps, from that fixed draw; its prompts
-    carry the mean. The basic prompter's single embedding serves both. anchors
-    is build_reg_anchors' (C, d_f) array, or None without the regularizer. dtype
-    is the precision of the domain loss's N x N block.
+    The Gaussian prompter's domain loss runs over the reparameterized samples of
+    eps, its (B*n, d_t) standard normal draw, n per image; its prompts carry the
+    mean. The basic prompter's single embedding serves both, and its eps is None.
+    anchors is build_reg_anchors' (C, d_f) array, or None without the
+    regularizer. dtype is the precision of the domain loss's N x N block.
     """
     if prompter.kind == "gaussian":
         mu, sigma = gaussian_forward(prompter, z)
-        style_samples = l2_normalize(sample_styles_batch(mu, sigma, mc_samples, rng, eps=eps))
-        sample_domains = np.repeat(domains, mc_samples)
+        style_samples = l2_normalize(sample_styles_batch(mu, sigma, eps))
+        sample_domains = np.repeat(domains, len(eps) // len(domains))
         prompt_styles = mu
     else:
         prompt_styles = basic_forward(prompter, z)
@@ -358,7 +339,7 @@ def step_losses(bundle, prompter, z, labels, domains, classes, anchors, weights:
         sample_domains = domains
     loss_d = domain_discrimination_loss(style_samples, sample_domains, weights.tau_d, dtype=dtype)
     loss_ce, loss_reg = prompted_ce_and_reg(bundle, z, prompt_styles, labels, classes, anchors)
-    total = total_loss(LossParts(loss_ce=loss_ce, loss_d=loss_d, loss_reg=loss_reg), weights)
+    total = total_loss(weights, loss_ce, loss_d, loss_reg)
     return total, loss_ce, loss_d, loss_reg
 
 
@@ -370,6 +351,10 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
         dataset = datagen.load(config.dataset)
 
     train_domains = check_run(dataset, config)
+    out_dir = Path(config.out_dir) if config.out_dir else None
+    if out_dir is not None and out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        # another run's checkpoints would be left beside this run's
+        raise ConfigError(f"out_dir {out_dir} exists and is not an empty directory")
 
     vocab = default_vocab(list(dataset.classes) + list(config.extra_classes))
     bundle = build_bundle(config.dims, vocab, seed=config.seed, logit_scale=config.logit_scale)
@@ -393,13 +378,10 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
     steps_per_epoch = len(epoch_batches[0])
     if any(len(b) != steps_per_epoch for b in epoch_batches):
         raise AssertionError("batch count drifted between epochs")
-    sched = Schedule(steps_per_epoch=steps_per_epoch, epochs=config.epochs,
-                     lr_warmup=config.lr_warmup, lr_max=config.lr_max)
 
     mc_rng = np.random.default_rng([config.seed, 2])
     opt_state = OptimizerState.for_params(params)
 
-    out_dir = Path(config.out_dir) if config.out_dir else None
     # the echo stored in checkpoints drops the output path, so identical runs
     # written to different directories stay byte-identical
     config_echo = {**config.to_dict(), "out_dir": None}
@@ -429,13 +411,16 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
                 labels = dataset.class_ids[batch]
                 doms = dataset.domain_ids[batch]
                 z = encode_image(bundle, xb)
+                # the step's Monte Carlo draw; the basic prompter takes none
+                eps = (mc_rng.standard_normal((len(batch) * config.mc_samples, config.dims.d_t))
+                       if config.prompter_kind == "gaussian" else None)
 
                 parts_values, grads = None, None
                 try:
                     with Tape() as tape:
                         loss, loss_ce, loss_d, loss_reg = step_losses(
                             bundle, prompter, z, labels, doms, dataset.classes, anchors,
-                            config.weights, config.mc_samples, mc_rng)
+                            config.weights, eps)
                     parts_values = {
                         "loss_total": float(loss.item()),
                         "loss_d": float(loss_d.item()),
@@ -445,7 +430,7 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
                     if not np.isfinite(parts_values["loss_total"]):
                         raise TrainingDiverged("non-finite loss")
                     grads = tape.backward(loss, params)
-                    lr = lr_at(step, sched)
+                    lr = lr_at(step, steps_per_epoch, config)
                     sgd_momentum_step(params, grads, opt_state, lr,
                                       config.momentum, config.weight_decay)
                 except (NormalizationError, DegenerateVectorError, TrainingDiverged) as exc:
@@ -484,11 +469,10 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
     return TrainResult(
         prompter=prompter, bundle=bundle, config=config, metrics=metrics,
         val_accuracies=val_accuracies, encoder_checksum=checksum_after,
-        out_dir=str(out_dir) if out_dir else None, final_dir=final_dir,
-        metrics_path=metrics_path,
+        final_dir=final_dir, metrics_path=metrics_path,
     )
 
 
-def seed_from(base: int, *path: int) -> np.random.SeedSequence | list[int]:
+def seed_from(base: int, *path: int) -> list[int]:
     """Derived integer seed list for independent deterministic streams."""
     return [int(base), *[int(p) for p in path]]

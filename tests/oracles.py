@@ -38,7 +38,7 @@ from spdg.encoders import (
 from spdg.encoders import encode_text_batch as production_encode_text_batch
 from spdg.errors import ConfigError, DegenerateVectorError, ShapeError, TokenizeError
 from spdg.gradcheck import objective_value
-from spdg.losses import LossParts, LossWeights
+from spdg.losses import LossWeights
 from spdg.prompter import SIGMA_FLOOR, StylePrompter, basic_forward, gaussian_forward, style_for_prompt
 from spdg.tensor import Tensor
 
@@ -301,12 +301,13 @@ def composed_sample_styles_batch(mu: Tensor, sigma: Tensor, n: int, eps: np.ndar
     return add(mul(Tensor(eps), repeat_rows(sigma, n)), repeat_rows(mu, n))
 
 
-def composed_total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
-    total = mul(parts.loss_ce, constant(weights.ce_scale))
-    if parts.loss_d is not None:
-        total = add(total, mul(parts.loss_d, constant(weights.w_d)))
-    if parts.loss_reg is not None:
-        total = add(total, mul(parts.loss_reg, constant(weights.w_reg)))
+def composed_total_loss(weights: LossWeights, loss_ce: Tensor, loss_d: Tensor | None = None,
+                        loss_reg: Tensor | None = None) -> Tensor:
+    total = mul(loss_ce, constant(weights.ce_scale))
+    if loss_d is not None:
+        total = add(total, mul(loss_d, constant(weights.w_d)))
+    if loss_reg is not None:
+        total = add(total, mul(loss_reg, constant(weights.w_reg)))
     return total
 
 

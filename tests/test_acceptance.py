@@ -146,8 +146,8 @@ def test_reparameterization_statistics():
         d = int(rng.integers(4, 33))
         mu = rng.normal(size=d)
         sigma = np.abs(rng.normal(size=d)) + 0.05
-        draws = sample_styles_batch(Tensor(mu[None]), Tensor(sigma[None]), n,
-                                    np.random.default_rng([31, trial])).data
+        eps = np.random.default_rng([31, trial]).standard_normal((n, d))
+        draws = sample_styles_batch(Tensor(mu[None]), Tensor(sigma[None]), eps).data
         assert (np.abs(draws.mean(axis=0) - mu) <= 4 * sigma / np.sqrt(n)).all()
         assert (np.abs(draws.std(axis=0) - sigma) <= 0.05 * sigma).all()
     assert RunConfig().mc_samples == 40  # the production sample count

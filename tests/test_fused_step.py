@@ -22,7 +22,6 @@ from oracles import (
 from spdg.encoders import encode_image
 from spdg.errors import ConfigError, DegenerateVectorError, TrainingDiverged
 from spdg.losses import (
-    LossParts,
     LossWeights,
     build_reg_anchors,
     classification_head,
@@ -217,12 +216,12 @@ class TestFusedPrompters:
         eps = np.random.default_rng(8).standard_normal((4 * 5, self.D_T))
         probes = [rng.normal(size=(20, self.D_T))]
         got, got_grad, n_nodes = taped(
-            lambda m, s: [sample_styles_batch(m, s, 5, np.random.default_rng(8))],
+            lambda m, s: [sample_styles_batch(m, s, eps)],
             [mu, sigma], probes)
         want, want_grad, _ = taped(lambda m, s: [composed_sample_styles_batch(m, s, 5, eps)],
                                    [mu, sigma], probes)
         assert n_nodes == 3
-        assert np.array_equal(got[0], want[0])   # same draw order, same arithmetic
+        assert np.array_equal(got[0], want[0])   # same row order, same arithmetic
         assert_close(got_grad, want_grad, 0.0)
 
     def test_total_loss_matches_composed_oracle(self, rng):
@@ -234,7 +233,7 @@ class TestFusedPrompters:
                     slots = [None, None, None]
                     for k, t in zip(present, ts):
                         slots[k] = t
-                    return [fn(LossParts(*slots), weights)]
+                    return [fn(weights, *slots)]
                 return parts
             arrays = [values[k] for k in present]
             got, got_grad, n_nodes = taped(run(total_loss), arrays, [np.asarray(1.0)])

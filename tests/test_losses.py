@@ -42,7 +42,6 @@ from spdg.encoders import (
 from spdg.errors import BatchCompositionError, ConfigError, DegenerateVectorError, NormalizationError
 from spdg.losses import (
     LOW_MASS,
-    LossParts,
     LossWeights,
     build_reg_anchors,
     domain_discrimination_loss,
@@ -564,15 +563,14 @@ class TestClassificationLoss:
 
 class TestTotalLoss:
     def test_ce_only_when_weights_zero(self, rng):
-        parts = LossParts(loss_ce=Tensor(np.asarray(1.25)), loss_d=Tensor(np.asarray(3.0)),
-                          loss_reg=Tensor(np.asarray(0.5)))
+        parts = Tensor(np.asarray(1.25)), Tensor(np.asarray(3.0)), Tensor(np.asarray(0.5))
         weights = LossWeights(w_d=0.0, w_reg=0.0)
-        assert total_loss(parts, weights).item() == 1.25
+        assert total_loss(weights, *parts).item() == 1.25
 
     def test_doubling_w_d_adds_loss_d(self):
-        parts = LossParts(loss_ce=Tensor(np.asarray(1.0)), loss_d=Tensor(np.asarray(2.0)))
-        a = total_loss(parts, LossWeights(w_d=0.1, w_reg=0.0)).item()
-        b = total_loss(parts, LossWeights(w_d=0.2, w_reg=0.0)).item()
+        parts = Tensor(np.asarray(1.0)), Tensor(np.asarray(2.0))
+        a = total_loss(LossWeights(w_d=0.1, w_reg=0.0), *parts).item()
+        b = total_loss(LossWeights(w_d=0.2, w_reg=0.0), *parts).item()
         assert b - a == pytest.approx(0.1 * 2.0, abs=1e-15)
 
     def test_default_weights(self):
@@ -691,7 +689,7 @@ class TestSharedTextPass:
         fx = build_objective_fixture(batch=4, mc_samples=2, seed=13)
         objective_value(fx, fx.prompter)
         step_losses(fx.bundle, fx.prompter, fx.z, fx.labels, fx.domains, fx.classes, fx.anchors,
-                    fx.weights, fx.mc_samples, None, eps=fx.eps)
+                    fx.weights, fx.eps)
         assert dtypes == [np.float64, np.float32]
 
 def per_row_prompt_features(bundle, styles: Tensor, classes) -> Tensor:

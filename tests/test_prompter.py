@@ -6,7 +6,7 @@ import pytest
 
 from oracles import mul, prompter_shapes, reshape, sum_all
 from spdg.blob import write_blob
-from spdg.errors import ConfigError, FormatError
+from spdg.errors import ConfigError, FormatError, ShapeError
 from spdg.prompter import (
     PARAMETER_NAMES,
     SIGMA_FLOOR,
@@ -149,9 +149,13 @@ class TestGaussianForward:
             D_I * h + h + h * h + h + 2 * (h * D_T + D_T)
 
 
-def sample_one(mu: Tensor, sigma: Tensor, n: int, rng) -> Tensor:
-    """n draws for a single (mu, sigma) pair: a one-row sample_styles_batch."""
-    return sample_styles_batch(reshape(mu, (1, D_T)), reshape(sigma, (1, D_T)), n, rng)
+def sample_one(mu: Tensor, sigma: Tensor, eps: np.ndarray) -> Tensor:
+    """len(eps) samples of a single (mu, sigma) pair: a one-row sample_styles_batch."""
+    return sample_styles_batch(reshape(mu, (1, D_T)), reshape(sigma, (1, D_T)), eps)
+
+
+def draw(seed, n: int) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal((n, D_T))
 
 
 class TestSampleStyles:
@@ -159,51 +163,46 @@ class TestSampleStyles:
         return Tensor(rng.normal(size=D_T)), Tensor(np.abs(rng.normal(size=D_T)) + 0.05)
 
     def test_zero_eps_returns_mu(self, rng):
-        class ZeroRng:
-            def standard_normal(self, shape):
-                return np.zeros(shape)
-
         mu, sigma = self._dist(rng)
-        out = sample_one(mu, sigma, 5, ZeroRng())
+        out = sample_one(mu, sigma, np.zeros((5, D_T)))
         assert np.allclose(out.data, mu.data[None, :], atol=1e-15)
 
     def test_sigma_floor_collapse(self, rng):
         mu = Tensor(rng.normal(size=D_T))
-        out = sample_one(mu, Tensor(np.full(D_T, SIGMA_FLOOR)), 50, np.random.default_rng(0))
+        out = sample_one(mu, Tensor(np.full(D_T, SIGMA_FLOOR)), draw(0, 50))
         assert np.abs(out.data - mu.data).max() < 1e-4
 
     def test_law_of_large_numbers(self, rng):
         mu, sigma = self._dist(rng)
         n = 100_000
-        out = sample_one(mu, sigma, n, np.random.default_rng(42)).data
+        out = sample_one(mu, sigma, draw(42, n)).data
         mu, sigma = mu.data, sigma.data
         assert (np.abs(out.mean(axis=0) - mu) <= 4 * sigma / np.sqrt(n)).all()
         assert (np.abs(out.std(axis=0) - sigma) <= 0.05 * sigma).all()
 
-    def test_zero_count_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            sample_one(*self._dist(rng), 0, np.random.default_rng(0))
+    @pytest.mark.parametrize("shape", [(0, D_T), (2 * 3 + 1, D_T), (2 * 3, D_T + 1)])
+    def test_draw_of_the_wrong_shape_rejected(self, rng, shape):
+        # a batch of B = 2: no row, one past n = 3 samples each, or another width
+        mu, sigma = (Tensor(np.stack([t.data] * 2)) for t in self._dist(rng))
+        with pytest.raises(ShapeError, match="eps must be"):
+            sample_styles_batch(mu, sigma, np.zeros(shape))
 
     def test_fixed_seed_bit_reproducible(self, rng):
         mu, sigma = self._dist(rng)
-        a = sample_one(mu, sigma, 16, np.random.default_rng(9)).data
-        b = sample_one(mu, sigma, 16, np.random.default_rng(9)).data
+        a = sample_one(mu, sigma, draw(9, 16)).data
+        b = sample_one(mu, sigma, draw(9, 16)).data
         assert np.array_equal(a, b)
 
     def test_gradient_flows_through_mu_and_sigma(self, rng):
-        eps = np.random.default_rng(3).standard_normal((6, D_T))
+        eps = draw(3, 6)
         probe = rng.normal(size=(6, D_T))
 
-        class FixedRng:
-            def standard_normal(self, shape):
-                return eps
-
         def f_mu(x):
-            out = sample_one(x, Tensor(np.full(D_T, 0.3)), 6, FixedRng())
+            out = sample_one(x, Tensor(np.full(D_T, 0.3)), eps)
             return sum_all(mul(out, Tensor(probe)))
 
         def f_sigma(x):
-            return sum_all(mul(sample_one(Tensor(np.zeros(D_T)), x, 6, FixedRng()), Tensor(probe)))
+            return sum_all(mul(sample_one(Tensor(np.zeros(D_T)), x, eps), Tensor(probe)))
 
         assert finite_diff_grad_check(f_mu, [Tensor(rng.normal(size=D_T))])[0] < 1e-7
         assert finite_diff_grad_check(f_sigma, [Tensor(np.abs(rng.normal(size=D_T)) + 0.5)])[0] < 1e-7

@@ -13,7 +13,6 @@ from spdg.tensor import Tensor
 from spdg.trainer import (
     OptimizerState,
     RunConfig,
-    Schedule,
     check_run,
     lr_at,
     sgd_momentum_step,
@@ -75,33 +74,34 @@ class TestSgdMomentumStep:
 
 
 class TestLrSchedule:
-    SCHED = Schedule(steps_per_epoch=10, epochs=3, lr_warmup=1e-5, lr_max=0.002)
+    # 10 steps per epoch over 3 epochs: 30 steps
+    CONFIG = RunConfig(epochs=3, lr_warmup=1e-5, lr_max=0.002)
 
     def test_warmup_epoch_exact(self):
         for step in range(10):
-            assert lr_at(step, self.SCHED) == 1e-5
+            assert lr_at(step, 10, self.CONFIG) == 1e-5
 
     def test_first_post_warmup_is_lr_max(self):
-        assert lr_at(10, self.SCHED) == 0.002
+        assert lr_at(10, 10, self.CONFIG) == 0.002
 
     def test_cosine_midpoint_and_endpoint(self):
-        assert lr_at(20, self.SCHED) == pytest.approx(0.001, abs=1e-15)
+        assert lr_at(20, 10, self.CONFIG) == pytest.approx(0.001, abs=1e-15)
         # endpoint is outside the schedule; evaluate the formula one shy of it
-        t_cos = self.SCHED.total_steps - self.SCHED.steps_per_epoch
+        t_cos = 30 - 10
         end = 0.5 * 0.002 * (1 + np.cos(np.pi * (t_cos) / t_cos))
         assert end == pytest.approx(0.0, abs=1e-18)
 
     def test_non_increasing_post_warmup(self):
-        lrs = [lr_at(s, self.SCHED) for s in range(10, 30)]
+        lrs = [lr_at(s, 10, self.CONFIG) for s in range(10, 30)]
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            lr_at(30, self.SCHED)
+            lr_at(30, 10, self.CONFIG)
 
     def test_single_epoch_all_warmup(self):
-        sched = Schedule(steps_per_epoch=4, epochs=1, lr_warmup=1e-5, lr_max=0.002)
-        assert [lr_at(s, sched) for s in range(4)] == [1e-5] * 4
+        config = RunConfig(epochs=1, lr_warmup=1e-5, lr_max=0.002)
+        assert [lr_at(s, 4, config) for s in range(4)] == [1e-5] * 4
 
 
 class TestSplitTrainVal:
@@ -272,6 +272,43 @@ class TestTrainStylePrompter:
             outs.append(tmp_path / name)
         for rel in ["metrics.ndjson", "final/w1.spdg", "final/w_sigma.spdg", "final/manifest.json"]:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+    def test_each_step_draws_its_eps_from_the_mc_stream(self, small_dataset, monkeypatch):
+        import spdg.trainer
+        from spdg.prompter import sample_styles_batch
+        from spdg.trainer import seed_from
+        draws = []
+
+        def spy(mu, sigma, eps):
+            draws.append(eps.copy())
+            return sample_styles_batch(mu, sigma, eps)
+
+        monkeypatch.setattr(spdg.trainer, "sample_styles_batch", spy)
+        cfg = RunConfig(seed=5, held_out_domain="sketch", epochs=2, batch_size=8, mc_samples=3)
+        result = train_style_prompter(cfg, dataset=small_dataset)
+        # one (B * mc_samples, d_t) draw per step, B the step's batch rows, in step
+        # order from one stream
+        stream = np.random.default_rng(seed_from(cfg.seed, 2))
+        assert len(draws) == sum("step" in m for m in result.metrics) > 0
+        for eps in draws:
+            assert len(eps) % 3 == 0 and eps.shape[1] == cfg.dims.d_t
+            assert np.array_equal(eps, stream.standard_normal(eps.shape))
+
+    @pytest.mark.parametrize("kind", ["file", "empty"])
+    def test_out_dir_must_be_new_or_an_empty_directory(self, small_dataset, tmp_path, kind):
+        out = tmp_path / "run"
+        if kind == "file":
+            out.write_text("not a run")
+        else:
+            out.mkdir()
+        cfg = RunConfig(seed=0, held_out_domain="sketch", epochs=1, batch_size=8,
+                        mc_samples=2, out_dir=str(out))
+        if kind == "file":
+            with pytest.raises(ConfigError, match="not an empty directory"):
+                train_style_prompter(cfg, dataset=small_dataset)
+            assert out.read_text() == "not a run"
+        else:
+            assert train_style_prompter(cfg, dataset=small_dataset).final_dir == str(out / "final")
 
     def test_basic_prompter_path(self, small_dataset):
         cfg = RunConfig(seed=0, prompter_kind="basic", use_style_reg=False,
