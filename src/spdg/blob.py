@@ -42,6 +42,13 @@ def write_blob(path, array: np.ndarray) -> None:
         fh.write(memoryview(arr.astype(arr.dtype.newbyteorder("<"), copy=False)))
 
 
+def write_json(path, payload) -> None:
+    """Write payload as sorted, indented JSON, creating path's directory first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def unreadable(path, what: str, exc: Exception) -> FormatError:
     return FormatError(f"{path}: cannot read {what}: {getattr(exc, 'strerror', None) or exc}")
 

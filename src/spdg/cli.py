@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen
+from .blob import write_json
 from .encoders import bundle_checksum, load_bundle
 from .errors import ConfigError, DegenerateVectorError, FormatError, SpdgError
 from .inference import infer
@@ -125,20 +126,14 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _read_json_object(path, what: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} {path} must be a JSON object, got {type(raw).__name__}")
-    return raw
-
-
 def _load_run_config(args, *overrides: str) -> RunConfig:
     """The --config RunConfig, or the defaults without one; each named flag that
     was given overrides the RunConfig field of its name."""
-    cfg = RunConfig.from_dict(_read_json_object(args.config, "config")) if args.config else RunConfig()
+    try:
+        raw = json.loads(Path(args.config).read_text()) if args.config else {}
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    cfg = RunConfig.from_dict(raw)
     return replace(cfg, **{k: getattr(args, k) for k in overrides if getattr(args, k) is not None})
 
 
@@ -176,7 +171,7 @@ def _cmd_eval_lodo(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     report = evaluate.evaluate_leave_one_out(dataset, methods, _parse_seeds(args.seeds),
                                              base=base, threads=args.threads)
-    evaluate.write_report_json(report.to_dict(), out / "lodo_report.json")
+    write_json(out / "lodo_report.json", report.to_dict())
     evaluate.write_report_csv(report, out / "lodo_report.csv")
     print(json.dumps({"report": str(out / "lodo_report.json"),
                       "averages": {m: r.average for m, r in report.methods.items()},
@@ -190,7 +185,7 @@ def _cmd_eval_crosscat(args) -> int:
     out = _need_out_dir(args)
     cfg = _load_run_config(args, "seed")
     report = evaluate.evaluate_cross_category(cfg, cfg.dataset, args.test_data)
-    evaluate.write_report_json(report.to_dict(), out / "crosscat_report.json")
+    write_json(out / "crosscat_report.json", report.to_dict())
     evaluate.write_report_csv(report, out / "crosscat_report.csv")
     print(json.dumps({"report": str(out / "crosscat_report.json"),
                       "averages": {m: r.average for m, r in report.methods.items()}}))

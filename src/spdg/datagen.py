@@ -7,15 +7,14 @@ spectral norm) to noisy prototype draws. Domain shift strength is one knob.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .blob import manifest_fields, read_blob, read_manifest, write_blob
+from .blob import manifest_fields, read_blob, read_manifest, write_blob, write_json
 from .encoders import class_words
-from .errors import ConfigError, check_range, check_type
+from .errors import ConfigError, check_fields, check_range
 
 DATASET_FORMAT_VERSION = 2
 
@@ -39,21 +38,16 @@ class DatasetManifest:
     format_version: int = DATASET_FORMAT_VERSION
 
     def __post_init__(self):
+        check_fields(self)
         for name, least in (("classes", 2), ("domains", 3)):  # 3 domains: one held out, two trained
             names = getattr(self, name)
-            check_type(name, names, (list,))
-            if not all(isinstance(n, str) for n in names):
-                raise ConfigError(f"{name} names must be strings, got {names!r}")
             if len(set(names)) != len(names):
                 raise ConfigError(f"{name} names must be unique, got {names!r}")
             check_range(f"number of {name}", len(names), least)
         class_words(self.classes)
-        for name, least in (("n_per_cell", 10), ("d_x", 1), ("seed", 0)):
-            check_type(name, getattr(self, name), (int,))
+        for name, least in (("n_per_cell", 10), ("d_x", 1), ("seed", 0), ("style_strength", 0.0),
+                            ("noise_std", 0.0)):
             check_range(name, getattr(self, name), least)
-        for name in ("style_strength", "noise_std"):
-            check_type(name, getattr(self, name), (int, float))
-            check_range(name, getattr(self, name), 0.0)
         n, size = self.n_samples, 8 * self.n_samples * (self.d_x + 2)
         if size > MAX_DATASET_BYTES:
             raise ConfigError(f"{n} samples of width {self.d_x} need {size} bytes with their "
@@ -153,10 +147,7 @@ def save(dataset: MultiDomainDataset, directory) -> None:
     and domain ids; a dataset its constructor would refuse now is refused before any write."""
     dataset.check()
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "manifest.json").write_text(
-        json.dumps(asdict(dataset.manifest), indent=2, sort_keys=True)
-    )
+    write_json(directory / "manifest.json", asdict(dataset.manifest))
     write_blob(directory / "samples.spdg", dataset.x)
     write_blob(directory / "labels.spdg",
                np.array([dataset.class_ids, dataset.domain_ids], dtype=np.int64))

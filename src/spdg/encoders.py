@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .blob import manifest_fields, read_blob, read_manifest, write_blob
-from .errors import ConfigError, ShapeError, TokenizeError, check_range, check_type
+from .blob import manifest_fields, read_blob, read_manifest, write_blob, write_json
+from .errors import ConfigError, ShapeError, TokenizeError, check_fields, check_range
 from .tensor import Tensor
 
 PSEUDO_TOKEN = -1
@@ -58,8 +58,8 @@ class EncoderDims:
     d_f: int = 48   # shared image-text feature
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("d_x", "d_i", "d_t", "d_f"):
-            check_type(name, getattr(self, name), (int,))
             check_range(name, getattr(self, name), 2)
 
 
@@ -118,12 +118,12 @@ def default_vocab(classes) -> list[str]:
     return list(dict.fromkeys(w for group in groups for entry in group for w in text_words(entry)))
 
 
-def _sinusoidal_positions(length: int, dim: int, scale: float = POSITION_SCALE) -> np.ndarray:
+def _sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     pos = np.arange(length, dtype=np.float64)[:, None]
     idx = np.arange(dim, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, (2.0 * np.floor(idx / 2.0)) / dim)
     table = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
-    return scale * table
+    return POSITION_SCALE * table
 
 
 class FrozenEncoderBundle:
@@ -444,7 +444,6 @@ def bundle_checksum(bundle: FrozenEncoderBundle) -> str:
 
 def save_bundle(bundle: FrozenEncoderBundle, directory) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "seed": bundle.seed,
@@ -452,7 +451,7 @@ def save_bundle(bundle: FrozenEncoderBundle, directory) -> None:
         "vocab": bundle.vocab,
         "logit_scale": bundle.logit_scale,
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_json(directory / "manifest.json", manifest)
     for name, weight in bundle.weights.items():
         write_blob(directory / f"{name}.spdg", weight)
 

@@ -5,6 +5,7 @@ can map failures to a machine-readable JSON payload on stderr.
 """
 
 import math
+from dataclasses import fields
 
 
 class SpdgError(Exception):
@@ -50,12 +51,23 @@ def check_range(name: str, value, low: float, high: float = math.inf,
         raise ConfigError(f"{name} must be in {interval}, got {value!r}")
 
 
-def check_type(name: str, value, kinds: tuple) -> None:
-    """Raise ConfigError unless value is an instance of one of kinds; bool is an
-    int to isinstance, and no field admits it."""
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
-                          f"got {type(value).__name__} {value!r}")
+# the values each field annotation admits: a float field takes an int too, only a bool
+# field takes a bool (to isinstance, a bool is an int), and a list holds strings only
+_FIELD_TYPES = {
+    "int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+    "str | None": (str, type(None)), "list[str]": (list,),
+}
+
+
+def check_fields(obj, *nested: type) -> None:
+    """Raise ConfigError unless every field of the dataclass obj holds a value its
+    annotation admits: one of _FIELD_TYPES, or one of the nested config classes."""
+    kinds = {**_FIELD_TYPES, **{kind.__name__: (kind,) for kind in nested}}
+    for f in fields(obj):
+        value, allowed = getattr(obj, f.name), kinds[f.type]
+        if (not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed)
+                or (isinstance(value, list) and not all(isinstance(v, str) for v in value))):
+            raise ConfigError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
 
 
 class FormatError(SpdgError):

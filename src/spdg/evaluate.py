@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -295,12 +294,6 @@ def write_similarity_csv(matrix: SimilarityMatrix, path) -> None:
         for i, image_id in enumerate(matrix.image_ids):
             writer.writerow([image_id, matrix.true_domains[i]]
                             + [f"{v:.10f}" for v in matrix.values[i]])
-
-
-def write_report_json(payload: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def write_report_csv(report: EvalReport, path) -> None:

@@ -117,7 +117,7 @@ def _primitive_cases():
     ]
 
 
-def run_primitive_checks(n_inputs: int = 100, cases=None) -> dict[str, float]:
+def run_primitive_checks(n_inputs: int, cases=None) -> dict[str, float]:
     """Worst finite-difference relative error per case, over its leaves and n_inputs
     seeded inputs; `cases` defaults to the fused nodes that ship here."""
     if n_inputs < 1:

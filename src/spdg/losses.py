@@ -29,7 +29,7 @@ from .encoders import (
     encode_texts,
     project_image,
 )
-from .errors import BatchCompositionError, ConfigError, NormalizationError, ShapeError, check_range
+from .errors import BatchCompositionError, ConfigError, NormalizationError, ShapeError, check_fields, check_range
 from .tensor import Tensor
 
 NORM_TOLERANCE = 1e-6
@@ -48,6 +48,7 @@ class LossWeights:
     ce_scale: float = 1.0
 
     def __post_init__(self):
+        check_fields(self)
         check_range("w_d", self.w_d, 0.0)
         check_range("w_reg", self.w_reg, 0.0)
         # the float32 domain-loss block scales rows by 1/tau_d and shifts them by about

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .blob import manifest_fields, read_blob, read_manifest, write_blob
+from .blob import manifest_fields, read_blob, read_manifest, write_blob, write_json
 from .errors import ConfigError, FormatError, ShapeError
 from .tensor import Tensor
 
@@ -230,7 +230,6 @@ def save_checkpoint(p, directory, run_config: dict | None = None,
     bundle the prompter was trained against; `infer` and `similarity-report`
     refuse any other bundle, and a checkpoint without one."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "bundle_checksum": bundle_checksum,
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -239,7 +238,7 @@ def save_checkpoint(p, directory, run_config: dict | None = None,
         "sigma_floor": _manifest_sigma_floor(p.kind),
         "run_config": run_config,
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_json(directory / "manifest.json", manifest)
     for name, tensor in p.parameters():
         write_blob(directory / f"{name}.spdg", tensor.data)
 

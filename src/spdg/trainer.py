@@ -16,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen
+from .blob import write_json
 from .encoders import EncoderDims, build_bundle, bundle_checksum, default_vocab, encode_image, save_bundle
-from .errors import ConfigError, DegenerateVectorError, NormalizationError, TrainingDiverged, check_range
+from .errors import ConfigError, DegenerateVectorError, NormalizationError, TrainingDiverged, check_fields, check_range
 from .inference import accuracy, predict_batch
 from .losses import LossWeights, build_reg_anchors, domain_discrimination_loss, prompted_ce_and_reg, total_loss
 from .prompter import (
@@ -58,9 +59,10 @@ class RunConfig:
     logit_scale: float = 100.0
     val_ratio: float = 0.9
     select_best: bool = False
-    extra_classes: list = field(default_factory=list)
+    extra_classes: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        check_fields(self, LossWeights, EncoderDims)
         parameter_names(self.prompter_kind)  # an unknown kind is a ConfigError
         check_range("epochs", self.epochs, 1)
         check_range("batch_size", self.batch_size, 2)  # a positive pair per domain
@@ -83,44 +85,27 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        """Build from a to_dict()-shaped mapping; an unknown key or a value of
-        the wrong JSON type is a ConfigError."""
+        """Build from a to_dict()-shaped mapping, weights and dims from their objects;
+        a non-object or an unknown key is a ConfigError, and the constructors check
+        every value."""
         if not isinstance(raw, dict):
             raise ConfigError(f"a run config must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
         for key, kind in (("weights", LossWeights), ("dims", EncoderDims)):
-            if key in raw:
-                if not isinstance(raw[key], dict):
-                    raise ConfigError(f"run config key {key} must be an object, "
-                                      f"got {type(raw[key]).__name__}")
-                raw[key] = _from_fields(kind, raw[key], f"{key}.")
-        return _from_fields(cls, raw, "")
+            if isinstance(raw.get(key), dict):
+                raw[key] = kind(**_known_keys(kind, raw[key], f"{key}."))
+        return cls(**_known_keys(cls, raw, ""))
 
     def config_hash(self) -> str:
         return sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:12]
 
 
-# the values each field annotation admits; bool is an int to isinstance, so it
-# is accepted only where listed
-_VALUE_TYPES = {
-    "int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
-    "str | None": (str, type(None)),
-    "list": (list,), "LossWeights": (LossWeights,), "EncoderDims": (EncoderDims,),
-}
-
-
-def _from_fields(kind, raw: dict, prefix: str):
-    types = {f.name: f.type for f in fields(kind)}
-    unknown = sorted(set(raw) - set(types))
+def _known_keys(kind, raw: dict, prefix: str) -> dict:
+    """raw, once each of its keys names a field of kind; an unknown key is a ConfigError."""
+    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
     if unknown:
         raise ConfigError(f"unknown run config keys: {[prefix + k for k in unknown]}")
-    for key, value in raw.items():
-        allowed = _VALUE_TYPES[types[key]]
-        if (not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed)
-                or (isinstance(value, list) and not all(isinstance(v, str) for v in value))):
-            raise ConfigError(f"run config key {prefix}{key} must be {types[key]}, "
-                              f"got {type(value).__name__} {value!r}")
-    return kind(**raw)
+    return raw
 
 
 @dataclass
@@ -284,8 +269,7 @@ def _dump_diagnostics(out_dir, step, parts_values, params, grads):
         "grad_norms": {name: None for name, _ in params} if grads is None else
                       {name: float(np.linalg.norm(g)) for (name, _), g in zip(params, grads)},
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    write_json(path, payload)
     return str(path)
 
 
@@ -379,7 +363,7 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
     if any(len(b) != steps_per_epoch for b in epoch_batches):
         raise AssertionError("batch count drifted between epochs")
 
-    mc_rng = np.random.default_rng([config.seed, 2])
+    mc_rng = np.random.default_rng(seed_from(config.seed, 2))
     opt_state = OptimizerState.for_params(params)
 
     # the echo stored in checkpoints drops the output path, so identical runs
@@ -388,8 +372,7 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
     metrics_fh = None
     metrics_path = None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.json").write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True))
+        write_json(out_dir / "config.json", config.to_dict())
         save_bundle(bundle, out_dir / "bundle")
         metrics_path = str(out_dir / "metrics.ndjson")
         metrics_fh = open(metrics_path, "w")

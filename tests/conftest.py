@@ -98,15 +98,15 @@ MANIFEST_FAULTS = [
     ({"d_x": True}, "d_x must be int, got bool True"),
     ({"seed": "x"}, "seed must be int, got str 'x'"),
     ({"seed": -1}, "seed must be in [0, inf)"),
-    ({"style_strength": "x"}, "style_strength must be int or float, got str 'x'"),
+    ({"style_strength": "x"}, "style_strength must be float, got str 'x'"),
     ({"style_strength": -0.5}, "style_strength must be in [0.0, inf)"),
-    ({"noise_std": None}, "noise_std must be int or float, got NoneType None"),
+    ({"noise_std": None}, "noise_std must be float, got NoneType None"),
     ({"classes": ["dog", "dog", "guitar", "horse"]}, "classes names must be unique"),
     ({"domains": ["photo", "photo", "sketch"]}, "domains names must be unique"),
     ({"classes": ["dog"]}, "number of classes must be in [2, inf)"),
     ({"domains": ["photo", "cartoon"]}, "number of domains must be in [3, inf)"),
-    ({"classes": "dog,elephant"}, "classes must be list, got str"),
-    ({"domains": ["photo", "cartoon", 3]}, "domains names must be strings"),
+    ({"classes": "dog,elephant"}, "classes must be list[str], got str 'dog,elephant'"),
+    ({"domains": ["photo", "cartoon", 3]}, "domains must be list[str], got list ['photo', 'cartoon', 3]"),
     # class names a prompt cannot hold, or that it reads as the same words
     ({"classes": ["dog", "Dog", "guitar", "horse"]}, "class names 'dog' and 'Dog' are the same words"),
     ({"classes": ["dog", " ", "guitar", "horse"]}, "class name ' ' must be one or more words"),

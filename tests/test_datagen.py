@@ -175,7 +175,7 @@ def test_unhashable_manifest_names_rejected(tmp_path):
     raw = json.loads(manifest_path.read_text())
     raw["classes"] = [[name] for name in raw["classes"]]
     manifest_path.write_text(json.dumps(raw))
-    with pytest.raises(FormatError, match="malformed dataset: ConfigError: classes names must be strings"):
+    with pytest.raises(FormatError, match=r"malformed dataset: ConfigError: classes must be list\[str\], got list \[\['dog'\]"):
         datagen.load(tmp_path / "d")
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import WIDE_CLASSES, run_python
 from oracles import normalized_predict_batch
 from spdg import datagen, evaluate
+from spdg.blob import write_json
 from spdg.encoders import FrozenEncoderBundle
 from spdg.errors import ConfigError, DegenerateVectorError, ShapeError, TrainingDiverged
 from spdg.evaluate import (
@@ -16,7 +17,6 @@ from spdg.evaluate import (
     evaluate_leave_one_out,
     style_similarity_report,
     write_report_csv,
-    write_report_json,
     write_similarity_csv,
 )
 from spdg.inference import infer, predict_batch, zero_shot_predict_batch
@@ -441,7 +441,7 @@ class TestLeaveOneOut:
             method_config(quick_config, "gsp_sr", 0, "photo").config_hash()
 
     def test_report_writers(self, lodo_report, tmp_path):
-        write_report_json(lodo_report.to_dict(), tmp_path / "r.json")
+        write_json(tmp_path / "r.json", lodo_report.to_dict())
         write_report_csv(lodo_report, tmp_path / "r.csv")
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0].startswith("method,")

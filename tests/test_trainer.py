@@ -165,7 +165,8 @@ class TestCheckRun:
         assert check_run(small_dataset, RunConfig(held_out_domain=None, batch_size=6)) == [0, 1, 2]
 
     def test_held_out_domain_index_rejected(self, small_dataset):
-        with pytest.raises(ConfigError, match="held-out domain 1 not in dataset domains"):
+        # a domain index is no name: the constructor refuses it before check_run sees it
+        with pytest.raises(ConfigError, match=r"held_out_domain must be str \| None, got int 1"):
             check_run(small_dataset, RunConfig(held_out_domain=1))
 
     def test_batch_too_small_rejected(self, small_dataset):
@@ -204,11 +205,13 @@ class TestRunConfig:
         assert cfg.weights.w_d == 0.1
 
     def test_every_field_type_is_checked(self):
-        from spdg.trainer import _VALUE_TYPES
+        from spdg.datagen import DatasetManifest
         from spdg.encoders import EncoderDims
-        for kind in (RunConfig, LossWeights, EncoderDims):
+        from spdg.errors import _FIELD_TYPES
+        nested = {"LossWeights", "EncoderDims"}  # what RunConfig passes to check_fields
+        for kind in (RunConfig, LossWeights, EncoderDims, DatasetManifest):
             for f in fields(kind):
-                assert f.type in _VALUE_TYPES, (kind.__name__, f.name)
+                assert f.type in _FIELD_TYPES or f.type in nested, (kind.__name__, f.name)
 
     def test_domain_loss_size_cap_counts_the_style_rows(self):
         from spdg.trainer import MAX_DOMAIN_LOSS_BYTES
@@ -227,7 +230,7 @@ class TestRunConfig:
                                    "extra_classes": ["kite"], "weights": {"w_d": 0},
                                    "dims": {"d_f": 32}})
         assert cfg.lr_max == 1 and cfg.held_out_domain == "sketch" and cfg.dims.d_f == 32
-        with pytest.raises(ConfigError, match=r"held_out_domain must be str \| None"):
+        with pytest.raises(ConfigError, match=r"held_out_domain must be str \| None, got int 2"):
             RunConfig.from_dict({"held_out_domain": 2})
 
     def test_invalid_rejected(self):
@@ -235,6 +238,25 @@ class TestRunConfig:
             RunConfig(epochs=0)
         with pytest.raises(ConfigError):
             RunConfig(prompter_kind="mlp")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RunConfig(epochs="3"), "epochs must be int, got str '3'"),
+        (lambda: LossWeights(w_d="x"), "w_d must be float, got str 'x'"),
+        (lambda: RunConfig(epochs=True), "epochs must be int, got bool True"),
+        (lambda: RunConfig(epochs=2.5), "epochs must be int, got float 2.5"),
+        (lambda: RunConfig(select_best="yes"), "select_best must be bool, got str 'yes'"),
+        (lambda: RunConfig(extra_classes="kite"), "extra_classes must be list[str], got str 'kite'"),
+        (lambda: RunConfig(extra_classes=["kite", 1]), "extra_classes must be list[str], got list"),
+        (lambda: RunConfig(weights={"w_d": 1}), "weights must be LossWeights, got dict"),
+        (lambda: RunConfig(dims=5), "dims must be EncoderDims, got int 5"),
+        (lambda: replace(RunConfig(), mc_samples="40"), "mc_samples must be int, got str '40'"),
+    ], ids=["epochs-str", "w_d-str", "epochs-bool", "epochs-float", "select_best-str",
+            "extra_classes-str", "extra_classes-int-name", "weights-dict", "dims-int", "replace-str"])
+    def test_python_built_wrong_type_is_config_error(self, build, message):
+        # the constructors check types whatever the source, not only from_dict's JSON
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value).startswith(message)
 
 
 class TestTrainStylePrompter:
