@@ -76,12 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", type=str, default="baseline_C,gsp_sr")
     p.add_argument("--seeds", type=str, default="0")
 
-    p = command("eval-crosscat", help="disjoint-category, disjoint-domain evaluation")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", type=str, default=None)
-    p.add_argument("--config", type=str, required=True, help="RunConfig JSON path")
-    p.add_argument("--test-data", type=str, required=True)
-
     p = command("infer", help="classify one sample from a dataset")
     p.add_argument("--checkpoint", type=str, required=True)
     p.add_argument("--bundle", type=str, required=True)
@@ -179,19 +173,6 @@ def _cmd_eval_lodo(args) -> int:
     return 0 if not report.partial else 4
 
 
-def _cmd_eval_crosscat(args) -> int:
-    from . import evaluate
-
-    out = _need_out_dir(args)
-    cfg = _load_run_config(args, "seed")
-    report = evaluate.evaluate_cross_category(cfg, cfg.dataset, args.test_data)
-    write_json(out / "crosscat_report.json", report.to_dict())
-    evaluate.write_report_csv(report, out / "crosscat_report.csv")
-    print(json.dumps({"report": str(out / "crosscat_report.json"),
-                      "averages": {m: r.average for m, r in report.methods.items()}}))
-    return 0
-
-
 def _load_bound_pair(args):
     """The --checkpoint prompter and the --bundle it was trained against: a checkpoint
     bound to another bundle, or to none, is a FormatError."""
@@ -284,7 +265,6 @@ _COMMANDS = {
     "gen-data": _cmd_gen_data,
     "train": _cmd_train,
     "eval-lodo": _cmd_eval_lodo,
-    "eval-crosscat": _cmd_eval_crosscat,
     "infer": _cmd_infer,
     "similarity-report": _cmd_similarity_report,
     "grad-check": _cmd_grad_check,

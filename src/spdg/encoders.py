@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -49,6 +50,10 @@ TEMPLATE_WORDS = ["a", "photo", "of", "style", "."]
 # cannot pry apart.
 POSITION_SCALE = 0.3
 
+# The most bytes a bundle's float64 weights may take, the token table aside (its
+# rows are the vocab's words, unknown to the dims); the default dims take 112,000.
+MAX_BUNDLE_BYTES = 1 << 30
+
 
 @dataclass(frozen=True)
 class EncoderDims:
@@ -61,6 +66,10 @@ class EncoderDims:
         check_fields(self)
         for name in ("d_x", "d_i", "d_t", "d_f"):
             check_range(name, getattr(self, name), 2)
+        size = 8 * sum(math.prod(shape) for shape in _weight_shapes(self, 0).values())
+        if size > MAX_BUNDLE_BYTES:
+            raise ConfigError(f"dims {asdict(self)} need {size} bytes of encoder weights, "
+                              f"over the cap of {MAX_BUNDLE_BYTES}")
 
 
 def style_prompt_text(cls: str) -> str:

@@ -1,6 +1,6 @@
-"""Leave-one-domain-out evaluation, cross-category transfer, and the
-style-similarity report. The component ablation (baseline / +BSP / +GSP /
-+GSP+SR) is the leave-one-domain-out matrix over baseline_C, bsp, gsp, gsp_sr.
+"""Leave-one-domain-out evaluation and the style-similarity report. The
+component ablation (baseline / +BSP / +GSP / +GSP+SR) is the
+leave-one-domain-out matrix over baseline_C, bsp, gsp, gsp_sr.
 
 Reports are plain data: JSON summaries plus CSV tables. Accuracy aggregation
 is a sum over samples, so parallel and serial fold execution agree exactly.
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen
-from .encoders import STYLE_WORDS, build_bundle, class_words, default_vocab, domain_style_text, encode_texts
+from .encoders import STYLE_WORDS, build_bundle, default_vocab, domain_style_text, encode_texts
 from .errors import ConfigError, DegenerateVectorError, TrainingDiverged
 from .inference import accuracy, predict_batch, prompted_cosines, zero_shot_predict_batch
 from .tensor import unit_rows
@@ -200,47 +200,6 @@ def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None 
                   "base_config_hash": base.config_hash()},
         partial=bool(failures),
         failures=failures,
-    )
-
-
-def evaluate_cross_category(base: RunConfig, train_dataset_path, test_dataset_path) -> EvalReport:
-    """Train on one dataset, test on another with disjoint classes and domains."""
-    dataset = datagen.load(train_dataset_path)
-    test_dataset = datagen.load(test_dataset_path)
-
-    test_words = dict(zip(class_words(test_dataset.classes), test_dataset.classes))
-    class_overlap = [test_words[w] for w in test_words.keys() & set(class_words(dataset.classes))]
-    if class_overlap:
-        raise ConfigError(f"train and test class sets overlap: {sorted(class_overlap)}")
-    domain_overlap = set(dataset.domains) & set(test_dataset.domains)
-    if domain_overlap:
-        raise ConfigError(f"train and test domain sets overlap: {sorted(domain_overlap)}")
-    check_sample_width(test_dataset, base.dims, "test dataset")
-
-    cfg = replace(base, held_out_domain=None, out_dir=None,
-                  extra_classes=list(test_dataset.classes))
-    result = train_style_prompter(cfg, dataset=dataset)
-
-    runs_ours, runs_base = [], []
-    for dom_id, dom in enumerate(test_dataset.domains):
-        idx = test_dataset.domain_indices(dom_id)
-        x_test, y_test = test_dataset.x[idx], test_dataset.class_ids[idx]
-        preds, _ = predict_batch(result.bundle, result.prompter, x_test, test_dataset.classes)
-        runs_ours.append({"held_out": dom, "seed": cfg.seed, "accuracy": accuracy(preds, y_test)})
-        zs_preds, _ = zero_shot_predict_batch(result.bundle, x_test, test_dataset.classes, "C")
-        runs_base.append({"held_out": dom, "seed": cfg.seed, "accuracy": accuracy(zs_preds, y_test)})
-
-    methods = {
-        "ours": _method_result(runs_ours, test_dataset.domains, cfg.config_hash()),
-        "baseline_C": _method_result(runs_base, test_dataset.domains, None),
-    }
-    return EvalReport(
-        domains=list(test_dataset.domains), methods=methods,
-        metadata={"train_dataset": str(train_dataset_path),
-                  "test_dataset": str(test_dataset_path),
-                  "train_classes": list(dataset.classes),
-                  "test_classes": list(test_dataset.classes),
-                  "seed": cfg.seed},
     )
 
 

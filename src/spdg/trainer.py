@@ -273,10 +273,10 @@ def _dump_diagnostics(out_dir, step, parts_values, params, grads):
     return str(path)
 
 
-def check_sample_width(dataset, dims: EncoderDims, what: str = "dataset") -> None:
+def check_sample_width(dataset, dims: EncoderDims) -> None:
     """Reject a dataset whose samples are not dims.d_x wide, before any work on it."""
     if dataset.x.shape[1] != dims.d_x:
-        raise ConfigError(f"{what} samples have d_x = {dataset.x.shape[1]}, "
+        raise ConfigError(f"dataset samples have d_x = {dataset.x.shape[1]}, "
                           f"but the config's dims.d_x is {dims.d_x}")
 
 

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -137,8 +138,7 @@ def test_eval_lodo_reads_its_config_file_and_flags(capsys, cli_dataset, tmp_path
         {(d, s) for d in ("photo", "cartoon", "sketch") for s in (5, 6)}
 
 
-@pytest.mark.parametrize("command, flag", [("eval-lodo", "--matrix"),
-                                           ("eval-crosscat", "--train-config")])
+@pytest.mark.parametrize("command, flag", [("eval-lodo", "--matrix")])
 def test_second_config_file_flag_is_gone(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command, *_REQUIRED.get(command, []), flag, "c.json"])
@@ -146,32 +146,11 @@ def test_second_config_file_flag_is_gone(capsys, command, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seed_flag", [None, 9])
-def test_eval_crosscat_reads_its_config_file(capsys, cli_dataset, tmp_path, seed_flag):
-    from dataclasses import replace
-
-    from spdg.trainer import RunConfig
-
-    test_data = tmp_path / "disjoint"
-    assert run_cli(capsys, "gen-data", "--out-dir", str(test_data), "--seed", "11",
-                   "--n-per-cell", "10", "--classes", "giraffe,house,person",
-                   "--domains", "infograph,quickdraw,product")[0] == 0
-    quick = {"dataset": str(cli_dataset), "seed": 4, "epochs": 1, "batch_size": 8,
-             "mc_samples": 2}
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(quick))
-    seed = [] if seed_flag is None else ["--seed", str(seed_flag)]
-    code, out, _ = run_cli(capsys, "eval-crosscat", "--config", str(config), *seed,
-                           "--test-data", str(test_data), "--out-dir", str(tmp_path / "cc"))
-    assert code == 0
-    assert set(json.loads(out)["averages"]) == {"ours", "baseline_C"}
-    report = json.loads((tmp_path / "cc" / "crosscat_report.json").read_text())
-    want_seed = 4 if seed_flag is None else seed_flag
-    assert report["metadata"]["seed"] == want_seed
-    trained = replace(RunConfig(**quick), seed=want_seed,
-                      extra_classes=["giraffe", "house", "person"])
-    assert report["methods"]["ours"]["config_hash"] == trained.config_hash()
-    assert (tmp_path / "cc" / "crosscat_report.csv").exists()
+def test_eval_crosscat_is_an_unknown_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-crosscat", "--config", "c.json", "--test-data", "d"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'eval-crosscat'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["train"], ["eval-lodo", "--methods", "baseline_C,bsp"]],
@@ -752,7 +731,7 @@ def test_default_train_repeats_byte_for_byte_under_one_and_two_blas_threads(cli_
 
 
 @pytest.mark.parametrize("reader, damage", [
-    *((r, d) for r in ("train", "eval-crosscat", "eval-lodo")
+    *((r, d) for r in ("train", "eval-lodo")
       for d in ("not-json", "not-object", "unknown-key")),
     ("eval-lodo", "no-dataset"),
 ])
@@ -763,8 +742,6 @@ def test_malformed_config_file_is_config_error(capsys, cli_dataset, tmp_path, re
     path.write_text(config if isinstance(config, str) else json.dumps(config))
     dataset = [] if damage == "no-dataset" else ["--dataset", str(cli_dataset)]
     argv = {"train": ["train", "--config", str(path), *dataset],
-            "eval-crosscat": ["eval-crosscat", "--config", str(path),
-                              "--test-data", str(cli_dataset)],
             "eval-lodo": ["eval-lodo", "--config", str(path), *dataset]}[reader]
     code, _, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "out"))
     assert code == 2
@@ -847,7 +824,8 @@ def test_non_finite_sample_is_format_error(capsys, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("d_t", [16, 1], ids=["narrower-than-weights", "out-of-range"])
+@pytest.mark.parametrize("d_t", [16, 1, 100000],
+                         ids=["narrower-than-weights", "out-of-range", "over-the-bundle-cap"])
 def test_bundle_manifest_dims_that_do_not_fit_the_weights_are_format_error(
         capsys, cli_dataset, cli_run, tmp_path, d_t):
     bundle = tmp_path / "bundle"
@@ -864,6 +842,24 @@ def test_bundle_manifest_dims_that_do_not_fit_the_weights_are_format_error(
     assert payload["error"] == "format_error" and str(bundle) in payload["message"]
 
 
+def test_dims_over_the_bundle_cap_are_config_error(capsys, cli_dataset, tmp_path):
+    # d_t = 100000 asks for 240 GB of text-encoder weights; refused before any is drawn
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dims": {"d_t": 100000}}))
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "train", "--config", str(path), "--dataset",
+                               str(cli_dataset), "--out-dir", str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "config_error" and "over the cap of" in payload["message"]
+    assert peak < 1 << 20
+    assert not (tmp_path / "out").exists()
+
+
 def test_default_config_hash_is_pinned():
     from spdg.trainer import RunConfig
 
@@ -871,7 +867,6 @@ def test_default_config_hash_is_pinned():
 
 
 _REQUIRED = {
-    "eval-crosscat": ["--config", "c.json", "--test-data", "d"],
     "infer": ["--checkpoint", "c", "--bundle", "b", "--dataset", "d", "--index", "0"],
     "similarity-report": ["--checkpoint", "c", "--bundle", "b", "--dataset", "d"],
 }
@@ -879,7 +874,6 @@ _FLAG_VALUES = {"--seed": "1", "--out-dir": "o", "--precision": "f64", "--thread
 _REMOVED_FLAGS = [
     ("gen-data", "--threads"), ("train", "--precision"), ("train", "--threads"),
     ("eval-lodo", "--seed"), ("eval-lodo", "--precision"),
-    ("eval-crosscat", "--precision"), ("eval-crosscat", "--threads"),
     *(("infer", f) for f in _FLAG_VALUES), *(("grad-check", f) for f in _FLAG_VALUES),
     ("similarity-report", "--seed"), ("similarity-report", "--precision"),
     ("similarity-report", "--threads"),
@@ -901,8 +895,8 @@ def test_each_command_declares_only_the_shared_flags_it_reads():
                 for name, p in sub.choices.items()}
     assert declared == {
         "gen-data": ["--out-dir", "--precision", "--seed"], "train": ["--out-dir", "--seed"],
-        "eval-lodo": ["--out-dir", "--threads"], "eval-crosscat": ["--out-dir", "--seed"],
-        "infer": [], "similarity-report": ["--out-dir"], "grad-check": [],
+        "eval-lodo": ["--out-dir", "--threads"], "infer": [],
+        "similarity-report": ["--out-dir"], "grad-check": [],
     }
     assert sum(map(len, declared.values())) + len(set(_REMOVED_FLAGS)) == 4 * len(declared)
 

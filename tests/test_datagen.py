@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import LABEL_FAULTS, MANIFEST_FAULTS, edit_manifest, spoil_labels
+from conftest import LABEL_FAULTS, MANIFEST_FAULTS, edit_manifest, run_python, spoil_labels
 from spdg import datagen
 from spdg.blob import read_blob
 from spdg.cli import main
@@ -50,6 +50,17 @@ DATASET_FILES = ["manifest.json", "samples.spdg", "labels.spdg"]
 # shift property is a seeded-fixture claim, not a universal one
 PROBE_SEED = 12
 PROBE_DOMAIN = "photo"
+
+
+def test_import_loads_no_training_module():
+    loaded = set(run_python("import sys, spdg.datagen; print(' '.join(sorted(sys.modules)))").split())
+    assert "spdg.encoders" in loaded
+    assert not {"spdg.trainer", "spdg.losses", "spdg.prompter", "spdg.inference"} & loaded
+
+
+def test_package_root_imports_no_module():
+    loaded = run_python("import sys, spdg; print(' '.join(sorted(sys.modules)))").split()
+    assert [name for name in loaded if name.startswith("spdg.")] == []
 
 
 def test_determinism_same_bytes(tmp_path):

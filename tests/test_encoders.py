@@ -96,11 +96,32 @@ class TestBuildBundle:
         ("d_x", 32.0, "d_x must be int, got float 32.0"),
         ("d_i", True, "d_i must be int, got bool True"),
         ("d_f", "48", "d_f must be int, got str '48'"),
+        ("d_t", 100000, "dims {'d_x': 32, 'd_i': 64, 'd_t': 100000, 'd_f': 48} need "
+                        "240038475136 bytes of encoder weights, over the cap of 1073741824"),
+        ("d_x", 10**7, "dims {'d_x': 10000000, 'd_i': 64, 'd_t': 32, 'd_f': 48} need "
+                       "5120095616 bytes of encoder weights, over the cap of 1073741824"),
+        # counted in Python ints: an int64 product would wrap round to a small size
+        ("d_i", 10**12, "dims {'d_x': 32, 'd_i': 1000000000000, 'd_t': 32, 'd_f': 48} need "
+                        "8000000000656000000037248 bytes of encoder weights, "
+                        "over the cap of 1073741824"),
+        ("d_f", 10**7, "dims {'d_x': 32, 'd_i': 64, 'd_t': 32, 'd_f': 10000000} need "
+                       "7760074752 bytes of encoder weights, over the cap of 1073741824"),
     ])
-    def test_dims_that_are_not_ints_rejected(self, field, value, message):
+    def test_invalid_dims_rejected(self, field, value, message):
         with pytest.raises(ConfigError) as err:
             EncoderDims(**{field: value})
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("spare, refused", [(0, False), (-1, True)])
+    def test_bundle_cap_admits_dims_that_need_exactly_the_cap(self, monkeypatch, spare, refused):
+        # the default dims' vocabulary-independent weights take 112,000 bytes
+        monkeypatch.setattr("spdg.encoders.MAX_BUNDLE_BYTES", 112_000 + spare)
+        if refused:
+            with pytest.raises(ConfigError, match="need 112000 bytes of encoder weights, "
+                                                  "over the cap of 111999"):
+                EncoderDims()
+        else:
+            assert EncoderDims() == EncoderDims(32, 64, 32, 48)
 
     def test_vocab_contains_style_and_template_words(self):
         vocab = default_vocab(CLASSES)
@@ -153,6 +174,7 @@ class TestClassWords:
 
     @pytest.mark.parametrize("classes, message", [
         (["dog", "Dog"], "class names 'dog' and 'Dog' are the same words"),
+        (["giraffe", "dog", "DOG"], "class names 'dog' and 'DOG' are the same words"),
         (["hot dog", "cat", "HOT\tDOG"], "class names 'hot dog' and 'HOT\\tDOG' are the same words"),
         (["dog.", "dog ."], "are the same words"),
         (["dog", ""], "class name '' must be one or more words"),

@@ -13,7 +13,6 @@ from spdg.errors import ConfigError, DegenerateVectorError, ShapeError, Training
 from spdg.evaluate import (
     EvalReport,
     MethodResult,
-    evaluate_cross_category,
     evaluate_leave_one_out,
     style_similarity_report,
     write_report_csv,
@@ -446,63 +445,6 @@ class TestLeaveOneOut:
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0].startswith("method,")
         assert len(lines) == 1 + len(lodo_report.methods)
-
-
-@pytest.fixture(scope="module")
-def disjoint_test_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "disjoint"
-    datagen.save(datagen.generate(n_per_cell=10, seed=11,
-                                  classes=["giraffe", "house", "person"],
-                                  domains=["infograph", "quickdraw", "product"]), path)
-    return path
-
-
-class TestCrossCategory:
-    def test_runs_and_reports_both_methods(self, small_dataset_dir, disjoint_test_dir, quick_config):
-        report = evaluate_cross_category(quick_config, small_dataset_dir, disjoint_test_dir)
-        assert set(report.methods) == {"ours", "baseline_C"}
-        assert report.domains == ["infograph", "quickdraw", "product"]
-        for res in report.methods.values():
-            assert set(res.per_domain) == set(report.domains)
-
-    def test_class_overlap_rejected(self, small_dataset_dir, tmp_path, quick_config):
-        overlap = tmp_path / "overlap"
-        datagen.save(datagen.generate(n_per_cell=10, seed=1,
-                                      classes=["dog", "house"],
-                                      domains=["infograph", "quickdraw", "product"]), overlap)
-        with pytest.raises(ConfigError, match="class sets overlap"):
-            evaluate_cross_category(quick_config, small_dataset_dir, overlap)
-
-    def test_class_overlap_is_by_words(self, small_dataset_dir, tmp_path, quick_config):
-        # "DOG" is the word "dog" to a prompt, so it is the training set's "dog"
-        overlap = tmp_path / "overlap_words"
-        datagen.save(datagen.generate(n_per_cell=10, seed=1,
-                                      classes=["giraffe", "DOG"],
-                                      domains=["infograph", "quickdraw", "product"]), overlap)
-        with pytest.raises(ConfigError, match=r"class sets overlap: \['DOG'\]"):
-            evaluate_cross_category(quick_config, small_dataset_dir, overlap)
-
-    def test_domain_overlap_rejected(self, small_dataset_dir, tmp_path, quick_config):
-        overlap = tmp_path / "overlap2"
-        datagen.save(datagen.generate(n_per_cell=10, seed=1,
-                                      classes=["giraffe", "house"],
-                                      domains=["photo", "quickdraw", "product"]), overlap)
-        with pytest.raises(ConfigError, match="domain sets overlap"):
-            evaluate_cross_category(quick_config, small_dataset_dir, overlap)
-
-
-    def test_test_set_width_is_checked_before_training(self, monkeypatch, small_dataset_dir,
-                                                       tmp_path, quick_config):
-        narrow = tmp_path / "narrow"
-        datagen.save(datagen.generate(n_per_cell=10, d_x=16, seed=1, classes=["cat", "zebra"],
-                                      domains=["a", "b", "c"]), narrow)
-        calls = []
-        train = evaluate.train_style_prompter
-        monkeypatch.setattr(evaluate, "train_style_prompter",
-                            lambda *a, **k: calls.append(1) or train(*a, **k))
-        with pytest.raises(ConfigError, match="d_x = 16"):
-            evaluate_cross_category(quick_config, small_dataset_dir, narrow)
-        assert calls == []
 
 
 class TestSimilarityReport:

@@ -6,10 +6,12 @@ a wrapper, so renaming or moving one of them breaks a traced benchmark run
 and nothing else. This test loads perfbench/spans.py from its source without
 writing anything next to it, hands both recorders a patcher that only records
 what they would replace, and checks each target. It reads perfbench/workloads.py
-as a syntax tree, so a dropped parameter fails here and not in a benchmark run.
+as a syntax tree, so a dropped parameter, or a dropped RunConfig field that a
+workload reads off a training result, fails here and not in a benchmark run.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import types
@@ -21,6 +23,7 @@ import spdg.cli
 import spdg.evaluate
 import spdg.tensor
 import spdg.trainer
+from spdg.trainer import RunConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 WORKLOADS = SPANS.with_name("workloads.py")
@@ -110,3 +113,33 @@ def test_workload_calls_bind_to_the_package():
         except TypeError as exc:
             unbound.append(f"line {line}: {module}.{name}: {exc}")
     assert not unbound
+
+
+def _run_config_reads(tree):
+    """(line, field) for each attribute the tree reads off a run's config:
+    <expr>.config.<field>, or <name>.<field> where name was bound to <expr>.config."""
+    aliases = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "config"
+               for target in node.targets if isinstance(target, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                (isinstance(node.value, ast.Attribute) and node.value.attr == "config")
+                or (isinstance(node.value, ast.Name) and node.value.id in aliases)):
+            yield node.lineno, node.attr
+
+
+def test_workload_config_reads_are_run_config_fields():
+    reads = list(_run_config_reads(ast.parse(WORKLOADS.read_text(encoding="utf-8"))))
+    assert {name for _, name in reads} >= {"extra_classes", "dims", "seed", "logit_scale",
+                                           "held_out_domain", "epochs"}
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    assert [f"line {line}: RunConfig has no field {name!r}"
+            for line, name in reads if name not in names] == []
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("def f(result):\n    return result.config.extra_klasses\n", [(2, "extra_klasses")]),
+    ("def f(result):\n    cfg = result.config\n    return cfg.sead + 1\n", [(3, "sead")]),
+], ids=["off-the-result", "through-a-name"])
+def test_config_reads_are_found_in_both_forms(source, reads):
+    assert list(_run_config_reads(ast.parse(source))) == reads

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdg.errors import ConfigError, NormalizationError, TrainingDiverged
+from spdg.errors import ConfigError, NormalizationError, TokenizeError, TrainingDiverged
+from spdg.inference import predict_batch
 from spdg.losses import LossWeights
 from spdg.tensor import Tensor
 from spdg.trainer import (
@@ -271,6 +272,17 @@ class TestTrainStylePrompter:
         result = train_style_prompter(cfg, dataset=small_dataset)
         for (name, a), (_, b) in zip(result.prompter.parameters(), reference.parameters()):
             assert np.array_equal(a.data, b.data), name
+
+    def test_extra_classes_are_words_a_checkpoint_can_score(self, small_dataset):
+        # extra_classes only widen the bundle vocab: training sees the dataset's classes
+        x = small_dataset.x[:5]
+        cfg = RunConfig(seed=0, epochs=1, batch_size=8, mc_samples=2)
+        result = train_style_prompter(replace(cfg, extra_classes=["giraffe"]), dataset=small_dataset)
+        _, logits = predict_batch(result.bundle, result.prompter, x, ["dog", "giraffe"])
+        assert logits.shape == (5, 2) and np.isfinite(logits).all()
+        plain = train_style_prompter(cfg, dataset=small_dataset)
+        with pytest.raises(TokenizeError, match="word not in vocabulary: 'giraffe'"):
+            predict_batch(plain.bundle, plain.prompter, x, ["dog", "giraffe"])
 
     def test_smoke_run_writes_everything(self, small_dataset, tmp_path):
         cfg = RunConfig(seed=1, held_out_domain="sketch", epochs=2, batch_size=8,
