@@ -49,6 +49,15 @@ def write_json(path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def check_out_dir(path) -> Path:
+    """path, once it or its nearest existing ancestor is a directory for the writers to fill."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"out_dir {path} cannot be a directory: {existing} is not a directory")
+    return path
+
+
 def unreadable(path, what: str, exc: Exception) -> FormatError:
     return FormatError(f"{path}: cannot read {what}: {getattr(exc, 'strerror', None) or exc}")
 

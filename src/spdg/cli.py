@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen
-from .blob import write_json
+from .blob import check_out_dir, write_json
 from .encoders import bundle_checksum, load_bundle
 from .errors import ConfigError, DegenerateVectorError, FormatError, SpdgError
 from .inference import infer
@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--mc-samples", type=int, default=None)
-    p.add_argument("--no-style-reg", dest="use_style_reg", action="store_const", const=False)
     p.add_argument("--select-best", action="store_const", const=True)
 
     p = command("eval-lodo", help="leave-one-domain-out evaluation matrix")
@@ -89,8 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=str, required=True)
     p.add_argument("--domain", type=str, default=None, help="restrict to one domain's samples")
 
-    p = command("grad-check", help="run the gradient verification suite")
-    p.add_argument("--primitive-inputs", type=int, default=20)
+    command("grad-check", help="run the gradient verification suite")
 
     return parser
 
@@ -99,7 +97,7 @@ def _need_out_dir(args) -> Path:
     """The --out-dir path; the writers create it, so a rejected run leaves nothing behind."""
     if not args.out_dir:
         raise ConfigError("--out-dir is required for this command")
-    return Path(args.out_dir)
+    return check_out_dir(args.out_dir)
 
 
 def _cmd_gen_data(args) -> int:
@@ -243,19 +241,16 @@ def _cmd_grad_check(args) -> int:
     from . import gradcheck
 
     failures = []
-    prim = gradcheck.run_primitive_checks(n_inputs=args.primitive_inputs)
-    for name, err in sorted(prim.items()):
+    for name, err in sorted(gradcheck.run_primitive_checks(gradcheck.PRIMITIVE_INPUTS).items()):
         status = "ok" if err < gradcheck.PRIMITIVE_TOL else "FAIL"
         if status == "FAIL":
             failures.append(name)
         print(f"primitive {name}: max_rel_err={err:.3e} [{status}]")
-    obj, elapsed = gradcheck.run_objective_check()
-    for name, err in obj.items():
+    for name, err in gradcheck.run_objective_check().items():
         status = "ok" if err < gradcheck.OBJECTIVE_TOL else "FAIL"
         if status == "FAIL":
             failures.append(f"objective:{name}")
         print(f"objective d/d{name}: max_rel_err={err:.3e} [{status}]")
-    print(f"objective check elapsed: {elapsed:.2f}s")
     if failures:
         raise SpdgError(f"gradient checks failed: {failures}")
     return 0

@@ -17,18 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datagen
+from . import datagen, encoders
 from .encoders import STYLE_WORDS, build_bundle, default_vocab, domain_style_text, encode_texts
 from .errors import ConfigError, DegenerateVectorError, TrainingDiverged
 from .inference import accuracy, predict_batch, prompted_cosines, zero_shot_predict_batch
 from .tensor import unit_rows
 from .trainer import RunConfig, check_run, check_sample_width, train_style_prompter
 
-BASELINE_METHODS = ("baseline_C", "baseline_PC")
+# each zero-shot arm scores a class by one text, rendered from its name
+ZERO_SHOT_METHODS = {"baseline_C": encoders.bare_class_text, "baseline_PC": encoders.photo_caption_text}
+# each trained arm is a prompter kind and the LossWeights fields the arm forces
 TRAINED_METHODS = {
-    "bsp": {"prompter_kind": "basic", "use_style_reg": False},
-    "gsp": {"prompter_kind": "gaussian", "use_style_reg": False},
-    "gsp_sr": {"prompter_kind": "gaussian", "use_style_reg": True},
+    "bsp": ("basic", {"w_reg": 0.0}),
+    "gsp": ("gaussian", {"w_reg": 0.0}),
+    "gsp_sr": ("gaussian", {}),
 }
 
 
@@ -68,10 +70,14 @@ def _method_result(runs: list[dict], domains, config_hash: str | None) -> Method
 
 def method_config(base: RunConfig, method: str, seed: int,
                   held_out: str | None) -> RunConfig:
+    """base as the trained arm runs it; an arm that leaves w_reg alone is a "+SR" arm."""
     if method not in TRAINED_METHODS:
         raise ConfigError(f"unknown trained method {method!r}")
-    return replace(base, seed=seed, held_out_domain=held_out, out_dir=None,
-                   **TRAINED_METHODS[method])
+    kind, forced = TRAINED_METHODS[method]
+    if "w_reg" not in forced and base.weights.w_reg == 0:
+        raise ConfigError(f"method {method!r} trains the style regularizer, but weights.w_reg is 0")
+    return replace(base, prompter_kind=kind, weights=replace(base.weights, **forced),
+                   seed=seed, held_out_domain=held_out, out_dir=None)
 
 
 def _evaluate_fold(dataset, base: RunConfig, method: str, seed: int,
@@ -81,11 +87,11 @@ def _evaluate_fold(dataset, base: RunConfig, method: str, seed: int,
     test_idx = dataset.domain_indices(held_id)
     x_test = dataset.x[test_idx]
     y_test = dataset.class_ids[test_idx]
-    if method in BASELINE_METHODS:
+    if method in ZERO_SHOT_METHODS:
         vocab = default_vocab(list(dataset.classes) + list(base.extra_classes))
         bundle = build_bundle(base.dims, vocab, seed=seed, logit_scale=base.logit_scale)
-        template = "C" if method == "baseline_C" else "PC"
-        preds, _ = zero_shot_predict_batch(bundle, x_test, dataset.classes, template)
+        texts = [ZERO_SHOT_METHODS[method](cls) for cls in dataset.classes]
+        preds, _ = zero_shot_predict_batch(bundle, x_test, texts)
         return accuracy(preds, y_test)
     cfg = method_config(base, method, seed, held_out)
     result = train_style_prompter(cfg, dataset=dataset)
@@ -147,7 +153,7 @@ def evaluate_leave_one_out(dataset_path, methods, seeds, base: RunConfig | None 
     if not methods:
         raise ConfigError("need at least one method")
     for m in methods:
-        if m not in BASELINE_METHODS and m not in TRAINED_METHODS:
+        if m not in ZERO_SHOT_METHODS and m not in TRAINED_METHODS:
             raise ConfigError(f"unknown method {m!r}")
     seeds = list(seeds)
     if not seeds:

@@ -13,7 +13,6 @@ resolve the rounding of the float32 block that training uses.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ from .trainer import step_losses
 # grad-check's bounds on the worst relative error of a fused node and of the objective
 PRIMITIVE_TOL = 1e-6
 OBJECTIVE_TOL = 1e-4
+PRIMITIVE_INPUTS = 20  # grad-check's seeded inputs per fused node
 
 
 def _shift(x: Tensor, c: np.ndarray) -> Tensor:
@@ -113,7 +113,7 @@ def _primitive_cases():
         _head_case(with_reg=True),
         _head_case(with_reg=False),
         ("total_loss", [(), (), ()], lambda rng: (lambda *parts: total_loss(
-            LossWeights(w_d=0.3, w_reg=2.0, ce_scale=1.5), *parts))),
+            LossWeights(w_d=0.3, w_reg=2.0), *parts))),
     ]
 
 
@@ -171,12 +171,11 @@ def objective_value(fx: ObjectiveFixture, prompter: StylePrompter) -> Tensor:
                        fx.anchors, fx.weights, fx.eps, dtype=np.float64)[0]
 
 
-def run_objective_check(fixture: ObjectiveFixture | None = None) -> tuple[dict[str, float], float]:
-    """(max relative error of d(objective)/d(param) per prompter parameter, from one
-    checker pass over them all, elapsed seconds)."""
+def run_objective_check(fixture: ObjectiveFixture | None = None) -> dict[str, float]:
+    """Max relative error of d(objective)/d(param) per prompter parameter, from one
+    checker pass over them all."""
     fx = fixture if fixture is not None else build_objective_fixture()
-    start = time.perf_counter()
     names, params = zip(*fx.prompter.parameters())
     errors = finite_diff_grad_check(
         lambda *p: objective_value(fx, StylePrompter(fx.prompter.kind, dict(zip(names, p)))), params)
-    return dict(zip(names, errors)), time.perf_counter() - start
+    return dict(zip(names, errors))

@@ -9,22 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .encoders import (
-    FrozenEncoderBundle,
-    bare_class_text,
-    encode_image,
-    encode_texts,
-    photo_caption_text,
-    project_image,
-)
+from .encoders import FrozenEncoderBundle, encode_image, encode_texts, project_image
 from .errors import ConfigError, ShapeError
 from .losses import prompt_text_features
 from .prompter import style_for_prompt
-
-ZERO_SHOT_TEMPLATES = {
-    "C": bare_class_text,
-    "PC": photo_caption_text,
-}
 
 
 def _one_row(x: np.ndarray) -> np.ndarray:
@@ -76,19 +64,11 @@ def prompted_cosines(bundle: FrozenEncoderBundle, prompter, x: np.ndarray, class
     return cos, zp, z_norms
 
 
-def zero_shot_text_features(bundle: FrozenEncoderBundle, classes, template: str) -> np.ndarray:
-    """Features of the rendered class texts, one encoder call per token length."""
-    if template not in ZERO_SHOT_TEMPLATES:
-        raise ConfigError(f"unknown zero-shot template {template!r}, expected one of ['C', 'PC']")
-    render = ZERO_SHOT_TEMPLATES[template]
-    return encode_texts(bundle, [render(cls) for cls in classes])
-
-
-def zero_shot_predict_batch(bundle: FrozenEncoderBundle, x: np.ndarray, classes,
-                            template: str):
-    if not classes:
+def zero_shot_predict_batch(bundle: FrozenEncoderBundle, x: np.ndarray, class_texts):
+    """(argmax ids, logits) of (n, d_x) inputs against one rendered text per class."""
+    if not class_texts:
         raise ConfigError("class set must be non-empty")
-    feats, _ = T.unit_rows(zero_shot_text_features(bundle, classes, template), "zero-shot text feature")
+    feats, _ = T.unit_rows(encode_texts(bundle, class_texts), "zero-shot text feature")
     zp = project_image(bundle, encode_image(bundle, _batch(x)))
     logits = T.unit_rows(zp, "projected image feature")[0] @ feats.T * bundle.logit_scale
     return logits.argmax(axis=1), logits

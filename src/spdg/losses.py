@@ -45,7 +45,6 @@ class LossWeights:
     w_d: float = 0.1
     w_reg: float = 1.0
     tau_d: float = 0.1
-    ce_scale: float = 1.0
 
     def __post_init__(self):
         check_fields(self)
@@ -54,7 +53,6 @@ class LossWeights:
         # the float32 domain-loss block scales rows by 1/tau_d and shifts them by about
         # 1/tau_d, so both are finite in float32 only for tau_d >= 2 / its largest value
         check_range("tau_d", self.tau_d, 2.0 / float(np.finfo(np.float32).max))
-        check_range("ce_scale", self.ce_scale, 0.0, low_open=True)
 
 
 def domain_discrimination_loss(samples: Tensor, domains, tau: float,
@@ -320,11 +318,11 @@ def prompted_ce_and_reg(bundle: FrozenEncoderBundle, z_batch: np.ndarray, styles
 
 def total_loss(weights: LossWeights, loss_ce: Tensor, loss_d: Tensor | None = None,
                loss_reg: Tensor | None = None) -> Tensor:
-    """Weighted sum: ce_scale * ce + w_d * discrimination + w_reg * regularization.
+    """Weighted sum: ce + w_d * discrimination + w_reg * regularization.
 
     One tape node over the parts that are present, summed in that order.
     """
-    terms = [(t, w) for t, w in ((loss_ce, weights.ce_scale), (loss_d, weights.w_d),
+    terms = [(t, w) for t, w in ((loss_ce, 1.0), (loss_d, weights.w_d),
                                  (loss_reg, weights.w_reg)) if t is not None]
     out = terms[0][0].data * terms[0][1]
     for t, w in terms[1:]:

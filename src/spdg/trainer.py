@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen
-from .blob import write_json
+from .blob import check_out_dir, write_json
 from .encoders import EncoderDims, build_bundle, bundle_checksum, default_vocab, encode_image, save_bundle
 from .errors import ConfigError, DegenerateVectorError, NormalizationError, TrainingDiverged, check_fields, check_range
 from .inference import accuracy, predict_batch
@@ -42,7 +42,6 @@ MAX_DOMAIN_LOSS_BYTES = 1 << 30
 @dataclass
 class RunConfig:
     prompter_kind: str = "gaussian"
-    use_style_reg: bool = True
     epochs: int = 3
     batch_size: int = 12
     mc_samples: int = 40
@@ -335,8 +334,8 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
         dataset = datagen.load(config.dataset)
 
     train_domains = check_run(dataset, config)
-    out_dir = Path(config.out_dir) if config.out_dir else None
-    if out_dir is not None and out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+    out_dir = check_out_dir(config.out_dir) if config.out_dir else None
+    if out_dir is not None and out_dir.exists() and any(out_dir.iterdir()):
         # another run's checkpoints would be left beside this run's
         raise ConfigError(f"out_dir {out_dir} exists and is not an empty directory")
 
@@ -349,7 +348,7 @@ def train_style_prompter(config: RunConfig, dataset=None) -> TrainResult:
     named_params = prompter.parameters()
     params = [p for _, p in named_params]
 
-    anchors = build_reg_anchors(bundle, dataset.classes) if config.use_style_reg else None
+    anchors = build_reg_anchors(bundle, dataset.classes) if config.weights.w_reg > 0 else None
 
     indices_by_domain = {d: dataset.domain_indices(d) for d in train_domains}
     train_idx, val_idx = split_train_val(indices_by_domain, config.val_ratio, seed_from(config.seed, 0))

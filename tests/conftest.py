@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -153,8 +154,10 @@ def objective_check():
     """The full-objective finite-difference check, (per-parameter max relative
     error, elapsed seconds), run once per session. Its fixture is the one
     `spdg grad-check` checks by default."""
-    return run_objective_check(fixture=build_objective_fixture(batch=8, n_classes=4, n_domains=3,
-                                                               mc_samples=4))
+    fixture = build_objective_fixture(batch=8, n_classes=4, n_domains=3, mc_samples=4)
+    start = time.perf_counter()
+    errors = run_objective_check(fixture=fixture)
+    return errors, time.perf_counter() - start
 
 
 @pytest.fixture()

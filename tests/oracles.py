@@ -303,7 +303,7 @@ def composed_sample_styles_batch(mu: Tensor, sigma: Tensor, n: int, eps: np.ndar
 
 def composed_total_loss(weights: LossWeights, loss_ce: Tensor, loss_d: Tensor | None = None,
                         loss_reg: Tensor | None = None) -> Tensor:
-    total = mul(loss_ce, constant(weights.ce_scale))
+    total = mul(loss_ce, constant(1.0))
     if loss_d is not None:
         total = add(total, mul(loss_d, constant(weights.w_d)))
     if loss_reg is not None:

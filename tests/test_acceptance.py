@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    FIXTURE_DATASET_SEED,
     FIXTURE_REPORT_DOMAIN,
     FIXTURE_REPORT_SEED,
     FIXTURE_SEEDS,

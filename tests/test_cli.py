@@ -146,6 +146,44 @@ def test_second_config_file_flag_is_gone(capsys, command, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["train", "--no-style-reg"],
+                                  ["grad-check", "--primitive-inputs", "1"]], ids=lambda a: a[1])
+def test_removed_switch_is_an_unrecognized_argument(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, key", [({"use_style_reg": False}, "use_style_reg"),
+                                         ({"weights": {"ce_scale": 1}}, "weights.ce_scale")],
+                         ids=["use_style_reg", "weights.ce_scale"])
+def test_removed_config_key_is_unknown(capsys, cli_dataset, tmp_path, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "train", "--config", str(path), "--dataset", str(cli_dataset),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err) == {"error": "config_error",
+                               "message": f"unknown run config keys: ['{key}']"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_sr_arm_on_a_base_without_regularizer_is_config_error(capsys, cli_dataset, tmp_path,
+                                                            monkeypatch):
+    folds = []
+    monkeypatch.setattr(spdg.evaluate, "_evaluate_fold", lambda *a: folds.append(a) or 0.5)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"weights": {"w_reg": 0}}))
+    code, out, err = run_cli(capsys, "eval-lodo", "--config", str(path), "--dataset",
+                             str(cli_dataset), "--methods", "gsp_sr", "--out-dir", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "config_error" and "weights.w_reg is 0" in payload["message"]
+    assert folds == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_crosscat_is_an_unknown_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval-crosscat", "--config", "c.json", "--test-data", "d"])
@@ -730,6 +768,32 @@ def test_default_train_repeats_byte_for_byte_under_one_and_two_blas_threads(cli_
         assert first == outputs(runs[threads, 1]), f"{threads} BLAS threads"
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval-lodo", "similarity-report"])
+def test_out_dir_that_cannot_be_a_directory_is_config_error(capsys, cli_dataset, cli_run, tmp_path,
+                                                            monkeypatch, command, below):
+    def no_fold(*args):
+        raise AssertionError("a fold ran")
+
+    monkeypatch.setattr(spdg.evaluate, "_evaluate_fold", no_fold)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    argv = {
+        "gen-data": ["gen-data", "--seed", "0", "--n-per-cell", "4"],
+        "train": ["train", "--dataset", str(cli_dataset), "--held-out", "sketch", "--epochs", "1",
+                  "--batch-size", "8", "--mc-samples", "2"],
+        "eval-lodo": ["eval-lodo", "--dataset", str(cli_dataset), "--methods", "baseline_C,gsp_sr"],
+        "similarity-report": ["similarity-report", "--checkpoint", str(cli_run / "final"),
+                              "--bundle", str(cli_run / "bundle"), "--dataset", str(cli_dataset)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--out-dir", str(blocker / "sub" if below else blocker))
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "config_error" and "is not a directory" in payload["message"]
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_text() == "not a directory"
+
+
 @pytest.mark.parametrize("reader, damage", [
     *((r, d) for r in ("train", "eval-lodo")
       for d in ("not-json", "not-object", "unknown-key")),
@@ -771,7 +835,7 @@ _OUT_OF_RANGE = [
     ("momentum", 5), ("momentum", -3), ("momentum", 1), ("weight_decay", -100),
     ("logit_scale", float("nan")), ("logit_scale", 0), ("seed", -1), ("batch_size", 1),
     ("weights.tau_d", float("nan")), ("weights.w_d", -0.1), ("weights.w_reg", float("inf")),
-    ("weights.ce_scale", 0), ("dims.d_t", 1),
+    ("dims.d_t", 1),
 ]
 
 
@@ -863,7 +927,7 @@ def test_dims_over_the_bundle_cap_are_config_error(capsys, cli_dataset, tmp_path
 def test_default_config_hash_is_pinned():
     from spdg.trainer import RunConfig
 
-    assert RunConfig().config_hash() == "83a3d09d09f4"
+    assert RunConfig().config_hash() == "d0f1a1241b5a"
 
 
 _REQUIRED = {
@@ -938,11 +1002,15 @@ def test_empty_seeds_or_repeated_entries_are_config_error(capsys, cli_dataset, t
 
 
 def test_grad_check_lists_the_shipped_fused_nodes(capsys, monkeypatch, objective_check):
-    # the full-objective check at grad-check's default fixture, computed once per session
-    monkeypatch.setattr(spdg.gradcheck, "run_objective_check", lambda: objective_check)
-    code, out, _ = run_cli(capsys, "grad-check", "--primitive-inputs", "1")
+    # the full-objective check at grad-check's default fixture, computed once per session,
+    # and one input per fused node in place of PRIMITIVE_INPUTS
+    monkeypatch.setattr(spdg.gradcheck, "run_objective_check", lambda: objective_check[0])
+    monkeypatch.setattr(spdg.gradcheck, "PRIMITIVE_INPUTS", 1)
+    code, out, _ = run_cli(capsys, "grad-check")
     assert code == 0
+    assert run_cli(capsys, "grad-check") == (0, out, "")  # no clock in the output
     lines = out.splitlines()
+    assert len(lines) == 9 + 8
     checked = sorted(line.split(":")[0].split()[1] for line in lines if line.startswith("primitive "))
     assert checked == sorted([
         "l2_normalize", "domain_discrimination_loss", "encode_text_batch", "basic_forward",
@@ -951,14 +1019,6 @@ def test_grad_check_lists_the_shipped_fused_nodes(capsys, monkeypatch, objective
     ])
     assert sum(line.startswith("objective d/d") for line in lines) == 8
     assert all(line.endswith("[ok]") for line in lines if "max_rel_err" in line)
-
-
-@pytest.mark.parametrize("argv", [["--primitive-inputs", "0"], ["--primitive-inputs", "-3"]])
-def test_grad_check_that_checks_nothing_is_config_error(capsys, argv):
-    code, out, err = run_cli(capsys, "grad-check", *argv)
-    assert code == 2
-    assert json.loads(err)["error"] == "config_error"
-    assert out == ""
 
 
 @pytest.mark.parametrize("flag", ["--primitive-tol", "--objective-tol"])

@@ -11,14 +11,13 @@ from spdg.blob import write_json
 from spdg.encoders import FrozenEncoderBundle
 from spdg.errors import ConfigError, DegenerateVectorError, ShapeError, TrainingDiverged
 from spdg.evaluate import (
-    EvalReport,
-    MethodResult,
     evaluate_leave_one_out,
     style_similarity_report,
     write_report_csv,
     write_similarity_csv,
 )
 from spdg.inference import infer, predict_batch, zero_shot_predict_batch
+from spdg.losses import LossWeights
 from spdg.prompter import init_basic_prompter, init_gaussian_prompter
 from spdg.tensor import Tensor
 from spdg.trainer import RunConfig
@@ -221,7 +220,7 @@ class TestInfer:
         with pytest.raises(ShapeError, match="non-empty"):
             predict_batch(bundle, prompter, np.zeros(shape), small_dataset.classes)
         with pytest.raises(ShapeError, match="non-empty"):
-            zero_shot_predict_batch(bundle, np.zeros(shape), small_dataset.classes, "C")
+            zero_shot_predict_batch(bundle, np.zeros(shape), small_dataset.classes)
         with pytest.raises(ShapeError, match="non-empty"):
             style_similarity_report(bundle, prompter, np.zeros(shape), np.zeros(shape[0], int),
                                     ["photo"] * shape[0], small_dataset.classes)
@@ -322,38 +321,38 @@ class TestOfflineContract:
 
 
 class TestZeroShot:
-    def test_templates_give_different_features(self, bundle):
-        from spdg.inference import zero_shot_text_features
-        c = zero_shot_text_features(bundle, ["dog"], "C")
-        pc = zero_shot_text_features(bundle, ["dog"], "PC")
+    def test_methods_give_different_logits(self, bundle, rng):
+        x = rng.normal(size=(3, bundle.dims.d_x))
+        c, pc = (zero_shot_predict_batch(bundle, x, [render("dog"), render("horse")])[1]
+                 for render in evaluate.ZERO_SHOT_METHODS.values())
         assert np.linalg.norm(c - pc) > 1e-6
 
-    @pytest.mark.parametrize("template", ["C", "PC"])
-    def test_length_groups_match_per_class_encodes(self, dims, template):
+    @pytest.mark.parametrize("method", ["baseline_C", "baseline_PC"])
+    def test_length_groups_match_per_class_encodes(self, dims, rng, method):
         from oracles import encode_text
-        from spdg.encoders import build_bundle, default_vocab, tokenize
-        from spdg.inference import ZERO_SHOT_TEMPLATES, zero_shot_text_features
+        from spdg.encoders import build_bundle, default_vocab, encode_image, project_image, tokenize
         classes = ["dog", "hot air balloon", "ice cream", "horse"]
+        texts = [evaluate.ZERO_SHOT_METHODS[method](cls) for cls in classes]
         mixed = build_bundle(dims, default_vocab(classes), seed=0)
-        got = zero_shot_text_features(mixed, classes, template)
-        for c, cls in enumerate(classes):
-            ids = tokenize(ZERO_SHOT_TEMPLATES[template](cls), mixed)
-            want = encode_text(mixed, Tensor(mixed.weights["tok_emb"][ids])).data
-            assert np.abs(got[c] - want).max() <= 1e-12
+        x = rng.normal(size=(5, dims.d_x))
+        _, got = zero_shot_predict_batch(mixed, x, texts)
+        feats = np.stack([encode_text(mixed, Tensor(mixed.weights["tok_emb"][tokenize(t, mixed)])).data
+                          for t in texts])
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        zp = project_image(mixed, encode_image(mixed, x))
+        want = zp / np.linalg.norm(zp, axis=1, keepdims=True) @ feats.T * mixed.logit_scale
+        assert np.abs(got - want).max() <= 1e-12 * mixed.logit_scale
 
     def test_deterministic(self, bundle, rng):
         x = rng.normal(size=(1, bundle.dims.d_x))
-        a = zero_shot_predict_batch(bundle, x, ["dog", "horse"], "C")
-        b = zero_shot_predict_batch(bundle, x, ["dog", "horse"], "C")
+        a = zero_shot_predict_batch(bundle, x, ["dog", "horse"])
+        b = zero_shot_predict_batch(bundle, x, ["dog", "horse"])
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_single_class_always_predicted(self, bundle, rng):
-        preds, _ = zero_shot_predict_batch(bundle, rng.normal(size=(1, bundle.dims.d_x)), ["dog"], "PC")
+        preds, _ = zero_shot_predict_batch(bundle, rng.normal(size=(1, bundle.dims.d_x)),
+                                           ["a photo of a dog"])
         assert preds.tolist() == [0]
-
-    def test_unknown_template_rejected(self, bundle, rng):
-        with pytest.raises(ConfigError):
-            zero_shot_predict_batch(bundle, rng.normal(size=(1, bundle.dims.d_x)), ["dog"], "photo")
 
 
 class TestLeaveOneOut:
@@ -438,6 +437,32 @@ class TestLeaveOneOut:
         assert [a[1] for a in made] == ["bsp", "gsp_sr"]
         assert report.methods["gsp_sr"].config_hash == \
             method_config(quick_config, "gsp_sr", 0, "photo").config_hash()
+
+    def test_each_trained_arm_is_a_prompter_kind_and_its_forced_weights(self, quick_config):
+        base = replace(quick_config, prompter_kind="basic",
+                       weights=LossWeights(w_d=0.3, w_reg=2.0, tau_d=0.2))
+        arms = {m: evaluate.method_config(base, m, 4, "cartoon") for m in evaluate.TRAINED_METHODS}
+        assert {m: (c.prompter_kind, c.weights) for m, c in arms.items()} == {
+            "bsp": ("basic", LossWeights(w_d=0.3, w_reg=0.0, tau_d=0.2)),
+            "gsp": ("gaussian", LossWeights(w_d=0.3, w_reg=0.0, tau_d=0.2)),
+            "gsp_sr": ("gaussian", LossWeights(w_d=0.3, w_reg=2.0, tau_d=0.2)),
+        }
+        assert all(c == replace(base, prompter_kind=c.prompter_kind, weights=c.weights, seed=4,
+                                held_out_domain="cartoon") for c in arms.values())
+
+    def test_sr_arm_without_a_regularizer_is_config_error_before_any_fold(
+            self, monkeypatch, small_dataset, quick_config):
+        folds = []
+        monkeypatch.setattr(evaluate, "_evaluate_fold", lambda *a: folds.append(a) or 0.5)
+        no_reg = replace(quick_config, weights=LossWeights(w_reg=0.0))
+        with pytest.raises(ConfigError, match="'gsp_sr' trains the style regularizer"):
+            evaluate_leave_one_out("small", ["baseline_C", "gsp", "gsp_sr"], seeds=[0],
+                                   base=no_reg, dataset=small_dataset)
+        assert folds == []
+        # the arms that force w_reg to 0 run on such a base
+        report = evaluate_leave_one_out("small", ["bsp", "gsp"], seeds=[0], base=no_reg,
+                                        dataset=small_dataset)
+        assert not report.partial and len(folds) == 2 * len(small_dataset.domains)
 
     def test_report_writers(self, lodo_report, tmp_path):
         write_json(tmp_path / "r.json", lodo_report.to_dict())

@@ -225,7 +225,7 @@ class TestFusedPrompters:
         assert_close(got_grad, want_grad, 0.0)
 
     def test_total_loss_matches_composed_oracle(self, rng):
-        weights = LossWeights(w_d=0.3, w_reg=2.5, ce_scale=1.5)
+        weights = LossWeights(w_d=0.3, w_reg=2.5)
         values = [np.asarray(v) for v in rng.normal(size=3)]
         for present in ([0], [0, 1], [0, 2], [0, 1, 2]):
             def run(fn):

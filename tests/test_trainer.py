@@ -264,8 +264,7 @@ class TestTrainStylePrompter:
     def test_noop_training_keeps_params_bit_exact(self, small_dataset):
         cfg = RunConfig(seed=0, held_out_domain="sketch", epochs=1, batch_size=8,
                         mc_samples=2, lr_max=0.0, lr_warmup=0.0,
-                        weights=LossWeights(w_d=0.0, w_reg=0.0, tau_d=0.1),
-                        use_style_reg=False, weight_decay=0.0)
+                        weights=LossWeights(w_d=0.0, w_reg=0.0, tau_d=0.1), weight_decay=0.0)
         from spdg.prompter import init_gaussian_prompter
         from spdg.trainer import seed_from
         reference = init_gaussian_prompter(cfg.dims.d_i, cfg.dims.d_t, seed_from(cfg.seed, 1))
@@ -338,17 +337,27 @@ class TestTrainStylePrompter:
         cfg = RunConfig(seed=0, held_out_domain="sketch", epochs=1, batch_size=8,
                         mc_samples=2, out_dir=str(out))
         if kind == "file":
-            with pytest.raises(ConfigError, match="not an empty directory"):
+            with pytest.raises(ConfigError, match="is not a directory"):
                 train_style_prompter(cfg, dataset=small_dataset)
             assert out.read_text() == "not a run"
         else:
             assert train_style_prompter(cfg, dataset=small_dataset).final_dir == str(out / "final")
 
     def test_basic_prompter_path(self, small_dataset):
-        cfg = RunConfig(seed=0, prompter_kind="basic", use_style_reg=False,
+        cfg = RunConfig(seed=0, prompter_kind="basic", weights=LossWeights(w_reg=0.0),
                         held_out_domain="sketch", epochs=1, batch_size=8, mc_samples=2)
         result = train_style_prompter(cfg, dataset=small_dataset)
         assert result.prompter.kind == "basic"
+
+    def test_zero_regularizer_weight_builds_no_anchors(self, small_dataset, monkeypatch):
+        import spdg.trainer
+        anchors = []
+        monkeypatch.setattr(spdg.trainer, "build_reg_anchors", lambda *a: anchors.append(a))
+        cfg = RunConfig(seed=0, held_out_domain="sketch", epochs=1, batch_size=8, mc_samples=2,
+                        weights=LossWeights(w_reg=0.0))
+        steps = [m for m in train_style_prompter(cfg, dataset=small_dataset).metrics if "step" in m]
+        assert anchors == [] and steps
+        assert all(m["loss_reg"] == 0.0 for m in steps)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergence_aborts_with_diagnostics(self, small_dataset, tmp_path):
@@ -384,8 +393,9 @@ class TestTrainStylePrompter:
             monkeypatch.setattr(spdg.trainer, "build_bundle", dead_projection)
         if trigger == "step-1":
             monkeypatch.setattr(spdg.trainer, "domain_discrimination_loss", failing_second_step)
-        weights = {"loss": LossWeights(ce_scale=1e308),
-                   "optimizer": LossWeights(w_d=1e308)}.get(trigger, LossWeights())
+        if trigger == "loss":
+            monkeypatch.setattr(spdg.trainer, "total_loss", lambda *a: Tensor(np.asarray(np.inf)))
+        weights = LossWeights(w_d=1e308) if trigger == "optimizer" else LossWeights()
         cfg = RunConfig(seed=0, held_out_domain="sketch", epochs=1, batch_size=8, mc_samples=2,
                         weights=weights, out_dir=str(tmp_path / "run"))
         step = 1 if trigger == "step-1" else 0
@@ -442,7 +452,7 @@ _NAN, _INF = float("nan"), float("inf")
 # mc_samples <= 4, which every example sets, little work. On small_dataset, "watercolor",
 # val_ratio 0.004, d_x 16 and a batch under 2 per training domain fail the run check.
 _VALID = {
-    "prompter_kind": st.sampled_from(["basic", "gaussian"]), "use_style_reg": st.booleans(),
+    "prompter_kind": st.sampled_from(["basic", "gaussian"]),
     "batch_size": st.integers(2, 16), "lr_max": st.floats(0.0, 0.1),
     "lr_warmup": st.floats(0.0, 0.1), "momentum": st.floats(0.0, 0.99),
     "weight_decay": st.floats(0.0, 0.01), "seed": st.integers(0, 3),
@@ -451,19 +461,18 @@ _VALID = {
     "val_ratio": st.sampled_from([0.004, 0.05, 0.5, 0.9, 0.99]),
     "select_best": st.booleans(), "extra_classes": st.sampled_from([[], ["kite"]]),
     "weights": st.fixed_dictionaries({}, optional={
-        "w_d": st.floats(0.0, 1.0), "w_reg": st.floats(0.0, 10.0), "tau_d": st.floats(0.05, 1.0),
-        "ce_scale": st.floats(0.1, 2.0)}),
+        "w_d": st.floats(0.0, 1.0), "w_reg": st.floats(0.0, 10.0), "tau_d": st.floats(0.05, 1.0)}),
     "dims": st.sampled_from([{}, {"d_f": 8}, {"d_x": 16}]),
 }
 # values that are out of range, not finite or of the wrong JSON type
 _INVALID = {
-    "prompter_kind": ["mlp", 1], "use_style_reg": [1, "yes"], "epochs": [0, -1, 1.0, "1"],
+    "prompter_kind": ["mlp", 1], "epochs": [0, -1, 1.0, "1"],
     "batch_size": [1, 0, -4, 8.0], "mc_samples": [0, -1, None],
     "lr_max": [-1, _NAN, _INF, "0.1"], "lr_warmup": [-1e-5, _NAN, -_INF],
     "momentum": [1, 5, -3, _NAN], "weight_decay": [-100, _NAN, _INF], "seed": [-1, 0.5],
     "held_out_domain": [2, 1.5, ["sketch"]], "logit_scale": [0, -1, _NAN, _INF],
     "val_ratio": [0, 1, -0.5, _NAN], "select_best": [1, None], "extra_classes": ["kite", [1]],
-    "weights": [{"tau_d": 0}, {"tau_d": 1e-39}, {"w_d": -0.1}, {"w_reg": _INF}, {"ce_scale": _NAN},
+    "weights": [{"tau_d": 0}, {"tau_d": 1e-39}, {"w_d": -0.1}, {"w_reg": _INF}, {"ce_scale": 1},
                 [0.1]],
     "dims": [{"d_t": 1}, {"d_i": 64.0}, 5], "bogus": [1],
 }
