@@ -3,7 +3,7 @@
 Layout, all little-endian:
     magic   4 bytes  b"SPDG"
     version u32      currently 1
-    dtype   u8       0 = float64, 1 = float32, 2 = int64
+    dtype   u8       0 = float64, the one dtype a blob holds
     rank    u8
     dims    rank * u64
     values  raw little-endian values, row-major
@@ -26,20 +26,15 @@ MAGIC = b"SPDG"
 FORMAT_VERSION = 1
 _FIXED_HEADER = 10  # magic, version, dtype flag, rank
 
-_DTYPE_FLAGS = {0: np.dtype("<f8"), 1: np.dtype("<f4"), 2: np.dtype("<i8")}
-_FLAG_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1, np.dtype(np.int64): 2}
-_KIND_NAMES = {"f": "float", "i": "int64"}
-
 
 def write_blob(path, array: np.ndarray) -> None:
     # keep rank-0 as rank-0 (ascontiguousarray would promote it to 1-d)
     arr = np.asarray(array, order="C")
-    if arr.dtype not in _FLAG_FOR:
-        raise FormatError(f"blob supports float64/float32/int64, got {arr.dtype}")
+    if arr.dtype != np.float64:
+        raise FormatError(f"a blob holds float64 values, got {arr.dtype}")
     with open(path, "wb") as fh:
-        fh.write(struct.pack(f"<4sIBB{arr.ndim}Q", MAGIC, FORMAT_VERSION, _FLAG_FOR[arr.dtype],
-                             arr.ndim, *arr.shape))
-        fh.write(memoryview(arr.astype(arr.dtype.newbyteorder("<"), copy=False)))
+        fh.write(struct.pack(f"<4sIBB{arr.ndim}Q", MAGIC, FORMAT_VERSION, 0, arr.ndim, *arr.shape))
+        fh.write(memoryview(arr.astype("<f8", copy=False)))
 
 
 def write_json(path, payload) -> None:
@@ -62,9 +57,9 @@ def unreadable(path, what: str, exc: Exception) -> FormatError:
     return FormatError(f"{path}: cannot read {what}: {getattr(exc, 'strerror', None) or exc}")
 
 
-def read_blob(path, kind: str = "f") -> np.ndarray:
-    """The blob's array, read straight into its buffer once the header and file size check out.
-    kind is the numpy dtype kind the caller takes: "f" (float64 or float32) or "i" (int64)."""
+def read_blob(path) -> np.ndarray:
+    """The blob's float64 array, read straight into its buffer once the header and
+    file size check out."""
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
@@ -76,26 +71,23 @@ def read_blob(path, kind: str = "f") -> np.ndarray:
             version, flag, rank = struct.unpack_from("<IBB", head, 4)
             if version != FORMAT_VERSION:
                 raise FormatError(f"{path}: unsupported blob version {version}")
-            if flag not in _DTYPE_FLAGS:
-                raise FormatError(f"{path}: unknown dtype flag {flag}")
-            dtype = _DTYPE_FLAGS[flag]
-            if dtype.kind != kind:
-                raise FormatError(f"{path}: holds {dtype.name} values, expected {_KIND_NAMES[kind]}")
+            if flag != 0:
+                raise FormatError(f"{path}: unknown dtype flag {flag}, a blob holds float64 (flag 0)")
             dims = fh.read(8 * rank)
             if len(dims) < 8 * rank:
                 raise FormatError(f"{path}: truncated header, {size} bytes for rank {rank}")
             shape = struct.unpack(f"<{rank}Q", dims)
-            expected = _FIXED_HEADER + 8 * rank + math.prod(shape) * dtype.itemsize
+            expected = _FIXED_HEADER + 8 * rank + 8 * math.prod(shape)  # u64 dims, f64 values
             if size != expected:
                 raise FormatError(f"{path}: payload size mismatch, expected {expected} bytes "
                                   f"for shape {shape}, got {size}")
-            values = np.empty(shape, dtype)
+            values = np.empty(shape, "<f8")
             got = fh.readinto(values)
     except (OSError, ValueError) as exc:  # ValueError: a shape numpy cannot allocate
         raise unreadable(path, "blob", exc) from exc
     if got != values.nbytes:
         raise FormatError(f"{path}: short read, {got} of {values.nbytes} payload bytes")
-    return values.astype(dtype.newbyteorder("="), copy=False)
+    return values.astype(np.float64, copy=False)
 
 
 def read_manifest(path, kind: str, version: int, remedy: str = "") -> dict:

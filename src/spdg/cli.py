@@ -30,12 +30,14 @@ from .trainer import RunConfig, train_style_prompter
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads a negative number in exponent form, such as
-    -1e-6, as a value; argparse's own pattern takes it for an option."""
+    """An ArgumentParser that reads a negative number in any spelling float() reads,
+    such as -1e-6, -1_000, -Infinity or -nan, as a value, where argparse reads an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        digits = r"\d+(_\d+)*"  # float() takes single underscores between digits
+        self._negative_number_matcher = re.compile(
+            rf"^-(({digits}\.?({digits})?|\.{digits})(e[-+]?{digits})?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("gen-data", help="generate a synthetic multi-domain dataset")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", type=str, default=None)
-    p.add_argument("--precision", choices=["f64", "f32"], default="f64", help="storage dtype")
     p.add_argument("--n-per-cell", type=int, default=60)
     p.add_argument("--dx", type=int, default=32)
     p.add_argument("--style-strength", type=float, default=0.8)
@@ -109,9 +110,6 @@ def _cmd_gen_data(args) -> int:
         noise_std=args.noise_std, seed=args.seed if args.seed is not None else 0,
         classes=classes, domains=domains,
     )
-    if args.precision == "f32":
-        with np.errstate(over="ignore"):  # the constructor refuses a sample that overflows
-            ds = replace(ds, x=ds.x.astype(np.float32))
     datagen.save(ds, out)
     print(json.dumps({"dataset": str(out), "samples": len(ds),
                       "classes": ds.classes, "domains": ds.domains}))

@@ -7,7 +7,7 @@ spectral norm) to noisy prototype draws. Domain shift strength is one knob.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +16,11 @@ from .blob import manifest_fields, read_blob, read_manifest, write_blob, write_j
 from .encoders import class_words
 from .errors import ConfigError, check_fields, check_range
 
-DATASET_FORMAT_VERSION = 2
+DATASET_FORMAT_VERSION = 3
 
 DEFAULT_CLASSES = ["dog", "elephant", "guitar", "horse"]
 DEFAULT_DOMAINS = ["photo", "cartoon", "sketch", "clipart"]
-# The most bytes a dataset's f64 samples and int64 labels may take together,
+# The most bytes a dataset's f64 samples and int64 ids may take together,
 # and the most its domains' dense d_x x d_x transforms may take while generated;
 # a 16,384-sample, 32-wide pool takes 4.5 MB.
 MAX_DATASET_BYTES = 1 << 30
@@ -51,7 +51,7 @@ class DatasetManifest:
         n, size = self.n_samples, 8 * self.n_samples * (self.d_x + 2)
         if size > MAX_DATASET_BYTES:
             raise ConfigError(f"{n} samples of width {self.d_x} need {size} bytes with their "
-                              f"labels, over the cap of {MAX_DATASET_BYTES}")
+                              f"ids, over the cap of {MAX_DATASET_BYTES}")
 
     @property
     def n_samples(self) -> int:
@@ -60,36 +60,32 @@ class DatasetManifest:
 
 @dataclass
 class MultiDomainDataset:
-    """Samples and labels of every (class, domain) cell. The constructor refuses
-    samples that are not finite or not (manifest.n_samples, d_x), ids outside the
-    name lists, and a cell that does not hold n_per_cell samples."""
+    """The samples of every (class, domain) cell in the order `generate` draws them:
+    domain-major, then by class, n_per_cell rows per cell. The class and domain ids
+    follow from the manifest in that order, as read-only int64 arrays. The
+    constructor refuses samples that are not finite or not (manifest.n_samples, d_x)."""
 
     x: np.ndarray            # (n, d_x)
-    class_ids: np.ndarray    # (n,)
-    domain_ids: np.ndarray   # (n,)
     manifest: DatasetManifest
+    class_ids: np.ndarray = field(init=False, repr=False)    # (n,)
+    domain_ids: np.ndarray = field(init=False, repr=False)   # (n,)
 
     def check(self) -> None:
-        """Raise ConfigError where the constructor would; save checks again, as arrays stay mutable."""
+        """Raise ConfigError where the constructor would; save checks again, as x stays mutable."""
         m = self.manifest
-        n, n_domains = m.n_samples, len(m.domains)
-        if np.shape(self.x) != (n, m.d_x):
-            raise ConfigError(f"samples have shape {np.shape(self.x)}, not ({n}, {m.d_x})")
+        if np.shape(self.x) != (m.n_samples, m.d_x):
+            raise ConfigError(f"samples have shape {np.shape(self.x)}, not ({m.n_samples}, {m.d_x})")
         if not np.isfinite(self.x).all():
             raise ConfigError(f"sample {int(np.isfinite(self.x).all(axis=1).argmin())} is not finite")
-        for what, ids, names in (("class", self.class_ids, m.classes),
-                                 ("domain", self.domain_ids, m.domains)):
-            if np.shape(ids) != (n,):
-                raise ConfigError(f"{what} ids have shape {np.shape(ids)}, not ({n},)")
-            if not 0 <= ids.min() <= ids.max() < len(names):
-                raise ConfigError(f"{what} ids must lie in [0, {len(names)})")
-        cells = np.bincount(self.class_ids * n_domains + self.domain_ids, minlength=n // m.n_per_cell)
-        if (cells != m.n_per_cell).any():
-            c, d = divmod(int(np.argmax(cells != m.n_per_cell)), n_domains)
-            raise ConfigError(f"cell ({m.classes[c]!r}, {m.domains[d]!r}) holds "
-                              f"{cells[c * n_domains + d]} samples, not n_per_cell {m.n_per_cell}")
 
-    __post_init__ = check
+    def __post_init__(self):
+        self.check()
+        m = self.manifest
+        n_classes = len(m.classes)
+        cells = np.arange(n_classes * len(m.domains), dtype=np.int64).repeat(m.n_per_cell)  # d * C + c
+        self.class_ids, self.domain_ids = cells % n_classes, cells // n_classes
+        for ids in (self.class_ids, self.domain_ids):
+            ids.flags.writeable = False
 
     @property
     def classes(self) -> list[str]:
@@ -137,32 +133,26 @@ def generate(n_per_cell: int = 60, d_x: int = 32, style_strength: float = 0.8,
         for d, c in np.ndindex(n_domains, n_classes):
             eps = rng.normal(scale=noise_std, size=x.shape[2:]) if noise_std > 0 else np.zeros(x.shape[2:])
             np.matmul(protos[c] + eps, transforms[d].T, out=x[d, c])
-    cells = np.arange(n_domains * n_classes, dtype=np.int64).repeat(n_per_cell)  # d * C + c
-    return MultiDomainDataset(x=x.reshape(-1, d_x), class_ids=cells % n_classes,
-                              domain_ids=cells // n_classes, manifest=manifest)
+    return MultiDomainDataset(x=x.reshape(-1, d_x), manifest=manifest)
 
 
 def save(dataset: MultiDomainDataset, directory) -> None:
-    """Write manifest.json, samples.spdg and labels.spdg, the (2, n) int64 class
-    and domain ids; a dataset its constructor would refuse now is refused before any write."""
+    """Write manifest.json and samples.spdg; a dataset its constructor would refuse
+    now is refused before any write."""
     dataset.check()
     directory = Path(directory)
     write_json(directory / "manifest.json", asdict(dataset.manifest))
     write_blob(directory / "samples.spdg", dataset.x)
-    write_blob(directory / "labels.spdg",
-               np.array([dataset.class_ids, dataset.domain_ids], dtype=np.int64))
 
 
 def load(directory) -> MultiDomainDataset:
-    """The dataset saved in directory; what its constructor refuses is a FormatError."""
+    """The dataset saved in directory; what its constructor refuses is a FormatError.
+    A dataset of another format_version, such as a format-2 one whose labels.spdg
+    could hold another sample order, is refused with the remedy to regenerate it."""
     directory = Path(directory)
     raw = read_manifest(directory / "manifest.json", "dataset", DATASET_FORMAT_VERSION,
                         remedy="; regenerate it with `spdg gen-data`")
     x = read_blob(directory / "samples.spdg")
-    labels = read_blob(directory / "labels.spdg", kind="i")
     with manifest_fields(directory, "dataset"):
         manifest = DatasetManifest(**{f.name: raw[f.name] for f in fields(DatasetManifest)})
-        if labels.shape != (2, manifest.n_samples):  # the class ids, then the domain ids
-            raise ConfigError(f"labels have shape {labels.shape}, not (2, {manifest.n_samples})")
-        class_ids, domain_ids = labels
-        return MultiDomainDataset(x=x, class_ids=class_ids, domain_ids=domain_ids, manifest=manifest)
+        return MultiDomainDataset(x=x, manifest=manifest)

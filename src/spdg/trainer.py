@@ -85,26 +85,26 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         """Build from a to_dict()-shaped mapping, weights and dims from their objects;
-        a non-object or an unknown key is a ConfigError, and the constructors check
-        every value."""
+        a non-object, or an unknown key at any depth (one message names them all), is a
+        ConfigError before anything is built, and the constructors check every value."""
         if not isinstance(raw, dict):
             raise ConfigError(f"a run config must be a JSON object, got {type(raw).__name__}")
-        raw = dict(raw)
-        for key, kind in (("weights", LossWeights), ("dims", EncoderDims)):
-            if isinstance(raw.get(key), dict):
-                raw[key] = kind(**_known_keys(kind, raw[key], f"{key}."))
-        return cls(**_known_keys(cls, raw, ""))
+        nested = {key: kind for key, kind in (("weights", LossWeights), ("dims", EncoderDims))
+                  if isinstance(raw.get(key), dict)}
+        unknown = _unknown_keys(cls, raw, "")
+        for key, kind in nested.items():
+            unknown += _unknown_keys(kind, raw[key], f"{key}.")
+        if unknown:
+            raise ConfigError(f"unknown run config keys: {unknown}")
+        return cls(**{**raw, **{key: kind(**raw[key]) for key, kind in nested.items()}})
 
     def config_hash(self) -> str:
         return sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:12]
 
 
-def _known_keys(kind, raw: dict, prefix: str) -> dict:
-    """raw, once each of its keys names a field of kind; an unknown key is a ConfigError."""
-    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
-    if unknown:
-        raise ConfigError(f"unknown run config keys: {[prefix + k for k in unknown]}")
-    return raw
+def _unknown_keys(kind, raw: dict, prefix: str) -> list[str]:
+    """The keys of raw that name no field of kind, sorted, each after prefix."""
+    return [prefix + k for k in sorted(set(raw) - {f.name for f in fields(kind)})]
 
 
 @dataclass

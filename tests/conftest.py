@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 
 import spdg
 from spdg import datagen
-from spdg.blob import read_blob, write_blob
+from spdg.blob import read_blob
 from spdg.encoders import EncoderDims, build_bundle, default_vocab
 from spdg.gradcheck import build_objective_fixture, run_objective_check
 
@@ -39,15 +40,18 @@ def run_python(script: str) -> str:
     return proc.stdout
 
 
+def raw_blob(array: np.ndarray, flag: int) -> bytes:
+    """The bytes of a blob of array under the given header dtype flag, as a writer of an
+    earlier format wrote them: 1 was float32 and 2 int64; this build reads only 0, float64."""
+    header = struct.pack(f"<4sIBB{array.ndim}Q", b"SPDG", 1, flag, array.ndim, *array.shape)
+    return header + array.astype(array.dtype.newbyteorder("<")).tobytes()
+
+
 # saved-dataset faults that load must refuse with a FormatError
 
-def spoil_labels(directory: Path, damage: str) -> str:
-    """Damage a saved dataset's labels.spdg; returns what load's FormatError says."""
-    path = directory / "labels.spdg"
-    manifest = json.loads((directory / "manifest.json").read_text())
-    n_classes, n_domains = len(manifest["classes"]), len(manifest["domains"])
-    labels = read_blob(path, kind="i")
-    n = labels.shape[1]
+def spoil_samples(directory: Path, damage: str) -> str:
+    """Damage a saved dataset's samples.spdg; returns what load's FormatError says."""
+    path = directory / "samples.spdg"
     if damage in ("missing", "directory"):
         path.unlink()
         if damage == "directory":
@@ -56,35 +60,23 @@ def spoil_labels(directory: Path, damage: str) -> str:
     if damage == "truncated":
         path.write_bytes(path.read_bytes()[:-8])
         return "payload size mismatch"
-    if damage == "unknown dtype flag":
-        raw = bytearray(path.read_bytes())
-        raw[8] = 3
-        path.write_bytes(bytes(raw))
-        return "unknown dtype flag 3"
-    replacement, message = {
-        "float64": (labels.astype(np.float64), "holds float64 values, expected int64"),
-        "transposed": (labels.T, f"labels have shape ({n}, 2), not (2, {n})"),
-        "one row": (labels[:1], f"labels have shape (1, {n}), not (2, {n})"),
-        "short": (labels[:, :-1], f"labels have shape (2, {n - 1}), not (2, {n})"),
-        "flat": (labels.ravel(), f"labels have shape ({2 * n},), not (2, {n})"),
-        "negative class": (labels * [[-1], [1]], f"class ids must lie in [0, {n_classes})"),
-        "class past names": (labels + [[n_classes], [0]], f"class ids must lie in [0, {n_classes})"),
-        "negative domain": (labels - [[0], [1]], f"domain ids must lie in [0, {n_domains})"),
-        "domain past names": (labels + [[0], [1]], f"domain ids must lie in [0, {n_domains})"),
-        "int64 extreme": (labels + [[0], [2**62]], f"domain ids must lie in [0, {n_domains})"),
-        # ids in range, but one sample moved from the first cell to the second
-        "cells uneven": (labels + [[0], [1]] * (np.arange(n) == 0),
-                         f"cell ({manifest['classes'][0]!r}, {manifest['domains'][0]!r}) holds "
-                         f"{manifest['n_per_cell'] - 1} samples, not n_per_cell"),
-        "one class": (labels * [[0], [1]], f"holds {n_classes * manifest['n_per_cell']} samples"),
-    }[damage]
-    write_blob(path, np.ascontiguousarray(replacement))
-    return message
+    flag = int(damage.removeprefix("dtype flag "))
+    x = read_blob(path)
+    # the samples as the dtype the flag once named, so that only the flag is wrong
+    path.write_bytes(raw_blob(x.astype({1: np.float32, 2: np.int64}.get(flag, np.float64)), flag))
+    return f"unknown dtype flag {flag}"
 
 
-LABEL_FAULTS = ["missing", "directory", "truncated", "unknown dtype flag", "float64", "transposed",
-                "one row", "short", "flat", "negative class", "class past names",
-                "negative domain", "domain past names", "int64 extreme", "cells uneven", "one class"]
+SAMPLE_FAULTS = ["missing", "directory", "truncated", "dtype flag 1", "dtype flag 2", "dtype flag 3"]
+
+
+def write_format_2_dataset(dataset, directory: Path) -> None:
+    """Save dataset as a format-2 dataset: its manifest at format_version 2 beside a
+    labels.spdg, the (2, n) int64 blob of its class ids and then its domain ids."""
+    datagen.save(dataset, directory)
+    edit_manifest(directory, {"format_version": 2})
+    labels = np.stack([dataset.class_ids, dataset.domain_ids])
+    (directory / "labels.spdg").write_bytes(raw_blob(labels, 2))
 
 
 # manifest edits generate would refuse, and how load's FormatError names them; where

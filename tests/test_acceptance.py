@@ -273,7 +273,7 @@ def test_io_round_trips_and_reload_inference(report_run, fixture_dataset, tmp_pa
     reloaded = datagen.load(d1)
     assert np.array_equal(reloaded.x, ds.x)
     datagen.save(reloaded, d2)
-    for name in ["manifest.json", "samples.spdg", "labels.spdg"]:
+    for name in ["manifest.json", "samples.spdg"]:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     ckpt_dir = Path(result.final_dir)

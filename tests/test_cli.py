@@ -12,9 +12,18 @@ import numpy as np
 import pytest
 
 import spdg.cli
+import spdg.datagen
 import spdg.evaluate
 import spdg.gradcheck
-from conftest import LABEL_FAULTS, MANIFEST_FAULTS, edit_manifest, run_python, spoil_labels
+from conftest import (
+    MANIFEST_FAULTS,
+    SAMPLE_FAULTS,
+    edit_manifest,
+    raw_blob,
+    run_python,
+    spoil_samples,
+    write_format_2_dataset,
+)
 from spdg.cli import _build_parser, main
 from spdg.errors import ConfigError, TrainingDiverged
 
@@ -50,7 +59,9 @@ def test_gen_data_reports_summary(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["samples"] == 10 * 4 * 4
-    assert (tmp_path / "d" / "samples.spdg").exists()
+    # a dataset is its manifest and its samples, at format_version 3
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["manifest.json", "samples.spdg"]
+    assert json.loads((tmp_path / "d" / "manifest.json").read_text())["format_version"] == 3
 
 
 def test_train_emits_summary(capsys, cli_dataset, tmp_path):
@@ -155,17 +166,21 @@ def test_removed_switch_is_an_unrecognized_argument(capsys, argv):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config, key", [({"use_style_reg": False}, "use_style_reg"),
-                                         ({"weights": {"ce_scale": 1}}, "weights.ce_scale")],
-                         ids=["use_style_reg", "weights.ce_scale"])
-def test_removed_config_key_is_unknown(capsys, cli_dataset, tmp_path, config, key):
+@pytest.mark.parametrize("config, keys", [
+    ({"use_style_reg": False}, ["use_style_reg"]),
+    ({"weights": {"ce_scale": 1}}, ["weights.ce_scale"]),
+    # unknown keys at every depth are named together, top level first
+    ({"weights": {"ce_scale": 1}, "use_style_reg": False, "dims": {"d_z": 3}},
+     ["use_style_reg", "weights.ce_scale", "dims.d_z"]),
+], ids=["use_style_reg", "weights.ce_scale", "use_style_reg+weights.ce_scale+dims.d_z"])
+def test_removed_config_key_is_unknown(capsys, cli_dataset, tmp_path, config, keys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code, _, err = run_cli(capsys, "train", "--config", str(path), "--dataset", str(cli_dataset),
                            "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert json.loads(err) == {"error": "config_error",
-                               "message": f"unknown run config keys: ['{key}']"}
+                               "message": f"unknown run config keys: {keys}"}
     assert not (tmp_path / "out").exists()
 
 
@@ -413,6 +428,19 @@ def test_checkpoint_blob_of_the_wrong_shape_is_format_error(capsys, cli_dataset,
     assert message in payload["message"]
 
 
+@pytest.mark.parametrize("index", [0, 11, 12, 48, 143])
+def test_infer_names_the_cell_of_its_row(capsys, cli_dataset, cli_run, index):
+    # cli_dataset's rows are domain-major, then by class, 12 rows per cell
+    code, out, err = run_cli(capsys, "infer", "--checkpoint", str(cli_run / "final"),
+                             "--bundle", str(cli_run / "bundle"), "--dataset", str(cli_dataset),
+                             "--index", str(index))
+    assert code == 0, err
+    payload = json.loads(out)
+    classes, domains = ["dog", "elephant", "guitar", "horse"], ["photo", "cartoon", "sketch"]
+    assert (payload["true_class"], payload["true_domain"]) == (classes[index // 12 % 4],
+                                                                domains[index // 48])
+
+
 def _infer_on(capsys, cli_dataset, checkpoint, bundle):
     return run_cli(capsys, "infer", "--checkpoint", str(checkpoint), "--bundle", str(bundle),
                    "--dataset", str(cli_dataset), "--index", "0")
@@ -488,17 +516,33 @@ def test_odd_d_i_checkpoint_is_format_error(capsys, cli_dataset, cli_run, tmp_pa
         in payload["message"]
 
 
-@pytest.mark.parametrize("damage", ["one class", "cells uneven"])
-def test_train_refuses_labels_whose_cells_miss_n_per_cell(capsys, cli_dataset, tmp_path, damage):
-    data = tmp_path / "data"
-    shutil.copytree(cli_dataset, data)
-    message = spoil_labels(data, damage)
+def _train_refuses(capsys, data, tmp_path) -> dict:
+    """Run train on data: it must exit 2 with no stdout and write no run directory;
+    returns the JSON error."""
     code, out, err = run_cli(capsys, "train", "--dataset", str(data), "--held-out", "sketch",
                              "--epochs", "1", "--out-dir", str(tmp_path / "run"))
     assert (code, out) == (2, "")
-    payload = json.loads(err)
-    assert payload["error"] == "format_error" and message in payload["message"]
     assert not (tmp_path / "run").exists()
+    return json.loads(err)
+
+
+@pytest.mark.parametrize("damage", SAMPLE_FAULTS)
+def test_train_refuses_a_spoiled_samples_blob(capsys, cli_dataset, tmp_path, damage):
+    data = tmp_path / "data"
+    shutil.copytree(cli_dataset, data)
+    message = spoil_samples(data, damage)
+    payload = _train_refuses(capsys, data, tmp_path)
+    assert payload["error"] == "format_error" and message in payload["message"]
+    assert str(data / "samples.spdg") in payload["message"]
+
+
+def test_train_refuses_a_format_2_dataset(capsys, tmp_path):
+    data = tmp_path / "data"
+    write_format_2_dataset(spdg.datagen.generate(n_per_cell=10, seed=0), data)
+    payload = _train_refuses(capsys, data, tmp_path)
+    assert payload["error"] == "format_error"
+    assert payload["message"].endswith("format_version 2, this build reads 3; "
+                                       "regenerate it with `spdg gen-data`")
 
 
 def test_tau_d_whose_inverse_overflows_float32_is_config_error(capsys, cli_dataset, tmp_path):
@@ -521,20 +565,6 @@ def test_tau_d_of_1e_38_still_trains(capsys, cli_dataset, tmp_path):
     assert code == 0, err
     losses = [json.loads(line) for line in (tmp_path / "run" / "metrics.ndjson").read_text().splitlines()]
     assert all(np.isfinite(r["loss_total"]) for r in losses if "loss_total" in r)
-
-
-def test_gen_data_f32_overflow_is_config_error(capsys, tmp_path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")   # a RuntimeWarning fails the test
-        code, out, err = run_cli(capsys, "gen-data", "--out-dir", str(tmp_path / "d"), "--seed", "0",
-                                 "--style-strength", "1e39", "--precision", "f32")
-    assert (code, out) == (2, "")
-    payload = json.loads(err)
-    assert payload["error"] == "config_error" and "is not finite" in payload["message"]
-    assert not (tmp_path / "d").exists()
-    # float64 holds the same samples
-    assert run_cli(capsys, "gen-data", "--out-dir", str(tmp_path / "d64"), "--seed", "0",
-                   "--style-strength", "1e39")[0] == 0
 
 
 def test_readme_flag_table_names_exactly_the_subcommands():
@@ -572,20 +602,20 @@ def test_blob_cut_inside_header_is_format_error(capsys, cli_dataset, tmp_path):
 @pytest.mark.parametrize("blob", ["data/samples.spdg", "final/w2.spdg", "bundle/tok_emb.spdg"])
 def test_int64_blob_where_floats_belong_is_format_error(capsys, cli_dataset, cli_run, tmp_path,
                                                         blob):
-    from spdg.blob import read_blob, write_blob
+    from spdg.blob import read_blob
 
     for name, source in (("data", cli_dataset), ("bundle", cli_run / "bundle"),
                          ("final", cli_run / "final")):
         shutil.copytree(source, tmp_path / name)
     path = tmp_path / blob
-    write_blob(path, read_blob(path).astype(np.int64))
+    path.write_bytes(raw_blob(read_blob(path).astype(np.int64), 2))
     code, out, err = run_cli(capsys, "infer", "--checkpoint", str(tmp_path / "final"),
                              "--bundle", str(tmp_path / "bundle"),
                              "--dataset", str(tmp_path / "data"), "--index", "0")
     assert (code, out) == (2, "")
     payload = json.loads(err)
     assert payload["error"] == "format_error"
-    assert f"{path}: holds int64 values, expected float" in payload["message"]
+    assert f"{path}: unknown dtype flag 2, a blob holds float64" in payload["message"]
 
 
 @pytest.mark.parametrize("artifact, key", [("data", "d_x"), ("bundle", "vocab"),
@@ -640,11 +670,11 @@ def _eval_lodo_refuses(capsys, data, tmp_path) -> dict:
     return json.loads(err)
 
 
-@pytest.mark.parametrize("damage", LABEL_FAULTS)
-def test_spoiled_labels_blob_is_format_error(capsys, cli_dataset, tmp_path, damage):
+@pytest.mark.parametrize("damage", SAMPLE_FAULTS)
+def test_spoiled_samples_blob_is_format_error(capsys, cli_dataset, tmp_path, damage):
     data = tmp_path / "data"
     shutil.copytree(cli_dataset, data)
-    message = spoil_labels(data, damage)
+    message = spoil_samples(data, damage)
     payload = _eval_lodo_refuses(capsys, data, tmp_path)
     assert payload["error"] == "format_error"
     assert message in payload["message"]
@@ -696,14 +726,6 @@ def test_missing_out_dir_is_config_error(capsys, cli_dataset):
     code, _, err = run_cli(capsys, "gen-data", "--seed", "0")
     assert code == 2
     assert json.loads(err)["error"] == "config_error"
-
-
-def test_precision_flag_stores_f32(capsys, tmp_path):
-    code, _, _ = run_cli(capsys, "gen-data", "--out-dir", str(tmp_path / "d32"),
-                         "--seed", "0", "--n-per-cell", "10", "--precision", "f32")
-    assert code == 0
-    from spdg.blob import read_blob
-    assert read_blob(tmp_path / "d32" / "samples.spdg").dtype == np.float32
 
 
 def test_train_determinism_across_cli_runs(capsys, cli_dataset, tmp_path):
@@ -934,9 +956,10 @@ _REQUIRED = {
     "infer": ["--checkpoint", "c", "--bundle", "b", "--dataset", "d", "--index", "0"],
     "similarity-report": ["--checkpoint", "c", "--bundle", "b", "--dataset", "d"],
 }
-_FLAG_VALUES = {"--seed": "1", "--out-dir": "o", "--precision": "f64", "--threads": "1"}
+_FLAG_VALUES = {"--seed": "1", "--out-dir": "o", "--precision": "f32", "--threads": "1"}
 _REMOVED_FLAGS = [
-    ("gen-data", "--threads"), ("train", "--precision"), ("train", "--threads"),
+    ("gen-data", "--threads"), ("gen-data", "--precision"),
+    ("train", "--precision"), ("train", "--threads"),
     ("eval-lodo", "--seed"), ("eval-lodo", "--precision"),
     *(("infer", f) for f in _FLAG_VALUES), *(("grad-check", f) for f in _FLAG_VALUES),
     ("similarity-report", "--seed"), ("similarity-report", "--precision"),
@@ -958,7 +981,7 @@ def test_each_command_declares_only_the_shared_flags_it_reads():
     declared = {name: sorted(set(_FLAG_VALUES) & set(p._option_string_actions))
                 for name, p in sub.choices.items()}
     assert declared == {
-        "gen-data": ["--out-dir", "--precision", "--seed"], "train": ["--out-dir", "--seed"],
+        "gen-data": ["--out-dir", "--seed"], "train": ["--out-dir", "--seed"],
         "eval-lodo": ["--out-dir", "--threads"], "infer": [],
         "similarity-report": ["--out-dir"], "grad-check": [],
     }
@@ -1031,6 +1054,9 @@ def test_grad_check_tolerances_are_not_flags(capsys, flag):
 
 @pytest.mark.parametrize("argv", [
     ["gen-data", "--style-strength", "-1e-1"], ["gen-data", "--noise-std", "-1e-6"],
+    ["gen-data", "--noise-std", "-1_000.5"],
+    *(["gen-data", flag, value] for flag in ("--style-strength", "--noise-std")
+      for value in ("-inf", "-Infinity", "-INF", "-nan", "-NaN")),
 ], ids=lambda a: " ".join(a))
 def test_negative_exponent_value_after_its_flag_reaches_the_range_check(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "data"))

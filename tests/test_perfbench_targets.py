@@ -6,8 +6,9 @@ a wrapper, so renaming or moving one of them breaks a traced benchmark run
 and nothing else. This test loads perfbench/spans.py from its source without
 writing anything next to it, hands both recorders a patcher that only records
 what they would replace, and checks each target. It reads perfbench/workloads.py
-as a syntax tree, so a dropped parameter, or a dropped RunConfig field that a
-workload reads off a training result, fails here and not in a benchmark run.
+as a syntax tree, so a dropped parameter, a dropped RunConfig field that a
+workload reads off a training result, or a dropped dataset attribute that a
+workload reads off its dataset, fails here and not in a benchmark run.
 """
 
 import ast
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import spdg.cli
+import spdg.datagen
 import spdg.evaluate
 import spdg.tensor
 import spdg.trainer
@@ -143,3 +145,36 @@ def test_workload_config_reads_are_run_config_fields():
 ], ids=["off-the-result", "through-a-name"])
 def test_config_reads_are_found_in_both_forms(source, reads):
     assert list(_run_config_reads(ast.parse(source))) == reads
+
+
+# the workload attributes that hold a MultiDomainDataset
+DATASET_HOLDERS = ("dataset", "pool", "generated")
+
+
+def _dataset_reads(tree):
+    """(line, attribute) for each attribute the tree reads off self.<holder>,
+    holder being one of DATASET_HOLDERS."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr in DATASET_HOLDERS
+                and isinstance(node.value.value, ast.Name) and node.value.value.id == "self"):
+            yield node.lineno, node.attr
+
+
+def test_workload_dataset_reads_are_dataset_attributes(tmp_path):
+    reads = list(_dataset_reads(ast.parse(WORKLOADS.read_text(encoding="utf-8"))))
+    assert {name for _, name in reads} >= {"x", "class_ids", "classes", "domains", "domain_indices"}
+    spdg.datagen.save(spdg.datagen.generate(n_per_cell=10, seed=0), tmp_path / "d")
+    loaded = spdg.datagen.load(tmp_path / "d")
+    assert [f"line {line}: a loaded MultiDomainDataset has no attribute {name!r}"
+            for line, name in reads if not hasattr(loaded, name)] == []
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("def f(self):\n    return self.pool.labels\n", [(2, "labels")]),
+    ("def f(self):\n    return self.dataset.domain_ids[self.generated.x]\n",
+     [(2, "domain_ids"), (2, "x")]),
+    ("def f(other):\n    return other.pool.labels, self.path.name\n", []),
+], ids=["one-read", "two-holders", "not-a-holder"])
+def test_dataset_reads_are_found(source, reads):
+    assert sorted(_dataset_reads(ast.parse(source))) == reads
